@@ -11,6 +11,7 @@ error, 4 scaling or resource error, 5 strict-overload abort.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -122,14 +123,20 @@ def _apply_sets(instance, mapping, sets) -> None:
             raise _UsageError(f"--set {name}: {exc}") from None
 
 
-def _load_netlist_and_mapping(args):
+def _load_file(load, path):
+    """Run a JSON loader; a malformed or unreadable file exits 1 naming it."""
     try:
-        netlist = load_netlist(args.netlist)
-    except (OSError, ValueError) as exc:
-        print(f"apc: {exc}", file=sys.stderr)
+        return load(path)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        print(f"apc: {path}: {detail}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None
+
+
+def _load_netlist_and_mapping(args):
+    netlist = _load_file(load_netlist, args.netlist)
     mpath = _mapping_path(args.netlist)
-    mapping = scaling.Mapping.load(mpath) if mpath.exists() else None
+    mapping = _load_file(scaling.Mapping.load, mpath) if mpath.exists() else None
     return netlist, mapping
 
 
@@ -142,15 +149,24 @@ def _resolve_tend(args, mapping) -> float:
 
 
 def _make_config(args, netlist, tau_end) -> simulator.SimConfig:
+    if not math.isfinite(tau_end):
+        raise _UsageError(f"--tend must be finite, got {tau_end}")
+    if args.dt is not None and not args.dt > 0:
+        raise _UsageError(f"--dt must be positive, got {args.dt}")
+    if args.samples < 1:
+        raise _UsageError(f"--samples must be at least 1, got {args.samples}")
     dt = args.dt if args.dt is not None else simulator.default_dt(netlist)
     nsteps = max(1, round(tau_end / dt))
-    return simulator.SimConfig(
-        dt=dt,
-        resolution=args.resolution,
-        adc_bits=args.adc_bits,
-        strict_overload=getattr(args, "strict_overload", False),
-        sample_every=max(1, nsteps // args.samples),
-    )
+    try:
+        return simulator.SimConfig(
+            dt=dt,
+            resolution=args.resolution,
+            adc_bits=args.adc_bits,
+            strict_overload=getattr(args, "strict_overload", False),
+            sample_every=max(1, nsteps // args.samples),
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def cmd_run(args) -> int:
@@ -267,6 +283,9 @@ def cmd_map(args) -> int:
         for kind, n in exc.deficits.items():
             print(f"  missing {kind}: {n}", file=sys.stderr)
         return EXIT_SCALE
+    except ValueError as exc:  # the netlist does not validate
+        print(f"apc: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     text = fabric.patch_instructions(assignment)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -331,6 +350,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except _UsageError as exc:
         print(f"apc: usage: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except simulator.ConstructionError as exc:
+        print(f"apc: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:
         code = exc.code

@@ -166,6 +166,24 @@ def signal_name(name: str, order: int) -> str:
     return name + "'" * order
 
 
+def children(expr: Expr) -> tuple:
+    """Direct subexpressions; a ``lut`` call's are its arguments after the table name."""
+    if isinstance(expr, Bin):
+        return (expr.left, expr.right)
+    if isinstance(expr, Neg):
+        return (expr.operand,)
+    if isinstance(expr, Call):
+        return expr.args[1:] if expr.func == "lut" else expr.args
+    return ()
+
+
+def walk(expr: Expr):
+    """``expr`` and all its subexpressions, depth first, parents before children."""
+    yield expr
+    for child in children(expr):
+        yield from walk(child)
+
+
 # --- Lexer ----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -323,22 +341,10 @@ class _Bail(Exception):
     """Abandon the current line after recording a diagnostic."""
 
 
-def _walk_calls(e: Expr):
-    if isinstance(e, Call):
-        yield e
-        for a in e.args:
-            yield from _walk_calls(a)
-    elif isinstance(e, Bin):
-        yield from _walk_calls(e.left)
-        yield from _walk_calls(e.right)
-    elif isinstance(e, Neg):
-        yield from _walk_calls(e.operand)
-
-
 def _reject_calls(expr: Expr, runtime: bool, diags: list):
     """Grammar context check: lut only at runtime, sin/cos/exp only in constants."""
     ok = False
-    for call in _walk_calls(expr):
+    for call in (e for e in walk(expr) if isinstance(e, Call)):
         if runtime and call.func in CONST_FUNCS:
             diags.append(Diagnostic(call.line, call.column,
                                     f"{call.func} is a constant function and not available at runtime"))
@@ -602,50 +608,36 @@ class _Resolver:
             return None if v is None else CONST_FUNCS[e.func](v)
         raise TypeError(e)
 
-    def check_rhs(self, e: Expr, var_order: dict, params: dict, tables: dict):
+    def check_rhs(self, expr: Expr, var_order: dict, params: dict, tables: dict):
         """Validate a runtime expression: name binding and derivative orders."""
-        if isinstance(e, Num):
-            return
-        if isinstance(e, Ref):
-            if e.name in var_order:
-                n = var_order[e.name]
-                if e.order >= n and n > 0:
-                    self.fail(e.line, e.column, f"derivative order too high: {signal_name(e.name, e.order)} "
-                                                f"(highest usable order of {e.name!r} is {n - 1})")
-                elif n == 0 and e.order > 0:
-                    self.fail(e.line, e.column, f"{e.name!r} has order 0 and no derivatives")
-            elif e.name in params:
-                if e.order:
-                    self.fail(e.line, e.column, f"param {e.name!r} has no derivatives")
-            else:
-                self.fail(e.line, e.column, f"unknown name {e.name!r}")
-            return
-        if isinstance(e, Neg):
-            self.check_rhs(e.operand, var_order, params, tables)
-            return
-        if isinstance(e, Bin):
-            self.check_rhs(e.left, var_order, params, tables)
-            self.check_rhs(e.right, var_order, params, tables)
-            return
-        if isinstance(e, Call):
-            if e.func == "lut":
+        for e in walk(expr):
+            if isinstance(e, Ref):
+                if e.name in var_order:
+                    n = var_order[e.name]
+                    if e.order >= n and n > 0:
+                        self.fail(e.line, e.column,
+                                  f"derivative order too high: {signal_name(e.name, e.order)} "
+                                  f"(highest usable order of {e.name!r} is {n - 1})")
+                    elif n == 0 and e.order > 0:
+                        self.fail(e.line, e.column, f"{e.name!r} has order 0 and no derivatives")
+                elif e.name in params:
+                    if e.order:
+                        self.fail(e.line, e.column, f"param {e.name!r} has no derivatives")
+                else:
+                    self.fail(e.line, e.column, f"unknown name {e.name!r}")
+            elif isinstance(e, Call) and e.func == "lut":
+                tab = e.args[0]
                 if len(e.args) != 2:
                     self.fail(e.line, e.column, "lut takes (table, expr)")
-                    return
-                tab = e.args[0]
-                if not isinstance(tab, Ref) or tab.order != 0:
+                elif not isinstance(tab, Ref) or tab.order != 0:
                     self.fail(e.line, e.column, "first lut argument must be a table name")
                 elif tab.name not in tables:
                     self.fail(tab.line, tab.column, f"unknown table {tab.name!r}")
-                self.check_rhs(e.args[1], var_order, params, tables)
-                return
-            if e.func in CONST_FUNCS:
+            elif isinstance(e, Call) and e.func in CONST_FUNCS:
                 self.fail(e.line, e.column,
                           f"{e.func} is only available in constant expressions, not at runtime")
-            else:
+            elif isinstance(e, Call):
                 self.fail(e.line, e.column, f"unknown function {e.func!r}")
-            return
-        raise TypeError(e)
 
     def run(self) -> OdeSystem | None:
         prog = self.program

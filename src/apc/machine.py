@@ -24,10 +24,9 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-
-import networkx as nx
 
 
 class StructuralError(ValueError):
@@ -311,13 +310,60 @@ def validate(netlist: Netlist) -> list[Violation]:
     return report
 
 
-def _element_graph(netlist: Netlist) -> nx.DiGraph:
-    g = nx.DiGraph()
-    g.add_nodes_from(netlist.elements)
-    for e in netlist.elements.values():
-        for nid in e.inputs:
-            g.add_edge(netlist.nets[nid].driver, e.id)
-    return g
+def _successors(nodes, edges) -> dict:
+    succ = {v: {} for v in nodes}
+    for u, v in edges:
+        if u in succ and v in succ:
+            succ[u][v] = None
+    return succ
+
+
+def topological_order(nodes, edges) -> tuple[list, list]:
+    """Kahn's pass (CACM 1962) over ``nodes`` and ``(source, target)`` edges.
+
+    Edges touching other nodes are ignored; duplicates count once.
+    Returns ``(order, residue)``. ``order`` holds the sources in node
+    order, then each freed node's consumers in first-edge order.
+    ``residue`` lists the nodes never freed; it is empty exactly when
+    the graph is acyclic.
+    """
+    succ = _successors(nodes, edges)
+    indegree = Counter(v for targets in succ.values() for v in targets)
+    order = [v for v in succ if not indegree[v]]
+    for u in order:
+        for v in succ[u]:
+            indegree[v] -= 1
+            if not indegree[v]:
+                order.append(v)
+    return order, [v for v in succ if indegree[v]]
+
+
+def simple_cycles(nodes, edges):
+    """Yield each elementary cycle among ``nodes`` once, from its smallest node.
+
+    Kahn's pass forwards and backwards first drops the nodes no cycle
+    passes through. A depth-first search from each remaining node r, in
+    sorted order, then visits only nodes greater than r.
+    """
+    _, nodes = topological_order(nodes, edges)
+    _, nodes = topological_order(nodes, [(v, u) for u, v in edges])
+    succ = _successors(nodes, edges)
+    for r in sorted(succ):
+        path = {r: iter(succ[r])}  # path node -> its successors not yet tried
+        while path:
+            v = next(next(reversed(path.values())), None)
+            if v is None:
+                path.popitem()
+            elif v == r:
+                yield list(path)
+            elif v > r and v not in path:
+                path[v] = iter(succ[v])
+
+
+def _algebraic_graph(netlist: Netlist):
+    """Non-integrator element ids and all (driver, consumer) edges."""
+    nodes = [eid for eid, e in netlist.elements.items() if e.kind is not Kind.INTEGRATOR]
+    return nodes, [(netlist.nets[nid].driver, e.id) for e in netlist.elements.values() for nid in e.inputs]
 
 
 def algebraic_loops(netlist: Netlist) -> list[list[str]]:
@@ -328,14 +374,7 @@ def algebraic_loops(netlist: Netlist) -> list[list[str]]:
     rotated to start at their smallest id and sorted, so output is
     deterministic.
     """
-    g = _element_graph(netlist)
-    g.remove_nodes_from([eid for eid, e in netlist.elements.items() if e.kind is Kind.INTEGRATOR])
-    cycles = []
-    for cyc in nx.simple_cycles(g):
-        k = cyc.index(min(cyc))
-        cycles.append(cyc[k:] + cyc[:k])
-    cycles.sort()
-    return cycles
+    return sorted(simple_cycles(*_algebraic_graph(netlist)))
 
 
 def evaluation_order(netlist: Netlist) -> list[str]:
@@ -345,12 +384,11 @@ def evaluation_order(netlist: Netlist) -> list[str]:
     simulator state), so evaluating elements in this order computes every
     net in a single pass. Raises AlgebraicLoopError if cycles remain.
     """
-    loops = algebraic_loops(netlist)
-    if loops:
-        raise AlgebraicLoopError(loops)
-    g = _element_graph(netlist)
-    g.remove_nodes_from([eid for eid, e in netlist.elements.items() if e.kind is Kind.INTEGRATOR])
-    return list(nx.topological_sort(g))
+    nodes, edges = _algebraic_graph(netlist)
+    order, residue = topological_order(nodes, edges)
+    if residue:
+        raise AlgebraicLoopError(sorted(simple_cycles(residue, edges)))
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import networkx as nx
-from scipy.integrate import solve_ivp
 
-from .dsl import Bin, Call, Expr, Neg, Num, OdeSystem, Ref, signal_name
+from .dsl import Bin, Call, Expr, Neg, Num, OdeSystem, Ref, signal_name, walk
+from .machine import simple_cycles, topological_order
 from .simulator import Trace
 
 #: Margin applied to oracle-estimated maxima before grid rounding.
@@ -75,32 +74,18 @@ def eval_expr(expr: Expr, env: dict, params: dict, tables: dict):
 
 
 def _refs(expr: Expr):
-    if isinstance(expr, Ref):
-        yield expr
-    elif isinstance(expr, Neg):
-        yield from _refs(expr.operand)
-    elif isinstance(expr, Bin):
-        yield from _refs(expr.left)
-        yield from _refs(expr.right)
-    elif isinstance(expr, Call):
-        for a in expr.args[1:] if expr.func == "lut" else expr.args:
-            yield from _refs(a)
+    return (e for e in walk(expr) if isinstance(e, Ref))
 
 
 def algebraic_order(system: OdeSystem) -> list[str]:
     """Dependency order of the order-0 variables; cycles are an error."""
     zeros = [v for v, n in system.var_order.items() if n == 0]
-    g = nx.DiGraph()
-    g.add_nodes_from(zeros)
-    for v in zeros:
-        for ref in _refs(system.equations[v]):
-            if ref.name in system.var_order and system.var_order[ref.name] == 0:
-                g.add_edge(ref.name, v)
-    try:
-        return list(nx.topological_sort(g))
-    except nx.NetworkXUnfeasible:
-        cycle = [e[0] for e in nx.find_cycle(g)]
-        raise ScalingError(f"algebraic cycle among order-0 variables: {cycle}") from None
+    edges = [(ref.name, v) for v in zeros for ref in _refs(system.equations[v])]
+    order, residue = topological_order(zeros, edges)
+    if residue:
+        cycle = next(simple_cycles(residue, edges))
+        raise ScalingError(f"algebraic cycle among order-0 variables: {cycle}")
+    return order
 
 
 @dataclass
@@ -120,6 +105,8 @@ def reference_solution(system: OdeSystem, points: int = 2001,
     derivative of each variable. Independent of the netlist path: it
     evaluates the resolved equations directly.
     """
+    from scipy.integrate import solve_ivp  # deferred: scipy costs most of ``import apc``
+
     zeros = algebraic_order(system)
     state_keys = [(v, k) for v, n in system.var_order.items() if n >= 1 for k in range(n)]
 
@@ -292,20 +279,10 @@ class ScaleMap:
 
 def _lut_arg_signals(system: OdeSystem):
     found = set()
-
-    def walk(e):
-        if isinstance(e, Call) and e.func == "lut":
-            found.update((r.name, r.order) for r in _refs(e.args[1])
-                         if r.name in system.var_order)
-            walk(e.args[1])
-        elif isinstance(e, Bin):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, Neg):
-            walk(e.operand)
-
     for expr in system.equations.values():
-        walk(expr)
+        for e in walk(expr):
+            if isinstance(e, Call) and e.func == "lut":
+                found.update((r.name, r.order) for r in _refs(e.args[1]) if r.name in system.var_order)
     return found
 
 

@@ -282,7 +282,6 @@ class MachineInstance:
         self._driver_of = [netlist.nets[nid].driver for nid in self._net_ids]
         self._coef_pos = {e.id: i for i, e in enumerate(self._coefficients)}
         self._c = [e.params["alpha"] for e in self._coefficients]
-        self.overloads: list[OverloadEvent] = []
         self.mode = Mode.IC
         self.tau = 0.0
         self._load_ic()
@@ -292,6 +291,7 @@ class MachineInstance:
     def _load_ic(self):
         self._s = [e.params["ic"] for e in self._integrators]
         self.tau = 0.0
+        self.overloads: list[OverloadEvent] = []
         self._eval_nets(abort=False)
 
     def set_mode(self, new_mode: Mode | str) -> None:

@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
 from apc.cli import main
+from apc.machine import Netlist, coefficient, save_netlist, summer
 from conftest import FIG2_SRC, SINE5_SRC, SINE_SRC, UNSTABLE_SRC, VCO_SRC
 
 
@@ -152,6 +156,56 @@ class TestRun:
         out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
         assert main(["run", str(out), "--tend", "1", "--set", "k=-0.5"]) == 1
 
+    @pytest.mark.parametrize("flag", [("--dt", "0"), ("--samples", "0"), ("--tend", "nan"),
+                                      ("--resolution", "2"), ("--adc-bits", "0")])
+    def test_out_of_range_flag_exits_1(self, workdir, capsys, flag):
+        out = compiled(workdir, SINE_SRC, "sine")
+        assert main(["run", str(out), *flag]) == 1
+        assert "apc: usage: " in capsys.readouterr().err
+
+    def test_mapping_binding_without_net_exits_1(self, workdir, capsys):
+        out = compiled(workdir, SINE_SRC, "sine")
+        mpath = workdir / "sine.map.json"
+        doc = json.loads(mpath.read_text())
+        del doc["signals"]["y"]["net"]
+        mpath.write_text(json.dumps(doc))
+        assert main(["run", str(out)]) == 1
+        assert f"apc: {mpath}: missing key 'net'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"signals": [1]}', '{"signals": {"y": 5}}', "{"])
+    def test_malformed_mapping_exits_1(self, workdir, capsys, text):
+        out = compiled(workdir, SINE_SRC, "sine")
+        (workdir / "sine.map.json").write_text(text)
+        assert main(["run", str(out)]) == 1
+        assert "sine.map.json: " in capsys.readouterr().err
+
+
+def looped_netlist(workdir):
+    """Two summers feeding each other through a coefficient: an algebraic loop."""
+    n = Netlist.from_elements([summer("s1", ["k"]), summer("s2", ["s1"]),
+                               coefficient("k", "s2", 0.5)], outputs={"y": "s1"})
+    path = workdir / "loop.json"
+    save_netlist(n, path)
+    return str(path)
+
+
+class TestInvalidNetlist:
+    def test_run_names_the_loop(self, workdir, capsys):
+        assert main(["run", looped_netlist(workdir), "--tend", "1"]) == 1
+        assert "apc: algebraic loop(s): [['k', 's1', 's2']]" in capsys.readouterr().err
+
+    def test_sweep_names_the_loop(self, workdir, capsys):
+        assert main(["sweep", looped_netlist(workdir), "--param", "k=0.1,0.2", "--tend", "1",
+                     "--out", str(workdir / "s")]) == 1
+        assert "apc: algebraic loop(s): [['k', 's1', 's2']]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["run", "--tend", "1"], ["map"]])
+    def test_invalid_netlist_exits_1(self, workdir, capsys, command):
+        path = workdir / "dangling.json"
+        save_netlist(Netlist.from_elements([summer("s1", ["ghost"])]), path)
+        assert main([command[0], str(path), *command[1:]]) == 1
+        assert "apc: netlist does not validate" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_ten_rows_and_traces(self, workdir):
@@ -240,6 +294,15 @@ class TestMap:
                      json.dumps({"name": "mini", "inventory":
                                  {"integrator": 2, "summer": 1, "inverter": 0}}))
         assert main(["map", str(out), "--machine", spec]) == 0
+
+
+def test_import_leaves_out_networkx_and_scipy():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, apc; print(sorted({'networkx', 'scipy'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestUsage:

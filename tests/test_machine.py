@@ -1,9 +1,12 @@
 import math
+import time
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apc.dsl import Bin, Call, Num, OdeSystem, Ref
 from apc.machine import (
     AlgebraicLoopError,
     Element,
@@ -25,6 +28,7 @@ from apc.machine import (
     summer,
     validate,
 )
+from apc.scaling import ScalingError, algebraic_order
 
 
 def fig2_netlist():
@@ -163,6 +167,20 @@ class TestGraphAnalysis:
         assert len(cycles) == 1
         assert sorted(cycles[0]) == ["s1", "s2"]
 
+    def test_loop_feeding_diamonds_is_not_exponential(self):
+        # 2^20 paths lead away from the loop; a search that walked them all
+        # would take tens of seconds instead of milliseconds.
+        elems, prev = [summer("a1", ["a2"]), summer("a2", ["a1"])], "a2"
+        for i in range(20):
+            b, c, j = f"d{i:02d}b", f"d{i:02d}c", f"d{i:02d}j"
+            elems += [summer(b, [prev]), summer(c, [prev]), summer(j, [b, c])]
+            prev = j
+        start = time.perf_counter()
+        with pytest.raises(AlgebraicLoopError) as err:
+            evaluation_order(Netlist.from_elements(elems))
+        assert err.value.cycles == [["a1", "a2"]]
+        assert time.perf_counter() - start < 2.0
+
     def test_empty_netlist(self):
         n = Netlist([], {})
         assert algebraic_loops(n) == []
@@ -237,6 +255,97 @@ def test_json_round_trip(netlist):
         assert (b.kind, b.params, b.inputs) == (e.kind, e.params, e.inputs)
     assert back.nets == netlist.nets
     assert back.outputs == netlist.outputs
+
+
+# -- networkx as an independent oracle for ordering and cycle enumeration --
+
+def nx_algebraic_graph(netlist):
+    g = nx.DiGraph()
+    g.add_nodes_from(netlist.elements)
+    for e in netlist.elements.values():
+        for nid in e.inputs:
+            g.add_edge(netlist.nets[nid].driver, e.id)
+    g.remove_nodes_from([eid for eid, e in netlist.elements.items() if e.kind is Kind.INTEGRATOR])
+    return g
+
+
+def nx_loops(g):
+    return sorted(c[c.index(min(c)):] + c[:c.index(min(c))] for c in nx.simple_cycles(g))
+
+
+@st.composite
+def looped_netlists(draw):
+    """dag_netlists plus back-edges: summers and multipliers may read any non-integrator net."""
+    elems = list(draw(dag_netlists()).elements.values())
+    algebraic = st.sampled_from([e.id for e in elems if e.kind is not Kind.INTEGRATOR])
+    for i, e in enumerate(elems):
+        if e.kind is Kind.SUMMER:
+            elems[i] = summer(e.id, e.inputs + tuple(draw(st.lists(algebraic, max_size=2))))
+        elif e.kind is Kind.MULTIPLIER and draw(st.booleans()):
+            elems[i] = multiplier(e.id, e.inputs[0], draw(algebraic))
+    return Netlist.from_elements(elems)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(dag_netlists())
+def test_evaluation_order_matches_networkx(netlist):
+    assert evaluation_order(netlist) == list(nx.topological_sort(nx_algebraic_graph(netlist)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(looped_netlists())
+def test_algebraic_loops_match_networkx(netlist):
+    g = nx_algebraic_graph(netlist)
+    expected = nx_loops(g)
+    assert algebraic_loops(netlist) == expected
+    if expected:
+        with pytest.raises(AlgebraicLoopError) as err:
+            evaluation_order(netlist)
+        assert err.value.cycles == expected
+    else:
+        assert evaluation_order(netlist) == list(nx.topological_sort(g))
+
+
+@st.composite
+def order0_systems(draw):
+    """Order-0 equations over random references to one another, a param and a state.
+
+    Returns the system and each equation's references in left-to-right order.
+    """
+    n = draw(st.integers(min_value=1, max_value=8))
+    rank = [f"a{i}" for i in range(n)]  # acyclic unless back-references are drawn
+    names = draw(st.permutations(rank))
+    cyclic = draw(st.booleans())
+    var_order = {"y": 1, **dict.fromkeys(names, 0)}
+    equations, refs = {"y": Ref(names[0])}, {}
+    for v in names:
+        callees = rank if cyclic else rank[:rank.index(v)]
+        refs[v] = draw(st.lists(st.sampled_from(callees + ["p", "y", None]), min_size=1, max_size=4))
+        terms = [Num(0.5) if r is None else Ref(r) for r in refs[v]]
+        if draw(st.booleans()):  # wrap the last term in a table lookup
+            terms[-1] = Call("lut", (Ref("f"), terms[-1]))
+        expr = terms[0]
+        for t in terms[1:]:
+            expr = Bin(draw(st.sampled_from("+*")), expr, t)
+        equations[v] = expr
+    system = OdeSystem("g", {"p": 0.5}, var_order, equations, {("y", 0): 0.0},
+                       {"f": ((-1.0, -1.0), (1.0, 1.0))}, 1.0, (), {})
+    return system, refs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(order0_systems())
+def test_algebraic_order_matches_networkx(case):
+    system, refs = case
+    g = nx.DiGraph()
+    g.add_nodes_from(refs)
+    g.add_edges_from((r, v) for v, rs in refs.items() for r in rs if r in refs)
+    if nx.is_directed_acyclic_graph(g):
+        assert algebraic_order(system) == list(nx.topological_sort(g))
+    else:
+        with pytest.raises(ScalingError, match="algebraic cycle") as err:
+            algebraic_order(system)
+        assert any(f"{c}" in str(err.value) for c in nx_loops(g))
 
 
 def test_json_rejects_unknown_keys():

@@ -86,6 +86,16 @@ class TestModeMachine:
         assert inst.tau == 0.0
         assert inst.value("y") == pytest.approx(0.5)
 
+    def test_ic_clears_overload_log(self):
+        _, result = build(UNSTABLE_SRC)
+        inst = new_instance(result.netlist, SimConfig(dt=1e-3))
+        assert inst.run(3.0).overloads, "expected a runaway first run"
+        inst.set_mode(Mode.IC)
+        assert inst.overloads == []
+        second = inst.run(0.5)  # 0.5 * cosh(0.5) stays inside [-1, 1]
+        assert second.overloads == []
+        assert second == new_instance(result.netlist, SimConfig(dt=1e-3)).run(0.5)
+
     def test_op_to_ic_rejected(self, sine):
         _, result = sine
         inst = new_instance(result.netlist)
