@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import compiler, dsl, fabric, scaling, simulator
-from .machine import load_netlist
+from .machine import Kind, load_netlist, save_netlist
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -64,91 +62,89 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _mapping_path(netlist_path: str) -> Path:
-    p = Path(netlist_path)
-    return p.with_suffix(".map.json") if p.suffix == ".json" else Path(str(p) + ".map.json")
+def _sibling(path, ext: str, suffix: str) -> Path:
+    """``path`` with ``suffix`` in place of an ``ext`` extension, else appended."""
+    p = Path(path)
+    return p.with_suffix(suffix) if p.suffix == ext else Path(str(p) + suffix)
 
 
 def cmd_compile(args) -> int:
     system = _load_system(args.source)
-    try:
-        if args.scale == "auto":
-            scale = scaling.autoscale(system, k0=args.k0)
-        else:
-            scale = scaling.ScaleMap.identity(args.k0)
-    except scaling.ScalingError as exc:
-        print(f"apc: scaling: {exc}", file=sys.stderr)
-        return EXIT_SCALE
+    if args.scale == "auto":
+        scale = scaling.autoscale(system, k0=args.k0)
+    else:
+        scale = scaling.ScaleMap.identity(args.k0)
     options = compiler.CompileOptions(k0=args.k0, scale=scale,
                                       optimize_inverters=not args.no_optimize)
-    try:
-        result = compiler.compile_system(system, options)
-    except (compiler.UnscaledCoefficientError, compiler.ScalingViolationError) as exc:
-        print(f"apc: scaling: {exc}", file=sys.stderr)
-        return EXIT_SCALE
-    except compiler.CompileError as exc:
-        print(f"apc: compile: {exc}", file=sys.stderr)
-        return EXIT_COMPILE
-
+    result = compiler.compile_system(system, options)
     out = Path(args.output) if args.output else Path(args.source).with_suffix(".json")
-    from .machine import save_netlist
-
     save_netlist(result.netlist, out)
-    result.mapping.save(_mapping_path(out))
+    result.mapping.save(_sibling(out, ".json", ".map.json"))
     for kind, n in result.report.items():
         print(f"{kind}s: {n}")
     print(f"netlist: {out}")
     return EXIT_OK
 
 
-def _apply_sets(instance, mapping, sets) -> None:
-    for spec in sets:
-        if "=" not in spec:
-            raise _UsageError(f"--set needs NAME=VALUE, got {spec!r}")
-        name, _, text = spec.partition("=")
-        try:
-            value = float(text)
-        except ValueError:
-            raise _UsageError(f"--set {name}: {text!r} is not a number") from None
-        try:
-            if mapping and name in mapping.params:
-                b = mapping.params[name]
-                if b.value != 0 and (value > 0) != (b.value > 0):
-                    raise _UsageError(f"--set {name}: sign change from {b.value} would flip "
-                                      "a baked-in parity; recompile instead")
-                instance.set_coefficient(b.element, abs(b.scale * value))
-            else:
-                instance.set_coefficient(name, value)
-        except (KeyError, ValueError) as exc:
-            raise _UsageError(f"--set {name}: {exc}") from None
+def _pot_setting(netlist, mapping, name: str, value: float) -> tuple[str, float]:
+    """The (coefficient element, alpha) pair that realizes ``NAME=value``.
+
+    A parameter the sidecar mapping binds sets alpha = |scale * value|
+    on its element; any other name must be a coefficient element, whose
+    alpha is the value itself.
+    """
+    binding = mapping.params.get(name) if mapping else None
+    if binding is not None:
+        if binding.value != 0 and (value > 0) != (binding.value > 0):
+            raise _UsageError(f"{name}={value!r} flips the sign of {binding.value!r}, "
+                              "a baked-in parity; recompile instead")
+        element, alpha = binding.element, abs(binding.scale * value)
+    elif name in netlist.elements and netlist.elements[name].kind is Kind.COEFFICIENT:
+        element, alpha = name, value
+    else:
+        raise _UsageError(f"parameter {name!r} does not map to a coefficient")
+    if not 0.0 <= alpha <= 1.0:
+        raise scaling.ScalingError(f"{name}={value!r} needs alpha {alpha:.6g} outside [0, 1]")
+    return element, alpha
+
+
+def _number(text: str, what: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise _UsageError(f"{what}: {text!r} is not a number") from None
+
+
+def _parse_set(spec: str) -> tuple[str, float]:
+    name, eq, text = spec.partition("=")
+    if not eq:
+        raise _UsageError(f"--set needs NAME=VALUE, got {spec!r}")
+    return name, _number(text, f"--set {name}")
 
 
 def _load_file(load, path):
     """Run a JSON loader; a malformed or unreadable file exits 1 naming it."""
     try:
         return load(path)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        print(f"apc: {path}: {detail}", file=sys.stderr)
+    except (OSError, ValueError) as exc:
+        print(f"apc: {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None
 
 
 def _load_netlist_and_mapping(args):
     netlist = _load_file(load_netlist, args.netlist)
-    mpath = _mapping_path(args.netlist)
+    mpath = _sibling(args.netlist, ".json", ".map.json")
     mapping = _load_file(scaling.Mapping.load, mpath) if mpath.exists() else None
     return netlist, mapping
 
 
-def _resolve_tend(args, mapping) -> float:
-    if args.tend is not None:
-        return args.tend
-    if mapping and mapping.horizon_machine:
-        return mapping.horizon_machine
-    raise _UsageError("--tend is required (no sidecar mapping with a horizon found)")
-
-
-def _make_config(args, netlist, tau_end) -> simulator.SimConfig:
+def _new_machine(args, netlist, mapping) -> tuple[simulator.MachineInstance, float]:
+    """A machine in IC mode set up by the run flags, and the machine time to run to."""
+    tau_end = args.tend
+    if tau_end is None:
+        if not (mapping and mapping.horizon_machine):
+            raise _UsageError("--tend is required (no sidecar mapping with a horizon found)")
+        tau_end = mapping.horizon_machine
     if not math.isfinite(tau_end):
         raise _UsageError(f"--tend must be finite, got {tau_end}")
     if args.dt is not None and not args.dt > 0:
@@ -158,43 +154,31 @@ def _make_config(args, netlist, tau_end) -> simulator.SimConfig:
     dt = args.dt if args.dt is not None else simulator.default_dt(netlist)
     nsteps = max(1, round(tau_end / dt))
     try:
-        return simulator.SimConfig(
-            dt=dt,
-            resolution=args.resolution,
-            adc_bits=args.adc_bits,
-            strict_overload=getattr(args, "strict_overload", False),
-            sample_every=max(1, nsteps // args.samples),
-        )
+        config = simulator.SimConfig(dt=dt, resolution=args.resolution, adc_bits=args.adc_bits,
+                                     strict_overload=getattr(args, "strict_overload", False),
+                                     sample_every=max(1, nsteps // args.samples))
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    return simulator.new_instance(netlist, config), tau_end
 
 
 def cmd_run(args) -> int:
     netlist, mapping = _load_netlist_and_mapping(args)
     if args.problem_units and mapping is None:
         raise _UsageError("--problem-units needs the compiler's sidecar mapping file")
-    tau_end = _resolve_tend(args, mapping)
-    config = _make_config(args, netlist, tau_end)
-    instance = simulator.new_instance(netlist, config)
-    _apply_sets(instance, mapping, args.set or [])
-    try:
-        trace = instance.run(tau_end)
-    except simulator.OverloadError as exc:
-        print(f"apc: overload: {exc}", file=sys.stderr)
-        return EXIT_OVERLOAD
+    settings = [_pot_setting(netlist, mapping, *_parse_set(spec)) for spec in args.set or []]
+    instance, tau_end = _new_machine(args, netlist, mapping)
+    for element, alpha in settings:
+        instance.set_coefficient(element, alpha)
+    trace = instance.run(tau_end)
     if args.problem_units:
         trace = scaling.descale_trace(trace, mapping)
     if args.trace:
-        trace.save(args.trace, _overload_path(args.trace))
+        trace.save(args.trace, _sibling(args.trace, ".csv", ".overloads.csv"))
     for name in netlist.outputs:
         print(f"{name} = {instance.read_adc(name)!r}")
     print(f"overloads: {len(trace.overloads)}")
     return EXIT_OK
-
-
-def _overload_path(trace_path: str) -> Path:
-    p = Path(trace_path)
-    return p.with_suffix(".overloads.csv") if p.suffix == ".csv" else Path(str(p) + ".overloads.csv")
 
 
 def _sweep_values(spec: str) -> list[float]:
@@ -202,58 +186,35 @@ def _sweep_values(spec: str) -> list[float]:
         parts = spec.split(":")
         if len(parts) != 3:
             raise _UsageError("range must be start:stop:step")
-        a, b, s = (float(x) for x in parts)
+        a, b, s = (_number(x, "--param") for x in parts)
+        if not math.isfinite(b - a + s):
+            raise _UsageError("sweep range must be finite")
         if s <= 0 or b < a:
             raise _UsageError("empty sweep range")
         n = int((b - a) / s + 1e-9) + 1
         return [a + i * s for i in range(n)]
-    values = [float(x) for x in spec.split(",") if x.strip()]
+    values = [_number(x, "--param") for x in spec.split(",") if x.strip()]
     if not values:
         raise _UsageError("empty sweep value list")
     return values
 
 
 def cmd_sweep(args) -> int:
+    """Drive one machine through IC -> OP -> HALT once per parameter value."""
     netlist, mapping = _load_netlist_and_mapping(args)
     name, _, spec = args.param.partition("=")
     if not spec:
         raise _UsageError("--param needs NAME=start:stop:step or NAME=v1,v2,...")
     values = _sweep_values(spec)
-
-    binding = mapping.params.get(name) if mapping else None
-    if binding is None and not any(
-        e.id == name and e.kind.value == "coefficient" for e in netlist.elements.values()
-    ):
-        raise _UsageError(f"parameter {name!r} does not map to a coefficient")
-    alphas = []
-    for v in values:
-        alpha = abs(binding.scale * v) if binding else v
-        if binding and binding.value != 0 and (v > 0) != (binding.value > 0):
-            raise _UsageError(f"sweep value {v} flips the sign of {name!r}; recompile instead")
-        if not (0.0 <= alpha <= 1.0):
-            print(f"apc: scaling: sweep value {v} needs alpha {alpha:.6g} outside [0, 1]",
-                  file=sys.stderr)
-            return EXIT_SCALE
-        alphas.append(alpha)
-    element = binding.element if binding else name
-
-    tau_end = _resolve_tend(args, mapping)
-    config = _make_config(args, netlist, tau_end)
-
-    def one(alpha: float):
-        instance = simulator.new_instance(netlist, config)
-        instance.set_coefficient(element, alpha)
-        return instance.run(tau_end)
-
-    workers = int(os.environ.get("APC_WORKERS", args.workers))
+    settings = [_pot_setting(netlist, mapping, name, v) for v in values]
+    instance, tau_end = _new_machine(args, netlist, mapping)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            traces = list(pool.map(one, alphas))
-    except simulator.OverloadError as exc:
-        print(f"apc: overload: {exc}", file=sys.stderr)
-        return EXIT_OVERLOAD
+    traces = []
+    for element, alpha in settings:
+        instance.set_mode(simulator.Mode.IC)
+        instance.set_coefficient(element, alpha)
+        traces.append(instance.run(tau_end))
 
     import csv
 
@@ -271,11 +232,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_map(args) -> int:
     netlist, _ = _load_netlist_and_mapping(args)
-    try:
-        spec = fabric.load_machine_spec(args.machine)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"apc: machine spec: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = _load_file(fabric.load_machine_spec, args.machine)
     try:
         assignment = fabric.map_netlist(netlist, spec)
     except fabric.ResourceError as exc:
@@ -328,11 +285,10 @@ def _build_parser() -> _Parser:
                    help="digital-pot update before OP")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("sweep", help="run once per parameter value")
+    p = sub.add_parser("sweep", help="run one machine once per parameter value")
     add_run_flags(p)
     p.add_argument("--param", required=True, metavar="NAME=a:b:s")
     p.add_argument("--out", required=True, help="directory for traces and summary.csv")
-    p.add_argument("--workers", type=int, default=4)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("map", help="place a netlist onto a machine inventory")
@@ -343,20 +299,32 @@ def _build_parser() -> _Parser:
     return parser
 
 
+#: Errors a command lets through: (exception type, message prefix, exit
+#: code), first match wins. OSError is an output path that cannot be written.
+_ERRORS = (
+    (_UsageError, "usage: ", EXIT_USAGE),
+    (simulator.ConstructionError, "", EXIT_USAGE),
+    (OSError, "", EXIT_USAGE),
+    (scaling.ScalingError, "scaling: ", EXIT_SCALE),
+    (compiler.UnscaledCoefficientError, "scaling: ", EXIT_SCALE),
+    (compiler.ScalingViolationError, "scaling: ", EXIT_SCALE),
+    (compiler.CompileError, "compile: ", EXIT_COMPILE),
+    (simulator.OverloadError, "overload: ", EXIT_OVERLOAD),
+)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"apc: usage: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except simulator.ConstructionError as exc:
-        print(f"apc: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
+    except tuple(kind for kind, _, _ in _ERRORS) as exc:
+        prefix, code = next((p, c) for kind, p, c in _ERRORS if isinstance(exc, kind))
+        print(f"apc: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

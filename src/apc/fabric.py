@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .machine import Element, Kind, Net, Netlist, validate
+from .machine import (AlgebraicLoopError, Element, Kind, Net, Netlist, algebraic_loops,
+                      json_object, validate)
 
 _INVENTORY_KINDS = ("integrator", "summer", "inverter", "multiplier",
                     "coefficient", "function_generator")
@@ -79,11 +80,12 @@ def load_machine_spec(source: str) -> MachineSpec:
     if source in BUILTIN_SPECS:
         return BUILTIN_SPECS[source]
     with open(source, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    extra = set(doc) - {"name", "inventory", "crossbar"}
-    if extra:
-        raise ValueError(f"unknown key(s) {sorted(extra)} in machine spec")
-    return MachineSpec(doc["name"], dict(doc.get("inventory", {})), doc.get("crossbar", "full"))
+        doc = json_object(json.load(fh), "machine spec",
+                          {"name": str, "inventory": dict, "crossbar": str},
+                          optional=("inventory", "crossbar"))
+    inventory = json_object(doc.get("inventory", {}), "inventory",
+                            dict.fromkeys(_INVENTORY_KINDS, float), optional=_INVENTORY_KINDS)
+    return MachineSpec(doc["name"], inventory, doc.get("crossbar", "full"))
 
 
 @dataclass
@@ -117,11 +119,15 @@ def map_netlist(netlist: Netlist, spec: MachineSpec) -> PatchAssignment:
     With a full crossbar, mapping succeeds exactly when per-kind demand
     fits supply after placing single-input summers into inverter slots
     first. On failure the error lists the per-kind deficit, which equals
-    demand minus supply under that optimal substitution.
+    demand minus supply under that optimal substitution. A netlist that
+    fails validation or has an algebraic loop raises ValueError.
     """
     problems = validate(netlist)
     if problems:
         raise ValueError(f"netlist does not validate: {[str(v) for v in problems]}")
+    loops = algebraic_loops(netlist)
+    if loops:
+        raise AlgebraicLoopError(loops)
     singles, multis, by_kind, refs = _demand(netlist)
 
     deficits = {}

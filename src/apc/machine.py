@@ -97,18 +97,23 @@ def clamp(value: float) -> MachineValue:
     return MachineValue(value, False)
 
 
-def interpolate(table, x: float) -> float:
-    """Piecewise-linear interpolation of a breakpoint table, end-clamped."""
+def table_lookup(table):
+    """End-clamped piecewise-linear lookup over a breakpoint table."""
     xs = [p[0] for p in table]
     ys = [p[1] for p in table]
-    if x <= xs[0]:
-        return ys[0]
-    if x >= xs[-1]:
-        return ys[-1]
-    i = bisect_right(xs, x)
-    x0, x1 = xs[i - 1], xs[i]
-    y0, y1 = ys[i - 1], ys[i]
-    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    lo_x, lo_y, hi_x, hi_y = xs[0], ys[0], xs[-1], ys[-1]
+
+    def lookup(x: float) -> float:
+        if x <= lo_x:
+            return lo_y
+        if x >= hi_x:
+            return hi_y
+        i = bisect_right(xs, x)
+        x0, x1 = xs[i - 1], xs[i]
+        y0, y1 = ys[i - 1], ys[i]
+        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+    return lookup
 
 
 @dataclass(frozen=True)
@@ -172,7 +177,7 @@ def element_output(kind: Kind, params: dict, inputs, state: float | None = None)
     if kind is Kind.COEFFICIENT:
         return params["alpha"] * inputs[0]
     if kind is Kind.FUNCTION_GENERATOR:
-        return interpolate(params["table"], inputs[0])
+        return table_lookup(params["table"])(inputs[0])
     return params["constant"]
 
 
@@ -395,10 +400,35 @@ def evaluation_order(netlist: Netlist) -> list[str]:
 # JSON wire format. Field names are part of the contract; unknown keys are
 # rejected so that format drift fails loudly.
 
-def _reject_unknown(doc: dict, allowed: set[str], where: str):
-    extra = set(doc) - allowed
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", float: "a number"}
+
+
+def json_value(value, kind: type, where: str):
+    """``value`` checked to have the JSON type ``kind``; numbers come back as floats."""
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if not isinstance(value, kind):
+        raise StructuralError(f"{where} must be {_JSON_TYPES[kind]}, got {type(value).__name__}")
+    return value
+
+
+def json_object(doc, where: str, fields: dict, optional=()) -> dict:
+    """The checked fields of the JSON object ``doc``.
+
+    ``fields`` maps each allowed key to its JSON type. Every key outside
+    ``optional`` must be present; a null optional value counts as absent.
+    """
+    extra = set(json_value(doc, dict, where)) - set(fields)
     if extra:
         raise StructuralError(f"unknown key(s) {sorted(extra)} in {where}")
+    out = {}
+    for key, kind in fields.items():
+        if doc.get(key) is None and key in optional:
+            continue
+        if key not in doc:
+            raise StructuralError(f"missing key {key!r} in {where}")
+        out[key] = json_value(doc[key], kind, f"{key!r} of {where}")
+    return out
 
 
 def netlist_to_dict(netlist: Netlist) -> dict:
@@ -413,27 +443,33 @@ def netlist_to_dict(netlist: Netlist) -> dict:
 
 
 def netlist_from_dict(doc: dict) -> Netlist:
-    _reject_unknown(doc, {"elements", "nets", "outputs"}, "netlist")
-    for key in ("elements", "nets", "outputs"):
-        if key not in doc:
-            raise StructuralError(f"netlist document missing {key!r}")
+    doc = json_object(doc, "netlist", {"elements": list, "nets": list, "outputs": list})
     elements = []
     for ed in doc["elements"]:
-        _reject_unknown(ed, {"id", "kind", "params", "inputs"}, f"element {ed.get('id')!r}")
+        where = f"element {ed['id']!r}" if isinstance(ed, dict) and "id" in ed else "element"
+        ed = json_object(ed, where, {"id": str, "kind": str, "params": dict, "inputs": list},
+                         optional=("params", "inputs"))
         try:
             kind = Kind(ed["kind"])
         except ValueError:
-            raise StructuralError(f"unknown element kind {ed.get('kind')!r}") from None
-        params = dict(ed.get("params", {}))
-        _reject_unknown(params, _PARAM_KEYS[kind], f"params of {ed.get('id')!r}")
+            raise StructuralError(f"unknown element kind {ed['kind']!r}") from None
+        keys, where_params = _PARAM_KEYS[kind], f"params of {where}"
+        params = json_object(ed.get("params", {}), where_params,
+                             {k: list if k == "table" else float for k in keys}, optional=keys)
         if "table" in params:
-            params["table"] = tuple((float(x), float(y)) for x, y in params["table"])
-        elements.append(Element(ed["id"], kind, params, tuple(ed.get("inputs", ()))))
+            try:
+                params["table"] = tuple((float(x), float(y)) for x, y in params["table"])
+            except (TypeError, ValueError):
+                raise StructuralError(f"'table' of {where_params} must hold [x, y] pairs") from None
+        inputs = tuple(json_value(n, str, f"input of {where}") for n in ed.get("inputs", []))
+        elements.append(Element(ed["id"], kind, params, inputs))
     nets = {}
     for nd in doc["nets"]:
-        _reject_unknown(nd, {"id", "driver", "name"}, f"net {nd.get('id')!r}")
+        where = f"net {nd['id']!r}" if isinstance(nd, dict) and "id" in nd else "net"
+        nd = json_object(nd, where, {"id": str, "driver": str, "name": str}, optional=("name",))
         nets[nd["id"]] = Net(nd["driver"], nd.get("name"))
-    return Netlist(elements, nets, tuple(doc["outputs"]))
+    outputs = tuple(json_value(name, str, "netlist output") for name in doc["outputs"])
+    return Netlist(elements, nets, outputs)
 
 
 def save_netlist(netlist: Netlist, path) -> None:

@@ -24,10 +24,8 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .dsl import Bin, Call, Expr, Neg, Num, OdeSystem, Ref, signal_name, walk
-from .machine import simple_cycles, topological_order
+from .machine import json_object, simple_cycles, topological_order
 from .simulator import Trace
 
 #: Margin applied to oracle-estimated maxima before grid rounding.
@@ -67,9 +65,9 @@ def eval_expr(expr: Expr, env: dict, params: dict, tables: dict):
     if isinstance(expr, Call) and expr.func == "lut":
         table = tables[expr.args[0].name]
         x = eval_expr(expr.args[1], env, params, tables)
-        xs = [p[0] for p in table]
-        ys = [p[1] for p in table]
-        return np.interp(x, xs, ys)
+        import numpy as np  # the oracle's own lookup, independent of machine.table_lookup
+
+        return np.interp(x, [p[0] for p in table], [p[1] for p in table])
     raise TypeError(f"cannot evaluate {expr!r}")
 
 
@@ -105,7 +103,8 @@ def reference_solution(system: OdeSystem, points: int = 2001,
     derivative of each variable. Independent of the netlist path: it
     evaluates the resolved equations directly.
     """
-    from scipy.integrate import solve_ivp  # deferred: scipy costs most of ``import apc``
+    import numpy as np  # deferred with scipy: only the oracle needs them
+    from scipy.integrate import solve_ivp
 
     zeros = algebraic_order(system)
     state_keys = [(v, k) for v, n in system.var_order.items() if n >= 1 for k in range(n)]
@@ -214,7 +213,7 @@ def estimate_bounds(system: OdeSystem) -> BoundsEstimate:
     elif missing:
         oracle = reference_solution(system)
         for key in missing:
-            peak = float(np.max(np.abs(oracle.signals[key])))
+            peak = float(abs(oracle.signals[key]).max())
             values[key] = peak * SAFETY_MARGIN if peak > 1e-12 else 1.0
             method[key] = "oracle"
     return BoundsEstimate(values, method)
@@ -481,18 +480,18 @@ class Mapping:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Mapping":
-        extra = set(doc) - {"signals", "params", "lambda", "k0", "horizon_machine"}
-        if extra:
-            raise ValueError(f"unknown key(s) {sorted(extra)} in mapping file")
-        signals = {
-            name: SignalBinding(d["net"], int(d["parity"]), float(d["amplitude_scale"]))
-            for name, d in doc.get("signals", {}).items()
-        }
-        params = {
-            name: ParamBinding(d["element"], float(d["scale"]), float(d["value"]))
-            for name, d in doc.get("params", {}).items()
-        }
-        return cls(signals, params, float(doc.get("lambda", 1.0)), float(doc.get("k0", 1.0)),
+        fields = {"signals": dict, "params": dict, "lambda": float, "k0": float,
+                  "horizon_machine": float}
+        doc = json_object(doc, "mapping file", fields, optional=fields)
+        signals, params = {}, {}
+        for name, d in doc.get("signals", {}).items():
+            d = json_object(d, f"signal {name!r}",
+                            {"net": str, "parity": float, "amplitude_scale": float})
+            signals[name] = SignalBinding(d["net"], int(d["parity"]), d["amplitude_scale"])
+        for name, d in doc.get("params", {}).items():
+            d = json_object(d, f"param {name!r}", {"element": str, "scale": float, "value": float})
+            params[name] = ParamBinding(d["element"], d["scale"], d["value"])
+        return cls(signals, params, doc.get("lambda", 1.0), doc.get("k0", 1.0),
                    doc.get("horizon_machine"))
 
     def save(self, path) -> None:

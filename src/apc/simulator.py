@@ -12,7 +12,8 @@ The element graph is compiled once per instance into straight-line
 Python code, which keeps long runs (millions of element evaluations)
 fast while staying bit-deterministic.
 
-Instances are single-threaded; run many instances for concurrency.
+Instances are single-threaded. A parameter sweep reuses one instance,
+cycling it IC -> OP -> HALT once per value.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .machine import (
     Netlist,
     StructuralError,
     evaluation_order,
+    table_lookup,
     validate,
 )
 
@@ -145,27 +147,6 @@ class Trace:
 
 # --- code generation -------------------------------------------------------
 
-def _make_interp(table):
-    """Specialized end-clamped piecewise-linear lookup for the hot loop."""
-    from bisect import bisect_right
-
-    xs = [p[0] for p in table]
-    ys = [p[1] for p in table]
-    lo_x, lo_y, hi_x, hi_y = xs[0], ys[0], xs[-1], ys[-1]
-
-    def lookup(x: float) -> float:
-        if x <= lo_x:
-            return lo_y
-        if x >= hi_x:
-            return hi_y
-        i = bisect_right(xs, x)
-        x0, x1 = xs[i - 1], xs[i]
-        y0, y1 = ys[i - 1], ys[i]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-
-    return lookup
-
-
 def _generate(netlist: Netlist):
     """Compile the element graph into straight-line step/eval functions.
 
@@ -187,7 +168,7 @@ def _generate(netlist: Netlist):
         e = elements[eid]
         if e.kind is Kind.FUNCTION_GENERATOR:
             fgen_name[eid] = f"_fg{i}"
-            namespace[f"_fg{i}"] = _make_interp(e.params["table"])
+            namespace[f"_fg{i}"] = table_lookup(e.params["table"])
 
     def emit_pass(state_fmt, prefix: str):
         """Lines evaluating all algebraic elements; returns (lines, net_expr)."""
@@ -341,7 +322,7 @@ class MachineInstance:
         ]
         self._eval_nets()
 
-    def run(self, tau_end: float, sample_every: int | None = None) -> Trace:
+    def run(self, tau_end: float) -> Trace:
         """Run IC/OP to ``tau_end``, sampling the named nets; end in HALT.
 
         From IC mode the run starts at the initial conditions; from OP it
@@ -351,7 +332,7 @@ class MachineInstance:
             self.set_mode(Mode.OP)
         elif self.mode is not Mode.OP:
             raise ModeError("run requires IC or OP mode")
-        every = self.config.sample_every if sample_every is None else max(1, sample_every)
+        every = self.config.sample_every
         dt = self.config.dt
         t0 = self.tau
         remaining = tau_end - t0
@@ -374,13 +355,16 @@ class MachineInstance:
     # -- hybrid attachment -------------------------------------------------
 
     def set_coefficient(self, element_id: str, alpha: float) -> None:
-        """Digital-potentiometer update: 16-bit quantized, any mode."""
+        """Digital-potentiometer update: 16-bit quantized, any mode; in IC the state reloads."""
         if element_id not in self._coef_pos:
             raise KeyError(f"{element_id!r} is not a coefficient element")
         if not (0.0 <= alpha <= 1.0):
             raise ValueError(f"alpha {alpha} outside [0, 1]")
         self._c[self._coef_pos[element_id]] = round(alpha * 65535) / 65535
-        self._eval_nets(abort=False)
+        if self.mode is Mode.IC:
+            self._load_ic()
+        else:
+            self._eval_nets(abort=False)
 
     def get_coefficient(self, element_id: str) -> float:
         return self._c[self._coef_pos[element_id]]

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from apc.cli import main
-from apc.machine import Netlist, coefficient, save_netlist, summer
+from apc.machine import Netlist, coefficient, reference, save_netlist, summer
 from conftest import FIG2_SRC, SINE5_SRC, SINE_SRC, UNSTABLE_SRC, VCO_SRC
 
 
@@ -156,6 +156,17 @@ class TestRun:
         out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
         assert main(["run", str(out), "--tend", "1", "--set", "k=-0.5"]) == 1
 
+    def test_set_alpha_out_of_range_exits_4(self, workdir, capsys):
+        out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
+        assert main(["run", str(out), "--tend", "1", "--set", "k=1.5"]) == 4
+        assert "apc: scaling: k=1.5 needs alpha 1.5 outside [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["zz=0.5", "k=abc", "k"])
+    def test_bad_set_exits_1(self, workdir, capsys, spec):
+        out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
+        assert main(["run", str(out), "--tend", "1", "--set", spec]) == 1
+        assert "apc: usage: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", [("--dt", "0"), ("--samples", "0"), ("--tend", "nan"),
                                       ("--resolution", "2"), ("--adc-bits", "0")])
     def test_out_of_range_flag_exits_1(self, workdir, capsys, flag):
@@ -170,7 +181,12 @@ class TestRun:
         del doc["signals"]["y"]["net"]
         mpath.write_text(json.dumps(doc))
         assert main(["run", str(out)]) == 1
-        assert f"apc: {mpath}: missing key 'net'" in capsys.readouterr().err
+        assert f"apc: {mpath}: missing key 'net' in signal 'y'" in capsys.readouterr().err
+
+    def test_unwritable_trace_path_exits_1(self, workdir, capsys):
+        out = compiled(workdir, SINE_SRC, "sine")
+        assert main(["run", str(out), "--trace", str(workdir / "nodir" / "t.csv")]) == 1
+        assert "No such file or directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ['{"signals": [1]}', '{"signals": {"y": 5}}', "{"])
     def test_malformed_mapping_exits_1(self, workdir, capsys, text):
@@ -193,6 +209,10 @@ class TestInvalidNetlist:
     def test_run_names_the_loop(self, workdir, capsys):
         assert main(["run", looped_netlist(workdir), "--tend", "1"]) == 1
         assert "apc: algebraic loop(s): [['k', 's1', 's2']]" in capsys.readouterr().err
+        assert main(["map", looped_netlist(workdir)]) == 1
+        captured = capsys.readouterr()
+        assert "apc: algebraic loop(s): [['k', 's1', 's2']]" in captured.err
+        assert captured.out == ""
 
     def test_sweep_names_the_loop(self, workdir, capsys):
         assert main(["sweep", looped_netlist(workdir), "--param", "k=0.1,0.2", "--tend", "1",
@@ -249,22 +269,47 @@ class TestSweep:
         assert main(["sweep", str(out), "--param", "k=1.5:2.0:0.5", "--tend", "1",
                      "--out", str(workdir / "s")]) == 4
 
-    def test_workers_env(self, workdir, monkeypatch):
-        monkeypatch.setenv("APC_WORKERS", "2")
+    def test_bad_range_exits_1(self, workdir):
         out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
-        assert main(["sweep", str(out), "--param", "k=0.2,0.4", "--tend", "1",
-                     "--dt", "1e-2", "--out", str(workdir / "s")]) == 0
+        for spec in ("k=0.1:x:0.1", "k=0.1:nan:0.1", "k=0.1,,y"):
+            assert main(["sweep", str(out), "--param", spec, "--out", str(workdir / "s")]) == 1
 
-    def test_results_independent_of_concurrency(self, workdir, monkeypatch):
+    def test_workers_flag_is_gone(self, workdir, capsys):
         out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
-        contents = []
-        for workers, tag in ((1, "serial"), (4, "parallel")):
-            monkeypatch.setenv("APC_WORKERS", str(workers))
-            d = workdir / tag
-            assert main(["sweep", str(out), "--param", "k=0.1:0.5:0.1", "--tend", "5",
-                         "--dt", "1e-2", "--out", str(d)]) == 0
-            contents.append(sorted((p.name, p.read_bytes()) for p in d.iterdir()))
-        assert contents[0] == contents[1]
+        assert main(["sweep", str(out), "--param", "k=0.2", "--tend", "1", "--workers", "2",
+                     "--out", str(workdir / "s")]) == 1
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+    def test_each_run_equals_run_set(self, workdir, capsys):
+        out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
+        values = ["0.1", "0.35", "0.7"]
+        flags = ["--tend", "5", "--dt", "1e-2", "--samples", "50"]
+        assert main(["sweep", str(out), "--param", "k=" + ",".join(values), *flags,
+                     "--out", str(workdir / "s")]) == 0
+        with open(workdir / "s" / "summary.csv") as fh:
+            summary = list(csv.reader(fh))[1:]
+        capsys.readouterr()
+        for i, v in enumerate(values):
+            trace = workdir / f"run_{i}.csv"
+            assert main(["run", str(out), *flags, "--set", f"k={v}", "--trace", str(trace)]) == 0
+            assert (workdir / "s" / f"run_{i:03d}.csv").read_bytes() == trace.read_bytes()
+            assert f"overloads: {summary[i][-1]}\n" in capsys.readouterr().out
+
+    def test_overload_counts_equal_run_set(self, workdir, capsys):
+        # s = -(1 + k) overloads in the initial state and at every step.
+        n = Netlist.from_elements([reference("r", 1.0), coefficient("k", "r", 0.5),
+                                   summer("s", ["r", "k"])], outputs={"y": "s"})
+        path = workdir / "over.json"
+        save_netlist(n, path)
+        flags = ["--tend", "0.05", "--dt", "1e-2"]
+        assert main(["sweep", str(path), "--param", "k=0.2,0.9", *flags,
+                     "--out", str(workdir / "s")]) == 0
+        with open(workdir / "s" / "summary.csv") as fh:
+            counts = [row[-1] for row in list(csv.reader(fh))[1:]]
+        assert counts == ["6", "6"]  # the initial state plus 5 steps, for each value
+        capsys.readouterr()
+        assert main(["run", str(path), *flags, "--set", "k=0.9"]) == 0
+        assert "overloads: 6\n" in capsys.readouterr().out
 
 
 class TestMap:
@@ -297,9 +342,10 @@ class TestMap:
 
 
 def test_import_leaves_out_networkx_and_scipy():
+    """``import apc`` loads no dependency of the oracle or of the test suite."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, apc; print(sorted({'networkx', 'scipy'} & set(sys.modules)))"
+    code = "import sys, apc; print(sorted({'networkx', 'numpy', 'scipy'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"

@@ -11,7 +11,7 @@ from apc.fabric import (
     map_netlist,
     patch_instructions,
 )
-from apc.machine import Netlist, coefficient, reference, summer
+from apc.machine import AlgebraicLoopError, Netlist, coefficient, reference, summer
 from apc.simulator import SimConfig, new_instance
 from conftest import build
 
@@ -68,6 +68,13 @@ class TestMapping:
         with pytest.raises(ResourceError) as err:
             map_netlist(n, spec)
         assert err.value.deficits == {"summer": 2}
+
+    def test_algebraic_loop_rejected(self):
+        n = Netlist.from_elements([summer("s1", ["k"]), summer("s2", ["s1"]),
+                                   coefficient("k", "s2", 0.5)])
+        with pytest.raises(AlgebraicLoopError) as err:
+            map_netlist(n, THAT)
+        assert err.value.cycles == [["k", "s1", "s2"]]
 
     def test_monotonicity(self, sine):
         _, result = sine
@@ -141,6 +148,14 @@ class TestSpecLoading:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"name": "x", "inventory": {}, "color": "red"}))
+        with pytest.raises(ValueError):
+            load_machine_spec(str(path))
+
+    @pytest.mark.parametrize("doc", [[], {"inventory": {}}, {"name": "x", "inventory": []},
+                                     {"name": "x", "inventory": {"integrator": "2"}}])
+    def test_malformed_spec_raises_value_error(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             load_machine_spec(str(path))
 

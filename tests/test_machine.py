@@ -1,7 +1,9 @@
 import math
+import re
 import time
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,7 @@ from apc.machine import (
     netlist_to_dict,
     reference,
     summer,
+    table_lookup,
     validate,
 )
 from apc.scaling import ScalingError, algebraic_order
@@ -367,6 +370,46 @@ def test_json_rejects_unknown_kind():
     doc["elements"][0]["kind"] = "comparator"
     with pytest.raises(StructuralError):
         netlist_from_dict(doc)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["elements"][0].pop("id"), "missing key 'id' in element"),
+    (lambda d: d["elements"][0].pop("kind"), "missing key 'kind' in element 'ref1'"),
+    (lambda d: d["nets"][0].pop("driver"), "missing key 'driver' in net 'ref1'"),
+    (lambda d: d.pop("outputs"), "missing key 'outputs' in netlist"),
+    (lambda d: d.update(elements={}), "'elements' of netlist must be a list"),
+    (lambda d: d["elements"].append(7), "element must be an object"),
+    (lambda d: d["elements"][1].update(params=[0.5]), "'params' of element 'a' must be an object"),
+    (lambda d: d["elements"][1]["params"].update(alpha="x"), "'alpha' of params of element 'a' must be a number"),
+    (lambda d: d["elements"][1].update(inputs="ref1"), "'inputs' of element 'a' must be a list"),
+    (lambda d: d["elements"][1].update(id=["a"]), "'id' of element ['a'] must be a string"),
+    (lambda d: d["nets"][0].update(name=1), "'name' of net 'ref1' must be a string"),
+    (lambda d: d.update(outputs=[None]), "netlist output must be a string"),
+])
+def test_json_malformed_document_names_the_field(edit, message):
+    doc = netlist_to_dict(fig2_netlist())
+    edit(doc)
+    with pytest.raises(StructuralError, match=re.escape(message)):
+        netlist_from_dict(doc)
+
+
+@pytest.mark.parametrize("table", [5, [[0.0]], [[0.0, None], [1.0, 1.0]]])
+def test_json_malformed_table_names_the_element(table):
+    doc = netlist_to_dict(Netlist.from_elements(
+        [reference("r", 1.0), function_generator("f", "r", [(-1.0, 0.0), (1.0, 1.0)])]))
+    doc["elements"][1]["params"]["table"] = table
+    with pytest.raises(StructuralError, match="'table' of params of element 'f' must "):
+        netlist_from_dict(doc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-1, 1), min_size=2, max_size=8, unique=True),
+       st.lists(st.floats(-1, 1), min_size=8, max_size=8), st.floats(-2, 2))
+def test_table_lookup_agrees_with_numpy(xs, ys, x):
+    xs = sorted(xs)
+    table = tuple(zip(xs, ys))
+    assert table_lookup(table)(x) == pytest.approx(float(np.interp(x, xs, ys[:len(xs)])),
+                                                   abs=1e-12)
 
 
 def test_interpolation_midpoints():

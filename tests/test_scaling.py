@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -232,4 +233,20 @@ class TestMappingSerialization:
         doc = Mapping({}, {}).to_dict()
         doc["bogus"] = 1
         with pytest.raises(ValueError):
+            Mapping.from_dict(doc)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"signals": {"y": {"parity": 1, "amplitude_scale": 1.0}}}, "missing key 'net' in signal 'y'"),
+        ({"params": {"k": {"element": "c", "scale": 1.0}}}, "missing key 'value' in param 'k'"),
+        ({"signals": [1]}, "'signals' of mapping file must be an object"),
+        ({"signals": {"y": 5}}, "signal 'y' must be an object"),
+        ({"signals": {"y": {"net": 3, "parity": 1, "amplitude_scale": 1.0}}},
+         "'net' of signal 'y' must be a string"),
+        ({"params": {"k": {"element": "c", "scale": None, "value": 1.0}}},
+         "'scale' of param 'k' must be a number"),
+        ({"horizon_machine": "long"}, "'horizon_machine' of mapping file must be a number"),
+        ([], "mapping file must be an object"),
+    ])
+    def test_malformed_document_names_the_field(self, doc, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             Mapping.from_dict(doc)

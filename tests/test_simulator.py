@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apc.machine import Netlist, StructuralError, integrator, reference, summer
+from apc.machine import Netlist, StructuralError, coefficient, integrator, reference, summer
 from apc.simulator import (
     LEGAL_TRANSITIONS,
     ConstructionError,
@@ -95,6 +95,24 @@ class TestModeMachine:
         second = inst.run(0.5)  # 0.5 * cosh(0.5) stays inside [-1, 1]
         assert second.overloads == []
         assert second == new_instance(result.netlist, SimConfig(dt=1e-3)).run(0.5)
+
+    def test_pot_updates_in_ic_log_the_initial_overload_once(self):
+        # s = -(1 + 0.9) leaves [-1, 1] already in the initial state.
+        n = Netlist.from_elements([reference("r", 1.0), coefficient("k", "r", 0.9),
+                                   summer("s", ["r", "k"])], outputs={"s": "s"})
+        cfg = SimConfig(dt=1e-3)
+        inst = new_instance(n, cfg)
+        assert len(inst.overloads) == 1
+        inst.set_coefficient("k", 0.8)
+        inst.set_coefficient("k", 0.9)
+        assert len(inst.overloads) == 1
+        first = inst.run(2e-3)
+        assert len(first.overloads) == 3  # the initial state, then once per step
+        inst.set_mode(Mode.IC)
+        inst.set_coefficient("k", 0.9)
+        fresh = new_instance(n, cfg)
+        fresh.set_coefficient("k", 0.9)
+        assert inst.run(2e-3) == first == fresh.run(2e-3)
 
     def test_op_to_ic_rejected(self, sine):
         _, result = sine
