@@ -29,12 +29,10 @@ from .fabric import (
 from .machine import (
     Element,
     Kind,
-    MachineValue,
     Net,
     Netlist,
     StructuralError,
     algebraic_loops,
-    clamp,
     element_output,
     evaluation_order,
     load_netlist,

@@ -132,10 +132,12 @@ def _load_file(load, path):
 
 
 def _load_netlist_and_mapping(args):
+    """The netlist and its sidecar mapping, if any, checked to fit it."""
     netlist = _load_file(load_netlist, args.netlist)
     mpath = _sibling(args.netlist, ".json", ".map.json")
-    mapping = _load_file(scaling.Mapping.load, mpath) if mpath.exists() else None
-    return netlist, mapping
+    if not mpath.exists():
+        return netlist, None
+    return netlist, _load_file(lambda p: scaling.Mapping.load(p).check(netlist), mpath)
 
 
 def _new_machine(args, netlist, mapping) -> tuple[simulator.MachineInstance, float]:

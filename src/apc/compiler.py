@@ -30,6 +30,7 @@ from .machine import (
     Net,
     Netlist,
     algebraic_loops,
+    is_inverter,
     validate,
 )
 from .scaling import Mapping, ParamBinding, ScaleMap, ScalingError, SignalBinding, algebraic_order, stage_gain
@@ -405,10 +406,6 @@ def _optimize_inverters(builder: NetlistBuilder, protected: set) -> None:
     drop elements that no longer feed anything observable."""
     elements = builder.elements
 
-    def is_inverter(eid: str) -> bool:
-        e = elements[eid]
-        return e.kind is Kind.SUMMER and len(e.inputs) == 1
-
     def driver(net_id: str) -> str:
         return builder.nets[net_id].driver
 
@@ -417,12 +414,12 @@ def _optimize_inverters(builder: NetlistBuilder, protected: set) -> None:
         for eid, e in list(elements.items()):
             if e.kind is Kind.MULTIPLIER:
                 da, db = driver(e.inputs[0]), driver(e.inputs[1])
-                if is_inverter(da) and is_inverter(db):
+                if is_inverter(elements[da]) and is_inverter(elements[db]):
                     builder.set_inputs(eid, (elements[da].inputs[0], elements[db].inputs[0]))
                     changed = True
-            if is_inverter(eid):
+            if is_inverter(e):
                 d = driver(e.inputs[0])
-                if is_inverter(d):
+                if is_inverter(elements[d]):
                     src = elements[d].inputs[0]
                     for cid, c in list(elements.items()):
                         if cid != eid and eid in c.inputs:

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 
 from .machine import (AlgebraicLoopError, Element, Kind, Net, Netlist, algebraic_loops,
-                      json_object, validate)
+                      is_inverter, json_object, validate)
 
 _INVENTORY_KINDS = ("integrator", "summer", "inverter", "multiplier",
                     "coefficient", "function_generator")
@@ -105,7 +105,7 @@ def _demand(netlist: Netlist):
     refs = []
     for e in netlist.elements.values():
         if e.kind is Kind.SUMMER:
-            (singles if len(e.inputs) == 1 else multis).append(e.id)
+            (singles if is_inverter(e) else multis).append(e.id)
         elif e.kind is Kind.REFERENCE:
             refs.append(e.id)
         else:

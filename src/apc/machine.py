@@ -25,6 +25,7 @@ import json
 import math
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -50,53 +51,6 @@ class Kind(str, Enum):
     REFERENCE = "reference"
 
 
-# input arity per kind: (min, max); None = unbounded
-_ARITY = {
-    Kind.SUMMER: (1, None),
-    Kind.INTEGRATOR: (1, None),
-    Kind.MULTIPLIER: (2, 2),
-    Kind.COEFFICIENT: (1, 1),
-    Kind.FUNCTION_GENERATOR: (1, 1),
-    Kind.REFERENCE: (0, 0),
-}
-
-_PARAM_KEYS = {
-    Kind.SUMMER: set(),
-    Kind.INTEGRATOR: {"ic", "k0"},
-    Kind.MULTIPLIER: set(),
-    Kind.COEFFICIENT: {"alpha"},
-    Kind.FUNCTION_GENERATOR: {"table"},
-    Kind.REFERENCE: {"constant"},
-}
-
-
-@dataclass(frozen=True)
-class MachineValue:
-    """A machine-unit value together with its overload status.
-
-    After clamping, ``value`` lies in [-1, 1] and ``overloaded`` is true
-    exactly when the pre-clamp magnitude exceeded 1.
-    """
-
-    value: float
-    overloaded: bool = False
-
-
-def clamp(value: float) -> MachineValue:
-    """Limit a raw value to the machine interval [-1, 1].
-
-    Non-finite input signals a simulator bug and raises StructuralError
-    rather than being silently absorbed.
-    """
-    if not math.isfinite(value):
-        raise StructuralError(f"non-finite machine value: {value!r}")
-    if value > 1.0:
-        return MachineValue(1.0, True)
-    if value < -1.0:
-        return MachineValue(-1.0, True)
-    return MachineValue(value, False)
-
-
 def table_lookup(table):
     """End-clamped piecewise-linear lookup over a breakpoint table."""
     xs = [p[0] for p in table]
@@ -117,6 +71,55 @@ def table_lookup(table):
 
 
 @dataclass(frozen=True)
+class KindSpec:
+    """What one element kind means.
+
+    ``arity`` is the (min, max) input count, max None for unbounded;
+    ``params`` are the parameter keys. ``output`` maps the input
+    expressions and the parameter's expression to the Python expression
+    of the element's output; an integrator has none, its output is its
+    state.
+    """
+
+    arity: tuple
+    params: tuple
+    output: Callable[[list, str], str] | None = None
+
+
+KINDS = {
+    Kind.SUMMER: KindSpec((1, None), (), lambda x, p: f"-({' + '.join(x)})"),
+    Kind.INTEGRATOR: KindSpec((1, None), ("ic", "k0")),
+    Kind.MULTIPLIER: KindSpec((2, 2), (), lambda x, p: f"({x[0]}) * ({x[1]})"),
+    Kind.COEFFICIENT: KindSpec((1, 1), ("alpha",), lambda x, p: f"{p} * ({x[0]})"),
+    Kind.FUNCTION_GENERATOR: KindSpec((1, 1), ("table",), lambda x, p: f"{p}({x[0]})"),
+    Kind.REFERENCE: KindSpec((0, 0), ("constant",), lambda x, p: p),
+}
+
+
+def arity_error(kind: Kind, n: int) -> str | None:
+    """Why ``n`` inputs do not suit ``kind``, or None if they do."""
+    lo, hi = KINDS[kind].arity
+    if n < lo or (hi is not None and n > hi):
+        return f"{kind.value} takes {lo}..{'N' if hi is None else hi} inputs, got {n}"
+    return None
+
+
+def parameter(kind: Kind, params: dict):
+    """The value an output expression reads as its parameter: the pot
+    value, the table's lookup function or the constant; None if the kind
+    has no parameter."""
+    if not KINDS[kind].params:
+        return None
+    value = params[KINDS[kind].params[0]]
+    return table_lookup(value) if kind is Kind.FUNCTION_GENERATOR else value
+
+
+def is_inverter(e: "Element") -> bool:
+    """A single-input summer: it only negates."""
+    return e.kind is Kind.SUMMER and len(e.inputs) == 1
+
+
+@dataclass(frozen=True)
 class Element:
     """One computing element: identity, kind, parameters and input nets."""
 
@@ -128,7 +131,11 @@ class Element:
     def __post_init__(self):
         object.__setattr__(self, "inputs", tuple(self.inputs))
         if self.kind is Kind.FUNCTION_GENERATOR and "table" in self.params:
-            table = tuple((float(x), float(y)) for x, y in self.params["table"])
+            try:
+                table = tuple((float(x), float(y)) for x, y in self.params["table"])
+            except (TypeError, ValueError):
+                raise StructuralError(
+                    f"'table' of params of element {self.id!r} must hold [x, y] pairs") from None
             object.__setattr__(self, "params", {**self.params, "table": table})
 
 
@@ -149,7 +156,7 @@ def coefficient(eid: str, src: str, alpha: float) -> Element:
 
 
 def function_generator(eid: str, src: str, table) -> Element:
-    return Element(eid, Kind.FUNCTION_GENERATOR, {"table": tuple(table)}, (src,))
+    return Element(eid, Kind.FUNCTION_GENERATOR, {"table": table}, (src,))
 
 
 def reference(eid: str, constant: float) -> Element:
@@ -159,26 +166,19 @@ def reference(eid: str, constant: float) -> Element:
 def element_output(kind: Kind, params: dict, inputs, state: float | None = None) -> float:
     """Evaluate one element given machine-unit input values.
 
-    Integrators return ``state``; their state evolution belongs to the
-    simulator. Raises StructuralError on arity mismatch.
+    Evaluates the expression ``KINDS[kind].output`` gives the simulator's
+    code generator. Integrators return ``state``; their state evolution
+    belongs to the simulator. Raises StructuralError on arity mismatch.
     """
-    lo, hi = _ARITY[kind]
-    n = len(inputs)
-    if n < lo or (hi is not None and n > hi):
-        raise StructuralError(f"{kind.value} takes {lo}..{hi or 'N'} inputs, got {n}")
-    if kind is Kind.SUMMER:
-        return -sum(inputs)
-    if kind is Kind.INTEGRATOR:
+    problem = arity_error(kind, len(inputs))
+    if problem:
+        raise StructuralError(problem)
+    if KINDS[kind].output is None:
         if state is None:
             raise StructuralError("integrator evaluation requires a state")
         return state
-    if kind is Kind.MULTIPLIER:
-        return inputs[0] * inputs[1]
-    if kind is Kind.COEFFICIENT:
-        return params["alpha"] * inputs[0]
-    if kind is Kind.FUNCTION_GENERATOR:
-        return table_lookup(params["table"])(inputs[0])
-    return params["constant"]
+    expr = KINDS[kind].output([f"x[{i}]" for i in range(len(inputs))], "p")
+    return eval(expr, {"x": list(inputs), "p": parameter(kind, params)})
 
 
 @dataclass(frozen=True)
@@ -219,21 +219,12 @@ class Netlist:
         nets = {e.id: Net(e.id, names.get(e.id)) for e in elements}
         return cls(elements, nets, tuple(outputs))
 
-    def net_by_name(self, name: str) -> str:
-        for nid, net in self.nets.items():
-            if net.name == name:
-                return nid
-        raise KeyError(f"no net named {name!r}")
-
-    def consumers(self, net_id: str):
-        return [e for e in self.elements.values() if net_id in e.inputs]
-
     def counts(self) -> dict[str, int]:
         """Element counts by kind, with single-input summers split out."""
         out = {k.value: 0 for k in Kind}
         out["inverter"] = 0
         for e in self.elements.values():
-            if e.kind is Kind.SUMMER and len(e.inputs) == 1:
+            if is_inverter(e):
                 out["inverter"] += 1
             else:
                 out[e.kind.value] += 1
@@ -249,7 +240,7 @@ class Violation:
 
 def _check_params(e: Element):
     keys = set(e.params)
-    want = _PARAM_KEYS[e.kind]
+    want = set(KINDS[e.kind].params)
     if keys != want:
         yield Violation(e.id, "param-range", f"expected params {sorted(want)}, got {sorted(keys)}")
         return
@@ -300,10 +291,9 @@ def validate(netlist: Netlist) -> list[Violation]:
     for e in netlist.elements.values():
         if e.id not in drivers_seen:
             report.append(Violation(e.id, "single-driver", "element drives no net"))
-        lo, hi = _ARITY[e.kind]
-        n = len(e.inputs)
-        if n < lo or (hi is not None and n > hi):
-            report.append(Violation(e.id, "arity", f"{e.kind.value} takes {lo}..{hi or 'N'} inputs, got {n}"))
+        problem = arity_error(e.kind, len(e.inputs))
+        if problem:
+            report.append(Violation(e.id, "arity", problem))
         for nid in e.inputs:
             if nid not in netlist.nets:
                 report.append(Violation(e.id, "dangling-input", f"input references missing net {nid!r}"))
@@ -453,14 +443,9 @@ def netlist_from_dict(doc: dict) -> Netlist:
             kind = Kind(ed["kind"])
         except ValueError:
             raise StructuralError(f"unknown element kind {ed['kind']!r}") from None
-        keys, where_params = _PARAM_KEYS[kind], f"params of {where}"
-        params = json_object(ed.get("params", {}), where_params,
+        keys = KINDS[kind].params
+        params = json_object(ed.get("params", {}), f"params of {where}",
                              {k: list if k == "table" else float for k in keys}, optional=keys)
-        if "table" in params:
-            try:
-                params["table"] = tuple((float(x), float(y)) for x, y in params["table"])
-            except (TypeError, ValueError):
-                raise StructuralError(f"'table' of {where_params} must hold [x, y] pairs") from None
         inputs = tuple(json_value(n, str, f"input of {where}") for n in ed.get("inputs", []))
         elements.append(Element(ed["id"], kind, params, inputs))
     nets = {}

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .dsl import Bin, Call, Expr, Neg, Num, OdeSystem, Ref, signal_name, walk
-from .machine import json_object, simple_cycles, topological_order
+from .machine import Kind, StructuralError, json_object, simple_cycles, topological_order
 from .simulator import Trace
 
 #: Margin applied to oracle-estimated maxima before grid rounding.
@@ -493,6 +493,21 @@ class Mapping:
             params[name] = ParamBinding(d["element"], d["scale"], d["value"])
         return cls(signals, params, doc.get("lambda", 1.0), doc.get("k0", 1.0),
                    doc.get("horizon_machine"))
+
+    def check(self, netlist) -> "Mapping":
+        """This mapping, if its bindings cover ``netlist``'s outputs and name
+        its nets and coefficient elements; else StructuralError."""
+        for name in netlist.outputs:
+            if name not in self.signals:
+                raise StructuralError(f"output {name!r} has no signal binding")
+        for name, b in self.signals.items():
+            if b.net not in netlist.nets:
+                raise StructuralError(f"signal {name!r} binds missing net {b.net!r}")
+        for name, b in self.params.items():
+            e = netlist.elements.get(b.element)
+            if e is None or e.kind is not Kind.COEFFICIENT:
+                raise StructuralError(f"param {name!r} binds {b.element!r}, not a coefficient element")
+        return self
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -25,12 +25,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .machine import (
+    KINDS,
     AlgebraicLoopError,
     Kind,
     Netlist,
     StructuralError,
     evaluation_order,
-    table_lookup,
+    parameter,
     validate,
 )
 
@@ -163,15 +164,24 @@ def _generate(netlist: Netlist):
     order = evaluation_order(netlist)
     local_of = {eid: f"v{i}" for i, eid in enumerate(order)}
     namespace: dict = {}
-    fgen_name: dict[str, str] = {}
+    param_of: dict[str, str | None] = {}  # element id -> its parameter's expression
     for i, eid in enumerate(order):
         e = elements[eid]
-        if e.kind is Kind.FUNCTION_GENERATOR:
-            fgen_name[eid] = f"_fg{i}"
-            namespace[f"_fg{i}"] = table_lookup(e.params["table"])
+        p = parameter(e.kind, e.params)
+        if e.kind is Kind.COEFFICIENT:
+            p = f"c[{coef_of[eid]}]"  # the live pot slot
+        elif callable(p):
+            namespace[f"_fg{i}"] = p
+            p = f"_fg{i}"
+        elif p is not None:
+            p = repr(p)
+        param_of[eid] = p
 
     def emit_pass(state_fmt, prefix: str):
         """Lines evaluating all algebraic elements; returns (lines, net_expr)."""
+
+        def output(e) -> str:
+            return KINDS[e.kind].output([net_expr(n) for n in e.inputs], param_of[e.id])
 
         def net_expr(net_id: str) -> str:
             driver = netlist.nets[net_id].driver
@@ -179,26 +189,11 @@ def _generate(netlist: Netlist):
             if e.kind is Kind.INTEGRATOR:
                 return state_fmt(state_of[driver])
             if e.kind is Kind.REFERENCE:
-                return repr(e.params["constant"])
+                return output(e)  # a constant, folded into uses
             return prefix + local_of[driver]
 
-        lines = []
-        for eid in order:
-            e = elements[eid]
-            ins = [net_expr(n) for n in e.inputs]
-            if e.kind is Kind.SUMMER:
-                rhs = f"-({' + '.join(ins)})"
-            elif e.kind is Kind.MULTIPLIER:
-                rhs = f"({ins[0]}) * ({ins[1]})"
-            elif e.kind is Kind.COEFFICIENT:
-                rhs = f"c[{coef_of[eid]}] * ({ins[0]})"
-            elif e.kind is Kind.FUNCTION_GENERATOR:
-                rhs = f"{fgen_name[eid]}({ins[0]})"
-            elif e.kind is Kind.REFERENCE:
-                continue  # constant, folded into uses
-            else:
-                raise AssertionError(e.kind)
-            lines.append(f"    {prefix}{local_of[eid]} = {rhs}")
+        lines = [f"    {prefix}{local_of[eid]} = {output(elements[eid])}"
+                 for eid in order if elements[eid].kind is not Kind.REFERENCE]
         return lines, net_expr
 
     def emit_derivs(net_expr, tag: str) -> list[str]:
@@ -315,8 +310,12 @@ class MachineInstance:
         h = self.config.dt if dt is None else dt
         if not (h > 0):
             raise ValueError("dt must be positive")
+        self._advance(h, self.tau + h)
+
+    def _advance(self, h: float, tau: float) -> None:
+        """One step of size ``h`` that ends at time ``tau``, which overloads carry."""
         new_s = self._step_fn(self._s, self._c, h)
-        self.tau += h
+        self.tau = tau
         self._s = [
             self._process(v, e.id, abort=True) for v, e in zip(new_s, self._integrators)
         ]
@@ -343,8 +342,7 @@ class MachineInstance:
         tau_samples = [t0]
         series: dict[str, list] = {n: [self._net_values[p]] for n, p in zip(names, positions)}
         for i in range(1, nsteps + 1):
-            self.step(dt)
-            self.tau = t0 + i * dt  # exact time axis, no accumulation drift
+            self._advance(dt, t0 + i * dt)  # exact time axis, no accumulation drift
             if i % every == 0 or i == nsteps:
                 tau_samples.append(self.tau)
                 for n, p in zip(names, positions):

@@ -2,8 +2,11 @@ import csv
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -196,6 +199,34 @@ class TestRun:
         assert "sine.map.json: " in capsys.readouterr().err
 
 
+class TestSidecarMismatch:
+    """A *.map.json that does not fit its netlist exits 1 naming the file."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["signals"].pop("y"), "output 'y' has no signal binding"),
+        (lambda d: d["signals"]["y'"].update(net="ghost"), "signal \"y'\" binds missing net 'ghost'"),
+        (lambda d: d["params"]["k"].update(element="nope"),
+         "param 'k' binds 'nope', not a coefficient element"),
+        (lambda d: d["params"]["k"].update(element="int1"),
+         "param 'k' binds 'int1', not a coefficient element"),
+    ], ids=["unbound-output", "missing-net", "unknown-element", "integrator-element"])
+    @pytest.mark.parametrize("command", [
+        ["run", "--tend", "1"],
+        ["run", "--tend", "1", "--set", "k=0.5"],
+        ["sweep", "--tend", "1", "--param", "k=0.1,0.2", "--out", "s"],
+    ], ids=["run", "run-set", "sweep"])
+    def test_mismatch_exits_1(self, workdir, capsys, edit, message, command):
+        out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
+        mpath = workdir / "vco.map.json"
+        doc = json.loads(mpath.read_text())
+        edit(doc)
+        mpath.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main([command[0], str(out), *command[1:]]) == 1
+        assert capsys.readouterr().err == f"apc: {mpath}: {message}\n"
+        assert not (workdir / "s").exists()
+
+
 def looped_netlist(workdir):
     """Two summers feeding each other through a coefficient: an algebraic loop."""
     n = Netlist.from_elements([summer("s1", ["k"]), summer("s2", ["s1"]),
@@ -339,6 +370,22 @@ class TestMap:
                      json.dumps({"name": "mini", "inventory":
                                  {"integrator": 2, "summer": 1, "inverter": 0}}))
         assert main(["map", str(out), "--machine", spec]) == 0
+
+
+def test_readme_quick_tour(workdir, capsys):
+    """The README's sine.apc and its five commands work as written."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Quick tour", 1)[1]
+    program = re.search(r"```\n(system sine\n.*?)```", tour, re.S).group(1)
+    commands = re.search(r"```sh\n(.*?)```", tour, re.S).group(1).splitlines()
+    write(workdir / "sine.apc", program)
+    assert len(commands) == 5
+    for line in commands:
+        argv = shlex.split(line.partition("#")[0])
+        assert argv[0] == "apc" and argv[2].startswith("sine."), line
+        assert main(argv[1:]) == 0, line
+    assert (workdir / "out.csv").read_text().startswith("t,y,y'\n")
+    assert "connect INT1.out" in capsys.readouterr().out
 
 
 def test_import_leaves_out_networkx_and_scipy():

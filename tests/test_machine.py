@@ -5,7 +5,7 @@ import time
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from apc.dsl import Bin, Call, Num, OdeSystem, Ref
@@ -17,7 +17,6 @@ from apc.machine import (
     Netlist,
     StructuralError,
     algebraic_loops,
-    clamp,
     coefficient,
     element_output,
     evaluation_order,
@@ -32,6 +31,7 @@ from apc.machine import (
     validate,
 )
 from apc.scaling import ScalingError, algebraic_order
+from apc.simulator import new_instance
 
 
 def fig2_netlist():
@@ -81,6 +81,8 @@ class TestElementOutput:
             element_output(Kind.MULTIPLIER, {}, [0.5])
         with pytest.raises(StructuralError):
             element_output(Kind.COEFFICIENT, {"alpha": 0.5}, [0.1, 0.2])
+        with pytest.raises(StructuralError, match=re.escape("reference takes 0..0 inputs, got 1")):
+            element_output(Kind.REFERENCE, {"constant": 1.0}, [0.5])
 
     @given(st.floats(-1, 1), st.floats(0, 1))
     def test_coefficient_never_amplifies(self, x, alpha):
@@ -89,32 +91,6 @@ class TestElementOutput:
     @given(st.floats(-1, 1))
     def test_summer_single_input_exact_negation(self, x):
         assert element_output(Kind.SUMMER, {}, [x]) == -x
-
-
-class TestClamp:
-    def test_inside(self):
-        mv = clamp(0.7)
-        assert (mv.value, mv.overloaded) == (0.7, False)
-
-    def test_above(self):
-        mv = clamp(1.3)
-        assert (mv.value, mv.overloaded) == (1.0, True)
-
-    def test_boundary_is_legal(self):
-        mv = clamp(-1.0)
-        assert (mv.value, mv.overloaded) == (-1.0, False)
-
-    def test_non_finite_is_structural(self):
-        with pytest.raises(StructuralError):
-            clamp(float("nan"))
-        with pytest.raises(StructuralError):
-            clamp(float("inf"))
-
-    @given(st.floats(allow_nan=False, allow_infinity=False))
-    def test_idempotent(self, v):
-        once = clamp(v)
-        assert clamp(once.value).value == once.value
-        assert not clamp(once.value).overloaded
 
 
 class TestValidate:
@@ -230,21 +206,35 @@ def dag_netlists(draw):
     return Netlist.from_elements(elems, outputs={"out": out})
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(dag_netlists())
-def test_evaluation_order_assigns_every_net_once(netlist):
-    assert validate(netlist) == []
-    order = evaluation_order(netlist)
-    values = {}
-    for e in netlist.elements.values():
-        if e.kind is Kind.INTEGRATOR:
-            values[e.id] = e.params["ic"]
-    for eid in order:
+def fold_outputs(netlist):
+    """Every element's output at the initial conditions: element_output over evaluation_order."""
+    values = {e.id: e.params["ic"] for e in netlist.elements.values() if e.kind is Kind.INTEGRATOR}
+    for eid in evaluation_order(netlist):
         e = netlist.elements[eid]
         assert eid not in values or e.kind is Kind.INTEGRATOR
         ins = [values[netlist.nets[n].driver] for n in e.inputs]  # inputs all ready
         values[eid] = element_output(e.kind, e.params, ins, state=values.get(eid))
-    assert set(values) == set(netlist.elements)
+    return values
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dag_netlists())
+def test_evaluation_order_assigns_every_net_once(netlist):
+    assert validate(netlist) == []
+    assert set(fold_outputs(netlist)) == set(netlist.elements)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dag_netlists())
+def test_generated_nets_equal_element_output_fold(netlist):
+    # Name every net so the machine exposes it; the ideal machine at IC
+    # must reproduce the reference fold exactly wherever nothing clamps.
+    elements = list(netlist.elements.values())
+    named = Netlist.from_elements(elements, outputs={e.id: e.id for e in elements})
+    inst = new_instance(named)
+    assume(not inst.overloads)
+    expected = fold_outputs(named)
+    assert {eid: inst.value(eid) for eid in named.elements} == expected
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -421,6 +411,11 @@ def test_interpolation_midpoints():
 def test_duplicate_element_ids_rejected():
     with pytest.raises(StructuralError):
         Netlist([reference("r", 1.0), reference("r", -1.0)], {})
+
+
+def test_malformed_table_is_structural():
+    with pytest.raises(StructuralError, match="'table' of params of element 'f' must hold"):
+        function_generator("f", "r", [(0.0,), (1.0, 1.0)])
 
 
 def test_counts_split_inverters():

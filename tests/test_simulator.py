@@ -202,6 +202,24 @@ class TestOverloads:
         trace = inst.run(3.0)
         assert max(abs(v) for v in trace.series["y"]) <= 1.0
 
+    def test_overload_times_lie_on_the_trace_axis(self):
+        _, result = build(UNSTABLE_SRC)
+        dt = 1e-4
+        trace = new_instance(result.netlist, SimConfig(dt=dt)).run(3.0)
+        assert len(trace.overloads) == 32322
+        assert all(ev.time == round(ev.time / dt) * dt for ev in trace.overloads)
+        assert {ev.time for ev in trace.overloads} <= set(trace.tau)
+
+    def test_boundary_values_are_legal(self):
+        elems = [reference("one", 1.0), reference("minus", -1.0), summer("neg", ["one"]),
+                 summer("pos", ["minus"]), coefficient("zero", "one", 0.0),
+                 integrator("hold", ["zero"], ic=1.0), integrator("holdn", ["zero"], ic=-1.0)]
+        n = Netlist.from_elements(elems, outputs={e.id: e.id for e in elems})
+        trace = new_instance(n, SimConfig(dt=1e-3)).run(0.01)
+        assert trace.overloads == []
+        assert trace.final() == {"one": 1.0, "minus": -1.0, "neg": -1.0, "pos": 1.0,
+                                 "zero": 0.0, "hold": 1.0, "holdn": -1.0}
+
 
 class TestQuantization:
     def test_ideal_and_quantized_trace_deviation_bounded(self, sine):
