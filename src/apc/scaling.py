@@ -4,7 +4,9 @@ Scaling proceeds in three steps:
 
 1. ``estimate_bounds``: per-signal peak magnitudes over the horizon,
    either from ``bound`` annotations in the source or from a reference
-   oracle run (adaptive RK45 at rtol 1e-9, plus a 25% safety margin).
+   oracle run (adaptive Dormand–Prince 5(4) at rtol 1e-9, plus a 25%
+   safety margin). The integrator is in-house numpy and bit-identical
+   to SciPy's RK45.
 2. ``amplitude_scale``: pick a scale factor m per signal so that the
    machine net carries signal/m; factors come from the human-legible
    grid {1, 2, 2.5, 5} x 10^k, rounded up, which also keeps predicted
@@ -94,17 +96,130 @@ class OracleSolution:
     signals: dict  # (var, order) -> np.ndarray
 
 
+# Dormand–Prince 5(4): nodes C, stages A, 5th-order weights B, error
+# weights E (5th minus 4th order, with the FSAL stage) and Shampine's
+# quartic dense-output matrix P.
+_DP_C = [0, 1/5, 3/10, 4/5, 8/9, 1]
+_DP_A = [
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+]
+_DP_B = [35/384, 0, 500/1113, 125/192, -2187/6784, 11/84]
+_DP_E = [-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40]
+_DP_P = [
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+]
+_DP_SAFETY, _DP_MIN_FACTOR, _DP_MAX_FACTOR = 0.9, 0.2, 10
+_DIVERGED = ("unbounded system: the reference run diverged; "
+             "annotate bounds with 'bound NAME = VALUE'")
+
+
+def _dopri45(fun, y0, t_end: float, t_eval, rtol: float, atol: float):
+    """Integrate y' = fun(t, y) from 0 to ``t_end`` with the Dormand–Prince
+    5(4) pair; return y at the sorted points ``t_eval`` as an
+    (n, len(t_eval)) array.
+
+    The arithmetic is that of SciPy 1.17's RK45 (SciPy's
+    ``integrate/_ivp/rk.py`` and ``common.py``; BSD-3-Clause,
+    Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers),
+    operation for operation: Hairer–Nørsett–Wanner's initial step, local
+    extrapolation, the RMS error norm, step control with safety 0.9 and
+    factors in [0.2, 10] (at most 1 after a rejection) and quartic dense
+    output at ``t_eval``.
+    So the result equals ``solve_ivp(fun, (0, t_end), y0, method="RK45",
+    rtol=rtol, atol=atol, t_eval=t_eval).y`` bit for bit. A step that
+    would fall below 10 ulps of t raises ScalingError.
+    """
+    import numpy as np
+
+    if t_eval[0] < 0 or np.any(np.diff(t_eval) <= 0):
+        raise ValueError("t_eval must increase strictly from 0 or later")
+    C, A, B, E, P = (np.array(m) for m in (_DP_C, _DP_A, _DP_B, _DP_E, _DP_P))
+    exponent = -1 / 5  # -1 / (error estimator order + 1)
+
+    def f(t, y):
+        return np.asarray(fun(t, y), dtype=float)
+
+    def norm(x):
+        return np.linalg.norm(x) / x.size ** 0.5
+
+    t = 0.0
+    y = np.asarray(y0).astype(float, copy=False)
+    fy = f(t, y)
+
+    # Initial step (Hairer–Nørsett–Wanner, Solving ODEs I, sec. II.4).
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = norm(y / scale), norm(fy / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    d2 = norm((f(t + h0, y + h0 * fy) - fy) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, t_end)
+
+    K = np.empty((len(C) + 1, y.size))
+    out, i_eval = [], 0
+    while t < t_end:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # NaN too, on which SciPy's loop never ends
+                raise ScalingError(_DIVERGED)
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = fy
+            for s, (a, c) in enumerate(zip(A[1:], C[1:]), start=1):
+                K[s] = f(t + c * h, y + np.dot(K[:s].T, a[:s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, B)
+            K[-1] = f_new = f(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = norm(np.dot(K.T, E) * h / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _DP_MAX_FACTOR
+                else:
+                    factor = min(_DP_MAX_FACTOR, _DP_SAFETY * error_norm ** exponent)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_DP_MIN_FACTOR, _DP_SAFETY * error_norm ** exponent)
+            rejected = True
+        i_new = np.searchsorted(t_eval, t_new, side="right")
+        if i_new > i_eval:  # dense output inside [t, t_new]
+            x = (t_eval[i_eval:i_new] - t) / h
+            powers = np.cumprod(np.tile(x, (P.shape[1], 1)), axis=0)
+            ys = h * np.dot(K.T.dot(P), powers)
+            ys += y[:, None]
+            out.append(ys)
+            i_eval = i_new
+        t, y, fy = t_new, y_new, f_new
+    return np.hstack(out)
+
+
 def reference_solution(system: OdeSystem, points: int = 2001,
                        rtol: float = ORACLE_RTOL, atol: float = ORACLE_ATOL,
                        t_eval=None) -> OracleSolution:
-    """Integrate the system with an adaptive-step oracle (RK45, rtol 1e-9).
+    """Integrate the system with an adaptive-step oracle (Dormand–Prince
+    5(4), rtol 1e-9; ``_dopri45``, bit-identical to SciPy's RK45).
 
     Returns trajectories for every signal, including the highest
     derivative of each variable. Independent of the netlist path: it
     evaluates the resolved equations directly.
     """
-    import numpy as np  # deferred with scipy: only the oracle needs them
-    from scipy.integrate import solve_ivp
+    import numpy as np  # deferred: only the oracle needs it
 
     zeros = algebraic_order(system)
     state_keys = [(v, k) for v, n in system.var_order.items() if n >= 1 for k in range(n)]
@@ -130,12 +245,10 @@ def reference_solution(system: OdeSystem, points: int = 2001,
         t_eval = np.asarray(t_eval, dtype=float)
     if state_keys:
         x0 = [system.inits[key] for key in state_keys]
-        sol = solve_ivp(rhs, (0.0, max(system.horizon, float(t_eval[-1]))), x0, method="RK45",
-                        rtol=rtol, atol=atol, t_eval=t_eval)
-        if not sol.success or not np.all(np.isfinite(sol.y)):
-            raise ScalingError("unbounded system: the reference run diverged; "
-                               "annotate bounds with 'bound NAME = VALUE'")
-        env = fill_env({key: sol.y[i] for i, key in enumerate(state_keys)})
+        y = _dopri45(rhs, x0, max(system.horizon, float(t_eval[-1])), t_eval, rtol, atol)
+        if not np.all(np.isfinite(y)):
+            raise ScalingError(_DIVERGED)
+        env = fill_env({key: y[i] for i, key in enumerate(state_keys)})
     else:
         env = fill_env({})
         env = {key: np.full_like(t_eval, float(val)) for key, val in env.items()}

@@ -5,8 +5,11 @@ classical 4th-order fixed-step scheme, re-evaluating the algebraic
 element graph at every internal stage. After each completed step every
 net value is quantized to the configured resolution grid and clamped to
 [-1, 1]; clamps are logged as overload events (or abort the run in
-strict mode). Digital-potentiometer updates and ADC readout model the
-hybrid-computer attachment points.
+strict mode). An integrator's state accumulates at full precision and
+only its output is quantized, so increments below the grid are not lost;
+a state that reaches a rail is clamped there and logged.
+Digital-potentiometer updates and ADC readout model the hybrid-computer
+attachment points.
 
 The element graph is compiled once per instance into straight-line
 Python code, which keeps long runs (millions of element evaluations)
@@ -246,7 +249,7 @@ class MachineInstance:
             raise ConstructionError(f"netlist does not validate: {[str(v) for v in report]}")
         try:
             (self._nets_fn, self._step_fn, self._integrators, self._coefficients,
-             self._net_ids, self._algebraic) = _generate(netlist)
+             self._net_ids, algebraic) = _generate(netlist)
         except AlgebraicLoopError as exc:
             raise ConstructionError(str(exc)) from exc
         self.netlist = netlist
@@ -258,6 +261,10 @@ class MachineInstance:
         self._driver_of = [netlist.nets[nid].driver for nid in self._net_ids]
         self._coef_pos = {e.id: i for i, e in enumerate(self._coefficients)}
         self._c = [e.params["alpha"] for e in self._coefficients]
+        # The nets the value model must touch: an integrator net is its
+        # state, already clamped, so it changes only when quantized.
+        self._observed = (range(len(self._net_ids)) if self.config.resolution > 0.0
+                          else algebraic)
         self.mode = Mode.IC
         self.tau = 0.0
         self._load_ic()
@@ -284,8 +291,9 @@ class MachineInstance:
 
     # -- value model ------------------------------------------------------
 
-    def _process(self, v: float, element: str, abort: bool) -> float:
-        eps = self.config.resolution
+    def _process(self, v: float, element: str, abort: bool, eps: float) -> float:
+        """Quantize ``v`` to the grid ``eps`` (0: off), reject a non-finite
+        value, clamp to [-1, 1] and log the overload."""
         if eps > 0.0:
             v = eps * round(v / eps)
         if not math.isfinite(v):
@@ -299,8 +307,9 @@ class MachineInstance:
 
     def _eval_nets(self, abort: bool = True):
         vals = self._nets_fn(self._s, self._c)
-        for i in self._algebraic:
-            vals[i] = self._process(vals[i], self._driver_of[i], abort)
+        eps = self.config.resolution
+        for i in self._observed:
+            vals[i] = self._process(vals[i], self._driver_of[i], abort, eps)
         self._net_values = vals
 
     def step(self, dt: float | None = None) -> None:
@@ -316,8 +325,8 @@ class MachineInstance:
         """One step of size ``h`` that ends at time ``tau``, which overloads carry."""
         new_s = self._step_fn(self._s, self._c, h)
         self.tau = tau
-        self._s = [
-            self._process(v, e.id, abort=True) for v, e in zip(new_s, self._integrators)
+        self._s = [  # full precision (eps 0): clamped and logged, never quantized
+            self._process(v, e.id, True, 0.0) for v, e in zip(new_s, self._integrators)
         ]
         self._eval_nets()
 

@@ -388,14 +388,31 @@ def test_readme_quick_tour(workdir, capsys):
     assert "connect INT1.out" in capsys.readouterr().out
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def fresh_python(code: str) -> str:
+    """Standard output of ``code`` run by a new interpreter that imports apc from src/."""
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
 def test_import_leaves_out_networkx_and_scipy():
     """``import apc`` loads no dependency of the oracle or of the test suite."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import sys, apc; print(sorted({'networkx', 'numpy', 'scipy'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert fresh_python(code).strip() == "[]"
+
+
+def test_autoscaled_compile_leaves_out_scipy(tmp_path):
+    """The oracle of an autoscaled compile runs on numpy alone."""
+    argv = ["compile", str(ROOT / "programs" / "vco.apc"), "--scale", "auto",
+            "-o", str(tmp_path / "vco.json")]
+    code = ("import sys; from apc.cli import main; code = main(%r); "
+            "print(code, 'numpy' in sys.modules, "
+            "sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))" % argv)
+    assert fresh_python(code).splitlines()[-1] == "0 True []"
 
 
 class TestUsage:

@@ -1,10 +1,14 @@
 import math
 import re
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from apc import compiler, simulator
+from apc import compiler, scaling, simulator
+from apc.cli import main
 from apc.compiler import CompileOptions, compile_system
 from apc.scaling import (
     Mapping,
@@ -21,7 +25,10 @@ from apc.scaling import (
     time_scale,
 )
 from apc.simulator import OverloadEvent, SimConfig, Trace, new_instance
-from conftest import SINE5_SRC, resolve_src
+from conftest import SINE5_SRC, SINE_SRC, resolve_src
+from test_compiler import simulable_odes
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 HALF_SINE_SRC = """\
 system smallsine
@@ -81,15 +88,69 @@ class TestBounds:
         assert bounds.of("y", 2) == pytest.approx(2 + 0.5 * 4)
         assert bounds.method[("y", 2)] == "user"
 
-    def test_divergent_system_reports_unbounded(self):
+    def test_divergent_system_reports_unbounded(self, tmp_path, capsys):
         src = "system t\nvar y order 1\neq y' = y*y\ninit y = 2\ntime 1\n"
-        with pytest.raises(ScalingError, match="annotate bounds"):
+        message = ("unbounded system: the reference run diverged; "
+                   "annotate bounds with 'bound NAME = VALUE'")
+        with pytest.raises(ScalingError, match=re.escape(message)):
             estimate_bounds(resolve_src(src))
+        (tmp_path / "div.apc").write_text(src, encoding="utf-8")
+        assert main(["compile", str(tmp_path / "div.apc"), "-o", str(tmp_path / "div.json")]) == 4
+        assert capsys.readouterr().err == f"apc: scaling: {message}\n"
+
+    def test_non_finite_initial_value_reports_unbounded(self):
+        src = "system t\nvar y order 1\neq y' = -y\ninit y = 1e300*1e300\ntime 1\n"
+        with pytest.raises(ScalingError, match="diverged"), np.errstate(invalid="ignore"):
+            reference_solution(resolve_src(src))
 
     def test_zero_signal_defaults_to_unit_bound(self):
         src = "system t\nvar y order 1\neq y' = -y\ninit y = 0\ntime 1\n"
         bounds = estimate_bounds(resolve_src(src))
         assert bounds.of("y", 0) == 1.0
+
+
+@pytest.fixture(scope="module")
+def solve_ivp():
+    return pytest.importorskip("scipy.integrate").solve_ivp
+
+
+def assert_oracle_is_rk45(solve_ivp, system, **kwargs):
+    """``reference_solution(system, **kwargs)`` integrates exactly as
+    ``solve_ivp(method="RK45")`` does with the same arguments."""
+    real, calls = scaling._dopri45, []
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    with mock.patch.object(scaling, "_dopri45", spy):
+        oracle = reference_solution(system, **kwargs)
+    [((fun, y0, t_end, t_eval, rtol, atol), y)] = calls
+    sol = solve_ivp(fun, (0.0, t_end), y0, method="RK45", rtol=rtol, atol=atol, t_eval=t_eval)
+    assert sol.success
+    assert np.array_equal(sol.t, oracle.t)
+    assert np.array_equal(sol.y, y)
+
+
+class TestOracleIsRK45:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(simulable_odes())
+    def test_random_linear_systems(self, solve_ivp, src):
+        assert_oracle_is_rk45(solve_ivp, resolve_src(src))
+
+    @pytest.mark.parametrize("name", ["bigsine", "decay", "sine", "vco"])
+    def test_sample_programs(self, solve_ivp, name):
+        assert_oracle_is_rk45(solve_ivp, resolve_src((PROGRAMS / f"{name}.apc").read_text()))
+
+    def test_t_eval_past_the_horizon(self, solve_ivp):
+        system = resolve_src(SINE_SRC)
+        t_eval = np.linspace(0.25, 1.5 * system.horizon, 301)
+        assert_oracle_is_rk45(solve_ivp, system, t_eval=t_eval)
+
+    @pytest.mark.parametrize("t_eval", [[-0.5, 1.0], [0.0, 2.0, 1.0], [0.0, 1.0, 1.0]])
+    def test_t_eval_out_of_order_or_before_0_rejected(self, t_eval):
+        with pytest.raises(ValueError, match="t_eval"):
+            reference_solution(resolve_src(SINE_SRC), t_eval=t_eval)
 
 
 class TestAmplitudeScale:

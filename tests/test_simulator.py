@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from apc.machine import Netlist, StructuralError, coefficient, integrator, reference, summer
@@ -17,6 +17,10 @@ from apc.simulator import (
     new_instance,
 )
 from conftest import SINE_SRC, UNSTABLE_SRC, build
+from test_compiler import simulable_odes
+
+#: Every step adds 0.25 * dt, less than half of a 1e-4 grid step at dt = 1e-4.
+STALL_SRC = "system stall\nvar z order 1\neq z' = -0.25\ninit z = 0\ntime 1\noutput z\n"
 
 
 def ramp_netlist(k0=1.0, ic=0.0):
@@ -238,6 +242,43 @@ class TestQuantization:
         inst.run(0.1)
         v = inst.value("y")
         assert abs(v / eps - round(v / eps)) < 1e-9
+
+    @pytest.mark.parametrize("dt", [1e-4, 1e-3])
+    def test_sub_grid_increments_accumulate(self, dt):
+        _, result = build(STALL_SRC)
+        trace = new_instance(result.netlist, SimConfig(dt=dt, resolution=1e-4)).run(1.0)
+        assert trace.final()["z"] == pytest.approx(-0.25, abs=1e-12)
+
+    def test_quantized_runaway_reaches_the_rail(self):
+        _, result = build(UNSTABLE_SRC)
+        trace = new_instance(result.netlist, SimConfig(dt=1e-4, resolution=1e-3)).run(4.0)
+        assert trace.final()["y"] == 1.0
+        assert trace.overloads
+
+    @pytest.mark.parametrize("resolution", [0.0, 1e-3])
+    def test_saturated_integrator_state_stays_on_the_rail(self, resolution):
+        elems = [reference("one", 1.0), reference("minus", -1.0),
+                 integrator("down", ["one"]), integrator("up", ["minus"])]
+        n = Netlist.from_elements(elems, outputs={"down": "down", "up": "up"})
+        inst = new_instance(n, SimConfig(dt=1e-3, resolution=resolution))
+        trace = inst.run(1.5)
+        assert inst.states == {"down": -1.0, "up": 1.0}
+        assert trace.final() == {"down": -1.0, "up": 1.0}
+        assert {ev.element for ev in trace.overloads} == {"down", "up"}
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(simulable_odes(), st.sampled_from([1e-3, 2.5e-4]))
+def test_quantized_run_stays_within_half_a_grid_step_of_ideal(src, dt):
+    """Rounding the observed values to the grid does not feed back into the
+    states, so the quantized run does not drift from the ideal one at any dt."""
+    eps = 1e-4
+    _, result = build(src)
+    ideal = new_instance(result.netlist, SimConfig(dt=dt)).run(1.0)
+    rough = new_instance(result.netlist, SimConfig(dt=dt, resolution=eps)).run(1.0)
+    assume(not ideal.overloads)
+    for name, values in ideal.series.items():
+        assert max(abs(a - b) for a, b in zip(values, rough.series[name])) <= eps / 2 * (1 + 1e-9)
 
 
 class TestHybridAttachment:
