@@ -577,7 +577,15 @@ class _Resolver:
         self.diags.append(Diagnostic(line, column, message))
 
     def fold_const(self, e: Expr, params: dict, what: str) -> float | None:
-        """Evaluate a compile-time constant expression, or diagnose."""
+        """Evaluate a compile-time constant expression, or diagnose; a
+        value that is not finite (an overflow, inf - inf) is diagnosed once, at ``e``."""
+        v = self._fold(e, params, what)
+        if v is not None and not math.isfinite(v):
+            self.fail(e.line, e.column, f"{what} does not fold to a finite number")
+            return None
+        return v
+
+    def _fold(self, e: Expr, params: dict, what: str) -> float | None:
         if isinstance(e, Num):
             return e.value
         if isinstance(e, Ref):
@@ -589,11 +597,11 @@ class _Resolver:
             self.fail(e.line, e.column, f"unknown name {e.name!r} in {what} (only params may be used)")
             return None
         if isinstance(e, Neg):
-            v = self.fold_const(e.operand, params, what)
+            v = self._fold(e.operand, params, what)
             return None if v is None else -v
         if isinstance(e, Bin):
-            l = self.fold_const(e.left, params, what)
-            r = self.fold_const(e.right, params, what)
+            l = self._fold(e.left, params, what)
+            r = self._fold(e.right, params, what)
             if l is None or r is None:
                 return None
             return {"+": l + r, "-": l - r, "*": l * r}[e.op]
@@ -604,8 +612,13 @@ class _Resolver:
             if len(e.args) != 1:
                 self.fail(e.line, e.column, f"{e.func} takes one argument")
                 return None
-            v = self.fold_const(e.args[0], params, what)
-            return None if v is None else CONST_FUNCS[e.func](v)
+            v = self._fold(e.args[0], params, what)
+            if v is None:
+                return None
+            try:
+                return CONST_FUNCS[e.func](v)
+            except (OverflowError, ValueError):  # exp overflows; sin, cos of an infinity
+                return math.nan
         raise TypeError(e)
 
     def check_rhs(self, expr: Expr, var_order: dict, params: dict, tables: dict):
@@ -649,6 +662,7 @@ class _Resolver:
         inits: dict[tuple, float] = {}
         bounds: dict[tuple, float] = {}
         horizon = None
+        time_line = None
         outputs = None
 
         def declare(name, line, kind):
@@ -677,10 +691,10 @@ class _Resolver:
                         self.fail(s.line, 1, f"table {s.name!r} needs at least 2 breakpoints")
                     tables[s.name] = tuple(s.points)
             elif isinstance(s, TimeDecl):
-                if horizon is not None:
+                if time_line is not None:
                     self.fail(s.line, 1, "duplicate time statement")
-                v = self.fold_const(s.t_end, params, "time horizon")
-                horizon = v
+                time_line = s.line
+                horizon = self.fold_const(s.t_end, params, "time horizon")
             elif isinstance(s, OutputDecl):
                 if outputs is not None:
                     self.fail(s.line, 1, "duplicate output statement")
@@ -718,8 +732,7 @@ class _Resolver:
                     self.fail(s.line, 1, f"duplicate initial condition for {signal_name(*key)}")
                     continue
                 v = self.fold_const(s.expr, params, "initial condition")
-                if v is not None:
-                    inits[key] = v
+                inits[key] = 0.0 if v is None else v  # diagnosed already if None
             elif isinstance(s, BoundDecl):
                 if s.name not in var_order:
                     self.fail(s.line, 1, f"bound for undeclared variable {s.name!r}")
@@ -741,9 +754,9 @@ class _Resolver:
                 if (v, k) not in inits:
                     self.fail(1, 1, f"missing initial condition for {signal_name(v, k)}")
 
-        if horizon is None:
+        if time_line is None:
             self.fail(1, 1, "missing time statement")
-        elif horizon <= 0:
+        elif horizon is not None and horizon <= 0:
             self.fail(1, 1, "time horizon must be positive")
 
         if outputs is None:

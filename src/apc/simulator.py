@@ -11,9 +11,17 @@ a state that reaches a rail is clamped there and logged.
 Digital-potentiometer updates and ADC readout model the hybrid-computer
 attachment points.
 
-The element graph is compiled once per instance into straight-line
-Python code, which keeps long runs (millions of element evaluations)
-fast while staying bit-deterministic.
+The whole OP loop is compiled once per instance into one straight-line
+Python function, ``_run``: the four RK4 stages, the state update, the
+value model inlined as one range comparison per state and observed net
+(quantizing first when the resolution is set), and decimated sampling.
+The overload log, the strict abort, the clamp and the non-finite check
+sit out of line in ``MachineInstance._overload``, reached only by a
+value outside [-1, 1]. Pot values are read once per run. The raw nets
+after a step are the next step's first stage, so a step evaluates the
+element graph four times. ``run``, ``step`` and loading the initial
+conditions all go through ``_run``, which keeps long runs (millions of
+element evaluations) fast while staying bit-deterministic.
 
 Instances are single-threaded. A parameter sweep reuses one instance,
 cycling it IC -> OP -> HALT once per value.
@@ -151,13 +159,28 @@ class Trace:
 
 # --- code generation -------------------------------------------------------
 
-def _generate(netlist: Netlist):
-    """Compile the element graph into straight-line step/eval functions.
+def _indent(lines: list[str], depth: int) -> list[str]:
+    return ["    " * depth + line for line in lines]
 
-    ``_step(s, c, dt)`` advances the state list one classical 4th-order
-    step (4 algebraic passes); ``_nets(s, c)`` returns every net value in
-    netlist order. ``c`` is the live coefficient array so potentiometer
-    updates need no recompilation.
+
+def _generate(netlist: Netlist, resolution: float):
+    """Compile the netlist into ``_run``, the whole OP loop as straight-line code.
+
+    ``_run(s, c, nets, t0, dt, n, every, clamp)`` starts at time ``t0``
+    from the states ``s``, the pot values ``c`` and every net's observed
+    value ``nets``, advances ``n`` classical 4th-order steps of size
+    ``dt`` and returns ``(states, nets, taus, columns)``: the new states,
+    every net's observed value in netlist order, and the sample times
+    with one column per ``netlist.outputs`` name, sampled at ``t0``, every
+    ``every``-th step and the last step. With ``nets`` None it first
+    observes the nets of ``s`` as step 0.
+
+    Each step evaluates the algebraic nets once per RK4 stage; the raw
+    nets after a step are the next step's first stage. A state or an
+    observed net outside [-1, 1], or not finite, goes through
+    ``clamp(v, tau, element, i)``, the value model's slow path at step
+    ``i``, which returns the clamped value or raises. On a raise the
+    states of the last completed state update are written back into ``s``.
     """
     elements = netlist.elements
     integrators = [e for e in elements.values() if e.kind is Kind.INTEGRATOR]
@@ -166,22 +189,27 @@ def _generate(netlist: Netlist):
     coef_of = {e.id: i for i, e in enumerate(coefficients)}
     order = evaluation_order(netlist)
     local_of = {eid: f"v{i}" for i, eid in enumerate(order)}
-    namespace: dict = {}
+    namespace: dict = {"OverloadError": OverloadError, "StructuralError": StructuralError}
+    # Locals bound once per call: a run cannot change its pots or tables.
+    prologue = ["rnd = round", "h2 = 0.5 * dt", "h6 = dt / 6.0"]
+    prologue += [f"pot{i} = c[{i}]" for i in range(len(coefficients))]
     param_of: dict[str, str | None] = {}  # element id -> its parameter's expression
     for i, eid in enumerate(order):
         e = elements[eid]
         p = parameter(e.kind, e.params)
         if e.kind is Kind.COEFFICIENT:
-            p = f"c[{coef_of[eid]}]"  # the live pot slot
+            p = f"pot{coef_of[eid]}"
         elif callable(p):
             namespace[f"_fg{i}"] = p
-            p = f"_fg{i}"
+            prologue.append(f"fg{i} = _fg{i}")
+            p = f"fg{i}"
         elif p is not None:
             p = repr(p)
         param_of[eid] = p
 
-    def emit_pass(state_fmt, prefix: str):
-        """Lines evaluating all algebraic elements; returns (lines, net_expr)."""
+    def emit_pass(tag: str):
+        """Lines evaluating all algebraic elements on the stage-``tag``
+        states ``{tag}s{i}``; returns (lines, net_expr)."""
 
         def output(e) -> str:
             return KINDS[e.kind].output([net_expr(n) for n in e.inputs], param_of[e.id])
@@ -190,54 +218,78 @@ def _generate(netlist: Netlist):
             driver = netlist.nets[net_id].driver
             e = elements[driver]
             if e.kind is Kind.INTEGRATOR:
-                return state_fmt(state_of[driver])
+                return f"{tag}s{state_of[driver]}"
             if e.kind is Kind.REFERENCE:
                 return output(e)  # a constant, folded into uses
-            return prefix + local_of[driver]
+            return f"{tag}_{local_of[driver]}"
 
-        lines = [f"    {prefix}{local_of[eid]} = {output(elements[eid])}"
+        lines = [f"{tag}_{local_of[eid]} = {output(elements[eid])}"
                  for eid in order if elements[eid].kind is not Kind.REFERENCE]
         return lines, net_expr
 
     def emit_derivs(net_expr, tag: str) -> list[str]:
-        lines = []
+        return [f"k{tag}{i} = {-e.params['k0']!r} * ({' + '.join(net_expr(n) for n in e.inputs)})"
+                for i, e in enumerate(integrators)]
+
+    # The value model observes every net when quantizing; otherwise an
+    # integrator net is its state, already clamped, and is left alone.
+    net_ids = list(netlist.nets)
+    drivers = [netlist.nets[nid].driver for nid in net_ids]
+    observed = [j for j, d in enumerate(drivers)
+                if resolution > 0.0 or elements[d].kind is not Kind.INTEGRATOR]
+    a_lines, a_expr = emit_pass("a")
+
+    values = [a_expr(nid) for nid in net_ids]
+    for j in observed:
+        values[j] = f"o{j}"
+    name_pos = {net.name: j for j, net in enumerate(netlist.nets.values()) if net.name}
+    samples = [values[name_pos[name]] for name in netlist.outputs]
+    states = ", ".join(f"as{i}" for i in range(len(integrators)))
+    tau = "t0 + i * dt"
+
+    step = []
+    if integrators:
+        step += emit_derivs(a_expr, "a")
+        for tag, base, scale in (("b", "a", "h2"), ("d", "b", "h2"), ("e", "d", "dt")):
+            step += [f"{tag}s{i} = as{i} + {scale} * k{base}{i}" for i in range(len(integrators))]
+            lines, net_expr = emit_pass(tag)
+            step += lines + emit_derivs(net_expr, tag)
         for i, e in enumerate(integrators):
-            total = " + ".join(net_expr(n) for n in e.inputs)
-            lines.append(f"    k{tag}{i} = {-e.params['k0']!r} * ({total})")
-        return lines
+            step += [f"ns{i} = as{i} + h6 * (ka{i} + 2.0 * kb{i} + 2.0 * kd{i} + ke{i})",
+                     f"if not -1.0 <= ns{i} <= 1.0: ns{i} = clamp(ns{i}, {tau}, {e.id!r}, i)"]
+        step += [f"as{i} = ns{i}" for i in range(len(integrators))]
+        step += a_lines
+    sample = [f"ap{k}({v})" for k, v in enumerate(samples)]
+    body = ["if i:"] + _indent(step or ["pass"], 1)
+    for j in observed:
+        v = a_expr(net_ids[j])
+        if resolution > 0.0:
+            v = f"{resolution!r} * rnd({v} / {resolution!r})"
+        slow = f"clamp(o{j}, {tau}, {drivers[j]!r}, i)"
+        body += [f"o{j} = {v}", f"if not -1.0 <= o{j} <= 1.0: o{j} = {slow}"]
+    body += ["if i % every == 0 or i == n:", f"    apt({tau})"] + _indent(sample, 1)
 
-    nstates = len(integrators)
-    src = ["def _nets(s, c):"]
-    lines, net_expr = emit_pass(lambda i: f"s[{i}]", "")
-    src += lines
-    rets = [net_expr(nid) for nid in netlist.nets]
-    src.append(f"    return [{', '.join(rets)}]")
-
-    src.append("def _step(s, c, dt):")
-    if nstates == 0:
-        src.append("    return []")
-    else:
-        for i in range(nstates):
-            src.append(f"    as{i} = s[{i}]")
-        for tag, base, scale in (("a", None, None), ("b", "a", "0.5 * dt"),
-                                 ("d", "b", "0.5 * dt"), ("e", "d", "dt")):
-            if base is not None:
-                for i in range(nstates):
-                    src.append(f"    {tag}s{i} = as{i} + ({scale}) * k{base}{i}")
-            lines, net_expr = emit_pass(lambda i, t=tag: f"{t}s{i}", f"{tag}_")
-            src += lines
-            src += emit_derivs(net_expr, tag)
-        src.append("    r = dt / 6.0")
-        news = [f"as{i} + r * (ka{i} + 2.0 * kb{i} + 2.0 * kd{i} + ke{i})" for i in range(nstates)]
-        src.append(f"    return [{', '.join(news)}]")
+    head = prologue + [f"as{i} = s[{i}]" for i in range(len(integrators))] + a_lines
+    head += ["taus = []", "apt = taus.append"]
+    for k in range(len(samples)):
+        head += [f"col{k} = []", f"ap{k} = col{k}.append"]
+    # Given the observed nets, the run continues from them and skips step 0.
+    head += ["start = 0", "if nets is not None:"]
+    head += _indent(["start = 1"] + [f"o{j} = nets[{j}]" for j in observed]
+                    + ["apt(t0)"] + sample, 1)
+    head += ["try:", "    for i in range(start, n + 1):"] + _indent(body, 2)
+    head += ["except (OverloadError, StructuralError):", f"    s[:] = [{states}]", "    raise"]
+    cols = ", ".join(f"col{k}" for k in range(len(samples)))
+    head.append(f"return [{states}], [{', '.join(values)}], taus, [{cols}]")
+    src = ["def _run(s, c, nets, t0, dt, n, every, clamp):"] + _indent(head, 1)
 
     exec(compile("\n".join(src), "<netlist>", "exec"), namespace)
-    net_ids = list(netlist.nets)
-    algebraic = [
-        i for i, nid in enumerate(net_ids)
-        if elements[netlist.nets[nid].driver].kind is not Kind.INTEGRATOR
-    ]
-    return namespace["_nets"], namespace["_step"], integrators, coefficients, net_ids, algebraic
+    return namespace["_run"], integrators, coefficients, name_pos
+
+
+def _rail(v: float, tau: float, element: str, step: int) -> float:
+    """A value-model slow path that clamps without logging or aborting."""
+    return 1.0 if v > 0 else -1.0
 
 
 class MachineInstance:
@@ -247,24 +299,15 @@ class MachineInstance:
         report = validate(netlist)
         if report:
             raise ConstructionError(f"netlist does not validate: {[str(v) for v in report]}")
-        try:
-            (self._nets_fn, self._step_fn, self._integrators, self._coefficients,
-             self._net_ids, algebraic) = _generate(netlist)
-        except AlgebraicLoopError as exc:
-            raise ConstructionError(str(exc)) from exc
         self.netlist = netlist
         self.config = config or SimConfig()
-        self._net_pos = {nid: i for i, nid in enumerate(self._net_ids)}
-        self._name_pos = {
-            net.name: self._net_pos[nid] for nid, net in netlist.nets.items() if net.name
-        }
-        self._driver_of = [netlist.nets[nid].driver for nid in self._net_ids]
+        try:
+            self._run, self._integrators, self._coefficients, self._name_pos = _generate(
+                netlist, self.config.resolution)
+        except AlgebraicLoopError as exc:
+            raise ConstructionError(str(exc)) from exc
         self._coef_pos = {e.id: i for i, e in enumerate(self._coefficients)}
         self._c = [e.params["alpha"] for e in self._coefficients]
-        # The nets the value model must touch: an integrator net is its
-        # state, already clamped, so it changes only when quantized.
-        self._observed = (range(len(self._net_ids)) if self.config.resolution > 0.0
-                          else algebraic)
         self.mode = Mode.IC
         self.tau = 0.0
         self._load_ic()
@@ -275,7 +318,7 @@ class MachineInstance:
         self._s = [e.params["ic"] for e in self._integrators]
         self.tau = 0.0
         self.overloads: list[OverloadEvent] = []
-        self._eval_nets(abort=False)
+        self._observe()
 
     def set_mode(self, new_mode: Mode | str) -> None:
         new_mode = Mode(new_mode)
@@ -291,26 +334,40 @@ class MachineInstance:
 
     # -- value model ------------------------------------------------------
 
-    def _process(self, v: float, element: str, abort: bool, eps: float) -> float:
-        """Quantize ``v`` to the grid ``eps`` (0: off), reject a non-finite
-        value, clamp to [-1, 1] and log the overload."""
-        if eps > 0.0:
-            v = eps * round(v / eps)
+    def _overload(self, v: float, tau: float, element: str, step: int) -> float:
+        """The value model's slow path for a value outside [-1, 1]: reject
+        a non-finite value, log the overload at ``tau``, abort a strict
+        run from ``step`` 1 on, else return the value clamped to the rail."""
         if not math.isfinite(v):
+            self.tau = tau
             raise StructuralError(f"non-finite value at element {element!r}")
-        if v > 1.0 or v < -1.0:
-            self.overloads.append(OverloadEvent(self.tau, element, abs(v)))
-            if abort and self.config.strict_overload:
-                raise OverloadError(element, self.tau, abs(v))
-            v = 1.0 if v > 0 else -1.0
-        return v
+        self.overloads.append(OverloadEvent(tau, element, abs(v)))
+        if step and self.config.strict_overload:
+            self.tau = tau
+            raise OverloadError(element, tau, abs(v))
+        return 1.0 if v > 0 else -1.0
 
-    def _eval_nets(self, abort: bool = True):
-        vals = self._nets_fn(self._s, self._c)
-        eps = self.config.resolution
-        for i in self._observed:
-            vals[i] = self._process(vals[i], self._driver_of[i], abort, eps)
-        self._net_values = vals
+    def _observe(self) -> None:
+        """Evaluate and observe every net at the current state and time as
+        step 0: overloads are logged but never abort."""
+        self._s, self._net_values, _, _ = self._run(
+            self._s, self._c, None, self.tau, self.config.dt, 0, 1, self._overload)
+
+    def _steps(self, dt: float, n: int, every: int) -> tuple[list, list]:
+        """Advance ``n`` steps of size ``dt``; step ``i`` ends at ``t0 + i*dt``,
+        the time its overloads carry. Returns the sample times and columns."""
+        t0 = self.tau
+        try:
+            self._s, self._net_values, taus, cols = self._run(
+                self._s, self._c, self._net_values, t0, dt, n, every, self._overload)
+        except OverloadError:
+            # The machine holds the states the abort left; show their nets,
+            # clamped to the rails but not logged a second time.
+            _, self._net_values, _, _ = self._run(
+                self._s, self._c, None, self.tau, dt, 0, 1, _rail)
+            raise
+        self.tau = t0 + n * dt
+        return taus, cols
 
     def step(self, dt: float | None = None) -> None:
         """Advance one fixed step of size ``dt`` (OP mode only)."""
@@ -319,45 +376,25 @@ class MachineInstance:
         h = self.config.dt if dt is None else dt
         if not (h > 0):
             raise ValueError("dt must be positive")
-        self._advance(h, self.tau + h)
-
-    def _advance(self, h: float, tau: float) -> None:
-        """One step of size ``h`` that ends at time ``tau``, which overloads carry."""
-        new_s = self._step_fn(self._s, self._c, h)
-        self.tau = tau
-        self._s = [  # full precision (eps 0): clamped and logged, never quantized
-            self._process(v, e.id, True, 0.0) for v, e in zip(new_s, self._integrators)
-        ]
-        self._eval_nets()
+        self._steps(h, 1, 1)
 
     def run(self, tau_end: float) -> Trace:
         """Run IC/OP to ``tau_end``, sampling the named nets; end in HALT.
 
         From IC mode the run starts at the initial conditions; from OP it
-        continues from the current time. Strict overloads abort.
+        continues from the current time. Strict overloads abort, leaving
+        the machine in OP at the time of the overload.
         """
         if self.mode is Mode.IC:
             self.set_mode(Mode.OP)
         elif self.mode is not Mode.OP:
             raise ModeError("run requires IC or OP mode")
-        every = self.config.sample_every
         dt = self.config.dt
-        t0 = self.tau
-        remaining = tau_end - t0
+        remaining = tau_end - self.tau
         nsteps = 0 if remaining <= 0 else math.ceil(remaining / dt - 1e-9)
-
-        names = list(self.netlist.outputs)
-        positions = [self._name_pos[n] for n in names]
-        tau_samples = [t0]
-        series: dict[str, list] = {n: [self._net_values[p]] for n, p in zip(names, positions)}
-        for i in range(1, nsteps + 1):
-            self._advance(dt, t0 + i * dt)  # exact time axis, no accumulation drift
-            if i % every == 0 or i == nsteps:
-                tau_samples.append(self.tau)
-                for n, p in zip(names, positions):
-                    series[n].append(self._net_values[p])
+        taus, cols = self._steps(dt, nsteps, self.config.sample_every)
         self.set_mode(Mode.HALT)
-        return Trace(tau_samples, series, list(self.overloads))
+        return Trace(taus, dict(zip(self.netlist.outputs, cols)), list(self.overloads))
 
     # -- hybrid attachment -------------------------------------------------
 
@@ -371,7 +408,7 @@ class MachineInstance:
         if self.mode is Mode.IC:
             self._load_ic()
         else:
-            self._eval_nets(abort=False)
+            self._observe()
 
     def get_coefficient(self, element_id: str) -> float:
         return self._c[self._coef_pos[element_id]]

@@ -391,11 +391,15 @@ def test_readme_quick_tour(workdir, capsys):
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def src_env() -> dict:
+    """The environment of a new interpreter that imports apc from src/."""
+    src = str(ROOT / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def fresh_python(code: str) -> str:
     """Standard output of ``code`` run by a new interpreter that imports apc from src/."""
-    src = str(ROOT / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                           text=True, check=True).stdout
 
 
@@ -413,6 +417,30 @@ def test_autoscaled_compile_leaves_out_scipy(tmp_path):
             "print(code, 'numpy' in sys.modules, "
             "sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))" % argv)
     assert fresh_python(code).splitlines()[-1] == "0 True []"
+
+
+#: A program whose one constant line a case below replaces.
+CONSTANTS_SRC = ("system t\nparam k = 0.5\nvar y order 2\neq y'' = -k*y\ninit y = 0.5\n"
+                 "init y' = 0\ntime 1\noutput y\n")
+
+
+@pytest.mark.parametrize("old, new, flags, where", [
+    ("time 1", "time 1e300*1e300", (), "7:11: time horizon"),
+    ("output y", "bound y = 1e300*1e300\noutput y", (), "8:16: bound"),
+    ("init y = 0.5", "init y = 1e300*1e300", (), "5:15: initial condition"),
+    ("init y = 0.5", "init y = 1e300*1e300", ("--scale", "none"), "5:15: initial condition"),
+    ("param k = 0.5", "param k = 1e300*1e300 - 1e300*1e300", (), "2:23: param value"),
+    ("param k = 0.5", "param k = exp(1000)", (), "2:11: param value"),
+], ids=["time", "bound", "init", "init-unscaled", "param-nan", "param-exp"])
+def test_non_finite_constant_exits_3(tmp_path, old, new, flags, where):
+    """A constant that folds to inf or NaN is one resolve diagnostic, exit 3.
+    A separate process with a timeout: an infinite horizon once never ended."""
+    source = write(tmp_path / "c.apc", CONSTANTS_SRC.replace(old, new))
+    proc = subprocess.run([sys.executable, "-m", "apc", "compile", source, *flags,
+                           "-o", str(tmp_path / "c.json")],
+                          env=src_env(), capture_output=True, text=True, timeout=60)
+    message = f"{source}:{where} does not fold to a finite number\n"
+    assert (proc.returncode, proc.stderr) == (3, message)
 
 
 class TestUsage:

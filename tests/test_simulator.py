@@ -1,16 +1,29 @@
+import functools
 import math
+import operator
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from apc.machine import Netlist, StructuralError, coefficient, integrator, reference, summer
+from apc.machine import (
+    Kind,
+    Netlist,
+    StructuralError,
+    coefficient,
+    element_output,
+    evaluation_order,
+    integrator,
+    reference,
+    summer,
+)
 from apc.simulator import (
     LEGAL_TRANSITIONS,
     ConstructionError,
     MachineInstance,
     Mode,
     ModeError,
+    OverloadEvent,
     OverloadError,
     SimConfig,
     SimulationWarning,
@@ -18,6 +31,7 @@ from apc.simulator import (
 )
 from conftest import SINE_SRC, UNSTABLE_SRC, build
 from test_compiler import simulable_odes
+from test_machine import dag_netlists
 
 #: Every step adds 0.25 * dt, less than half of a 1e-4 grid step at dt = 1e-4.
 STALL_SRC = "system stall\nvar z order 1\neq z' = -0.25\ninit z = 0\ntime 1\noutput z\n"
@@ -200,6 +214,25 @@ class TestOverloads:
             inst.run(2.0)
         assert err.value.element == "int2"
 
+    def test_strict_abort_leaves_the_machine_at_the_overload(self):
+        _, result = build(UNSTABLE_SRC)
+        dt = 1e-3
+        inst = new_instance(result.netlist, SimConfig(dt=dt, strict_overload=True))
+        with pytest.raises(OverloadError) as err:
+            inst.run(2.0)
+        ev = err.value
+        assert inst.tau == ev.time
+        assert inst.overloads[-1] == OverloadEvent(ev.time, ev.element, ev.magnitude)
+        assert inst.mode is Mode.OP
+        # The overloading state update is not applied: the states are
+        # those of the step before, which logged no overload.
+        before = new_instance(result.netlist, SimConfig(dt=dt))
+        before.set_mode(Mode.OP)
+        for _ in range(round(ev.time / dt) - 1):
+            before.step()
+        assert before.overloads == [] and inst.states == before.states
+        assert inst.value("y") == before.value("y")
+
     def test_values_stay_clamped(self):
         _, result = build(UNSTABLE_SRC)
         inst = new_instance(result.netlist, SimConfig(dt=1e-3))
@@ -279,6 +312,96 @@ def test_quantized_run_stays_within_half_a_grid_step_of_ideal(src, dt):
     assume(not ideal.overloads)
     for name, values in ideal.series.items():
         assert max(abs(a - b) for a, b in zip(values, rough.series[name])) <= eps / 2 * (1 + 1e-9)
+
+
+def reference_run(netlist: Netlist, config: SimConfig, tau_end: float):
+    """An independent stepper: (tau, series, overloads, states) of a non-strict run.
+
+    It folds ``element_output`` over ``evaluation_order`` for every stage,
+    steps RK4 in the operation order of the generated code and applies the
+    value model: states clamped at full precision, observed nets quantized
+    and clamped, every clamp logged at the step's time ``i * dt``.
+    """
+    elements = netlist.elements
+    integrators = [e for e in elements.values() if e.kind is Kind.INTEGRATOR]
+    order = evaluation_order(netlist)
+    eps, dt = config.resolution, config.dt
+    overloads = []
+
+    def outputs(states):
+        values = {e.id: x for e, x in zip(integrators, states)}
+        for eid in order:
+            e = elements[eid]
+            values[eid] = element_output(e.kind, e.params,
+                                         [values[netlist.nets[n].driver] for n in e.inputs])
+        return values
+
+    def derivs(states):
+        values = outputs(states)
+        return [(-e.params["k0"]) * functools.reduce(
+                    operator.add, [values[netlist.nets[n].driver] for n in e.inputs])
+                for e in integrators]
+
+    def clamp(v, tau, element):
+        if not math.isfinite(v):
+            raise StructuralError(element)
+        if -1.0 <= v <= 1.0:
+            return v
+        overloads.append(OverloadEvent(tau, element, abs(v)))
+        return 1.0 if v > 0 else -1.0
+
+    def observe(states, tau):
+        values = outputs(states)
+        named = {}
+        for net in netlist.nets.values():
+            v = values[net.driver]
+            if eps > 0.0 or elements[net.driver].kind is not Kind.INTEGRATOR:
+                v = clamp(eps * round(v / eps) if eps > 0.0 else v, tau, net.driver)
+            named[net.name] = v
+        return [named[name] for name in netlist.outputs]
+
+    states = [e.params["ic"] for e in integrators]
+    taus, rows = [0.0], [observe(states, 0.0)]
+    n = math.ceil(tau_end / dt - 1e-9)
+    for i in range(1, n + 1):
+        ka = derivs(states)
+        kb = derivs([x + (0.5 * dt) * k for x, k in zip(states, ka)])
+        kd = derivs([x + (0.5 * dt) * k for x, k in zip(states, kb)])
+        ke = derivs([x + dt * k for x, k in zip(states, kd)])
+        states = [clamp(x + (dt / 6.0) * (a + 2.0 * b + 2.0 * d + e), i * dt, el.id)
+                  for x, a, b, d, e, el in zip(states, ka, kb, kd, ke, integrators)]
+        row = observe(states, i * dt)
+        if i % config.sample_every == 0 or i == n:
+            taus.append(i * dt)
+            rows.append(row)
+    series = {name: [row[k] for row in rows] for k, name in enumerate(netlist.outputs)}
+    return taus, series, overloads, {e.id: x for e, x in zip(integrators, states)}
+
+
+def assert_run_equals_reference(netlist, config, tau_end):
+    inst = new_instance(netlist, config)
+    trace = inst.run(tau_end)
+    got = (trace.tau, trace.series, trace.overloads, inst.states)
+    assert repr(got) == repr(reference_run(netlist, config, tau_end))
+
+
+RESOLUTIONS = st.sampled_from([0.0, 1e-3])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dag_netlists(), RESOLUTIONS, st.sampled_from([1, 3]))
+def test_run_equals_reference_stepper_on_netlists(netlist, resolution, every):
+    elements = list(netlist.elements.values())
+    named = Netlist.from_elements(elements, outputs={e.id: e.id for e in elements})
+    config = SimConfig(dt=0.05, resolution=resolution, sample_every=every)
+    assert_run_equals_reference(named, config, 1.0)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(simulable_odes(), RESOLUTIONS)
+def test_run_equals_reference_stepper_on_compiled_programs(src, resolution):
+    _, result = build(src)
+    assert_run_equals_reference(result.netlist, SimConfig(dt=0.01, resolution=resolution), 1.0)
 
 
 class TestHybridAttachment:
@@ -409,10 +532,10 @@ class TestConfigValidation:
             SimConfig(adc_bits=0)
 
     def test_non_finite_value_is_structural(self):
-        elems = [reference("one", 1.0), integrator("i", ["one"], ic=0.0, k0=1.0),
+        # k0 * dt overflows: the first step's state update is -inf.
+        elems = [reference("one", 1.0), integrator("i", ["one"], ic=0.0, k0=1e308),
                  summer("s", ["i"])]
         n = Netlist.from_elements(elems, outputs={"out": "s"})
-        inst = new_instance(n)
-        inst._s[0] = math.inf  # simulate an engine defect
+        inst = new_instance(n, SimConfig(dt=10.0))
         with pytest.raises(StructuralError):
-            inst._eval_nets()
+            inst.run(10.0)
