@@ -5,18 +5,19 @@ parametrizes the simulated analog machine through digital-pot updates,
 runs it, and reads traces back out.
 
 Exit codes are stable: 0 ok, 1 usage, 2 parse error, 3 resolve/compile
-error, 4 scaling or resource error, 5 strict-overload abort.
+error, 4 scaling, resource or simulation error, 5 strict-overload abort.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
 from . import compiler, dsl, fabric, scaling, simulator
-from .machine import Kind, load_netlist, save_netlist
+from .machine import Kind, StructuralError, load_netlist, save_netlist
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -154,6 +155,9 @@ def _new_machine(args, netlist, mapping) -> tuple[simulator.MachineInstance, flo
     if args.samples < 1:
         raise _UsageError(f"--samples must be at least 1, got {args.samples}")
     dt = args.dt if args.dt is not None else simulator.default_dt(netlist)
+    if not dt > 0:
+        raise _UsageError("the default step size underflows to 0 for this netlist's "
+                          "integrator gains; pass --dt")
     nsteps = max(1, round(tau_end / dt))
     try:
         config = simulator.SimConfig(dt=dt, resolution=args.resolution, adc_bits=args.adc_bits,
@@ -201,6 +205,47 @@ def _sweep_values(spec: str) -> list[float]:
     return values
 
 
+#: The machine and machine end time of the sweep in progress. Set in the
+#: parent just before its runs start; forked workers inherit it.
+_sweep_machine: tuple[simulator.MachineInstance, float] | None = None
+
+
+def _sweep_run(setting: tuple[str, float]) -> simulator.Trace:
+    """One sweep row: reload the ICs, set the pot, run IC -> OP -> HALT."""
+    instance, tau_end = _sweep_machine
+    instance.set_mode(simulator.Mode.IC)
+    instance.set_coefficient(*setting)
+    return instance.run(tau_end)
+
+
+def _sweep_traces(instance, tau_end, settings) -> list[simulator.Trace]:
+    """The trace of each pot setting, in order, over one process per usable CPU.
+
+    Runs are independent, so any worker may run any of them, and a trace
+    pickles back exactly: the worker count never changes a result. Workers
+    are forked from this process, which starts no threads, and inherit
+    ``instance``, whose generated run loop cannot be pickled. Where the
+    usable CPUs cannot be read (macOS, Windows) the runs stay in-process.
+    An executor, not ``multiprocessing.Pool``: leaving a Pool kills its
+    workers, and one killed while it holds the result queue's lock
+    deadlocks the Pool's task handler after a failed run.
+    """
+    global _sweep_machine
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(settings))
+    _sweep_machine = (instance, tau_end)
+    try:
+        if workers == 1:
+            return list(map(_sweep_run, settings))
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(_sweep_run, settings))
+    finally:
+        _sweep_machine = None
+
+
 def cmd_sweep(args) -> int:
     """Drive one machine through IC -> OP -> HALT once per parameter value."""
     netlist, mapping = _load_netlist_and_mapping(args)
@@ -212,11 +257,7 @@ def cmd_sweep(args) -> int:
     instance, tau_end = _new_machine(args, netlist, mapping)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    traces = []
-    for element, alpha in settings:
-        instance.set_mode(simulator.Mode.IC)
-        instance.set_coefficient(element, alpha)
-        traces.append(instance.run(tau_end))
+    traces = _sweep_traces(instance, tau_end, settings)
 
     import csv
 
@@ -302,7 +343,8 @@ def _build_parser() -> _Parser:
 
 
 #: Errors a command lets through: (exception type, message prefix, exit
-#: code), first match wins. OSError is an output path that cannot be written.
+#: code), first match wins. OSError is an output path that cannot be written;
+#: a StructuralError that gets this far is a simulated value gone non-finite.
 _ERRORS = (
     (_UsageError, "usage: ", EXIT_USAGE),
     (simulator.ConstructionError, "", EXIT_USAGE),
@@ -312,6 +354,7 @@ _ERRORS = (
     (compiler.ScalingViolationError, "scaling: ", EXIT_SCALE),
     (compiler.CompileError, "compile: ", EXIT_COMPILE),
     (simulator.OverloadError, "overload: ", EXIT_OVERLOAD),
+    (StructuralError, "simulation: ", EXIT_SCALE),
 )
 
 

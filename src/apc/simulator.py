@@ -23,8 +23,10 @@ element graph four times. ``run``, ``step`` and loading the initial
 conditions all go through ``_run``, which keeps long runs (millions of
 element evaluations) fast while staying bit-deterministic.
 
-Instances are single-threaded. A parameter sweep reuses one instance,
-cycling it IC -> OP -> HALT once per value.
+Instances are single-threaded. A parameter sweep builds one instance
+and cycles it IC -> OP -> HALT once per value; with several usable CPUs
+each forked worker process cycles its own copy, so ``_run`` is generated
+once per sweep and never crosses a process boundary.
 """
 
 from __future__ import annotations

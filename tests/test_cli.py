@@ -4,6 +4,7 @@ import math
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from apc.cli import main
-from apc.machine import Netlist, coefficient, reference, save_netlist, summer
+from apc.machine import Netlist, coefficient, integrator, reference, save_netlist, summer
 from conftest import FIG2_SRC, SINE5_SRC, SINE_SRC, UNSTABLE_SRC, VCO_SRC
 
 
@@ -236,6 +237,30 @@ def looped_netlist(workdir):
     return str(path)
 
 
+def overload_netlist(workdir):
+    """s = -(1 + k) overloads in the initial state and at every step."""
+    n = Netlist.from_elements([reference("r", 1.0), coefficient("k", "r", 0.5),
+                               summer("s", ["r", "k"])], outputs={"y": "s"})
+    path = workdir / "over.json"
+    save_netlist(n, path)
+    return path
+
+
+def huge_gain_netlist(workdir):
+    """A +1 reference through a coefficient into an integrator of gain 1e308:
+    its state overflows on the first step of 10, and 100 * k0 overflows."""
+    n = Netlist.from_elements([reference("r", 1.0), coefficient("k", "r", 0.5),
+                               integrator("i", ["k"], k0=1e308)], outputs={"y": "i"})
+    path = workdir / "big.json"
+    save_netlist(n, path)
+    return str(path)
+
+
+def set_cpus(monkeypatch, cpus):
+    """Make ``apc sweep`` see ``cpus`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 class TestInvalidNetlist:
     def test_run_names_the_loop(self, workdir, capsys):
         assert main(["run", looped_netlist(workdir), "--tend", "1"]) == 1
@@ -327,11 +352,7 @@ class TestSweep:
             assert f"overloads: {summary[i][-1]}\n" in capsys.readouterr().out
 
     def test_overload_counts_equal_run_set(self, workdir, capsys):
-        # s = -(1 + k) overloads in the initial state and at every step.
-        n = Netlist.from_elements([reference("r", 1.0), coefficient("k", "r", 0.5),
-                                   summer("s", ["r", "k"])], outputs={"y": "s"})
-        path = workdir / "over.json"
-        save_netlist(n, path)
+        path = overload_netlist(workdir)
         flags = ["--tend", "0.05", "--dt", "1e-2"]
         assert main(["sweep", str(path), "--param", "k=0.2,0.9", *flags,
                      "--out", str(workdir / "s")]) == 0
@@ -341,6 +362,64 @@ class TestSweep:
         capsys.readouterr()
         assert main(["run", str(path), *flags, "--set", "k=0.9"]) == 0
         assert "overloads: 6\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("netlist, argv", [
+        # 7 runs over 3 workers: an uneven split
+        (lambda w: compiled(w, VCO_SRC, "vco", extra=("--scale", "none")),
+         ["--param", "k=0.1,0.25,0.4,0.55,0.7,0.85,1.0", "--tend", "3", "--dt", "1e-2",
+          "--samples", "40"]),
+        (overload_netlist, ["--param", "k=0.2,0.9,0.5", "--tend", "0.05", "--dt", "1e-2"]),
+    ], ids=["vco-7", "overload"])
+    def test_output_does_not_depend_on_worker_count(self, workdir, capsys, monkeypatch,
+                                                    netlist, argv):
+        path = netlist(workdir)
+        import multiprocessing
+
+        pools = []
+        real_get_context = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: pools.append(method) or real_get_context(method))
+        outputs = []
+        for cpus in (1, 3):
+            set_cpus(monkeypatch, cpus)
+            capsys.readouterr()
+            assert main(["sweep", str(path), *argv, "--out", str(workdir / "s")]) == 0
+            files = {f.name: f.read_bytes() for f in sorted((workdir / "s").iterdir())}
+            outputs.append((files, capsys.readouterr()))
+            shutil.rmtree(workdir / "s")
+        assert pools == ["fork"]
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("cpus, values", [(3, "0.4"), (1, "0.2,0.4,0.6")])
+    def test_one_worker_runs_in_process(self, workdir, monkeypatch, cpus, values):
+        import multiprocessing
+
+        def no_pool(method):
+            raise AssertionError("a one-worker sweep started a pool")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        set_cpus(monkeypatch, cpus)
+        out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
+        assert main(["sweep", str(out), "--param", f"k={values}", "--tend", "1",
+                     "--dt", "1e-2", "--out", str(workdir / "s")]) == 0
+
+    def test_non_finite_value_exits_4_like_run(self, workdir, capsys, monkeypatch):
+        path = huge_gain_netlist(workdir)
+        flags = ["--tend", "10", "--dt", "10"]
+        assert main(["run", path, *flags]) == 4
+        run_err = capsys.readouterr().err
+        assert run_err == "apc: simulation: non-finite value at element 'i'\n"
+        set_cpus(monkeypatch, 3)
+        assert main(["sweep", path, "--param", "k=0.5,0.9,0.7", *flags,
+                     "--out", str(workdir / "s")]) == 4
+        assert capsys.readouterr().err == run_err
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "k=0.5", "--out", "s"]],
+                             ids=["run", "sweep"])
+    def test_default_dt_underflow_exits_1(self, workdir, capsys, command):
+        path = huge_gain_netlist(workdir)
+        assert main([command[0], path, "--tend", "10", *command[1:]]) == 1
+        assert capsys.readouterr().err.endswith("; pass --dt\n")
 
 
 class TestMap:
@@ -407,6 +486,12 @@ def test_import_leaves_out_networkx_and_scipy():
     """``import apc`` loads no dependency of the oracle or of the test suite."""
     code = "import sys, apc; print(sorted({'networkx', 'numpy', 'scipy'} & set(sys.modules)))"
     assert fresh_python(code).strip() == "[]"
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    """Only a sweep over several CPUs imports multiprocessing."""
+    code = "import apc.cli, sys; print('multiprocessing' in sys.modules)"
+    assert fresh_python(code).strip() == "False"
 
 
 def test_autoscaled_compile_leaves_out_scipy(tmp_path):
