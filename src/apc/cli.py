@@ -158,6 +158,10 @@ def _new_machine(args, netlist, mapping) -> tuple[simulator.MachineInstance, flo
     if not dt > 0:
         raise _UsageError("the default step size underflows to 0 for this netlist's "
                           "integrator gains; pass --dt")
+    # Beyond 2**53 steps the step times t0 + i*dt are no longer all distinct.
+    if tau_end / dt >= 2**53:
+        raise _UsageError(f"the run needs {tau_end / dt:.3g} steps of {dt:g}, fewer than "
+                          "2**53 are allowed; pass --dt or a shorter --tend")
     nsteps = max(1, round(tau_end / dt))
     try:
         config = simulator.SimConfig(dt=dt, resolution=args.resolution, adc_bits=args.adc_bits,

@@ -1,27 +1,36 @@
 """Netlist execution: the IC/OP/HALT machine with a fixed-step engine.
 
 A MachineInstance owns integrator states and advances them with the
-classical 4th-order fixed-step scheme, re-evaluating the algebraic
-element graph at every internal stage. After each completed step every
-net value is quantized to the configured resolution grid and clamped to
-[-1, 1]; clamps are logged as overload events (or abort the run in
-strict mode). An integrator's state accumulates at full precision and
-only its output is quantized, so increments below the grid are not lost;
-a state that reaches a rail is clamped there and logged.
+classical 4th-order fixed-step scheme, re-evaluating the part of the
+algebraic element graph that the integrators read at every internal
+stage. After each completed step every net value is quantized to the
+configured resolution grid and clamped to [-1, 1]; clamps are logged as
+overload events (or abort the run in strict mode). An integrator's state
+accumulates at full precision and only its output is quantized, so
+increments below the grid are not lost; a state that reaches a rail is
+clamped there and logged.
 Digital-potentiometer updates and ADC readout model the hybrid-computer
 attachment points.
 
 The whole OP loop is compiled once per instance into one straight-line
 Python function, ``_run``: the four RK4 stages, the state update, the
 value model inlined as one range comparison per state and observed net
-(quantizing first when the resolution is set), and decimated sampling.
-The overload log, the strict abort, the clamp and the non-finite check
-sit out of line in ``MachineInstance._overload``, reached only by a
-value outside [-1, 1]. Pot values are read once per run. The raw nets
-after a step are the next step's first stage, so a step evaluates the
-element graph four times. ``run``, ``step`` and loading the initial
-conditions all go through ``_run``, which keeps long runs (millions of
-element evaluations) fast while staying bit-deterministic.
+(quantizing first when the resolution is set), and decimated sampling in
+blocks of ``sample_every`` steps with no per-step branch. The overload
+log, the strict abort, the clamp and the non-finite check sit out of
+line in ``MachineInstance._overload``, reached only by a value outside
+[-1, 1]. Pot values are read once per run, and a reference's observed
+value once per instance. The raw nets after a step are the next step's
+first stage, where every net is evaluated, for each one is observed; the
+three inner stages evaluate only what an integrator input reaches, with
+nets read once inlined and exact sign flips folded away (an inverter
+into an integrator costs nothing). The generated code performs the same
+floating-point operations on the same operands as one evaluation of
+every element per stage, so results are bit for bit those of
+``machine.element_output`` folded over the graph. ``run``, ``step`` and
+loading the initial conditions all go through ``_run``, which keeps long
+runs (millions of element evaluations) fast while staying
+bit-deterministic.
 
 Instances are single-threaded. A parameter sweep builds one instance
 and cycles it IC -> OP -> HALT once per value; with several usable CPUs
@@ -34,6 +43,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -165,6 +175,54 @@ def _indent(lines: list[str], depth: int) -> list[str]:
     return ["    " * depth + line for line in lines]
 
 
+#: A single-reader net is inlined only while its expression is shorter than
+#: this, so no generated line nests near the parser's 200 parentheses.
+_INLINE_CHARS = 200
+
+
+#: Generated code for one value: (text, neg, summed). The value is
+#: ``-(text)`` if neg, else ``text``; ``text`` is a bare sum ``a + b`` only
+#: if summed. The sign is kept apart so that sign flips fold without
+#: reading the text again.
+_Expr = tuple[str, bool, bool]
+
+
+def _name(text: str) -> _Expr:
+    return text, False, False
+
+
+def _code(x: _Expr) -> str:
+    """The value as a right-hand side or a parenthesized operand."""
+    return f"-({x[0]})" if x[1] else x[0]
+
+
+def _term(x: _Expr) -> str:
+    """The value as one term of a sum."""
+    return f"({x[0]})" if x[2] and not x[1] else _code(x)
+
+
+def _neg(x: _Expr) -> _Expr:
+    """The negated value; -(-(X)) is X."""
+    return x[0], not x[1], x[2]
+
+
+def _sum(terms: list[_Expr]) -> _Expr:
+    return terms[0] if len(terms) == 1 else (" + ".join(map(_term, terms)), False, True)
+
+
+def _scaled(m: float, x: _Expr) -> _Expr:
+    """``m * (x)`` with the exact sign folds: -m * (-(X)) is m * (X), and
+    1.0 * (X) and -1.0 * (X) are X and -(X). Negation and scaling by ±m
+    round alike in IEEE round-to-nearest, and ×(-1) keeps signed zeros."""
+    if x[1]:
+        m, x = -m, _neg(x)
+    if m == 1.0:
+        return x
+    if m == -1.0:
+        return _neg(x)
+    return _name(f"{m!r} * ({_code(x)})")
+
+
 def _generate(netlist: Netlist, resolution: float):
     """Compile the netlist into ``_run``, the whole OP loop as straight-line code.
 
@@ -177,16 +235,27 @@ def _generate(netlist: Netlist, resolution: float):
     ``every``-th step and the last step. With ``nets`` None it first
     observes the nets of ``s`` as step 0.
 
-    Each step evaluates the algebraic nets once per RK4 stage; the raw
-    nets after a step are the next step's first stage. A state or an
-    observed net outside [-1, 1], or not finite, goes through
-    ``clamp(v, tau, element, i)``, the value model's slow path at step
-    ``i``, which returns the clamped value or raises. On a raise the
+    Step 0 is peeled off: it takes ``nets`` as given, or observes the nets
+    of ``s`` in one loop over the observed nets. Then an outer loop runs
+    once per sample and an inner ``for`` runs up to ``every`` steps with
+    no per-step branch. A step evaluates the RK4 stages a, b, d and e.
+    Stage a binds every net to a local, for each one is observed, and the
+    raw nets after a step are the next step's stage a. Stages b, d and e
+    evaluate only the nets an integrator input reaches, and a net read
+    once is inlined into its reader, in the same operations and operand
+    order. Sign flips fold where the result is exact: -(-(X)) is X,
+    -k0 * (-(X)) is k0 * (X) and -1.0 * (X) is -(X); a negation is never
+    pushed through a sum, as -(a + b) and -a + -b differ in the sign of a
+    zero. A reference's observed value is computed here and checked per
+    step only if it lies outside [-1, 1].
+
+    A state or an observed net outside [-1, 1], or not finite, goes
+    through ``clamp(v, tau, element, i)``, the value model's slow path at
+    step ``i``, which returns the clamped value or raises. On a raise the
     states of the last completed state update are written back into ``s``.
     """
     elements = netlist.elements
     integrators = [e for e in elements.values() if e.kind is Kind.INTEGRATOR]
-    state_of = {e.id: i for i, e in enumerate(integrators)}
     coefficients = [e for e in elements.values() if e.kind is Kind.COEFFICIENT]
     coef_of = {e.id: i for i, e in enumerate(coefficients)}
     order = evaluation_order(netlist)
@@ -209,77 +278,114 @@ def _generate(netlist: Netlist, resolution: float):
             p = repr(p)
         param_of[eid] = p
 
-    def emit_pass(tag: str):
-        """Lines evaluating all algebraic elements on the stage-``tag``
-        states ``{tag}s{i}``; returns (lines, net_expr)."""
+    driver = {nid: net.driver for nid, net in netlist.nets.items()}
 
-        def output(e) -> str:
-            return KINDS[e.kind].output([net_expr(n) for n in e.inputs], param_of[e.id])
+    def output(e, ins: list[_Expr]) -> _Expr:
+        if e.kind is Kind.SUMMER:  # the negated sum, its sign kept apart
+            return _neg(_sum(ins))
+        return _name(KINDS[e.kind].output(list(map(_code, ins)), param_of[e.id]))
 
-        def net_expr(net_id: str) -> str:
-            driver = netlist.nets[net_id].driver
-            e = elements[driver]
-            if e.kind is Kind.INTEGRATOR:
-                return f"{tag}s{state_of[driver]}"
+    # How many inputs read each element's net in stages b, d and e: the
+    # integrators' inputs, then the inputs of every element read in turn.
+    reads = Counter(driver[n] for e in integrators for n in e.inputs)
+    for eid in reversed(order):
+        if reads[eid]:
+            reads.update(driver[n] for n in elements[eid].inputs)
+
+    def emit_stage(tag: str, states: list[_Expr]) -> tuple[list[str], dict, list[str]]:
+        """Stage ``tag`` on the integrators' stage values ``states``: the
+        lines binding its nets, every net's expression by driver, and the
+        lines of its derivatives ``k{tag}{i}``."""
+        lines: list[str] = []
+        view: dict[str, _Expr] = {}
+
+        def bind(eid: str, name: str, x: _Expr) -> None:
+            if tag != "a" and reads[eid] == 1 and len(x[0]) < _INLINE_CHARS:
+                view[eid] = x
+            else:
+                lines.append(f"{name} = {_code(x)}")
+                view[eid] = _name(name)
+
+        for i, (e, x) in enumerate(zip(integrators, states)):
+            if tag == "a":
+                view[e.id] = x
+            elif reads[e.id]:
+                bind(e.id, f"{tag}s{i}", x)
+        for eid in order:
+            e = elements[eid]
             if e.kind is Kind.REFERENCE:
-                return output(e)  # a constant, folded into uses
-            return f"{tag}_{local_of[driver]}"
+                view[eid] = output(e, [])  # a constant, folded into uses
+            elif tag == "a" or reads[eid]:
+                bind(eid, f"{tag}_{local_of[eid]}", output(e, [view[driver[n]] for n in e.inputs]))
+        derivs = [f"k{tag}{i} = "
+                  + _code(_scaled(-e.params["k0"], _sum([view[driver[n]] for n in e.inputs])))
+                  for i, e in enumerate(integrators)]
+        return lines, view, derivs
 
-        lines = [f"{tag}_{local_of[eid]} = {output(elements[eid])}"
-                 for eid in order if elements[eid].kind is not Kind.REFERENCE]
-        return lines, net_expr
+    a_lines, a_view, ka_lines = emit_stage("a", [_name(f"as{i}") for i in range(len(integrators))])
+    tau = "t0 + i * dt"
+    step = []
+    if integrators:
+        step += ka_lines
+        for tag, base, scale in (("b", "a", "h2"), ("d", "b", "h2"), ("e", "d", "dt")):
+            lines, _, derivs = emit_stage(
+                tag, [(f"as{i} + {scale} * k{base}{i}", False, True)
+                      for i in range(len(integrators))])
+            step += lines + derivs
+        for i, e in enumerate(integrators):
+            new = f"as{i} + h6 * (ka{i} + 2.0 * kb{i} + 2.0 * kd{i} + ke{i})"
+            step.append(f"if not -1.0 <= (ns{i} := {new}) <= 1.0: "
+                        f"ns{i} = clamp(ns{i}, {tau}, {e.id!r}, i)")
+        step += [f"as{i} = ns{i}" for i in range(len(integrators))] + a_lines
 
-    def emit_derivs(net_expr, tag: str) -> list[str]:
-        return [f"k{tag}{i} = {-e.params['k0']!r} * ({' + '.join(net_expr(n) for n in e.inputs)})"
-                for i, e in enumerate(integrators)]
+    def quantized(v: str) -> str:
+        return f"{resolution!r} * rnd({v} / {resolution!r})" if resolution > 0.0 else v
 
     # The value model observes every net when quantizing; otherwise an
     # integrator net is its state, already clamped, and is left alone.
-    net_ids = list(netlist.nets)
-    drivers = [netlist.nets[nid].driver for nid in net_ids]
-    observed = [j for j, d in enumerate(drivers)
-                if resolution > 0.0 or elements[d].kind is not Kind.INTEGRATOR]
-    a_lines, a_expr = emit_pass("a")
-
-    values = [a_expr(nid) for nid in net_ids]
-    for j in observed:
+    raw = [_code(a_view[driver[nid]]) for nid in netlist.nets]
+    values = list(raw)
+    observe, dynamic = [], []
+    for j, nid in enumerate(netlist.nets):
+        e = elements[driver[nid]]
+        if resolution == 0.0 and e.kind is Kind.INTEGRATOR:
+            continue
+        if e.kind is Kind.REFERENCE:  # a constant: observed once, here
+            v = e.params["constant"]
+            if resolution > 0.0:
+                v = resolution * round(v / resolution)
+            if -1.0 <= v <= 1.0:
+                values[j] = repr(v)
+                continue
+            observe.append(f"o{j} = clamp({v!r}, {tau}, {e.id!r}, i)")
+        else:
+            observe.append(f"if not -1.0 <= (o{j} := {quantized(raw[j])}) <= 1.0: "
+                           f"o{j} = clamp(o{j}, {tau}, {e.id!r}, i)")
         values[j] = f"o{j}"
+        dynamic.append((j, e.id))
+    namespace["_observed"] = tuple(dynamic)
     name_pos = {net.name: j for j, net in enumerate(netlist.nets.values()) if net.name}
-    samples = [values[name_pos[name]] for name in netlist.outputs]
+    samples = [f"ap{k}({values[name_pos[name]]})" for k, name in enumerate(netlist.outputs)]
     states = ", ".join(f"as{i}" for i in range(len(integrators)))
-    tau = "t0 + i * dt"
-
-    step = []
-    if integrators:
-        step += emit_derivs(a_expr, "a")
-        for tag, base, scale in (("b", "a", "h2"), ("d", "b", "h2"), ("e", "d", "dt")):
-            step += [f"{tag}s{i} = as{i} + {scale} * k{base}{i}" for i in range(len(integrators))]
-            lines, net_expr = emit_pass(tag)
-            step += lines + emit_derivs(net_expr, tag)
-        for i, e in enumerate(integrators):
-            step += [f"ns{i} = as{i} + h6 * (ka{i} + 2.0 * kb{i} + 2.0 * kd{i} + ke{i})",
-                     f"if not -1.0 <= ns{i} <= 1.0: ns{i} = clamp(ns{i}, {tau}, {e.id!r}, i)"]
-        step += [f"as{i} = ns{i}" for i in range(len(integrators))]
-        step += a_lines
-    sample = [f"ap{k}({v})" for k, v in enumerate(samples)]
-    body = ["if i:"] + _indent(step or ["pass"], 1)
-    for j in observed:
-        v = a_expr(net_ids[j])
-        if resolution > 0.0:
-            v = f"{resolution!r} * rnd({v} / {resolution!r})"
-        slow = f"clamp(o{j}, {tau}, {drivers[j]!r}, i)"
-        body += [f"o{j} = {v}", f"if not -1.0 <= o{j} <= 1.0: o{j} = {slow}"]
-    body += ["if i % every == 0 or i == n:", f"    apt({tau})"] + _indent(sample, 1)
 
     head = prologue + [f"as{i} = s[{i}]" for i in range(len(integrators))] + a_lines
     head += ["taus = []", "apt = taus.append"]
     for k in range(len(samples)):
         head += [f"col{k} = []", f"ap{k} = col{k}.append"]
-    # Given the observed nets, the run continues from them and skips step 0.
-    head += ["start = 0", "if nets is not None:"]
-    head += _indent(["start = 1"] + [f"o{j} = nets[{j}]" for j in observed]
-                    + ["apt(t0)"] + sample, 1)
-    head += ["try:", "    for i in range(start, n + 1):"] + _indent(body, 2)
+    # Step 0 continues from the observed nets, or observes the nets of s,
+    # as a loop over the observed nets: it runs once per call, not per step.
+    head += ["i = 0", "try:", "    if nets is None:", f"        nets = [{', '.join(raw)}]",
+             "        for j, element in _observed:",
+             f"            if not -1.0 <= (v := {quantized('nets[j]')}) <= 1.0: "
+             f"v = clamp(v, {tau}, element, i)",
+             "            nets[j] = v"]
+    head += _indent([f"o{j} = nets[{j}]" for j, _ in dynamic] + ["apt(t0)"] + samples, 1)
+    # Then one outer pass per sample, of up to ``every`` steps.
+    loop = ["while i < n:", "    stop = i + every", "    if stop > n:", "        stop = n",
+            "    for i in range(i + 1, stop + 1):"]
+    loop += _indent(step + observe or ["pass"], 2)
+    loop += _indent([f"apt({tau})"] + samples, 1)
+    head += _indent(loop, 1)
     head += ["except (OverloadError, StructuralError):", f"    s[:] = [{states}]", "    raise"]
     cols = ", ".join(f"col{k}" for k in range(len(samples)))
     head.append(f"return [{states}], [{', '.join(values)}], taus, [{cols}]")

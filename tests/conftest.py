@@ -1,6 +1,18 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from apc import compiler, dsl
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def src_env() -> dict:
+    """The environment of a new interpreter that imports apc from src/."""
+    src = str(ROOT / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
 
 SINE_SRC = """\
 system sine

@@ -29,7 +29,7 @@ from apc.compiler import NetlistBuilder  # noqa: F401  (import check of public s
 from apc.machine import Netlist, integrator, reference
 from apc.scaling import autoscale
 from apc.simulator import LEGAL_TRANSITIONS, Mode, ModeError
-from conftest import SINE5_SRC, SINE_SRC, UNSTABLE_SRC, FIG2_SRC, build, resolve_src
+from conftest import SINE5_SRC, SINE_SRC, UNSTABLE_SRC, FIG2_SRC, build, resolve_src, src_env
 
 PHI = math.pi / 6
 
@@ -206,14 +206,14 @@ def test_criterion_9_cli_determinism(tmp_path):
         netlist = tmp_path / "sine.json"
         env_cmd = [sys.executable, "-m", "apc"]
         subprocess.run([*env_cmd, "compile", str(src), "--scale", "none",
-                        "-o", str(netlist)], check=True, capture_output=True)
+                        "-o", str(netlist)], check=True, capture_output=True, env=src_env())
         outputs = []
         for tag in ("a", "b"):
             trace = tmp_path / f"{tag}.csv"
             proc = subprocess.run(
                 [*env_cmd, "run", str(netlist), "--tend", "6.2832", "--dt", "1e-3",
                  "--resolution", "1e-4", "--trace", str(trace)],
-                check=True, capture_output=True)
+                check=True, capture_output=True, env=src_env())
             outputs.append((trace.read_bytes(),
                             (tmp_path / f"{tag}.overloads.csv").read_bytes(),
                             proc.stdout))

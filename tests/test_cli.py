@@ -13,7 +13,7 @@ import pytest
 
 from apc.cli import main
 from apc.machine import Netlist, coefficient, integrator, reference, save_netlist, summer
-from conftest import FIG2_SRC, SINE5_SRC, SINE_SRC, UNSTABLE_SRC, VCO_SRC
+from conftest import FIG2_SRC, ROOT, SINE5_SRC, SINE_SRC, UNSTABLE_SRC, VCO_SRC, src_env
 
 
 @pytest.fixture
@@ -246,11 +246,11 @@ def overload_netlist(workdir):
     return path
 
 
-def huge_gain_netlist(workdir):
-    """A +1 reference through a coefficient into an integrator of gain 1e308:
-    its state overflows on the first step of 10, and 100 * k0 overflows."""
+def huge_gain_netlist(workdir, k0=1e308):
+    """A +1 reference through a coefficient into an integrator of gain ``k0``.
+    At 1e308 its state overflows on the first step of 10, and 100 * k0 overflows."""
     n = Netlist.from_elements([reference("r", 1.0), coefficient("k", "r", 0.5),
-                               integrator("i", ["k"], k0=1e308)], outputs={"y": "i"})
+                               integrator("i", ["k"], k0=k0)], outputs={"y": "i"})
     path = workdir / "big.json"
     save_netlist(n, path)
     return str(path)
@@ -421,6 +421,24 @@ class TestSweep:
         assert main([command[0], path, "--tend", "10", *command[1:]]) == 1
         assert capsys.readouterr().err.endswith("; pass --dt\n")
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "k=0.5", "--out", "s"]],
+                             ids=["run", "sweep"])
+    @pytest.mark.parametrize("k0, flags, steps", [
+        (1e300, ("--tend", "10"), "1e+303 steps of 1e-302"),
+        (1.0, ("--tend", "9007199254740992", "--dt", "1"), "9.01e+15 steps of 1"),
+    ], ids=["default-dt", "2**53"])
+    def test_too_many_steps_exits_1(self, workdir, command, k0, flags, steps):
+        """A run of 2**53 steps or more is refused: its step times t0 + i*dt
+        are not all distinct. A separate process with a timeout: at k0 = 1e300
+        the default step of 1e-302 once made a run that never ended."""
+        path = huge_gain_netlist(workdir, k0)
+        proc = subprocess.run([sys.executable, "-m", "apc", command[0], path, *flags,
+                               *command[1:]], cwd=workdir, env=src_env(), capture_output=True,
+                              text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (
+            1, f"apc: usage: the run needs {steps}, fewer than 2**53 are allowed; "
+               "pass --dt or a shorter --tend\n")
+
 
 class TestMap:
     def test_sine_onto_that(self, workdir):
@@ -465,15 +483,6 @@ def test_readme_quick_tour(workdir, capsys):
         assert main(argv[1:]) == 0, line
     assert (workdir / "out.csv").read_text().startswith("t,y,y'\n")
     assert "connect INT1.out" in capsys.readouterr().out
-
-
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def src_env() -> dict:
-    """The environment of a new interpreter that imports apc from src/."""
-    src = str(ROOT / "src")
-    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
 def fresh_python(code: str) -> str:

@@ -183,24 +183,39 @@ class TestGraphAnalysis:
 
 @st.composite
 def dag_netlists(draw):
+    """Every kind, references of either sign, and integrators of 1-3 inputs
+    with gains 0.5, 1 and 10, each input through 0-2 inverters: enough to
+    reach each of the simulator's sign folds, -(-(X)), -k0 * (-(X)) and
+    -1.0 * (X)."""
     n = draw(st.integers(min_value=1, max_value=12))
-    elems = [reference("ref0", 1.0)]
+    signs = st.sampled_from([1.0, -1.0])
+    elems = [reference("ref0", draw(signs))]
     nets = ["ref0"]
     for i in range(1, n + 1):
         eid = f"e{i}"
-        kind = draw(st.sampled_from(["summer", "multiplier", "coefficient", "integrator", "fgen"]))
+        kind = draw(st.sampled_from(["summer", "multiplier", "coefficient", "integrator", "fgen",
+                                     "reference"]))
         pick = lambda: draw(st.sampled_from(nets))  # noqa: E731
+        some = lambda: [pick() for _ in range(draw(st.integers(1, 3)))]  # noqa: E731
         if kind == "summer":
-            k = draw(st.integers(min_value=1, max_value=3))
-            elems.append(summer(eid, [pick() for _ in range(k)]))
+            elems.append(summer(eid, some()))
         elif kind == "multiplier":
             elems.append(multiplier(eid, pick(), pick()))
         elif kind == "coefficient":
             elems.append(coefficient(eid, pick(), draw(st.floats(0, 1))))
         elif kind == "integrator":
-            elems.append(integrator(eid, [pick()], ic=draw(st.floats(-1, 1)), k0=1.0))
-        else:
+            inputs = []
+            for j, net in enumerate(some()):  # through 0-2 inverters of its own
+                for k in range(draw(st.integers(0, 2))):
+                    elems.append(summer(f"{eid}n{j}{k}", [net]))
+                    net = f"{eid}n{j}{k}"
+                inputs.append(net)
+            elems.append(integrator(eid, inputs, ic=draw(st.floats(-1, 1)),
+                                    k0=draw(st.sampled_from([0.5, 1.0, 10.0]))))
+        elif kind == "fgen":
             elems.append(function_generator(eid, pick(), [(-1.0, -0.5), (1.0, 0.5)]))
+        else:
+            elems.append(reference(eid, draw(signs)))
         nets.append(eid)
     out = draw(st.sampled_from(nets))
     return Netlist.from_elements(elems, outputs={"out": out})

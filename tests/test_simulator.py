@@ -404,6 +404,52 @@ def test_run_equals_reference_stepper_on_compiled_programs(src, resolution):
     assert_run_equals_reference(result.netlist, SimConfig(dt=0.01, resolution=resolution), 1.0)
 
 
+class TestGeneratedLoopEdges:
+    """Named cases of the run loop's code generation, each against the reference stepper."""
+
+    @pytest.mark.parametrize("k0", [0.5, 1.0])
+    @pytest.mark.parametrize("ic", [0.0, -0.0])
+    def test_signed_zero_through_an_inverter_pair_into_an_integrator(self, k0, ic):
+        # x integrates 0 * (+1) and stays on its signed zero; y reads
+        # -(-(x)), so its derivative is -k0 * (-(-(x))) on every stage.
+        elems = [reference("one", 1.0), coefficient("zero", "one", 0.0),
+                 integrator("x", ["zero"], ic=ic, k0=k0), summer("n1", ["x"]),
+                 summer("n2", ["n1"]), integrator("y", ["n2"], ic=-0.0, k0=k0)]
+        netlist = Netlist.from_elements(elems, outputs={e.id: e.id for e in elems})
+        assert_run_equals_reference(netlist, SimConfig(dt=0.1), 0.3)
+
+    def test_reference_quantized_out_of_range_overloads_every_step(self):
+        # At resolution 0.6 the +1 reference reads 0.6 * round(1 / 0.6) = 1.2.
+        elems = [reference("r", 1.0), integrator("i", ["r"], ic=0.0)]
+        netlist = Netlist.from_elements(elems, outputs={"r": "r", "i": "i"})
+        config = SimConfig(dt=0.1, resolution=0.6)
+        assert_run_equals_reference(netlist, config, 0.5)
+        trace = new_instance(netlist, config).run(0.5)
+        assert [ev.element for ev in trace.overloads] == ["r"] * 6  # step 0 and 5 steps
+        assert trace.series["r"] == [1.0] * 6
+
+    def test_sample_every_beyond_the_step_count(self):
+        netlist = ramp_netlist(k0=2.0, ic=0.5)
+        config = SimConfig(dt=0.1, sample_every=50)
+        assert_run_equals_reference(netlist, config, 0.5)
+        assert new_instance(netlist, config).run(0.5).tau == [0.0, 0.5]
+
+    def test_long_chain_read_once_stays_within_the_parser(self):
+        # 300 coefficients in series, each read once: inlined without a
+        # bound they would nest 300 parentheses deep, past Python's 200.
+        elems = [reference("one", 1.0)]
+        for k in range(300):
+            elems.append(coefficient(f"c{k}", elems[-1].id, 0.999))
+        elems.append(integrator("i", ["c299"], ic=0.0))
+        netlist = Netlist.from_elements(elems, outputs={"i": "i"})
+        assert_run_equals_reference(netlist, SimConfig(dt=0.1), 0.3)
+
+    def test_zero_step_run(self):
+        netlist = ramp_netlist(ic=0.5)
+        assert_run_equals_reference(netlist, SimConfig(dt=0.1), 0.0)
+        assert new_instance(netlist, SimConfig(dt=0.1)).run(0.0).tau == [0.0]
+
+
 class TestHybridAttachment:
     def _vco(self):
         from conftest import VCO_SRC
