@@ -11,7 +11,6 @@ from .compiler import (
     CompileOptions,
     CompileResult,
     ScalingViolationError,
-    SignalMap,
     UnscaledCoefficientError,
     compile_system,
 )

@@ -75,9 +75,7 @@ def cmd_compile(args) -> int:
         scale = scaling.autoscale(system, k0=args.k0)
     else:
         scale = scaling.ScaleMap.identity(args.k0)
-    options = compiler.CompileOptions(k0=args.k0, scale=scale,
-                                      optimize_inverters=not args.no_optimize)
-    result = compiler.compile_system(system, options)
+    result = compiler.compile_system(system, compiler.CompileOptions(k0=args.k0, scale=scale))
     out = Path(args.output) if args.output else Path(args.source).with_suffix(".json")
     save_netlist(result.netlist, out)
     result.mapping.save(_sibling(out, ".json", ".map.json"))
@@ -310,8 +308,6 @@ def _build_parser() -> _Parser:
     p.add_argument("source")
     p.add_argument("--scale", choices=("auto", "none"), default="auto")
     p.add_argument("--k0", type=float, default=1.0)
-    p.add_argument("--no-optimize", action="store_true",
-                   help="keep redundant inverter pairs")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_compile)
 

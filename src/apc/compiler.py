@@ -10,6 +10,9 @@ net value = parity * signal value. The lowering tracks parity per net
 and inserts single-input summers only where parities genuinely clash;
 with the chain head assumed positive, the k-th integrator output carries
 parity (-1)^k and its initial-condition setting is parity * init.
+Normalization folds every sign into term coefficients and net parities,
+so no inverter ever reads an inverter or feeds a multiplier, and no
+cleanup pass is needed.
 
 Amplitude and time scaling enter here: a ScaleMap turns each chain stage
 into a coefficient of alpha = lambda * m_upper / (m_lower * k0) and
@@ -19,18 +22,21 @@ chains are plain and the netlist computes y(k0 * tau).
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .dsl import Bin, Call, Expr, Neg, Num, OdeSystem, Ref, signal_name
 from .machine import (
     Element,
-    Kind,
     Net,
     Netlist,
     algebraic_loops,
-    is_inverter,
+    coefficient,
+    function_generator,
+    integrator,
+    multiplier,
+    reference,
+    summer,
     validate,
 )
 from .scaling import Mapping, ParamBinding, ScaleMap, ScalingError, SignalBinding, algebraic_order, stage_gain
@@ -56,7 +62,6 @@ class CompileOptions:
     """``k0`` applies when no ScaleMap is given; a ScaleMap carries its own."""
 
     k0: float = 1.0
-    optimize_inverters: bool = True
     scale: ScaleMap | None = None
 
     def __post_init__(self):
@@ -65,61 +70,34 @@ class CompileOptions:
 
 
 @dataclass
-class SignalMap:
-    """Where each (variable, derivative order) signal lives, with parity."""
-
-    entries: dict = field(default_factory=dict)  # (var, order) -> (net, parity)
-
-    def net(self, var: str, order: int = 0) -> str:
-        return self.entries[(var, order)][0]
-
-    def parity(self, var: str, order: int = 0) -> int:
-        return self.entries[(var, order)][1]
-
-
-@dataclass
 class CompileResult:
     netlist: Netlist
     mapping: Mapping
-    signal_map: SignalMap
     report: dict
 
 
+#: Element id prefix of each of machine's element constructors.
+_PREFIX = {summer: "sum", integrator: "int", multiplier: "mul", coefficient: "coef",
+           function_generator: "fgen", reference: "ref"}
+
+
 class NetlistBuilder:
-    """Accumulates elements and nets with deterministic ids (kind + counter)."""
+    """Accumulates elements and nets with deterministic ids (prefix + counter)."""
 
     def __init__(self):
         self.elements: dict[str, Element] = {}
         self.nets: dict[str, Net] = {}
         self._counters: Counter = Counter()
 
-    def _add(self, prefix: str, kind: Kind, params: dict, inputs) -> str:
+    def add(self, make, *args) -> str:
+        """Add the element ``make(id, *args)``, ``make`` one of machine's
+        element constructors, and the net it drives; returns their id."""
+        prefix = _PREFIX[make]
         self._counters[prefix] += 1
         eid = f"{prefix}{self._counters[prefix]}"
-        self.elements[eid] = Element(eid, kind, params, tuple(inputs))
+        self.elements[eid] = make(eid, *args)
         self.nets[eid] = Net(eid)
         return eid
-
-    def add_summer(self, inputs) -> str:
-        return self._add("sum", Kind.SUMMER, {}, inputs)
-
-    def add_integrator(self, inputs, ic: float, k0: float) -> str:
-        return self._add("int", Kind.INTEGRATOR, {"ic": ic, "k0": k0}, inputs)
-
-    def add_multiplier(self, a: str, b: str) -> str:
-        return self._add("mul", Kind.MULTIPLIER, {}, (a, b))
-
-    def add_coefficient(self, src: str, alpha: float) -> str:
-        return self._add("coef", Kind.COEFFICIENT, {"alpha": alpha}, (src,))
-
-    def add_reference(self, constant: float) -> str:
-        return self._add("ref", Kind.REFERENCE, {"constant": constant}, ())
-
-    def add_function_generator(self, src: str, table) -> str:
-        return self._add("fgen", Kind.FUNCTION_GENERATOR, {"table": table}, (src,))
-
-    def set_inputs(self, eid: str, inputs) -> None:
-        self.elements[eid] = replace(self.elements[eid], inputs=tuple(inputs))
 
     def name_net(self, net_id: str, name: str) -> None:
         self.nets[net_id] = replace(self.nets[net_id], name=name)
@@ -237,12 +215,12 @@ def normalize(expr: Expr, system: OdeSystem) -> _NSum:
 # --- synthesis ---------------------------------------------------------------
 
 class _Synth:
-    def __init__(self, builder: NetlistBuilder, system: OdeSystem, scale: ScaleMap,
-                 signal_map: SignalMap):
+    def __init__(self, builder: NetlistBuilder, system: OdeSystem, scale: ScaleMap):
         self.b = builder
         self.system = system
         self.scale = scale
-        self.map = signal_map
+        # (var, order) -> (net, parity): where each signal lives
+        self.signals: dict[tuple, tuple] = {}
         # param -> list of (coefficient element or None, alpha scale factor)
         self.param_sites: dict[str, list] = {}
 
@@ -254,7 +232,7 @@ class _Synth:
             self.param_sites.setdefault(name, []).append(site)
 
     def invert(self, net: str) -> str:
-        return self.b.add_summer([net])
+        return self.b.add(summer, [net])
 
     def const_net(self, value: float, pexps: Counter, want: int) -> str:
         """Materialize a constant on a net at the requested parity."""
@@ -265,11 +243,11 @@ class _Synth:
                 "run the autoscaler or rescale the program")
         mag = min(mag, 1.0)
         sign = 1.0 if value >= 0 else -1.0
-        ref = self.b.add_reference(want * sign)
+        ref = self.b.add(reference, want * sign)
         if mag == 1.0:
             self._record_params(pexps, None, value)
             return ref
-        coef = self.b.add_coefficient(ref, mag)
+        coef = self.b.add(coefficient, ref, mag)
         self._record_params(pexps, coef, value)
         return coef
 
@@ -282,19 +260,19 @@ class _Synth:
         parity = 1
         for f in t.factors:
             if isinstance(f, _FSignal):
-                net, p = self.map.entries[(f.var, f.order)]
+                net, p = self.signals[(f.var, f.order)]
                 amp *= self.scale.m(f.var, f.order)
             elif isinstance(f, _FSum):
                 net, p = self.sum(f.inner, m_top=1.0)
             else:
                 arg, _ = self.sum(f.arg, m_top=1.0, want=1)
-                net = self.b.add_function_generator(arg, self.system.tables[f.table])
+                net = self.b.add(function_generator, arg, self.system.tables[f.table])
                 p = 1
             nets.append(net)
             parity *= p
         out = nets[0]
         for other in nets[1:]:
-            out = self.b.add_multiplier(out, other)
+            out = self.b.add(multiplier, out, other)
         c = t.coeff * amp / m_top
         mag = abs(c)
         if mag > 1.0 + _TOL:
@@ -303,7 +281,7 @@ class _Synth:
                 "run the autoscaler or rescale the program")
         mag = min(mag, 1.0)
         if mag != 1.0:
-            coef = self.b.add_coefficient(out, mag)
+            coef = self.b.add(coefficient, out, mag)
             self._record_params(t.pexps, coef, c)
             out = coef
         else:
@@ -312,7 +290,7 @@ class _Synth:
             parity = -parity
         return ("net", out, parity)
 
-    def sum(self, n: _NSum, m_top: float, want: int | None = None, hint: int = 1):
+    def sum(self, n: _NSum, m_top: float, want: int | None = None):
         """Lower a sum of terms to one net.
 
         ``want`` requests an output parity; the summer's input-side target
@@ -326,10 +304,10 @@ class _Synth:
         nets = [(x[1], x[2]) for x in lowered if x[0] == "net"]
 
         if not nets and not consts:
-            zero = self.b.add_coefficient(self.b.add_reference(1.0), 0.0)
+            zero = self.b.add(coefficient, self.b.add(reference, 1.0), 0.0)
             return (zero, 1)
         if not nets and len(consts) == 1:
-            parity = want or hint
+            parity = want or 1
             return (self.const_net(consts[0][0], consts[0][1], parity), parity)
         if len(nets) == 1 and not consts:
             net, parity = nets[0]
@@ -340,14 +318,13 @@ class _Synth:
         if want is not None:
             target = -want
         else:
-            vote = sum(p for _, p in nets)
-            target = (1 if vote > 0 else -1) if vote != 0 else -hint
+            target = 1 if sum(p for _, p in nets) > 0 else -1
         direct = [net for net, p in nets if p == target]
         minority = [net for net, p in nets if p != target]
         direct.extend(self.const_net(v, px, target) for v, px in consts)
         if minority:
-            direct.append(self.b.add_summer(minority))
-        out = self.b.add_summer(direct)
+            direct.append(self.b.add(summer, minority))
+        out = self.b.add(summer, direct)
         return (out, -target)
 
 
@@ -384,8 +361,8 @@ def build_integrator_chain(builder: NetlistBuilder, var: str, order: int,
         alpha = min(alpha, 1.0)
         src = _PENDING if j == 1 else prev_net
         if alpha != 1.0:
-            src = builder.add_coefficient(src, alpha)
-        eid = builder.add_integrator([src], ic=ic, k0=k0)
+            src = builder.add(coefficient, src, alpha)
+        eid = builder.add(integrator, [src], ic, k0)
         if j == 1:
             entry = src if src != eid and src != _PENDING else eid
         entries[(var, d)] = (eid, parity)
@@ -396,50 +373,7 @@ def build_integrator_chain(builder: NetlistBuilder, var: str, order: int,
 def close_feedback(builder: NetlistBuilder, entry: str, rhs_net: str) -> None:
     """Patch the fed-back highest-derivative net into a chain entry element."""
     e = builder.elements[entry]
-    builder.set_inputs(entry, [rhs_net if n == _PENDING else n for n in e.inputs])
-
-
-# --- inverter optimization ---------------------------------------------------
-
-def _optimize_inverters(builder: NetlistBuilder, protected: set) -> None:
-    """Cancel inverter pairs and double-negated multiplier inputs, then
-    drop elements that no longer feed anything observable."""
-    elements = builder.elements
-
-    def driver(net_id: str) -> str:
-        return builder.nets[net_id].driver
-
-    for _ in range(len(elements) + 1):
-        changed = False
-        for eid, e in list(elements.items()):
-            if e.kind is Kind.MULTIPLIER:
-                da, db = driver(e.inputs[0]), driver(e.inputs[1])
-                if is_inverter(elements[da]) and is_inverter(elements[db]):
-                    builder.set_inputs(eid, (elements[da].inputs[0], elements[db].inputs[0]))
-                    changed = True
-            if is_inverter(e):
-                d = driver(e.inputs[0])
-                if is_inverter(elements[d]):
-                    src = elements[d].inputs[0]
-                    for cid, c in list(elements.items()):
-                        if cid != eid and eid in c.inputs:
-                            builder.set_inputs(cid, [src if n == eid else n for n in c.inputs])
-                            changed = True
-        if not changed:
-            break
-
-    live = set()
-    stack = [eid for eid, e in elements.items() if e.kind is Kind.INTEGRATOR]
-    stack += [builder.nets[n].driver for n in protected if n in builder.nets]
-    while stack:
-        eid = stack.pop()
-        if eid in live:
-            continue
-        live.add(eid)
-        stack.extend(driver(n) for n in elements[eid].inputs)
-    for eid in [eid for eid in elements if eid not in live]:
-        del elements[eid]
-        del builder.nets[eid]
+    builder.elements[entry] = replace(e, inputs=[rhs_net if n == _PENDING else n for n in e.inputs])
 
 
 # --- top-level compilation ---------------------------------------------------
@@ -457,8 +391,8 @@ def compile_system(system: OdeSystem, options: CompileOptions | None = None) -> 
     k0 = scale.k0
 
     builder = NetlistBuilder()
-    signal_map = SignalMap()
-    synth = _Synth(builder, system, scale, signal_map)
+    synth = _Synth(builder, system, scale)
+    signals = synth.signals
 
     chains = {}
     for var, order in system.var_order.items():
@@ -468,7 +402,7 @@ def compile_system(system: OdeSystem, options: CompileOptions | None = None) -> 
         gains = [None] + [stage_gain(scale, var, order - j) for j in range(1, order + 1)]
         entry, entries = build_integrator_chain(builder, var, order, inits, k0, gains)
         chains[var] = entry
-        signal_map.entries.update(entries)
+        signals.update(entries)
 
     try:
         zero_order = algebraic_order(system)
@@ -477,7 +411,7 @@ def compile_system(system: OdeSystem, options: CompileOptions | None = None) -> 
     for var in zero_order:
         net, parity = synth.sum(normalize(system.equations[var], system),
                                 m_top=scale.m(var, 0))
-        signal_map.entries[(var, 0)] = (net, parity)
+        signals[(var, 0)] = (net, parity)
 
     for var, order in system.var_order.items():
         if order == 0:
@@ -487,19 +421,17 @@ def compile_system(system: OdeSystem, options: CompileOptions | None = None) -> 
         if parity != 1:
             raise CompileError(f"internal parity bookkeeping error on {var!r}")
         close_feedback(builder, chains[var], net)
-        signal_map.entries[(var, order)] = (net, 1)
+        signals[(var, order)] = (net, 1)
 
     for name, order in system.outputs:
-        net, parity = signal_map.entries[(name, order)]
+        net, parity = signals[(name, order)]
         if order == 0 and parity == -1:
             net = synth.invert(net)
-            parity = 1
-            signal_map.entries[(name, 0)] = (net, parity)
+            signals[(name, 0)] = (net, 1)
+        elif builder.nets[net].name:  # another output's net (eq x = y): buffer it
+            net = builder.add(coefficient, net, 1.0)
+            signals[(name, order)] = (net, parity)
         builder.name_net(net, signal_name(name, order))
-
-    if options.optimize_inverters:
-        protected = {net for net, _ in signal_map.entries.values()}
-        _optimize_inverters(builder, protected)
 
     outputs = tuple(signal_name(name, order) for name, order in system.outputs)
     netlist = builder.build(outputs)
@@ -511,15 +443,15 @@ def compile_system(system: OdeSystem, options: CompileOptions | None = None) -> 
     if loops:
         raise CompileError(f"algebraic loop without an integrator: {loops[0]}")
 
-    signals = {
+    bindings = {
         signal_name(var, order): SignalBinding(net, parity, scale.m(var, order))
-        for (var, order), (net, parity) in signal_map.entries.items()
+        for (var, order), (net, parity) in signals.items()
     }
     params = {}
     for name, sites in synth.param_sites.items():
         if len(sites) == 1 and sites[0] is not None:
             element, alpha_scale = sites[0]
             params[name] = ParamBinding(element, alpha_scale, system.params[name])
-    mapping = Mapping(signals, params, lam=scale.lam, k0=k0,
+    mapping = Mapping(bindings, params, lam=scale.lam, k0=k0,
                       horizon_machine=system.horizon / scale.lam)
-    return CompileResult(netlist, mapping, signal_map, netlist.counts())
+    return CompileResult(netlist, mapping, netlist.counts())

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 KEYWORDS = {"system", "param", "var", "order", "eq", "init", "table", "time", "output", "bound"}
@@ -164,6 +165,12 @@ class Program:
 
 def signal_name(name: str, order: int) -> str:
     return name + "'" * order
+
+
+def _derivative_name(name: str, order: int) -> str:
+    """``signal_name``, or ``y^(N)`` for an order too high to spell out, so
+    that a diagnostic never outgrows the digits of a ``var`` declaration."""
+    return signal_name(name, order) if order <= 8 else f"{name}^({order})"
 
 
 def children(expr: Expr) -> tuple:
@@ -448,7 +455,7 @@ def _parse_statement(p: _LineParser) -> Stmt | None:
     p.error(f"statement {kw!r} is not valid here")
 
 
-def parse(text: str, filename: str = "<input>") -> tuple[Program | None, list[Diagnostic]]:
+def parse(text: str) -> tuple[Program | None, list[Diagnostic]]:
     """Parse source text into a Program, or report diagnostics.
 
     Parsing is line oriented and recovers at line boundaries, so a single
@@ -711,7 +718,8 @@ class _Resolver:
                 n = var_order[s.name]
                 if s.order != n:
                     self.fail(s.line, 1, f"equation must define the highest derivative "
-                                         f"{signal_name(s.name, n)}, got {signal_name(s.name, s.order)}")
+                                         f"{_derivative_name(s.name, n)}, "
+                                         f"got {_derivative_name(s.name, s.order)}")
                     continue
                 self.check_rhs(s.expr, var_order, params, tables)
                 equations[s.name] = s.expr
@@ -747,12 +755,15 @@ class _Resolver:
                     else:
                         bounds[(s.name, s.order)] = v
 
+        given = Counter(v for v, _ in inits)
         for v, n in var_order.items():
             if v not in equations:
                 self.fail(1, 1, f"missing equation for {v!r}")
-            for k in range(n):
-                if (v, k) not in inits:
-                    self.fail(1, 1, f"missing initial condition for {signal_name(v, k)}")
+            missing = n - given[v]  # one diagnostic, never a loop over range(n)
+            if missing:
+                k = min(k for k in range(given[v] + 1) if (v, k) not in inits)
+                more = f" (and {missing - 1} more)" if missing > 1 else ""
+                self.fail(1, 1, f"missing initial condition for {signal_name(v, k)}{more}")
 
         if time_line is None:
             self.fail(1, 1, "missing time statement")
@@ -800,4 +811,4 @@ def resolve(program: Program) -> tuple[OdeSystem | None, list[Diagnostic]]:
 
 def load_program(path) -> tuple[Program | None, list[Diagnostic]]:
     with open(path, encoding="utf-8") as fh:
-        return parse(fh.read(), filename=str(path))
+        return parse(fh.read())

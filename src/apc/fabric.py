@@ -16,6 +16,7 @@ multipliers and eight coefficient potentiometers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .machine import (AlgebraicLoopError, Element, Kind, Net, Netlist, algebraic_loops,
@@ -54,8 +55,9 @@ class MachineSpec:
         unknown = set(self.inventory) - set(_INVENTORY_KINDS)
         if unknown:
             raise ValueError(f"unknown inventory kind(s) {sorted(unknown)}")
-        if any(v < 0 for v in self.inventory.values()):
-            raise ValueError("inventory counts must be >= 0")
+        for kind, v in self.inventory.items():
+            if not (math.isfinite(v) and v >= 0 and v == int(v)):
+                raise ValueError(f"inventory count of {kind} must be a non-negative integer, got {v!r}")
         if self.crossbar != "full":
             raise ValueError("only full crossbars are modeled")
 

@@ -251,7 +251,8 @@ def reference_solution(system: OdeSystem, points: int = 2001,
         env = fill_env({key: y[i] for i, key in enumerate(state_keys)})
     else:
         env = fill_env({})
-        env = {key: np.full_like(t_eval, float(val)) for key, val in env.items()}
+    # An order-0 variable with a constant right-hand side folds to a scalar.
+    env = {key: val if np.ndim(val) else np.full_like(t_eval, float(val)) for key, val in env.items()}
     for v, n in system.var_order.items():
         if n >= 1:
             env[(v, n)] = np.asarray(
@@ -644,4 +645,4 @@ def descale_trace(trace: Trace, mapping: Mapping) -> Trace:
         series[name] = [factor * v for v in values]
     t = [mapping.lam * tau for tau in trace.tau]
     overloads = [replace(ev, time=mapping.lam * ev.time) for ev in trace.overloads]
-    return Trace(t, series, overloads, mapping=mapping, time_label="t")
+    return Trace(t, series, overloads, time_label="t")

@@ -141,7 +141,6 @@ class Trace:
     tau: list
     series: dict
     overloads: list
-    mapping: object | None = None
     time_label: str = "tau"
 
     def final(self) -> dict:

@@ -2,6 +2,7 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from apc import compiler, dsl
 
@@ -88,6 +89,56 @@ def build(src: str, **opts) -> tuple[dsl.OdeSystem, compiler.CompileResult]:
     system, diags = dsl.resolve(program)
     assert system is not None, diags
     return system, compiler.compile_system(system, compiler.CompileOptions(**opts))
+
+
+#: Every constant and the param are at most 0.15 and an equation has at
+#: most six leaves, so each sum of constants stays inside [-1, 1] and a
+#: generated program compiles unscaled.
+_CONSTANTS = ("0.05", "0.1", "0.15")
+_MAX_LEAVES = 6
+
+
+@st.composite
+def compilable_programs(draw):
+    """Source text of a program that compiles with ``ScaleMap.identity()``.
+
+    One to three variables of order 0 to 2. Right-hand sides combine
+    ``+ - *``, unary minus, parentheses, ``lut`` and the param ``k`` over
+    every signal below each variable's order; an order-0 variable reads
+    only the order-0 variables declared before it, so no algebraic loop
+    arises. Outputs are the default or every signal, highest derivatives
+    included.
+    """
+    names = ["x", "y", "z"][:draw(st.integers(1, 3))]
+    orders = {v: draw(st.integers(0, 2)) for v in names}
+    lines = ["system gen", "param k = 0.15", "table f = (-1, -1) (0, 0.25) (1, 1)"]
+    lines += [f"var {v} order {n}" for v, n in orders.items()]
+
+    def expr(refs, budget, depth):
+        if depth == 0 or budget[0] == 1 or draw(st.booleans()):
+            budget[0] -= 1
+            return draw(st.sampled_from([*_CONSTANTS, "k", *refs]))
+        shape = draw(st.sampled_from(["+", "-", "*", "neg", "lut"]))
+        if shape == "neg":
+            return f"-{expr(refs, budget, depth - 1)}"
+        if shape == "lut":
+            return f"lut(f, {expr(refs, budget, depth - 1)})"
+        left = expr(refs, budget, depth - 1)
+        if budget[0] == 0:
+            return left
+        return f"({left} {shape} {expr(refs, budget, depth - 1)})"
+
+    for i, (v, n) in enumerate(orders.items()):
+        refs = [dsl.signal_name(u, k) for u, m in orders.items() for k in range(m)]
+        refs += [u for u in (names if n else names[:i]) if orders[u] == 0]
+        lines.append(f"eq {dsl.signal_name(v, n)} = {expr(refs, [_MAX_LEAVES], 4)}")
+        lines += [f"init {dsl.signal_name(v, k)} = {draw(st.sampled_from(['0', '0.25', '-0.5']))}"
+                  for k in range(n)]
+    lines.append("time 1")
+    if draw(st.booleans()):
+        lines.append("output " + ", ".join(dsl.signal_name(v, k) for v, n in orders.items()
+                                           for k in range(n + 1)))
+    return "\n".join(lines) + "\n"
 
 
 def resolve_src(src: str) -> dsl.OdeSystem:

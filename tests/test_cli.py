@@ -51,6 +51,25 @@ class TestCheck:
     def test_missing_file_exits_1(self, workdir):
         assert main(["check", "nope.apc"]) == 1
 
+    @pytest.mark.parametrize("order, lowest", [("200000", "y^(200000)"),
+                                               ("1000000000000", "y^(1000000000000)")])
+    def test_huge_order_exits_3_in_bounded_memory(self, workdir, order, lowest):
+        """Diagnostics stay the size of the source, whatever the order. A
+        separate process under a 1 GiB address-space limit: one diagnostic
+        per missing order, each spelling out its apostrophes, once exhausted
+        the machine's memory."""
+        import resource
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = write(workdir / "huge.apc", f"system t\nvar y order {order}\neq y = 0\ntime 1\n")
+        proc = subprocess.run([sys.executable, "-m", "apc", "check", src], env=src_env(),
+                              capture_output=True, text=True, timeout=60, preexec_fn=limit_memory)
+        assert proc.returncode == 3 and "Traceback" not in proc.stderr
+        assert f"missing initial condition for y (and {int(order) - 1} more)" in proc.stderr
+        assert f"highest derivative {lowest}, got y\n" in proc.stderr
+
 
 class TestCompile:
     def test_sine_report_and_files(self, workdir, capsys):
@@ -79,6 +98,11 @@ class TestCompile:
     def test_parse_error_exits_2(self, workdir):
         src = write(workdir / "p.apc", "var y order 1\n")
         assert main(["compile", src]) == 2
+
+    def test_no_optimize_flag_is_gone(self, workdir, capsys):
+        source = write(workdir / "sine.apc", SINE_SRC)
+        assert main(["compile", source, "--no-optimize"]) == 1
+        assert "unrecognized arguments: --no-optimize" in capsys.readouterr().err
 
 
 class TestRun:
@@ -456,10 +480,15 @@ class TestMap:
         assert main(["map", str(out), "--machine", "that"]) == 4
         assert "integrator: 1" in capsys.readouterr().err
 
-    def test_invalid_spec_file_exits_1(self, workdir):
+    def test_invalid_spec_file_exits_1(self, workdir, capsys):
         out = compiled(workdir, SINE_SRC, "sine")
         bad = write(workdir / "bad.json", '{"name": "x", "inventory": {"comparator": 1}}')
         assert main(["map", str(out), "--machine", bad]) == 1
+        inf = write(workdir / "inf.json", '{"name": "x", "inventory": {"integrator": Infinity}}')
+        capsys.readouterr()
+        assert main(["map", str(out), "--machine", inf]) == 1
+        assert capsys.readouterr().err == (f"apc: {inf}: inventory count of integrator must be "
+                                           "a non-negative integer, got inf\n")
 
     def test_custom_spec(self, workdir):
         out = compiled(workdir, SINE_SRC, "sine", extra=("--scale", "none"))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apc import compiler, dsl, scaling, simulator
+from apc import compiler, scaling, simulator
 from apc.compiler import (
     CompileError,
     CompileOptions,
@@ -14,9 +14,9 @@ from apc.compiler import (
     build_integrator_chain,
     compile_system,
 )
-from apc.machine import Kind, netlist_to_dict
-from apc.scaling import ScaleMap, reference_solution
-from conftest import FIG2_SRC, SINE_SRC, VCO_SRC, build, resolve_src
+from apc.machine import Kind, is_inverter, netlist_to_dict
+from apc.scaling import ScaleMap, ScalingError, reference_solution
+from conftest import SINE_SRC, VCO_SRC, build, compilable_programs, resolve_src
 
 COUPLED_SRC = """\
 system coupled
@@ -76,8 +76,8 @@ class TestSineCompile:
     def test_outputs_named(self, sine):
         _, result = sine
         assert set(result.netlist.outputs) == {"y", "y'"}
-        assert result.signal_map.parity("y", 0) == 1
-        assert result.signal_map.parity("y", 1) == -1  # derivative taps keep chain parity
+        assert result.mapping.signals["y"].parity == 1
+        assert result.mapping.signals["y'"].parity == -1  # derivative taps keep chain parity
 
     def test_squared_param_not_sweepable(self, sine):
         _, result = sine
@@ -143,7 +143,7 @@ class TestSynthesis:
         trace = inst.run(1.0)
         # the odd-order chain carries -y; the output tap restores +y
         assert trace.series["y"][-1] == pytest.approx(0.5)
-        assert result.signal_map.parity("y", 0) == 1
+        assert result.mapping.signals["y"].parity == 1
 
 
 class TestSynthesisEdgeCases:
@@ -164,6 +164,21 @@ class TestSynthesisEdgeCases:
                "table f = (-1, -1) (0, 0) (1, 1)\ntime 1\noutput x\n")
         _, result = build(src)
         assert simulator.new_instance(result.netlist).value("x") == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("src", [
+        "system t\nvar y order 2\nvar x order 0\neq y'' = -y\neq x = y\n"
+        "init y = 0.5\ninit y' = 0\ntime 1\n",
+        "system t\nvar x order 2\neq x'' = x\ninit x = 0.25\ninit x' = 0\ntime 1\n"
+        "output x'', x, x'\n",
+    ])
+    def test_outputs_on_one_net_each_get_a_name(self, src):
+        # x and y (x'' and x) live on one net; the second output gets a unit buffer
+        _, result = build(src)
+        names = [net.name for net in result.netlist.nets.values() if net.name]
+        assert sorted(names) == sorted(result.netlist.outputs)
+        values = simulator.new_instance(result.netlist, simulator.SimConfig(dt=1e-3)).run(0.5).final()
+        first, second = result.netlist.outputs[:2]
+        assert values[first] == values[second]
 
     def test_unit_constant_addend_is_bare_reference(self):
         _, result = build("system t\nvar y order 1\neq y' = -y - 1\ninit y = 0\ntime 0.5\n")
@@ -247,45 +262,6 @@ class TestScaledCompile:
                 assert -1.0 <= e.params["ic"] <= 1.0
 
 
-class TestOptimizer:
-    @pytest.mark.parametrize("src", [SINE_SRC, FIG2_SRC, COUPLED_SRC])
-    def test_equivalent_traces(self, src):
-        system, plain = build(src, optimize_inverters=False)
-        _, optimized = build(src, optimize_inverters=True)
-        cfg = simulator.SimConfig(dt=1e-3)
-        t1 = simulator.new_instance(plain.netlist, cfg).run(min(system.horizon, 2.0))
-        t2 = simulator.new_instance(optimized.netlist, cfg).run(min(system.horizon, 2.0))
-        for name in t1.series:
-            assert np.allclose(t1.series[name], t2.series[name], atol=1e-12)
-
-    def test_inverter_pair_collapses(self):
-        from apc.machine import Kind as K
-
-        b = NetlistBuilder()
-        r = b.add_reference(1.0)
-        c = b.add_coefficient(r, 0.5)
-        i1 = b.add_summer([c])
-        i2 = b.add_summer([i1])
-        m = b.add_multiplier(i2, i2)
-        b.name_net(m, "out")
-        compiler._optimize_inverters(b, {m})
-        netlist = b.build(("out",))
-        assert all(e.kind is not K.SUMMER for e in netlist.elements.values())
-
-    def test_multiplier_double_negation(self):
-        b = NetlistBuilder()
-        r = b.add_reference(1.0)
-        c = b.add_coefficient(r, 0.5)
-        i1 = b.add_summer([c])
-        i2 = b.add_summer([c])
-        m = b.add_multiplier(i1, i2)
-        b.name_net(m, "out")
-        compiler._optimize_inverters(b, {m})
-        netlist = b.build(("out",))
-        mul = next(e for e in netlist.elements.values() if e.kind is Kind.MULTIPLIER)
-        assert mul.inputs == (c, c)
-
-
 class TestSweepBindings:
     def test_linear_param_maps_to_coefficient(self):
         _, result = build(VCO_SRC)
@@ -367,3 +343,39 @@ def test_parity_soundness_on_random_linear_systems(src):
         sim = np.array(trace.series[name]) * binding.parity * binding.scale
         ref = against.signals[(var, order)]
         assert np.max(np.abs(sim - ref)) < 1e-6, name
+
+
+# --- no redundant inverters over generated programs --------------------------
+
+def assert_no_redundant_inverters(result):
+    """What an inverter cleanup pass would find: an inverter reading an
+    inverter, a multiplier reading an inverter, an element that reaches
+    neither an integrator nor a signal's net."""
+    netlist = result.netlist
+    source = {nid: netlist.elements[net.driver] for nid, net in netlist.nets.items()}
+    for e in netlist.elements.values():
+        if is_inverter(e):
+            assert not is_inverter(source[e.inputs[0]]), f"{e.id} reads an inverter"
+        if e.kind is Kind.MULTIPLIER:
+            assert not any(is_inverter(source[n]) for n in e.inputs), f"{e.id} reads an inverter"
+    live = set()
+    stack = [e for e in netlist.elements.values() if e.kind is Kind.INTEGRATOR]
+    stack += [source[b.net] for b in result.mapping.signals.values()]
+    while stack:
+        e = stack.pop()
+        if e.id not in live:
+            live.add(e.id)
+            stack.extend(source[n] for n in e.inputs)
+    assert live == set(netlist.elements), f"dead elements {set(netlist.elements) - live}"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(compilable_programs())
+def test_lowering_places_no_redundant_inverter(src):
+    system = resolve_src(src)
+    assert_no_redundant_inverters(compile_system(system, CompileOptions(scale=ScaleMap.identity())))
+    try:
+        result = compile_system(system, CompileOptions(scale=scaling.autoscale(system)))
+    except (ScalingError, CompileError):
+        return
+    assert_no_redundant_inverters(result)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -152,7 +153,10 @@ class TestSpecLoading:
             load_machine_spec(str(path))
 
     @pytest.mark.parametrize("doc", [[], {"inventory": {}}, {"name": "x", "inventory": []},
-                                     {"name": "x", "inventory": {"integrator": "2"}}])
+                                     {"name": "x", "inventory": {"integrator": "2"}},
+                                     {"name": "x", "inventory": {"integrator": math.inf}},
+                                     {"name": "x", "inventory": {"summer": math.nan}},
+                                     {"name": "x", "inventory": {"coefficient": 2.5}}])
     def test_malformed_spec_raises_value_error(self, tmp_path, doc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))

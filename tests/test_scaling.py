@@ -106,6 +106,16 @@ class TestBounds:
         with pytest.raises(ScalingError, match="diverged"), np.errstate(invalid="ignore"):
             reference_solution(system)
 
+    def test_constant_order_zero_signal_beside_a_state(self):
+        # x folds to one float while y is a trajectory; both get a bound
+        src = ("system t\nvar x order 0\nvar y order 1\neq x = 0.05\neq y' = 0.05\n"
+               "init y = 0\ntime 1\n")
+        system = resolve_src(src)
+        oracle = reference_solution(system)
+        assert np.array_equal(oracle.signals[("x", 0)], np.full_like(oracle.t, 0.05))
+        bounds = estimate_bounds(system)
+        assert bounds.of("x", 0) > 0 and bounds.of("y", 0) > 0
+
     def test_zero_signal_defaults_to_unit_bound(self):
         src = "system t\nvar y order 1\neq y' = -y\ninit y = 0\ntime 1\n"
         bounds = estimate_bounds(resolve_src(src))
