@@ -75,7 +75,7 @@ def cmd_compile(args) -> int:
         scale = scaling.autoscale(system, k0=args.k0)
     else:
         scale = scaling.ScaleMap.identity(args.k0)
-    result = compiler.compile_system(system, compiler.CompileOptions(k0=args.k0, scale=scale))
+    result = compiler.compile_system(system, compiler.CompileOptions(scale=scale))
     out = Path(args.output) if args.output else Path(args.source).with_suffix(".json")
     save_netlist(result.netlist, out)
     result.mapping.save(_sibling(out, ".json", ".map.json"))
@@ -148,19 +148,18 @@ def _new_machine(args, netlist, mapping) -> tuple[simulator.MachineInstance, flo
         tau_end = mapping.horizon_machine
     if not math.isfinite(tau_end):
         raise _UsageError(f"--tend must be finite, got {tau_end}")
-    if args.dt is not None and not args.dt > 0:
-        raise _UsageError(f"--dt must be positive, got {args.dt}")
+    if args.dt is not None and not 0 < args.dt < math.inf:
+        raise _UsageError(f"--dt must be positive and finite, got {args.dt}")
     if args.samples < 1:
         raise _UsageError(f"--samples must be at least 1, got {args.samples}")
     dt = args.dt if args.dt is not None else simulator.default_dt(netlist)
     if not dt > 0:
         raise _UsageError("the default step size underflows to 0 for this netlist's "
                           "integrator gains; pass --dt")
-    # Beyond 2**53 steps the step times t0 + i*dt are no longer all distinct.
-    if tau_end / dt >= 2**53:
-        raise _UsageError(f"the run needs {tau_end / dt:.3g} steps of {dt:g}, fewer than "
-                          "2**53 are allowed; pass --dt or a shorter --tend")
-    nsteps = max(1, round(tau_end / dt))
+    try:
+        nsteps, _ = simulator.step_grid(tau_end, dt)
+    except ValueError as exc:
+        raise _UsageError(f"{exc}; pass --dt or a shorter --tend") from None
     try:
         config = simulator.SimConfig(dt=dt, resolution=args.resolution, adc_bits=args.adc_bits,
                                      strict_overload=getattr(args, "strict_overload", False),

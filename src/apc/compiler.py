@@ -59,14 +59,9 @@ class ScalingViolationError(CompileError):
 
 @dataclass(frozen=True)
 class CompileOptions:
-    """``k0`` applies when no ScaleMap is given; a ScaleMap carries its own."""
+    """``scale`` carries lambda, k0 and the amplitudes; None is ``ScaleMap.identity()``."""
 
-    k0: float = 1.0
     scale: ScaleMap | None = None
-
-    def __post_init__(self):
-        if not (self.k0 > 0):
-            raise ValueError("k0 must be positive")
 
 
 @dataclass
@@ -387,7 +382,7 @@ def compile_system(system: OdeSystem, options: CompileOptions | None = None) -> 
     the cycle.
     """
     options = options or CompileOptions()
-    scale = options.scale if options.scale is not None else ScaleMap.identity(options.k0)
+    scale = options.scale if options.scale is not None else ScaleMap.identity()
     k0 = scale.k0
 
     builder = NetlistBuilder()

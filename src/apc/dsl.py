@@ -480,7 +480,7 @@ def parse(text: str) -> tuple[Program | None, list[Diagnostic]]:
         if isinstance(stmt, tuple) and stmt[0] == "system":
             if system_name is None and not statements:
                 system_name = stmt[1]
-            elif system_name is None:
+            elif system_name == "?":  # statements came before it
                 diags.append(Diagnostic(stmt[2], 1, "system header must come first"))
             else:
                 diags.append(Diagnostic(stmt[2], 1, "duplicate system header"))

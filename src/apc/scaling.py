@@ -209,11 +209,10 @@ def _dopri45(fun, y0, t_end: float, t_eval, rtol: float, atol: float):
     return np.hstack(out)
 
 
-def reference_solution(system: OdeSystem, points: int = 2001,
-                       rtol: float = ORACLE_RTOL, atol: float = ORACLE_ATOL,
-                       t_eval=None) -> OracleSolution:
+def reference_solution(system: OdeSystem, t_eval=None) -> OracleSolution:
     """Integrate the system with an adaptive-step oracle (Dormand–Prince
-    5(4), rtol 1e-9; ``_dopri45``, bit-identical to SciPy's RK45).
+    5(4), rtol 1e-9; ``_dopri45``, bit-identical to SciPy's RK45), sampled
+    at ``t_eval`` or at 2001 evenly spaced points over the horizon.
 
     Returns trajectories for every signal, including the highest
     derivative of each variable. Independent of the netlist path: it
@@ -240,12 +239,12 @@ def reference_solution(system: OdeSystem, points: int = 2001,
         return dx
 
     if t_eval is None:
-        t_eval = np.linspace(0.0, system.horizon, points)
+        t_eval = np.linspace(0.0, system.horizon, 2001)
     else:
         t_eval = np.asarray(t_eval, dtype=float)
     if state_keys:
         x0 = [system.inits[key] for key in state_keys]
-        y = _dopri45(rhs, x0, max(system.horizon, float(t_eval[-1])), t_eval, rtol, atol)
+        y = _dopri45(rhs, x0, max(system.horizon, float(t_eval[-1])), t_eval, ORACLE_RTOL, ORACLE_ATOL)
         if not np.all(np.isfinite(y)):
             raise ScalingError(_DIVERGED)
         env = fill_env({key: y[i] for i, key in enumerate(state_keys)})
@@ -510,20 +509,14 @@ def stage_gain(scale: ScaleMap, var: str, low_order: int) -> float:
 
 
 def time_scale(system: OdeSystem, scale: ScaleMap, lam: float | None = None,
-               budget: float | None = None, k0: float = 1.0) -> ScaleMap:
+               k0: float = 1.0) -> ScaleMap:
     """Fix lambda and k0; verify every stage coefficient lands in (0, 1].
 
-    ``budget`` requests a machine-time horizon in seconds (lambda =
-    horizon / budget). With neither given, lambda defaults to k0 (or the
-    largest grid value the stage ratios allow), so unit-amplitude systems
-    compile to plain chains.
+    Without ``lam``, lambda defaults to k0 (or the largest grid value the
+    stage ratios allow), so unit-amplitude systems compile to plain chains.
     """
     ratios = _stage_ratios(system, scale)
     limit = k0 * min(ratios.values(), default=1.0)
-    if budget is not None:
-        if budget <= 0:
-            raise ScalingError("wall-clock budget must be positive")
-        lam = system.horizon / budget
     if lam is None:
         lam = k0 if limit >= k0 * (1 - 1e-9) else round_down_grid(limit)
     scaled = replace(scale, lam=lam, k0=k0)
@@ -536,12 +529,11 @@ def time_scale(system: OdeSystem, scale: ScaleMap, lam: float | None = None,
     return scaled
 
 
-def autoscale(system: OdeSystem, k0: float = 1.0, lam: float | None = None,
-              budget: float | None = None) -> ScaleMap:
+def autoscale(system: OdeSystem, k0: float = 1.0) -> ScaleMap:
     """Bounds, amplitude and time scaling in one call."""
     bounds = estimate_bounds(system)
     scale = amplitude_scale(system, bounds)
-    return time_scale(system, scale, lam=lam, budget=budget, k0=k0)
+    return time_scale(system, scale, k0=k0)
 
 
 # --- sidecar mapping and de-scaling -----------------------------------------

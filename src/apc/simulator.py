@@ -3,12 +3,13 @@
 A MachineInstance owns integrator states and advances them with the
 classical 4th-order fixed-step scheme, re-evaluating the part of the
 algebraic element graph that the integrators read at every internal
-stage. After each completed step every net value is quantized to the
-configured resolution grid and clamped to [-1, 1]; clamps are logged as
-overload events (or abort the run in strict mode). An integrator's state
-accumulates at full precision and only its output is quantized, so
-increments below the grid are not lost; a state that reaches a rail is
-clamped there and logged.
+stage. A run's steps come from ``step_grid`` alone, and its last step
+ends on its horizon. After each completed step every net value is
+quantized to the configured resolution grid and clamped to [-1, 1];
+clamps are logged as overload events (or abort the run in strict mode).
+An integrator's state accumulates at full precision and only its output
+is quantized, so increments below the grid are not lost; a state that
+reaches a rail is clamped there and logged.
 Digital-potentiometer updates and ADC readout model the hybrid-computer
 attachment points.
 
@@ -394,6 +395,23 @@ def _generate(netlist: Netlist, resolution: float):
     return namespace["_run"], integrators, coefficients, name_pos
 
 
+def step_grid(span: float, dt: float) -> tuple[int, float]:
+    """``(n, h)``: the n steps of size h that end on ``span``.
+
+    n is ceil(span/dt - 1e-9), 0 when span <= 0, and h is span/n, or dt
+    when n*dt lies within 1e-9*dt of the span: whole steps run at dt
+    exactly, so a run to tau and one more step of dt is a run to tau + dt
+    bit for bit. ValueError for a non-finite span, a step not in (0, inf)
+    and 2**53 steps or more, whose times t0 + i*h would not all differ.
+    """
+    if not (math.isfinite(span) and 0.0 < dt < math.inf):
+        raise ValueError(f"a run needs a finite span and a finite positive step, got {span!r} and {dt!r}")
+    if not span / dt < 2**53:
+        raise ValueError(f"the run needs {span / dt:.3g} steps of {dt:g}, fewer than 2**53 are allowed")
+    n = math.ceil(span / dt - 1e-9) if span > 0 else 0
+    return (n, dt) if n == 0 or abs(n * dt - span) <= 1e-9 * dt else (n, span / n)
+
+
 def _rail(v: float, tau: float, element: str, step: int) -> float:
     """A value-model slow path that clamps without logging or aborting."""
     return 1.0 if v > 0 else -1.0
@@ -481,25 +499,23 @@ class MachineInstance:
         if self.mode is not Mode.OP:
             raise ModeError("step requires OP mode")
         h = self.config.dt if dt is None else dt
-        if not (h > 0):
-            raise ValueError("dt must be positive")
+        if not 0.0 < h < math.inf:
+            raise ValueError("dt must be positive and finite")
         self._steps(h, 1, 1)
 
     def run(self, tau_end: float) -> Trace:
         """Run IC/OP to ``tau_end``, sampling the named nets; end in HALT.
 
         From IC mode the run starts at the initial conditions; from OP it
-        continues from the current time. Strict overloads abort, leaving
-        the machine in OP at the time of the overload.
+        continues from the current time, on ``step_grid``'s steps to
+        ``tau_end``. Strict overloads abort, leaving the machine in OP at
+        the time of the overload.
         """
-        if self.mode is Mode.IC:
-            self.set_mode(Mode.OP)
-        elif self.mode is not Mode.OP:
+        if self.mode not in (Mode.IC, Mode.OP):
             raise ModeError("run requires IC or OP mode")
-        dt = self.config.dt
-        remaining = tau_end - self.tau
-        nsteps = 0 if remaining <= 0 else math.ceil(remaining / dt - 1e-9)
-        taus, cols = self._steps(dt, nsteps, self.config.sample_every)
+        n, h = step_grid(tau_end - self.tau, self.config.dt)
+        self.set_mode(Mode.OP)
+        taus, cols = self._steps(h, n, self.config.sample_every)
         self.set_mode(Mode.HALT)
         return Trace(taus, dict(zip(self.netlist.outputs, cols)), list(self.overloads))
 

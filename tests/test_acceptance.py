@@ -27,7 +27,7 @@ from apc import (
 )
 from apc.compiler import NetlistBuilder  # noqa: F401  (import check of public surface)
 from apc.machine import Netlist, integrator, reference
-from apc.scaling import autoscale
+from apc.scaling import ScaleMap, autoscale
 from apc.simulator import LEGAL_TRANSITIONS, Mode, ModeError
 from conftest import SINE5_SRC, SINE_SRC, UNSTABLE_SRC, FIG2_SRC, build, resolve_src, src_env
 
@@ -131,8 +131,8 @@ def test_criterion_5_scaling_round_trip(tmp_path):
 
 def test_criterion_6_time_scale_equivalence():
     with report(6, "k0=1 and k0=1000 traces agree sample for sample"):
-        slow = compile_system(resolve_src(SINE_SRC), CompileOptions(k0=1.0))
-        fast = compile_system(resolve_src(SINE_SRC), CompileOptions(k0=1000.0))
+        slow = compile_system(resolve_src(SINE_SRC), CompileOptions(scale=ScaleMap.identity(1.0)))
+        fast = compile_system(resolve_src(SINE_SRC), CompileOptions(scale=ScaleMap.identity(1000.0)))
         t1 = new_instance(slow.netlist, SimConfig(dt=1e-4, sample_every=100)).run(2 * math.pi)
         t2 = new_instance(fast.netlist, SimConfig(dt=1e-7, sample_every=100)).run(2 * math.pi * 1e-3)
         assert len(t1.tau) == len(t2.tau), "matched step counts"

@@ -34,7 +34,77 @@ def compiled(workdir, src, name="prog", extra=()):
     return out
 
 
+#: A valid program; most cases below add one line to it.
+OK_SRC = "system s\nvar y order 1\neq y' = -y\ninit y = 0.5\ntime 1\n"
+#: A program whose equation comes last, after a table f.
+LUT_SRC = "system s\nvar y order 1\ntable f = (-1, -1) (1, 1)\ninit y = 0\ntime 1\neq y' = "
+
+#: name -> (source, exit code, stderr lines after the file name): every
+#: diagnostic ``apc check`` prints for the source.
+DIAGNOSTICS = {
+    # parse errors, exit 2
+    "header-after-statements": ("var y order 1\nsystem s\n", 2,
+                                ["1:1: missing system header", "2:1: system header must come first"]),
+    "keyword-out-of-place": (OK_SRC + "order 2\n", 2, ["6:7: statement 'order' is not valid here"]),
+    "var-without-order": ("system s\nvar y 1\n", 2, ["2:7: expected 'order'"]),
+    "no-keyword": (OK_SRC + "y' = 1\n", 2, ["6:1: expected a statement keyword, got \"y'\""]),
+    "slash-first": ("system s\nvar y order 1\neq y' = / y\n", 2, ["3:9: division not supported"]),
+    "primes-on-function": ("system s\nvar y order 1\neq y' = f'(y)\n", 2,
+                           ["3:11: derivative marks are not allowed on function names"]),
+    "primes-on-param": ("system s\nparam k' = 1\n", 2, ["2:10: derivative marks are not allowed here"]),
+    "unclosed-paren": ("system s\nvar y order 1\neq y' = (y\n", 2, ["3:11: expected ')'"]),
+    "empty-rhs": ("system s\nvar y order 1\neq y' =\n", 2,
+                  ["3:8: expected an expression, got 'end of line'"]),
+    "table-not-a-number": (OK_SRC + "table f = (a, 1)\n", 2, ["6:12: expected a number"]),
+    "table-no-points": (OK_SRC + "table f =\n", 2, ["6:10: table needs at least one breakpoint"]),
+    "bad-character-only": (OK_SRC + "@\n", 2, ["6:1: unexpected character '@'"]),
+    # resolve errors, exit 3
+    "duplicate-time": (OK_SRC + "time 2\n", 3, ["6:1: duplicate time statement"]),
+    "duplicate-output": (OK_SRC + "output y\noutput y\n", 3, ["7:1: duplicate output statement"]),
+    "output-twice": (OK_SRC + "output y, y\n", 3, ["6:1: duplicate output 'y'"]),
+    "output-unknown": (OK_SRC + "output z\n", 3, ["6:1: output 'z' is not a variable"]),
+    "output-order": (OK_SRC + "output y''\n", 3, ["6:1: output \"y''\" exceeds usable order"]),
+    "bound-undeclared": (OK_SRC + "bound z = 1\n", 3, ["6:1: bound for undeclared variable 'z'"]),
+    "bound-order": (OK_SRC + "bound y'' = 1\n", 3, ["6:1: bound order too high for 'y'"]),
+    "bound-negative": (OK_SRC + "bound y = -1\n", 3, ["6:1: bounds must be positive"]),
+    "bound-derivative": (OK_SRC + "param k = 1\nbound y = k'\n", 3,
+                         ["7:11: bound must be constant; derivatives are not"]),
+    "init-order": (OK_SRC + "init y' = 0\n", 3, ["6:1: initial condition order too high for 'y'"]),
+    "init-twice": (OK_SRC + "init y = 0.25\n", 3, ["6:1: duplicate initial condition for y"]),
+    "lut-one-argument": (LUT_SRC + "lut(f)\n", 3, ["6:9: lut takes (table, expr)"]),
+    "lut-number-table": (LUT_SRC + "lut(0.5, y)\n", 3,
+                         ["6:9: first lut argument must be a table name"]),
+    "unknown-function": (LUT_SRC + "foo(y)\n", 3, ["6:9: unknown function 'foo'"]),
+    "non-constant-function": (OK_SRC + "param k = foo(1)\n", 3,
+                              ["6:11: function 'foo' is not a constant function"]),
+    "sin-two-arguments": (OK_SRC + "param k = sin(1, 2)\n", 3, ["6:11: sin takes one argument"]),
+    "exp-overflow": (OK_SRC + "param k = exp(1000)\n", 3,
+                     ["6:11: param value does not fold to a finite number"]),
+    "unknown-in-sum": (OK_SRC + "param k = 1 + z\n", 3,
+                       ["6:15: unknown name 'z' in param value (only params may be used)"]),
+    "unknown-in-call": (OK_SRC + "param k = sin(z)\n", 3,
+                        ["6:15: unknown name 'z' in param value (only params may be used)"]),
+    "param-derivative": ("system s\nparam k = 1\nvar y order 1\neq y' = -k'\ninit y = 0\ntime 1\n",
+                         3, ["4:10: param 'k' has no derivatives"]),
+    "order-0-derivative": ("system s\nvar x order 0\neq x = 0.5\nvar y order 1\neq y' = -x'\n"
+                           "init y = 0\ntime 1\n", 3, ["5:10: 'x' has order 0 and no derivatives"]),
+    "table-order": (OK_SRC + "table f = (0, 0) (0, 1)\n", 3,
+                    ["6:1: table 'f' x values must be strictly increasing"]),
+    "table-range": (OK_SRC + "table f = (-2, 0) (1, 1)\n", 3,
+                    ["6:1: table 'f' breakpoints must lie in [-1, 1]"]),
+    "table-one-point": (OK_SRC + "table f = (0, 0)\n", 3,
+                        ["6:1: table 'f' needs at least 2 breakpoints"]),
+}
+
+
 class TestCheck:
+    @pytest.mark.parametrize("case", DIAGNOSTICS)
+    def test_diagnostic(self, workdir, capsys, case):
+        text, code, lines = DIAGNOSTICS[case]
+        src = write(workdir / "bad.apc", text)
+        assert main(["check", src]) == code
+        assert capsys.readouterr().err == "".join(f"{src}:{line}\n" for line in lines)
+
     def test_valid(self, workdir):
         src = write(workdir / "ok.apc", SINE_SRC)
         assert main(["check", src]) == 0
@@ -137,7 +207,7 @@ class TestRun:
     def test_problem_units_equals_descaled_machine_trace(self, workdir):
         from apc.machine import load_netlist
         from apc.scaling import Mapping, descale_trace
-        from apc.simulator import SimConfig, new_instance
+        from apc.simulator import SimConfig, new_instance, step_grid
 
         out = compiled(workdir, SINE5_SRC, "big")
         machine_csv = workdir / "machine.csv"
@@ -149,7 +219,7 @@ class TestRun:
         netlist = load_netlist(out)
         mapping = Mapping.load(workdir / "big.map.json")
         tau_end = mapping.horizon_machine
-        cfg = SimConfig(dt=1e-2, sample_every=max(1, round(tau_end / 1e-2) // 1000))
+        cfg = SimConfig(dt=1e-2, sample_every=max(1, step_grid(tau_end, 1e-2)[0] // 1000))
         trace = new_instance(netlist, cfg).run(tau_end)
         descaled = descale_trace(trace, mapping)
 
@@ -201,6 +271,11 @@ class TestRun:
         out = compiled(workdir, SINE_SRC, "sine")
         assert main(["run", str(out), *flag]) == 1
         assert "apc: usage: " in capsys.readouterr().err
+
+    def test_infinite_dt_exits_1(self, workdir, capsys):
+        out = compiled(workdir, SINE_SRC, "sine")
+        assert main(["run", str(out), "--dt", "inf"]) == 1
+        assert capsys.readouterr().err == "apc: usage: --dt must be positive and finite, got inf\n"
 
     def test_mapping_binding_without_net_exits_1(self, workdir, capsys):
         out = compiled(workdir, SINE_SRC, "sine")

@@ -220,12 +220,6 @@ class TestTimeScale:
         with pytest.raises(ScalingError, match="suggested lambda"):
             time_scale(system, amp, lam=1.0, k0=1.0)
 
-    def test_budget_sets_lambda(self):
-        system = resolve_src(SINE5_SRC)  # horizon 10
-        scale = time_scale(system, amplitude_scale(system, estimate_bounds(system)),
-                           budget=0.01, k0=1000.0)
-        assert scale.lam == pytest.approx(1000.0)
-
     def test_phase_invariance(self):
         # scaling decisions depend on bounds only, not on phase
         a = resolve_src(SINE5_SRC)

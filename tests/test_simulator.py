@@ -1,6 +1,8 @@
 import functools
 import math
 import operator
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,7 +31,7 @@ from apc.simulator import (
     SimulationWarning,
     new_instance,
 )
-from conftest import SINE_SRC, UNSTABLE_SRC, build
+from conftest import SINE_SRC, UNSTABLE_SRC, build, src_env
 from test_compiler import simulable_odes
 from test_machine import dag_netlists
 
@@ -176,10 +178,53 @@ class TestStepping:
         inst.step(0.25)
         assert inst.tau == 0.25
 
+    @pytest.mark.parametrize("dt", [0.0, math.inf, math.nan])
+    def test_step_needs_a_positive_finite_dt(self, sine, dt):
+        inst = new_instance(sine[1].netlist)
+        inst.set_mode(Mode.OP)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            inst.step(dt)
+        assert inst.tau == 0.0
+
     def test_run_to_zero_gives_single_sample(self, sine):
         _, result = sine
         trace = new_instance(result.netlist).run(0.0)
         assert len(trace.tau) == 1
+
+    def test_run_ends_on_its_horizon_whatever_the_step(self, sine):
+        _, result = sine
+        finals = []
+        for dt in (1e-4, 1e-3):
+            inst = new_instance(result.netlist, SimConfig(dt=dt, sample_every=1000))
+            trace = inst.run(2 * math.pi)
+            assert trace.tau[-1] == inst.tau
+            assert abs(inst.tau - 2 * math.pi) <= 1e-15 * 2 * math.pi
+            finals.append(trace.final())
+        for name, value in finals[0].items():
+            assert abs(value - finals[1][name]) <= 1e-9, name
+
+    @pytest.mark.parametrize("tau_end", [math.inf, math.nan])
+    def test_non_finite_horizon_raises_value_error(self, sine, tau_end):
+        inst = new_instance(sine[1].netlist)
+        with pytest.raises(ValueError, match="a run needs a finite span"):
+            inst.run(tau_end)
+        assert (inst.mode, inst.tau) == (Mode.IC, 0.0)
+
+    def test_endless_run_raises_value_error_at_once(self):
+        """A run of 2**53 steps or more is refused before it starts. In a
+        separate process with a timeout, so a run that never returns fails
+        this test instead of stalling the suite."""
+        script = ("from apc.machine import Netlist, integrator, reference\n"
+                  "from apc.simulator import new_instance\n"
+                  "n = Netlist.from_elements([reference('one', 1.0), integrator('i', ['one'])])\n"
+                  "try:\n"
+                  "    new_instance(n).run(1e300)\n"
+                  "except ValueError as exc:\n"
+                  "    print(exc)\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=src_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (
+            0, "the run needs 1e+304 steps of 0.0001, fewer than 2**53 are allowed\n")
 
     def test_sine_quarter_turn(self, sine):
         _, result = sine
@@ -320,7 +365,9 @@ def reference_run(netlist: Netlist, config: SimConfig, tau_end: float):
     It folds ``element_output`` over ``evaluation_order`` for every stage,
     steps RK4 in the operation order of the generated code and applies the
     value model: states clamped at full precision, observed nets quantized
-    and clamped, every clamp logged at the step's time ``i * dt``.
+    and clamped, every clamp logged at the step's time ``i * dt``. Its
+    grid is its own: ceil(tau_end/dt - 1e-9) steps, of dt if they land
+    within 1e-9*dt of tau_end and of tau_end/n otherwise.
     """
     elements = netlist.elements
     integrators = [e for e in elements.values() if e.kind is Kind.INTEGRATOR]
@@ -362,7 +409,9 @@ def reference_run(netlist: Netlist, config: SimConfig, tau_end: float):
 
     states = [e.params["ic"] for e in integrators]
     taus, rows = [0.0], [observe(states, 0.0)]
-    n = math.ceil(tau_end / dt - 1e-9)
+    n = max(0, math.ceil(tau_end / dt - 1e-9))
+    if n and abs(n * dt - tau_end) > 1e-9 * dt:
+        dt = tau_end / n
     for i in range(1, n + 1):
         ka = derivs(states)
         kb = derivs([x + (0.5 * dt) * k for x, k in zip(states, ka)])
@@ -443,6 +492,12 @@ class TestGeneratedLoopEdges:
         elems.append(integrator("i", ["c299"], ic=0.0))
         netlist = Netlist.from_elements(elems, outputs={"i": "i"})
         assert_run_equals_reference(netlist, SimConfig(dt=0.1), 0.3)
+
+    def test_span_off_the_step_grid_shrinks_the_step(self):
+        netlist = ramp_netlist(ic=0.5)
+        config = SimConfig(dt=0.3)
+        assert_run_equals_reference(netlist, config, 1.0)
+        assert new_instance(netlist, config).run(1.0).tau == [0.0, 0.25, 0.5, 0.75, 1.0]
 
     def test_zero_step_run(self):
         netlist = ramp_netlist(ic=0.5)
