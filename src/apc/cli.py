@@ -6,6 +6,10 @@ runs it, and reads traces back out.
 
 Exit codes are stable: 0 ok, 1 usage, 2 parse error, 3 resolve/compile
 error, 4 scaling, resource or simulation error, 5 strict-overload abort.
+
+Each command imports only the modules it runs: ``check`` the DSL, ``run``
+and ``sweep`` the machine and the simulator, ``map`` the machine and the
+fabric. Every ``apc`` call is a new process that pays its imports again.
 """
 
 from __future__ import annotations
@@ -15,9 +19,10 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import compiler, dsl, fabric, scaling, simulator
-from .machine import Kind, StructuralError, load_netlist, save_netlist
+if TYPE_CHECKING:
+    from .simulator import MachineInstance, Trace
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,6 +48,8 @@ def _print_diags(path, diags):
 
 def _load_system(path: str):
     """Parse and resolve a source file; raises SystemExit on diagnostics."""
+    from . import dsl
+
     try:
         program, diags = dsl.load_program(path)
     except OSError as exc:
@@ -70,6 +77,11 @@ def _sibling(path, ext: str, suffix: str) -> Path:
 
 
 def cmd_compile(args) -> int:
+    from . import compiler, scaling
+    from .machine import save_netlist
+
+    if not 0 < args.k0 < math.inf:
+        raise _UsageError(f"--k0 must be positive and finite, got {args.k0}")
     system = _load_system(args.source)
     if args.scale == "auto":
         scale = scaling.autoscale(system, k0=args.k0)
@@ -92,6 +104,8 @@ def _pot_setting(netlist, mapping, name: str, value: float) -> tuple[str, float]
     on its element; any other name must be a coefficient element, whose
     alpha is the value itself.
     """
+    from .machine import Kind, ScalingError
+
     binding = mapping.params.get(name) if mapping else None
     if binding is not None:
         if binding.value != 0 and (value > 0) != (binding.value > 0):
@@ -103,7 +117,7 @@ def _pot_setting(netlist, mapping, name: str, value: float) -> tuple[str, float]
     else:
         raise _UsageError(f"parameter {name!r} does not map to a coefficient")
     if not 0.0 <= alpha <= 1.0:
-        raise scaling.ScalingError(f"{name}={value!r} needs alpha {alpha:.6g} outside [0, 1]")
+        raise ScalingError(f"{name}={value!r} needs alpha {alpha:.6g} outside [0, 1]")
     return element, alpha
 
 
@@ -132,15 +146,19 @@ def _load_file(load, path):
 
 def _load_netlist_and_mapping(args):
     """The netlist and its sidecar mapping, if any, checked to fit it."""
+    from .machine import Mapping, load_netlist
+
     netlist = _load_file(load_netlist, args.netlist)
     mpath = _sibling(args.netlist, ".json", ".map.json")
     if not mpath.exists():
         return netlist, None
-    return netlist, _load_file(lambda p: scaling.Mapping.load(p).check(netlist), mpath)
+    return netlist, _load_file(lambda p: Mapping.load(p).check(netlist), mpath)
 
 
-def _new_machine(args, netlist, mapping) -> tuple[simulator.MachineInstance, float]:
+def _new_machine(args, netlist, mapping) -> tuple[MachineInstance, float]:
     """A machine in IC mode set up by the run flags, and the machine time to run to."""
+    from . import simulator
+
     tau_end = args.tend
     if tau_end is None:
         if not (mapping and mapping.horizon_machine):
@@ -179,7 +197,9 @@ def cmd_run(args) -> int:
         instance.set_coefficient(element, alpha)
     trace = instance.run(tau_end)
     if args.problem_units:
-        trace = scaling.descale_trace(trace, mapping)
+        from .simulator import descale_trace
+
+        trace = descale_trace(trace, mapping)
     if args.trace:
         trace.save(args.trace, _sibling(args.trace, ".csv", ".overloads.csv"))
     for name in netlist.outputs:
@@ -208,18 +228,20 @@ def _sweep_values(spec: str) -> list[float]:
 
 #: The machine and machine end time of the sweep in progress. Set in the
 #: parent just before its runs start; forked workers inherit it.
-_sweep_machine: tuple[simulator.MachineInstance, float] | None = None
+_sweep_machine: tuple[MachineInstance, float] | None = None
 
 
-def _sweep_run(setting: tuple[str, float]) -> simulator.Trace:
+def _sweep_run(setting: tuple[str, float]) -> Trace:
     """One sweep row: reload the ICs, set the pot, run IC -> OP -> HALT."""
+    from .simulator import Mode
+
     instance, tau_end = _sweep_machine
-    instance.set_mode(simulator.Mode.IC)
+    instance.set_mode(Mode.IC)
     instance.set_coefficient(*setting)
     return instance.run(tau_end)
 
 
-def _sweep_traces(instance, tau_end, settings) -> list[simulator.Trace]:
+def _sweep_traces(instance, tau_end, settings) -> list[Trace]:
     """The trace of each pot setting, in order, over one process per usable CPU.
 
     Runs are independent, so any worker may run any of them, and a trace
@@ -275,6 +297,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_map(args) -> int:
+    from . import fabric
+
     netlist, _ = _load_netlist_and_mapping(args)
     spec = _load_file(fabric.load_machine_spec, args.machine)
     try:
@@ -342,19 +366,32 @@ def _build_parser() -> _Parser:
 
 
 #: Errors a command lets through: (exception type, message prefix, exit
-#: code), first match wins. OSError is an output path that cannot be written;
-#: a StructuralError that gets this far is a simulated value gone non-finite.
+#: code), first match wins. A type in another module is named "module.Type"
+#: and looked up only when an error arrives, so that no command loads a
+#: module just for its errors. OSError is an output path that cannot be
+#: written; a StructuralError that gets this far is a simulated value gone
+#: non-finite.
 _ERRORS = (
     (_UsageError, "usage: ", EXIT_USAGE),
-    (simulator.ConstructionError, "", EXIT_USAGE),
+    ("simulator.ConstructionError", "", EXIT_USAGE),
     (OSError, "", EXIT_USAGE),
-    (scaling.ScalingError, "scaling: ", EXIT_SCALE),
-    (compiler.UnscaledCoefficientError, "scaling: ", EXIT_SCALE),
-    (compiler.ScalingViolationError, "scaling: ", EXIT_SCALE),
-    (compiler.CompileError, "compile: ", EXIT_COMPILE),
-    (simulator.OverloadError, "overload: ", EXIT_OVERLOAD),
-    (StructuralError, "simulation: ", EXIT_SCALE),
+    ("machine.ScalingError", "scaling: ", EXIT_SCALE),
+    ("compiler.UnscaledCoefficientError", "scaling: ", EXIT_SCALE),
+    ("compiler.ScalingViolationError", "scaling: ", EXIT_SCALE),
+    ("compiler.CompileError", "compile: ", EXIT_COMPILE),
+    ("simulator.OverloadError", "overload: ", EXIT_OVERLOAD),
+    ("machine.StructuralError", "simulation: ", EXIT_SCALE),
 )
+
+
+def _error_kind(kind):
+    """The exception type of an ``_ERRORS`` row, or None while its module is
+    not loaded: no exception of that type can have been raised then."""
+    if isinstance(kind, type):
+        return kind
+    module, _, name = kind.partition(".")
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return getattr(loaded, name) if loaded else None
 
 
 def main(argv=None) -> int:
@@ -365,10 +402,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
-    except tuple(kind for kind, _, _ in _ERRORS) as exc:
-        prefix, code = next((p, c) for kind, p, c in _ERRORS if isinstance(exc, kind))
-        print(f"apc: {prefix}{exc}", file=sys.stderr)
-        return code
+    except Exception as exc:
+        for kind, prefix, code in _ERRORS:
+            kind = _error_kind(kind)
+            if kind is not None and isinstance(exc, kind):
+                print(f"apc: {prefix}{exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -28,8 +28,12 @@ from dataclasses import dataclass, replace
 from .dsl import Bin, Call, Expr, Neg, Num, OdeSystem, Ref, signal_name
 from .machine import (
     Element,
+    Mapping,
     Net,
     Netlist,
+    ParamBinding,
+    ScalingError,
+    SignalBinding,
     algebraic_loops,
     coefficient,
     function_generator,
@@ -39,7 +43,7 @@ from .machine import (
     summer,
     validate,
 )
-from .scaling import Mapping, ParamBinding, ScaleMap, ScalingError, SignalBinding, algebraic_order, stage_gain
+from .scaling import ScaleMap, algebraic_order, stage_gain
 
 _PENDING = "__pending__"
 _TOL = 1e-9

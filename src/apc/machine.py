@@ -16,7 +16,9 @@ Element semantics (machine convention: summers and integrators invert):
     Reference           out = +1 or -1
 
 Netlists are immutable after construction and safe to share between
-concurrent simulations.
+concurrent simulations. The compiler's sidecar mapping, which ties
+source-level signals and parameters to nets and pots, lives here too:
+everything that reads a compiled program back needs only this module.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ from enum import Enum
 
 class StructuralError(ValueError):
     """A netlist or element is malformed beyond what a report can carry."""
+
+
+class ScalingError(ValueError):
+    """A program or a pot setting does not fit the machine interval."""
 
 
 class AlgebraicLoopError(StructuralError):
@@ -466,3 +472,94 @@ def save_netlist(netlist: Netlist, path) -> None:
 def load_netlist(path) -> Netlist:
     with open(path, encoding="utf-8") as fh:
         return netlist_from_dict(json.load(fh))
+
+
+# ---------------------------------------------------------------------------
+# The compiler's sidecar mapping (``*.map.json``).
+
+@dataclass(frozen=True)
+class SignalBinding:
+    """Where a source-level signal lives in the netlist.
+
+    net value = parity * signal / scale.
+    """
+
+    net: str
+    parity: int
+    scale: float = 1.0
+
+
+@dataclass(frozen=True)
+class ParamBinding:
+    """A source parameter realized by one coefficient: alpha = |scale * value|."""
+
+    element: str
+    scale: float
+    value: float
+
+
+@dataclass
+class Mapping:
+    """Compiler sidecar: signal and parameter bindings plus time scaling."""
+
+    signals: dict
+    params: dict
+    lam: float = 1.0
+    k0: float = 1.0
+    horizon_machine: float | None = None
+
+    def to_dict(self) -> dict:
+        return {
+            "signals": {
+                name: {"net": b.net, "parity": b.parity, "amplitude_scale": b.scale}
+                for name, b in self.signals.items()
+            },
+            "params": {
+                name: {"element": b.element, "scale": b.scale, "value": b.value}
+                for name, b in self.params.items()
+            },
+            "lambda": self.lam,
+            "k0": self.k0,
+            "horizon_machine": self.horizon_machine,
+        }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "Mapping":
+        fields = {"signals": dict, "params": dict, "lambda": float, "k0": float,
+                  "horizon_machine": float}
+        doc = json_object(doc, "mapping file", fields, optional=fields)
+        signals, params = {}, {}
+        for name, d in doc.get("signals", {}).items():
+            d = json_object(d, f"signal {name!r}",
+                            {"net": str, "parity": float, "amplitude_scale": float})
+            signals[name] = SignalBinding(d["net"], int(d["parity"]), d["amplitude_scale"])
+        for name, d in doc.get("params", {}).items():
+            d = json_object(d, f"param {name!r}", {"element": str, "scale": float, "value": float})
+            params[name] = ParamBinding(d["element"], d["scale"], d["value"])
+        return cls(signals, params, doc.get("lambda", 1.0), doc.get("k0", 1.0),
+                   doc.get("horizon_machine"))
+
+    def check(self, netlist) -> "Mapping":
+        """This mapping, if its bindings cover ``netlist``'s outputs and name
+        its nets and coefficient elements; else StructuralError."""
+        for name in netlist.outputs:
+            if name not in self.signals:
+                raise StructuralError(f"output {name!r} has no signal binding")
+        for name, b in self.signals.items():
+            if b.net not in netlist.nets:
+                raise StructuralError(f"signal {name!r} binds missing net {b.net!r}")
+        for name, b in self.params.items():
+            e = netlist.elements.get(b.element)
+            if e is None or e.kind is not Kind.COEFFICIENT:
+                raise StructuralError(f"param {name!r} binds {b.element!r}, not a coefficient element")
+        return self
+
+    def save(self, path) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(self.to_dict(), fh, indent=2)
+            fh.write("\n")
+
+    @classmethod
+    def load(cls, path) -> "Mapping":
+        with open(path, encoding="utf-8") as fh:
+            return cls.from_dict(json.load(fh))

@@ -16,28 +16,28 @@ Scaling proceeds in three steps:
    then needs gain alpha * k0 = lambda * m_upper / m_lower; alphas
    outside (0, 1] are a scaling error with a suggested lambda.
 
-The same module owns the compiled program's sidecar mapping (signal and
-parameter bindings) and trace de-scaling back to problem units.
+The compiled program's sidecar mapping (signal and parameter bindings)
+lives in ``machine`` and trace de-scaling back to problem units in
+``simulator``, so running a compiled program never loads this module;
+both are re-exported here under their old names.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
 from .dsl import Bin, Call, Expr, Neg, Num, OdeSystem, Ref, signal_name, walk
-from .machine import Kind, StructuralError, json_object, simple_cycles, topological_order
-from .simulator import Trace
+from .machine import ScalingError, simple_cycles, topological_order
+
+# The sidecar mapping and trace de-scaling, under the names they had here.
+from .machine import Mapping, ParamBinding, SignalBinding  # noqa: F401
+from .simulator import descale_trace  # noqa: F401
 
 #: Margin applied to oracle-estimated maxima before grid rounding.
 SAFETY_MARGIN = 1.25
 ORACLE_RTOL = 1e-9
 ORACLE_ATOL = 1e-12
-
-
-class ScalingError(ValueError):
-    pass
 
 
 # --- expression evaluation (shared by the oracle and bound arithmetic) -----
@@ -271,7 +271,7 @@ class BoundsEstimate:
     """Per-signal peak magnitudes (problem units) and how they were obtained."""
 
     values: dict  # (var, order) -> bound > 0
-    method: dict  # (var, order) -> "user" | "oracle"
+    method: dict  # (var, order) -> "user" | "interval" | "oracle"
 
     def of(self, var: str, order: int) -> float:
         return self.values[(var, order)]
@@ -301,8 +301,9 @@ def estimate_bounds(system: OdeSystem) -> BoundsEstimate:
 
     ``bound`` annotations are taken as given. When only the driven
     (highest-derivative or order-0) signals are missing they are filled
-    by interval arithmetic over the annotated bounds; any other gap
-    triggers the reference oracle, whose maxima get a 25% margin.
+    by interval arithmetic over the annotated bounds (method "interval");
+    any other gap triggers the reference oracle, whose maxima get a 25%
+    margin (method "oracle").
     """
     needed = system.signals()
     values: dict = {}
@@ -322,7 +323,7 @@ def estimate_bounds(system: OdeSystem) -> BoundsEstimate:
                 continue
             b = _interval_bound(system.equations[v], values, system.params, system.tables)
             values[key] = max(b, 1e-9)
-            method[key] = "user"
+            method[key] = "interval"
     elif missing:
         oracle = reference_solution(system)
         for key in missing:
@@ -534,107 +535,3 @@ def autoscale(system: OdeSystem, k0: float = 1.0) -> ScaleMap:
     bounds = estimate_bounds(system)
     scale = amplitude_scale(system, bounds)
     return time_scale(system, scale, k0=k0)
-
-
-# --- sidecar mapping and de-scaling -----------------------------------------
-
-@dataclass(frozen=True)
-class SignalBinding:
-    """Where a source-level signal lives in the netlist.
-
-    net value = parity * signal / scale.
-    """
-
-    net: str
-    parity: int
-    scale: float = 1.0
-
-
-@dataclass(frozen=True)
-class ParamBinding:
-    """A source parameter realized by one coefficient: alpha = |scale * value|."""
-
-    element: str
-    scale: float
-    value: float
-
-
-@dataclass
-class Mapping:
-    """Compiler sidecar: signal and parameter bindings plus time scaling."""
-
-    signals: dict
-    params: dict
-    lam: float = 1.0
-    k0: float = 1.0
-    horizon_machine: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "signals": {
-                name: {"net": b.net, "parity": b.parity, "amplitude_scale": b.scale}
-                for name, b in self.signals.items()
-            },
-            "params": {
-                name: {"element": b.element, "scale": b.scale, "value": b.value}
-                for name, b in self.params.items()
-            },
-            "lambda": self.lam,
-            "k0": self.k0,
-            "horizon_machine": self.horizon_machine,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Mapping":
-        fields = {"signals": dict, "params": dict, "lambda": float, "k0": float,
-                  "horizon_machine": float}
-        doc = json_object(doc, "mapping file", fields, optional=fields)
-        signals, params = {}, {}
-        for name, d in doc.get("signals", {}).items():
-            d = json_object(d, f"signal {name!r}",
-                            {"net": str, "parity": float, "amplitude_scale": float})
-            signals[name] = SignalBinding(d["net"], int(d["parity"]), d["amplitude_scale"])
-        for name, d in doc.get("params", {}).items():
-            d = json_object(d, f"param {name!r}", {"element": str, "scale": float, "value": float})
-            params[name] = ParamBinding(d["element"], d["scale"], d["value"])
-        return cls(signals, params, doc.get("lambda", 1.0), doc.get("k0", 1.0),
-                   doc.get("horizon_machine"))
-
-    def check(self, netlist) -> "Mapping":
-        """This mapping, if its bindings cover ``netlist``'s outputs and name
-        its nets and coefficient elements; else StructuralError."""
-        for name in netlist.outputs:
-            if name not in self.signals:
-                raise StructuralError(f"output {name!r} has no signal binding")
-        for name, b in self.signals.items():
-            if b.net not in netlist.nets:
-                raise StructuralError(f"signal {name!r} binds missing net {b.net!r}")
-        for name, b in self.params.items():
-            e = netlist.elements.get(b.element)
-            if e is None or e.kind is not Kind.COEFFICIENT:
-                raise StructuralError(f"param {name!r} binds {b.element!r}, not a coefficient element")
-        return self
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "Mapping":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-
-def descale_trace(trace: Trace, mapping: Mapping) -> Trace:
-    """Map a machine-unit trace back to problem units and problem time."""
-    series = {}
-    for name, values in trace.series.items():
-        if name not in mapping.signals:
-            raise ScalingError(f"signal {name!r} is not in the mapping")
-        b = mapping.signals[name]
-        factor = b.parity * b.scale
-        series[name] = [factor * v for v in values]
-    t = [mapping.lam * tau for tau in trace.tau]
-    overloads = [replace(ev, time=mapping.lam * ev.time) for ev in trace.overloads]
-    return Trace(t, series, overloads, time_label="t")

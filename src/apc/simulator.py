@@ -33,6 +33,9 @@ loading the initial conditions all go through ``_run``, which keeps long
 runs (millions of element evaluations) fast while staying
 bit-deterministic.
 
+``descale_trace`` maps a trace back to problem units and problem time
+through the compiler's sidecar mapping.
+
 Instances are single-threaded. A parameter sweep builds one instance
 and cycles it IC -> OP -> HALT once per value; with several usable CPUs
 each forked worker process cycles its own copy, so ``_run`` is generated
@@ -45,14 +48,16 @@ import csv
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .machine import (
     KINDS,
     AlgebraicLoopError,
     Kind,
+    Mapping,
     Netlist,
+    ScalingError,
     StructuralError,
     evaluation_order,
     parameter,
@@ -169,6 +174,20 @@ class Trace:
                 self.write_overloads_csv(fh)
 
 
+def descale_trace(trace: Trace, mapping: Mapping) -> Trace:
+    """Map a machine-unit trace back to problem units and problem time."""
+    series = {}
+    for name, values in trace.series.items():
+        if name not in mapping.signals:
+            raise ScalingError(f"signal {name!r} is not in the mapping")
+        b = mapping.signals[name]
+        factor = b.parity * b.scale
+        series[name] = [factor * v for v in values]
+    t = [mapping.lam * tau for tau in trace.tau]
+    overloads = [replace(ev, time=mapping.lam * ev.time) for ev in trace.overloads]
+    return Trace(t, series, overloads, time_label="t")
+
+
 # --- code generation -------------------------------------------------------
 
 def _indent(lines: list[str], depth: int) -> list[str]:
@@ -239,15 +258,18 @@ def _generate(netlist: Netlist, resolution: float):
     of ``s`` in one loop over the observed nets. Then an outer loop runs
     once per sample and an inner ``for`` runs up to ``every`` steps with
     no per-step branch. A step evaluates the RK4 stages a, b, d and e.
-    Stage a binds every net to a local, for each one is observed, and the
-    raw nets after a step are the next step's stage a. Stages b, d and e
+    Stage a evaluates every net, for each one is observed, and the raw
+    nets after a step are the next step's stage a. Stages b, d and e
     evaluate only the nets an integrator input reaches, and a net read
     once is inlined into its reader, in the same operations and operand
-    order. Sign flips fold where the result is exact: -(-(X)) is X,
-    -k0 * (-(X)) is k0 * (X) and -1.0 * (X) is -(X); a negation is never
-    pushed through a sum, as -(a + b) and -a + -b differ in the sign of a
-    zero. A reference's observed value is computed here and checked per
-    step only if it lies outside [-1, 1].
+    order. In every stage a net that is another local or its negation (an
+    inverter) gets no local of its own: its readers and its observation
+    read that local, the sign kept apart. Sign flips fold where the
+    result is exact: -(-(X)) is X, -k0 * (-(X)) is k0 * (X) and
+    -1.0 * (X) is -(X); a negation is never pushed through a sum, as
+    -(a + b) and -a + -b differ in the sign of a zero. A reference's
+    observed value is computed here and checked per step only if it lies
+    outside [-1, 1].
 
     A state or an observed net outside [-1, 1], or not finite, goes
     through ``clamp(v, tau, element, i)``, the value model's slow path at
@@ -300,7 +322,9 @@ def _generate(netlist: Netlist, resolution: float):
         view: dict[str, _Expr] = {}
 
         def bind(eid: str, name: str, x: _Expr) -> None:
-            if tag != "a" and reads[eid] == 1 and len(x[0]) < _INLINE_CHARS:
+            if not x[2] and x[0].isidentifier():  # a local, or its negation
+                view[eid] = x
+            elif tag != "a" and reads[eid] == 1 and len(x[0]) < _INLINE_CHARS:
                 view[eid] = x
             else:
                 lines.append(f"{name} = {_code(x)}")

@@ -617,6 +617,94 @@ def test_autoscaled_compile_leaves_out_scipy(tmp_path):
     assert fresh_python(code).splitlines()[-1] == "0 True []"
 
 
+#: Every name ``apc`` exported when its ``__init__`` still imported every submodule.
+PACKAGE_NAMES = [
+    "BoundsEstimate", "CompileError", "CompileOptions", "CompileResult", "ConstructionError",
+    "Diagnostic", "Element", "Kind", "MachineInstance", "MachineSpec", "Mapping", "Mode",
+    "ModeError", "Net", "Netlist", "OdeSystem", "OverloadError", "PatchAssignment",
+    "ResourceError", "ScaleMap", "ScalingError", "ScalingViolationError", "SignalBinding",
+    "SimConfig", "StructuralError", "THAT", "Trace", "UnscaledCoefficientError",
+    "algebraic_loops", "amplitude_scale", "apply_assignment", "autoscale", "compile_system",
+    "compiler", "descale_trace", "dsl", "element_output", "estimate_bounds", "evaluation_order",
+    "fabric", "load_machine_spec", "load_netlist", "machine", "map_netlist", "netlist_from_dict",
+    "netlist_to_dict", "new_instance", "parse", "patch_instructions", "pretty",
+    "reference_solution", "resolve", "save_netlist", "scaling", "simulator", "time_scale",
+    "validate",
+]
+
+
+def test_import_apc_loads_no_submodule():
+    """The package loads its submodules on first use, not on import."""
+    code = "import sys, apc; print(sorted(m for m in sys.modules if m.startswith('apc.')))"
+    assert fresh_python(code).strip() == "[]"
+
+
+def test_every_package_name_resolves_and_is_listed():
+    """``dir(apc)`` lists every exported name before any is used, each one
+    resolves, and ``from apc import *`` binds them all."""
+    code = ("import apc; names = %r; listed = set(dir(apc)); "
+            "print([n for n in names if n not in listed]); "
+            "print([n for n in names if getattr(apc, n, None) is None]); "
+            "star = {}; exec('from apc import *', star); "
+            "print(sorted(set(names) - set(star)))" % PACKAGE_NAMES)
+    assert fresh_python(code).splitlines() == ["[]", "[]", "[]"]
+
+
+def test_sidecar_names_keep_their_scaling_home():
+    """The sidecar mapping lives in machine and de-scaling in simulator;
+    scaling re-exports the same objects."""
+    from apc import machine, scaling, simulator
+
+    moved = {"Mapping": machine, "SignalBinding": machine, "ParamBinding": machine,
+             "ScalingError": machine, "descale_trace": simulator}
+    for name, home in moved.items():
+        assert getattr(scaling, name) is getattr(home, name)
+
+
+#: command -> the apc modules besides apc.cli that running it loads.
+COMMAND_MODULES = {
+    "check": ["apc.dsl"],
+    "compile": ["apc.compiler", "apc.dsl", "apc.machine", "apc.scaling", "apc.simulator"],
+    "run": ["apc.machine", "apc.simulator"],
+    "run-problem-units": ["apc.machine", "apc.simulator"],
+    "sweep": ["apc.machine", "apc.simulator"],
+    "map": ["apc.fabric", "apc.machine"],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_MODULES))
+def test_each_command_loads_only_the_modules_it_runs(workdir, command):
+    sine = compiled(workdir, SINE_SRC, "sine")
+    vco = compiled(workdir, VCO_SRC, "vco", ("--scale", "none"))
+    argv = {
+        "check": ["check", str(workdir / "sine.apc")],
+        "compile": ["compile", str(workdir / "sine.apc"), "-o", str(workdir / "c.json")],
+        "run": ["run", str(sine), "--trace", str(workdir / "t.csv")],
+        "run-problem-units": ["run", str(sine), "--trace", str(workdir / "t.csv"),
+                              "--problem-units"],
+        "sweep": ["sweep", str(vco), "--param", "k=0.2,0.4", "--tend", "1",
+                  "--out", str(workdir / "sweep")],
+        "map": ["map", str(sine), "--machine", "that"],
+    }[command]
+    code = ("import sys; from apc.cli import main; code = main(%r); "
+            "print(code, sorted(m for m in sys.modules "
+            "if m.startswith('apc.') and m != 'apc.cli'))" % argv)
+    assert fresh_python(code).splitlines()[-1] == f"0 {COMMAND_MODULES[command]}"
+
+
+@pytest.mark.parametrize("k0", ["0", "-1", "nan", "inf"])
+def test_compile_rejects_k0_outside_the_positive_finite_range(tmp_path, k0):
+    """A separate process with a timeout: each value once ended in a
+    traceback or in an invalid-netlist internal error."""
+    source = write(tmp_path / "c.apc", SINE_SRC)
+    for scale in ("auto", "none"):
+        proc = subprocess.run([sys.executable, "-m", "apc", "compile", source, f"--k0={k0}",
+                               "--scale", scale, "-o", str(tmp_path / "c.json")],
+                              env=src_env(), capture_output=True, text=True, timeout=60)
+        message = f"apc: usage: --k0 must be positive and finite, got {float(k0)}\n"
+        assert (proc.returncode, proc.stderr) == (1, message)
+
+
 #: A program whose one constant line a case below replaces.
 CONSTANTS_SRC = ("system t\nparam k = 0.5\nvar y order 2\neq y'' = -k*y\ninit y = 0.5\n"
                  "init y' = 0\ntime 1\noutput y\n")

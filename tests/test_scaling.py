@@ -87,7 +87,7 @@ class TestBounds:
                "bound y = 2\nbound y' = 4\ntime 1\n")
         bounds = estimate_bounds(resolve_src(src))
         assert bounds.of("y", 2) == pytest.approx(2 + 0.5 * 4)
-        assert bounds.method[("y", 2)] == "user"
+        assert bounds.method[("y", 2)] == "interval"
 
     def test_divergent_system_reports_unbounded(self, tmp_path, capsys):
         src = "system t\nvar y order 1\neq y' = y*y\ninit y = 2\ntime 1\n"
