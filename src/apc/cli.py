@@ -108,7 +108,7 @@ def _pot_setting(netlist, mapping, name: str, value: float) -> tuple[str, float]
 
     binding = mapping.params.get(name) if mapping else None
     if binding is not None:
-        if binding.value != 0 and (value > 0) != (binding.value > 0):
+        if value and binding.value and (value > 0) != (binding.value > 0):  # ±0 has no sign
             raise _UsageError(f"{name}={value!r} flips the sign of {binding.value!r}, "
                               "a baked-in parity; recompile instead")
         element, alpha = binding.element, abs(binding.scale * value)
@@ -123,9 +123,12 @@ def _pot_setting(netlist, mapping, name: str, value: float) -> tuple[str, float]
 
 def _number(text: str, what: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise _UsageError(f"{what}: {text!r} is not a number") from None
+        value = math.nan
+    if math.isnan(value):
+        raise _UsageError(f"{what}: {text!r} is not a number")
+    return value
 
 
 def _parse_set(spec: str) -> tuple[str, float]:

@@ -10,7 +10,8 @@ net value = parity * signal value. The lowering tracks parity per net
 and inserts single-input summers only where parities genuinely clash;
 with the chain head assumed positive, the k-th integrator output carries
 parity (-1)^k and its initial-condition setting is parity * init.
-Normalization folds every sign into term coefficients and net parities,
+Normalization (``scaling.normalize``, the form the autoscaler sizes
+signals from) folds every sign into term coefficients and net parities,
 so no inverter ever reads an inverter or feeds a multiplier, and no
 cleanup pass is needed.
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .dsl import Bin, Call, Expr, Neg, Num, OdeSystem, Ref, signal_name
+from .dsl import OdeSystem, signal_name
 from .machine import (
     Element,
     Mapping,
@@ -43,7 +44,8 @@ from .machine import (
     summer,
     validate,
 )
-from .scaling import ScaleMap, algebraic_order, stage_gain
+from .scaling import (ScaleMap, _FSignal, _FSum, _NSum, _Term, algebraic_order, normalize,
+                      stage_gain)
 
 _PENDING = "__pending__"
 _TOL = 1e-9
@@ -106,109 +108,6 @@ class NetlistBuilder:
             if _PENDING in e.inputs:
                 raise CompileError(f"internal error: unpatched feedback input on {e.id}")
         return Netlist(self.elements.values(), self.nets, outputs)
-
-
-# --- expression normalization ----------------------------------------------
-# An expression becomes a sum of terms; each term is a numeric coefficient
-# (with symbolic param bookkeeping for the sweep interface) times signal,
-# lookup and parenthesized-sum factors. Products never distribute over
-# sums, so the element structure of the source is preserved.
-
-@dataclass
-class _FSignal:
-    var: str
-    order: int
-
-
-@dataclass
-class _FLut:
-    table: str
-    arg: "_NSum"
-
-
-@dataclass
-class _FSum:
-    inner: "_NSum"
-
-
-@dataclass
-class _Term:
-    coeff: float
-    pexps: Counter
-    factors: list
-
-
-@dataclass
-class _NSum:
-    terms: list
-
-
-def _mk_sum(terms) -> _NSum:
-    merged: dict = {}
-    out = []
-    for t in terms:
-        if t.coeff == 0.0:
-            continue
-        if not t.factors:
-            key = frozenset(t.pexps.items())
-            if key in merged:
-                merged[key].coeff += t.coeff
-            else:
-                merged[key] = _Term(t.coeff, t.pexps, [])
-                out.append(merged[key])
-        else:
-            out.append(t)
-    return _NSum([t for t in out if t.coeff != 0.0])
-
-
-def _is_const(n: _NSum) -> bool:
-    return len(n.terms) == 1 and not n.terms[0].factors
-
-
-def _scaled(n: _NSum, c: float, pexps: Counter) -> _NSum:
-    return _mk_sum([_Term(t.coeff * c, t.pexps + pexps, t.factors) for t in n.terms])
-
-
-def _negated(n: _NSum) -> _NSum:
-    return _NSum([_Term(-t.coeff, t.pexps, t.factors) for t in n.terms])
-
-
-def normalize(expr: Expr, system: OdeSystem) -> _NSum:
-    if isinstance(expr, Num):
-        return _mk_sum([_Term(expr.value, Counter(), [])])
-    if isinstance(expr, Ref):
-        if expr.name in system.params:
-            return _mk_sum([_Term(system.params[expr.name], Counter({expr.name: 1}), [])])
-        return _mk_sum([_Term(1.0, Counter(), [_FSignal(expr.name, expr.order)])])
-    if isinstance(expr, Neg):
-        return _negated(normalize(expr.operand, system))
-    if isinstance(expr, Bin):
-        left = normalize(expr.left, system)
-        right = normalize(expr.right, system)
-        if expr.op == "+":
-            return _mk_sum(left.terms + right.terms)
-        if expr.op == "-":
-            return _mk_sum(left.terms + _negated(right).terms)
-        if _is_const(left):
-            t = left.terms[0]
-            return _scaled(right, t.coeff, t.pexps)
-        if _is_const(right):
-            t = right.terms[0]
-            return _scaled(left, t.coeff, t.pexps)
-
-        def as_factors(n: _NSum):
-            if len(n.terms) == 1:
-                t = n.terms[0]
-                return t.coeff, t.pexps, t.factors
-            return 1.0, Counter(), [_FSum(n)]
-
-        lc, lp, lf = as_factors(left)
-        rc, rp, rf = as_factors(right)
-        return _mk_sum([_Term(lc * rc, lp + rp, lf + rf)])
-    if isinstance(expr, Call) and expr.func == "lut":
-        arg = normalize(expr.args[1], system)
-        return _mk_sum([_Term(1.0, Counter(), [_FLut(expr.args[0].name, arg)])])
-    raise CompileError(f"cannot lower expression {expr!r}")
 
 
 # --- synthesis ---------------------------------------------------------------

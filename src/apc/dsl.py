@@ -653,9 +653,6 @@ class _Resolver:
                     self.fail(e.line, e.column, "first lut argument must be a table name")
                 elif tab.name not in tables:
                     self.fail(tab.line, tab.column, f"unknown table {tab.name!r}")
-            elif isinstance(e, Call) and e.func in CONST_FUNCS:
-                self.fail(e.line, e.column,
-                          f"{e.func} is only available in constant expressions, not at runtime")
             elif isinstance(e, Call):
                 self.fail(e.line, e.column, f"unknown function {e.func!r}")
 

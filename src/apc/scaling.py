@@ -10,7 +10,11 @@ Scaling proceeds in three steps:
 2. ``amplitude_scale``: pick a scale factor m per signal so that the
    machine net carries signal/m; factors come from the human-legible
    grid {1, 2, 2.5, 5} x 10^k, rounded up, which also keeps predicted
-   utilization of the interval at 0.5 or better.
+   utilization of the interval at 0.5 or better. A feasibility pass then
+   sizes each driven signal from ``normalize``'s output, the normal form
+   (a sum of terms, each a coefficient times factors) that the compiler
+   lowers term by term, so the gains it checks are the ones the
+   compiler builds.
 3. ``time_scale``: pick the machine-time factor lambda (problem time
    t = lambda * tau) and the integrator rate k0. Each integrator stage
    then needs gain alpha * k0 = lambda * m_upper / m_lower; alphas
@@ -19,20 +23,31 @@ Scaling proceeds in three steps:
 The compiled program's sidecar mapping (signal and parameter bindings)
 lives in ``machine`` and trace de-scaling back to problem units in
 ``simulator``, so running a compiled program never loads this module;
-both are re-exported here under their old names.
+both are re-exported here under their old names, ``descale_trace`` only
+on first use, so that compiling never loads the simulator.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .dsl import Bin, Call, Expr, Neg, Num, OdeSystem, Ref, signal_name, walk
 from .machine import ScalingError, simple_cycles, topological_order
 
-# The sidecar mapping and trace de-scaling, under the names they had here.
+# The sidecar mapping, under the names it had here.
 from .machine import Mapping, ParamBinding, SignalBinding  # noqa: F401
-from .simulator import descale_trace  # noqa: F401
+
+
+def __getattr__(name: str):
+    """Resolve ``descale_trace`` on first use (PEP 562)."""
+    if name == "descale_trace":
+        from .simulator import descale_trace
+
+        return descale_trace
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: Margin applied to oracle-estimated maxima before grid rounding.
 SAFETY_MARGIN = 1.25
@@ -273,9 +288,6 @@ class BoundsEstimate:
     values: dict  # (var, order) -> bound > 0
     method: dict  # (var, order) -> "user" | "interval" | "oracle"
 
-    def of(self, var: str, order: int) -> float:
-        return self.values[(var, order)]
-
 
 def _interval_bound(expr: Expr, env: dict, params: dict, tables: dict) -> float:
     """Conservative magnitude bound of an expression given signal bounds."""
@@ -331,6 +343,111 @@ def estimate_bounds(system: OdeSystem) -> BoundsEstimate:
             values[key] = peak * SAFETY_MARGIN if peak > 1e-12 else 1.0
             method[key] = "oracle"
     return BoundsEstimate(values, method)
+
+
+# --- normal form -------------------------------------------------------------
+# An expression becomes a sum of terms; each term is a numeric coefficient
+# (with symbolic param bookkeeping for the sweep interface) times signal,
+# lookup and parenthesized-sum factors. Products never distribute over
+# sums, so the element structure of the source is preserved. The compiler
+# lowers this form term by term, and the feasibility pass below sizes
+# signals from it.
+
+@dataclass
+class _FSignal:
+    var: str
+    order: int
+
+
+@dataclass
+class _FLut:
+    table: str
+    arg: "_NSum"
+
+
+@dataclass
+class _FSum:
+    inner: "_NSum"
+
+
+@dataclass
+class _Term:
+    coeff: float
+    pexps: Counter
+    factors: list
+
+
+@dataclass
+class _NSum:
+    terms: list
+
+
+def _mk_sum(terms) -> _NSum:
+    merged: dict = {}
+    out = []
+    for t in terms:
+        if t.coeff == 0.0:
+            continue
+        if not t.factors:
+            key = frozenset(t.pexps.items())
+            if key in merged:
+                merged[key].coeff += t.coeff
+            else:
+                merged[key] = _Term(t.coeff, t.pexps, [])
+                out.append(merged[key])
+        else:
+            out.append(t)
+    return _NSum([t for t in out if t.coeff != 0.0])
+
+
+def _is_const(n: _NSum) -> bool:
+    return len(n.terms) == 1 and not n.terms[0].factors
+
+
+def _scaled(n: _NSum, c: float, pexps: Counter) -> _NSum:
+    return _mk_sum([_Term(t.coeff * c, t.pexps + pexps, t.factors) for t in n.terms])
+
+
+def _negated(n: _NSum) -> _NSum:
+    return _NSum([_Term(-t.coeff, t.pexps, t.factors) for t in n.terms])
+
+
+def normalize(expr: Expr, system: OdeSystem) -> _NSum:
+    if isinstance(expr, Num):
+        return _mk_sum([_Term(expr.value, Counter(), [])])
+    if isinstance(expr, Ref):
+        if expr.name in system.params:
+            return _mk_sum([_Term(system.params[expr.name], Counter({expr.name: 1}), [])])
+        return _mk_sum([_Term(1.0, Counter(), [_FSignal(expr.name, expr.order)])])
+    if isinstance(expr, Neg):
+        return _negated(normalize(expr.operand, system))
+    if isinstance(expr, Bin):
+        left = normalize(expr.left, system)
+        right = normalize(expr.right, system)
+        if expr.op == "+":
+            return _mk_sum(left.terms + right.terms)
+        if expr.op == "-":
+            return _mk_sum(left.terms + _negated(right).terms)
+        if _is_const(left):
+            t = left.terms[0]
+            return _scaled(right, t.coeff, t.pexps)
+        if _is_const(right):
+            t = right.terms[0]
+            return _scaled(left, t.coeff, t.pexps)
+
+        def as_factors(n: _NSum):
+            if len(n.terms) == 1:
+                t = n.terms[0]
+                return t.coeff, t.pexps, t.factors
+            return 1.0, Counter(), [_FSum(n)]
+
+        lc, lp, lf = as_factors(left)
+        rc, rp, rf = as_factors(right)
+        return _mk_sum([_Term(lc * rc, lp + rp, lf + rf)])
+    if isinstance(expr, Call) and expr.func == "lut":
+        arg = normalize(expr.args[1], system)
+        return _mk_sum([_Term(1.0, Counter(), [_FLut(expr.args[0].name, arg)])])
+    raise TypeError(f"cannot normalize {expr!r}")
 
 
 # --- scale factors ----------------------------------------------------------
@@ -399,60 +516,38 @@ def _lut_arg_signals(system: OdeSystem):
     return found
 
 
-def _gain_profile(expr: Expr, amplitude: dict, params: dict, tables: dict):
-    """Structural requirements of a scaled right-hand side.
+def _demand(n: _NSum, amplitude: dict, tables: dict) -> tuple[float, float]:
+    """(G, V) of a normal form as the compiler lowers it.
 
-    Returns (kind, G, V) where G is the largest gain any single term
-    demands (its constant times the amplitude factors of its signal
-    leaves) and V a worst-case magnitude of the whole expression with
-    every machine net at full scale. The driven net's amplitude must
-    cover max(G, V) so that every coefficient lands in [0, 1] and the
-    summing net cannot saturate. ``kind`` distinguishes constant
-    subtrees ("const"), single terms ("single") and sums ("multi"):
-    sums used as multiplier operands stay unscaled nets, so they must
-    fit the machine interval on their own and contribute no gain.
+    G is the largest gain any one term's coefficient needs (its constant
+    times the amplitude factors of its signals) and V the worst-case
+    magnitude of the summing net with every machine net at full scale.
+    A sum used as a multiplier operand or as a lookup-table argument is
+    lowered unscaled, so it must fit [-1, 1] on its own.
     """
-    if isinstance(expr, Num):
-        return ("const", abs(expr.value), abs(expr.value))
-    if isinstance(expr, Ref):
-        if (expr.name, expr.order) in amplitude:
-            m = amplitude[(expr.name, expr.order)]
-            return ("single", m, m)
-        c = abs(params[expr.name])
-        return ("const", c, c)
-    if isinstance(expr, Neg):
-        return _gain_profile(expr.operand, amplitude, params, tables)
-    if isinstance(expr, Call) and expr.func == "lut":
-        _, _, v_arg = _gain_profile(expr.args[1], amplitude, params, tables)
-        if v_arg > 1.0 + 1e-9:
-            raise ScalingError(
-                f"lookup-table argument can reach {v_arg:.4g}; arguments must stay in [-1, 1]")
-        top = max(abs(p[1]) for p in tables[expr.args[0].name])
-        return ("single", 1.0, top)
-
-    kl, gl, vl = _gain_profile(expr.left, amplitude, params, tables)
-    kr, gr, vr = _gain_profile(expr.right, amplitude, params, tables)
-    if expr.op in "+-":
-        if kl == "const" and kr == "const":
-            return ("const", gl + gr, vl + vr)
-        return ("multi", max(gl, gr), vl + vr)
-    if kl == "const":
-        return (kr if kr != "const" else "const", gl * gr, vl * vr)
-    if kr == "const":
-        return (kl, gl * gr, vl * vr)
-
-    def as_factor(kind, g, v):
-        if kind == "multi":  # becomes an unscaled net: must fit on its own
-            if max(g, v) > 1.0 + 1e-9:
-                raise ScalingError(
-                    f"parenthesized sum needs {max(g, v):.4g} machine units; "
-                    "expand it or bound its inputs")
-            return 1.0, min(1.0, v)
-        return g, v
-
-    gl, vl = as_factor(kl, gl, vl)
-    gr, vr = as_factor(kr, gr, vr)
-    return ("single", gl * gr, vl * vr)
+    g = v = 0.0
+    for t in n.terms:
+        gain = size = abs(t.coeff)
+        for f in t.factors:
+            if isinstance(f, _FSignal):
+                m = amplitude[(f.var, f.order)]
+                gain, size = gain * m, size * m
+            elif isinstance(f, _FSum):
+                g_in, v_in = _demand(f.inner, amplitude, tables)
+                if max(g_in, v_in) > 1.0 + 1e-9:
+                    raise ScalingError(
+                        f"parenthesized sum needs {max(g_in, v_in):.4g} machine units; "
+                        "expand it or bound its inputs")
+                size *= min(1.0, v_in)
+            else:
+                arg = max(_demand(f.arg, amplitude, tables))
+                if arg > 1.0 + 1e-9:
+                    raise ScalingError(
+                        f"lookup-table argument can reach {arg:.4g}; arguments must stay in [-1, 1]")
+                size *= max(abs(p[1]) for p in tables[f.table])
+        g = max(g, gain)
+        v += size
+    return g, v
 
 
 def amplitude_scale(system: OdeSystem, bounds: BoundsEstimate) -> ScaleMap:
@@ -462,9 +557,12 @@ def amplitude_scale(system: OdeSystem, bounds: BoundsEstimate) -> ScaleMap:
     net value, so rescaling its argument would change the function.
 
     A feasibility pass then raises each driven (equation) scale to what
-    its scaled right-hand side demands, so every term coefficient lands
-    in [0, 1] and the summing net cannot saturate. Grid rounding of
-    independent signals would otherwise let a gain escape by up to 2x.
+    its right-hand side demands in the compiler's normal form, so every
+    term coefficient lands in [0, 1] and the summing net cannot saturate.
+    Grid rounding of independent signals would otherwise let a gain
+    escape by up to 2x. A parenthesized sum used as a multiplier operand
+    and a lookup-table argument are built unscaled, so each must fit
+    [-1, 1] on its own; otherwise this raises ScalingError.
     """
     pinned = _lut_arg_signals(system)
     amplitude = {}
@@ -483,8 +581,7 @@ def amplitude_scale(system: OdeSystem, bounds: BoundsEstimate) -> ScaleMap:
     driven = algebraic_order(system) + [v for v, n in system.var_order.items() if n >= 1]
     for v in driven:
         key = (v, system.var_order[v])
-        _, g, val = _gain_profile(system.equations[v], amplitude, system.params, system.tables)
-        need = max(g, val)
+        need = max(_demand(normalize(system.equations[v], system), amplitude, system.tables))
         if key in pinned:
             if need > 1.0 + 1e-9:
                 raise ScalingError(

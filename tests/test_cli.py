@@ -58,6 +58,8 @@ DIAGNOSTICS = {
     "table-not-a-number": (OK_SRC + "table f = (a, 1)\n", 2, ["6:12: expected a number"]),
     "table-no-points": (OK_SRC + "table f =\n", 2, ["6:10: table needs at least one breakpoint"]),
     "bad-character-only": (OK_SRC + "@\n", 2, ["6:1: unexpected character '@'"]),
+    "sin-at-runtime": (LUT_SRC + "lut(f, sin(y))\n", 2,
+                       ["6:16: sin is a constant function and not available at runtime"]),
     # resolve errors, exit 3
     "duplicate-time": (OK_SRC + "time 2\n", 3, ["6:1: duplicate time statement"]),
     "duplicate-output": (OK_SRC + "output y\noutput y\n", 3, ["7:1: duplicate output statement"]),
@@ -253,6 +255,23 @@ class TestRun:
     def test_set_sign_flip_rejected(self, workdir):
         out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
         assert main(["run", str(out), "--tend", "1", "--set", "k=-0.5"]) == 1
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--set", "k=0"],
+        ["run", "--set", "k=-0"],
+        ["sweep", "--param", "k=0:0.2:0.1", "--out", "s"],
+    ], ids=["run", "run-negative-zero", "sweep"])
+    def test_pot_set_to_zero(self, workdir, command):
+        """Zero has no sign, so it flips no baked-in parity, and alpha 0 is
+        a valid pot setting."""
+        out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
+        assert main([command[0], str(out), "--tend", "1", *command[1:]]) == 0
+
+    @pytest.mark.parametrize("name", ["k", "coef1"], ids=["param", "coefficient"])
+    def test_set_nan_is_not_a_number(self, workdir, capsys, name):
+        out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
+        assert main(["run", str(out), "--tend", "1", "--set", f"{name}=nan"]) == 1
+        assert capsys.readouterr().err == f"apc: usage: --set {name}: 'nan' is not a number\n"
 
     def test_set_alpha_out_of_range_exits_4(self, workdir, capsys):
         out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
@@ -664,7 +683,7 @@ def test_sidecar_names_keep_their_scaling_home():
 #: command -> the apc modules besides apc.cli that running it loads.
 COMMAND_MODULES = {
     "check": ["apc.dsl"],
-    "compile": ["apc.compiler", "apc.dsl", "apc.machine", "apc.scaling", "apc.simulator"],
+    "compile": ["apc.compiler", "apc.dsl", "apc.machine", "apc.scaling"],
     "run": ["apc.machine", "apc.simulator"],
     "run-problem-units": ["apc.machine", "apc.simulator"],
     "sweep": ["apc.machine", "apc.simulator"],

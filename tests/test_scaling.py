@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import re
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from apc import compiler, scaling, simulator
 from apc.cli import main
 from apc.compiler import CompileOptions, compile_system
+from apc.dsl import signal_name
 from apc.scaling import (
     Mapping,
     ScaleMap,
@@ -26,7 +28,7 @@ from apc.scaling import (
     time_scale,
 )
 from apc.simulator import OverloadEvent, SimConfig, Trace, new_instance
-from conftest import SINE5_SRC, SINE_SRC, resolve_src
+from conftest import SINE5_SRC, SINE_SRC, compilable_programs, resolve_src
 from test_compiler import simulable_odes
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -40,6 +42,25 @@ init y' = 0
 time 10
 output y
 """
+
+
+#: Once exited 4 with "unscaled coefficient 10" after autoscaling: the
+#: scaler took each parenthesized sum for a constant, and the compiler
+#: built it as a summer, so the product term needed a gain of 10.
+PRODUCT_OF_SUMS_SRC = """\
+system prod
+var x order 0
+param k = 0.15
+eq x = ((k + (0.05 + 0.05)) * ((0.05 + k) + 0.05))
+time 1
+"""
+
+
+def driven_by(rhs: str):
+    """A system whose order-0 ``y`` is ``rhs`` over ``x`` (bound 0.625, scale 1)."""
+    return resolve_src("system t\nparam k = 0.15\nvar x order 1\nvar y order 0\n"
+                       "table f = (-1, -1) (1, 1)\ntable g = (-1, -0.1) (1, 0.1)\n"
+                       f"eq x' = -x\ninit x = 0.5\neq y = {rhs}\ntime 1\n")
 
 
 class TestGrid:
@@ -66,27 +87,27 @@ class TestBounds:
         system = resolve_src(SINE5_SRC)
         bounds = estimate_bounds(system)
         # y = 5 cos t: every derivative peaks at 5, margin 1.25 makes 6.25
-        assert bounds.of("y", 0) == pytest.approx(6.25, rel=1e-3)
-        assert bounds.of("y", 1) == pytest.approx(6.25, rel=1e-3)
+        assert bounds.values[("y", 0)] == pytest.approx(6.25, rel=1e-3)
+        assert bounds.values[("y", 1)] == pytest.approx(6.25, rel=1e-3)
         assert bounds.method[("y", 0)] == "oracle"
 
     def test_in_range_system(self):
         system = resolve_src(HALF_SINE_SRC)
         bounds = estimate_bounds(system)
-        assert bounds.of("y", 0) == pytest.approx(0.625, rel=1e-3)
+        assert bounds.values[("y", 0)] == pytest.approx(0.625, rel=1e-3)
 
     def test_user_annotation_passthrough(self):
         src = ("system t\nvar y order 2\neq y'' = -y\ninit y = 0.5\ninit y' = 0\n"
                "bound y = 2\nbound y' = 2\nbound y'' = 2\ntime 1\n")
         bounds = estimate_bounds(resolve_src(src))
-        assert bounds.of("y", 0) == 2.0
+        assert bounds.values[("y", 0)] == 2.0
         assert bounds.method[("y", 0)] == "user"
 
     def test_interval_fill_for_top_derivative(self):
         src = ("system t\nvar y order 2\neq y'' = -y - 0.5*y'\ninit y = 0.5\ninit y' = 0\n"
                "bound y = 2\nbound y' = 4\ntime 1\n")
         bounds = estimate_bounds(resolve_src(src))
-        assert bounds.of("y", 2) == pytest.approx(2 + 0.5 * 4)
+        assert bounds.values[("y", 2)] == pytest.approx(2 + 0.5 * 4)
         assert bounds.method[("y", 2)] == "interval"
 
     def test_divergent_system_reports_unbounded(self, tmp_path, capsys):
@@ -114,12 +135,12 @@ class TestBounds:
         oracle = reference_solution(system)
         assert np.array_equal(oracle.signals[("x", 0)], np.full_like(oracle.t, 0.05))
         bounds = estimate_bounds(system)
-        assert bounds.of("x", 0) > 0 and bounds.of("y", 0) > 0
+        assert bounds.values[("x", 0)] > 0 and bounds.values[("y", 0)] > 0
 
     def test_zero_signal_defaults_to_unit_bound(self):
         src = "system t\nvar y order 1\neq y' = -y\ninit y = 0\ntime 1\n"
         bounds = estimate_bounds(resolve_src(src))
-        assert bounds.of("y", 0) == 1.0
+        assert bounds.values[("y", 0)] == 1.0
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +214,31 @@ class TestAmplitudeScale:
             amplitude_scale(system, estimate_bounds(system))
 
 
+    def test_product_of_sums_compiles_and_matches_oracle(self, tmp_path):
+        source = tmp_path / "prod.apc"
+        source.write_text(PRODUCT_OF_SUMS_SRC, encoding="utf-8")
+        out, trace = tmp_path / "prod.json", tmp_path / "prod.csv"
+        assert main(["compile", str(source), "-o", str(out)]) == 0
+        assert main(["run", str(out), "--problem-units", "--trace", str(trace)]) == 0
+        oracle = reference_solution(resolve_src(PRODUCT_OF_SUMS_SRC)).signals[("x", 0)]
+        assert np.all(oracle == 0.0625)
+        with open(trace) as fh:
+            x = [float(row["x"]) for row in csv.DictReader(fh)]
+        assert max(abs(v - 0.0625) for v in x) <= 1e-3 * 0.0625
+
+    @pytest.mark.parametrize("rhs, message", [
+        # the compiler builds both operands as sums; (x + k) can reach 1.15
+        ("(x + k) * (k - 0.05)", "parenthesized sum needs 1.15 machine units"),
+        ("(x + k) * ((0.05 - 0.05) * 0.05)", "parenthesized sum needs 1.15 machine units"),
+        ("lut(f, x + 0.5)", "lookup-table argument can reach 1.5"),
+        # V is only 0.5, but the argument's one term needs a gain of 5
+        ("lut(f, 5 * lut(g, x))", "lookup-table argument can reach 5"),
+    ], ids=["param-sum", "zero-sum", "lut-sum", "lut-gain"])
+    def test_operand_built_unscaled_must_fit_on_its_own(self, rhs, message):
+        with pytest.raises(ScalingError, match=re.escape(message)):
+            autoscale(driven_by(rhs))
+
+
 class TestTimeScale:
     def test_identity(self):
         system = resolve_src(HALF_SINE_SRC)
@@ -228,6 +274,26 @@ class TestTimeScale:
 
 
 class TestRoundTrip:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(compilable_programs())
+    def test_autoscaled_programs_run_onto_the_oracle(self, src):
+        """A program the scaler accepts compiles, runs at dt 1e-3 without
+        overloads and descales to within 1e-3 of each output's peak."""
+        system = resolve_src(src)
+        try:
+            scale = autoscale(system)
+        except ScalingError:
+            return
+        result = compile_system(system, CompileOptions(scale=scale))
+        trace = new_instance(result.netlist, SimConfig(dt=1e-3)).run(result.mapping.horizon_machine)
+        assert trace.overloads == []
+        problem = descale_trace(trace, result.mapping)
+        oracle = reference_solution(system, t_eval=np.asarray(problem.tau))
+        for key in system.outputs:
+            ref = oracle.signals[key]
+            err = np.max(np.abs(np.asarray(problem.series[signal_name(*key)]) - ref))
+            assert err <= 1e-3 * np.max(np.abs(ref)), (signal_name(*key), err)
+
     def test_scaled_run_matches_oracle_after_descale(self):
         system = resolve_src(SINE5_SRC)
         scale = autoscale(system)
