@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .simulator import MachineInstance, Trace
+    from .simulator import MachineInstance
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -229,45 +229,53 @@ def _sweep_values(spec: str) -> list[float]:
     return values
 
 
-#: The machine and machine end time of the sweep in progress. Set in the
-#: parent just before its runs start; forked workers inherit it.
-_sweep_machine: tuple[MachineInstance, float] | None = None
+#: The machine, machine end time and output directory of the sweep in
+#: progress. Set in the parent just before its runs start; forked workers
+#: inherit it.
+_sweep_machine: tuple[MachineInstance, float, Path] | None = None
 
 
-def _sweep_run(setting: tuple[str, float]) -> Trace:
-    """One sweep row: reload the ICs, set the pot, run IC -> OP -> HALT."""
+def _sweep_run(row: tuple[int, str, float]) -> tuple[dict, int]:
+    """Sweep row ``(i, element, alpha)``: reload the ICs, set the pot, run
+    IC -> OP -> HALT and write ``run_{i:03d}.csv``. Returns the run's final
+    values and its overload count."""
     from .simulator import Mode
 
-    instance, tau_end = _sweep_machine
+    instance, tau_end, out_dir = _sweep_machine
+    i, element, alpha = row
     instance.set_mode(Mode.IC)
-    instance.set_coefficient(*setting)
-    return instance.run(tau_end)
+    instance.set_coefficient(element, alpha)
+    trace = instance.run(tau_end)
+    trace.save(out_dir / f"run_{i:03d}.csv")
+    return trace.final(), len(trace.overloads)
 
 
-def _sweep_traces(instance, tau_end, settings) -> list[Trace]:
-    """The trace of each pot setting, in order, over one process per usable CPU.
+def _sweep_rows(instance, tau_end, out_dir, settings) -> list[tuple[dict, int]]:
+    """Run and write each pot setting's row, over one process per usable CPU;
+    returns each row's final values and overload count, in order.
 
-    Runs are independent, so any worker may run any of them, and a trace
-    pickles back exactly: the worker count never changes a result. Workers
-    are forked from this process, which starts no threads, and inherit
-    ``instance``, whose generated run loop cannot be pickled. Where the
-    usable CPUs cannot be read (macOS, Windows) the runs stay in-process.
-    An executor, not ``multiprocessing.Pool``: leaving a Pool kills its
-    workers, and one killed while it holds the result queue's lock
-    deadlocks the Pool's task handler after a failed run.
+    Rows are independent, so any worker may run any of them and write its
+    trace file: the worker count never changes a result. Only the final
+    values cross back. Workers are forked from this process, which starts
+    no threads, and inherit ``instance``, whose generated run loop cannot
+    be pickled. Where the usable CPUs cannot be read (macOS, Windows) the
+    rows run in-process. An executor, not ``multiprocessing.Pool``:
+    leaving a Pool kills its workers, and one killed while it holds the
+    result queue's lock deadlocks the Pool's task handler after a failed run.
     """
     global _sweep_machine
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(settings))
-    _sweep_machine = (instance, tau_end)
+    rows = [(i, element, alpha) for i, (element, alpha) in enumerate(settings)]
+    _sweep_machine = (instance, tau_end, out_dir)
     try:
         if workers == 1:
-            return list(map(_sweep_run, settings))
+            return list(map(_sweep_run, rows))
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
-            return list(pool.map(_sweep_run, settings))
+            return list(pool.map(_sweep_run, rows))
     finally:
         _sweep_machine = None
 
@@ -283,18 +291,15 @@ def cmd_sweep(args) -> int:
     instance, tau_end = _new_machine(args, netlist, mapping)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    traces = _sweep_traces(instance, tau_end, settings)
+    rows = _sweep_rows(instance, tau_end, out_dir, settings)
 
     import csv
 
     with open(out_dir / "summary.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["value"] + list(netlist.outputs) + ["overloads"])
-        for i, (v, trace) in enumerate(zip(values, traces)):
-            trace.save(out_dir / f"run_{i:03d}.csv")
-            finals = trace.final()
-            writer.writerow([repr(v)] + [repr(finals[n]) for n in netlist.outputs]
-                            + [len(trace.overloads)])
+        for v, (finals, overloads) in zip(values, rows):
+            writer.writerow([repr(v)] + [repr(finals[n]) for n in netlist.outputs] + [overloads])
     print(f"sweep: {len(values)} runs -> {out_dir}")
     return EXIT_OK
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -57,23 +56,33 @@ class Kind(str, Enum):
     REFERENCE = "reference"
 
 
-def table_lookup(table):
-    """End-clamped piecewise-linear lookup over a breakpoint table."""
+def lookup_code(table, x: str) -> str:
+    """The end-clamped piecewise-linear lookup of the expression ``x`` over
+    ``table``, as one parenthesized Python expression.
+
+    ``x`` is bound once, to the temp ``t``. The two end clamps come first,
+    then a balanced chain of comparisons picks the segment ``bisect_right``
+    would pick, whose value is ``y0 + dy * (t - x0) / dx`` with ``dy`` and
+    ``dx`` folded here: the same floats as computing them at run time. A
+    NaN fails every comparison and comes out of the last segment as NaN.
+    """
     xs = [p[0] for p in table]
     ys = [p[1] for p in table]
-    lo_x, lo_y, hi_x, hi_y = xs[0], ys[0], xs[-1], ys[-1]
 
-    def lookup(x: float) -> float:
-        if x <= lo_x:
-            return lo_y
-        if x >= hi_x:
-            return hi_y
-        i = bisect_right(xs, x)
-        x0, x1 = xs[i - 1], xs[i]
-        y0, y1 = ys[i - 1], ys[i]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    def segments(lo: int, hi: int) -> str:  # segments lo .. hi - 1
+        if hi - lo == 1:
+            return f"{ys[lo]!r} + {ys[hi] - ys[lo]!r} * (t - {xs[lo]!r}) / {xs[hi] - xs[lo]!r}"
+        mid = (lo + hi) // 2
+        return f"({segments(lo, mid)}) if t < {xs[mid]!r} else ({segments(mid, hi)})"
 
-    return lookup
+    return (f"({ys[0]!r} if (t := {x}) <= {xs[0]!r} else {ys[-1]!r} if t >= {xs[-1]!r} "
+            f"else {segments(0, len(xs) - 1)})")
+
+
+def table_lookup(table):
+    """End-clamped piecewise-linear lookup over a breakpoint table: the
+    function of ``lookup_code``'s expression."""
+    return eval(f"lambda x: {lookup_code(table, 'x')}")
 
 
 @dataclass(frozen=True)
@@ -82,9 +91,9 @@ class KindSpec:
 
     ``arity`` is the (min, max) input count, max None for unbounded;
     ``params`` are the parameter keys. ``output`` maps the input
-    expressions and the parameter's expression to the Python expression
-    of the element's output; an integrator has none, its output is its
-    state.
+    expressions and the parameter's expression (a function generator's
+    table itself) to the Python expression of the element's output; an
+    integrator has none, its output is its state.
     """
 
     arity: tuple
@@ -97,7 +106,7 @@ KINDS = {
     Kind.INTEGRATOR: KindSpec((1, None), ("ic", "k0")),
     Kind.MULTIPLIER: KindSpec((2, 2), (), lambda x, p: f"({x[0]}) * ({x[1]})"),
     Kind.COEFFICIENT: KindSpec((1, 1), ("alpha",), lambda x, p: f"{p} * ({x[0]})"),
-    Kind.FUNCTION_GENERATOR: KindSpec((1, 1), ("table",), lambda x, p: f"{p}({x[0]})"),
+    Kind.FUNCTION_GENERATOR: KindSpec((1, 1), ("table",), lambda x, p: lookup_code(p, x[0])),
     Kind.REFERENCE: KindSpec((0, 0), ("constant",), lambda x, p: p),
 }
 
@@ -111,13 +120,9 @@ def arity_error(kind: Kind, n: int) -> str | None:
 
 
 def parameter(kind: Kind, params: dict):
-    """The value an output expression reads as its parameter: the pot
-    value, the table's lookup function or the constant; None if the kind
-    has no parameter."""
-    if not KINDS[kind].params:
-        return None
-    value = params[KINDS[kind].params[0]]
-    return table_lookup(value) if kind is Kind.FUNCTION_GENERATOR else value
+    """The value an element's output reads as its parameter: the pot
+    value, the table or the constant; None if the kind has no parameter."""
+    return params[KINDS[kind].params[0]] if KINDS[kind].params else None
 
 
 def is_inverter(e: "Element") -> bool:
@@ -183,8 +188,10 @@ def element_output(kind: Kind, params: dict, inputs, state: float | None = None)
         if state is None:
             raise StructuralError("integrator evaluation requires a state")
         return state
-    expr = KINDS[kind].output([f"x[{i}]" for i in range(len(inputs))], "p")
-    return eval(expr, {"x": list(inputs), "p": parameter(kind, params)})
+    p = parameter(kind, params)
+    expr = KINDS[kind].output([f"x[{i}]" for i in range(len(inputs))],
+                              p if kind is Kind.FUNCTION_GENERATOR else "p")
+    return eval(expr, {"x": list(inputs), "p": p})
 
 
 @dataclass(frozen=True)

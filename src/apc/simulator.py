@@ -15,19 +15,43 @@ attachment points.
 
 The whole OP loop is compiled once per instance into one straight-line
 Python function, ``_run``: the four RK4 stages, the state update, the
-value model inlined as one range comparison per state and observed net
+value model inlined as one range comparison per state and checked net
 (quantizing first when the resolution is set), and decimated sampling in
 blocks of ``sample_every`` steps with no per-step branch. The overload
 log, the strict abort, the clamp and the non-finite check sit out of
 line in ``MachineInstance._overload``, reached only by a value outside
 [-1, 1]. Pot values are read once per run, and a reference's observed
 value once per instance. The raw nets after a step are the next step's
-first stage, where every net is evaluated, for each one is observed; the
-three inner stages evaluate only what an integrator input reaches, with
-nets read once inlined and exact sign flips folded away (an inverter
-into an integrator costs nothing). The generated code performs the same
-floating-point operations on the same operands as one evaluation of
-every element per stage, so results are bit for bit those of
+first stage, where every net is evaluated; the three inner stages
+evaluate only what an integrator input reaches, with nets read once
+inlined. Three further savings keep every result the same:
+
+- *Sign folding.* A net or derivative whose value is -(X) is stored as
+  X with its sign kept apart, and each reader folds the sign exactly:
+  a sum subtracts it (IEEE 754 defines x - y as x + (-y)), a stage value
+  steps by ``- h * X`` (h * (-X) is -(h * X) under round-to-nearest),
+  and a product negates. A derivative or net that is another local or
+  its negation (an inverter) gets no line at all. A negation is never
+  pushed through a sum, as -(a + b) and -(a) - b differ in the sign of a
+  zero, and terms are never reordered.
+- *Range-proven observation.* Integrators, references, function
+  generators whose tables stay in range, and the coefficients,
+  inverters and multipliers of such nets stay in [-1, 1] while the
+  states are finite, so they can never log an overload. Where
+  quantizing cannot push them out (``resolution * round(1 /
+  resolution) <= 1``, always at resolution 0) they are not checked per
+  step: their observed values are computed only at each sample and at
+  the return. Step 0 still observes every net.
+- *Inline tables.* A function generator's end-clamped lookup is
+  generated code (``machine.lookup_code``): the argument bound once, the
+  two end clamps, then a balanced comparison chain that picks the
+  segment ``bisect_right`` would, with the segment's slope terms folded
+  at generation. ``machine.table_lookup`` builds its function from the
+  same expression.
+
+The generated code performs the same floating-point operations on the
+same operands as one evaluation of every element per stage, up to these
+exact folds, so results are bit for bit those of
 ``machine.element_output`` folded over the graph. ``run``, ``step`` and
 loading the initial conditions all go through ``_run``, which keeps long
 runs (millions of element evaluations) fast while staying
@@ -38,8 +62,9 @@ through the compiler's sidecar mapping.
 
 Instances are single-threaded. A parameter sweep builds one instance
 and cycles it IC -> OP -> HALT once per value; with several usable CPUs
-each forked worker process cycles its own copy, so ``_run`` is generated
-once per sweep and never crosses a process boundary.
+each forked worker process cycles its own copy and writes its rows'
+traces, so ``_run`` is generated once per sweep and neither it nor a
+trace crosses a process boundary.
 """
 
 from __future__ import annotations
@@ -200,9 +225,9 @@ _INLINE_CHARS = 200
 
 
 #: Generated code for one value: (text, neg, summed). The value is
-#: ``-(text)`` if neg, else ``text``; ``text`` is a bare sum ``a + b`` only
-#: if summed. The sign is kept apart so that sign flips fold without
-#: reading the text again.
+#: ``-(text)`` if neg, else ``text``; ``text`` is a bare sum such as
+#: ``a + b`` or ``a - b`` only if summed. The sign is kept apart so that
+#: readers fold it without reading the text again.
 _Expr = tuple[str, bool, bool]
 
 
@@ -215,9 +240,9 @@ def _code(x: _Expr) -> str:
     return f"-({x[0]})" if x[1] else x[0]
 
 
-def _term(x: _Expr) -> str:
-    """The value as one term of a sum."""
-    return f"({x[0]})" if x[2] and not x[1] else _code(x)
+def _operand(x: _Expr) -> str:
+    """The unsigned value as an operand of ``+`` or ``-``."""
+    return f"({x[0]})" if x[2] else x[0]
 
 
 def _neg(x: _Expr) -> _Expr:
@@ -226,7 +251,14 @@ def _neg(x: _Expr) -> _Expr:
 
 
 def _sum(terms: list[_Expr]) -> _Expr:
-    return terms[0] if len(terms) == 1 else (" + ".join(map(_term, terms)), False, True)
+    """The terms added in order, each negated one after the first
+    subtracted: x + (-(y)) is x - y exactly. The first keeps its -(X), as
+    -(a + b) and -(a) - b differ in the sign of a zero."""
+    if len(terms) == 1:
+        return terms[0]
+    first = _code(terms[0]) if terms[0][1] else _operand(terms[0])
+    rest = "".join(f" {'-' if t[1] else '+'} {_operand(t)}" for t in terms[1:])
+    return first + rest, False, True
 
 
 def _scaled(m: float, x: _Expr) -> _Expr:
@@ -242,6 +274,42 @@ def _scaled(m: float, x: _Expr) -> _Expr:
     return _name(f"{m!r} * ({_code(x)})")
 
 
+def _grid_keeps_range(resolution: float) -> bool:
+    """Whether quantizing to ``resolution`` keeps a value in [-1, 1]
+    inside it, that is, whether the grid point nearest 1 is at most 1."""
+    if resolution == 0.0:
+        return True
+    top = 1.0 / resolution
+    return top < math.inf and resolution * round(top) <= 1.0
+
+
+def _table_in_range(table) -> bool:
+    """Whether every lookup over ``table`` lies in [-1, 1]. Each segment's
+    formula is monotonic in x, so a segment spans y0 and its formula at
+    x1, which can round one ulp past y1."""
+    return all(-1.0 <= y0 + (y1 - y0) * (x1 - x0) / (x1 - x0) <= 1.0
+               for (x0, y0), (x1, y1) in zip(table, table[1:]))
+
+
+def _in_range(netlist: Netlist, order: list[str]) -> set[str]:
+    """The elements whose outputs stay in [-1, 1] while the states are
+    finite: integrators (their states are clamped), references, function
+    generators whose tables stay in range, and the coefficients (pots lie
+    in [0, 1]), inverters and multipliers of such outputs."""
+    elements = netlist.elements
+    proven = {eid for eid, e in elements.items() if e.kind is Kind.INTEGRATOR}
+    for eid in order:
+        e = elements[eid]
+        if e.kind is Kind.FUNCTION_GENERATOR:
+            ok = _table_in_range(e.params["table"])
+        else:
+            ok = not (e.kind is Kind.SUMMER and len(e.inputs) > 1) and all(
+                netlist.nets[n].driver in proven for n in e.inputs)
+        if ok:
+            proven.add(eid)
+    return proven
+
+
 def _generate(netlist: Netlist, resolution: float):
     """Compile the netlist into ``_run``, the whole OP loop as straight-line code.
 
@@ -254,27 +322,26 @@ def _generate(netlist: Netlist, resolution: float):
     ``every``-th step and the last step. With ``nets`` None it first
     observes the nets of ``s`` as step 0.
 
-    Step 0 is peeled off: it takes ``nets`` as given, or observes the nets
-    of ``s`` in one loop over the observed nets. Then an outer loop runs
-    once per sample and an inner ``for`` runs up to ``every`` steps with
-    no per-step branch. A step evaluates the RK4 stages a, b, d and e.
-    Stage a evaluates every net, for each one is observed, and the raw
-    nets after a step are the next step's stage a. Stages b, d and e
-    evaluate only the nets an integrator input reaches, and a net read
-    once is inlined into its reader, in the same operations and operand
-    order. In every stage a net that is another local or its negation (an
-    inverter) gets no local of its own: its readers and its observation
-    read that local, the sign kept apart. Sign flips fold where the
-    result is exact: -(-(X)) is X, -k0 * (-(X)) is k0 * (X) and
-    -1.0 * (X) is -(X); a negation is never pushed through a sum, as
-    -(a + b) and -a + -b differ in the sign of a zero. A reference's
-    observed value is computed here and checked per step only if it lies
-    outside [-1, 1].
+    Step 0 is peeled off: it takes ``nets`` as given, or observes every
+    net of ``s`` in one loop. Then an outer loop runs once per sample and
+    an inner ``for`` runs up to ``every`` steps with no per-step branch.
+    A step evaluates the RK4 stages a, b, d and e. Stage a evaluates every
+    net, and the raw nets after a step are the next step's stage a.
+    Stages b, d and e evaluate only the nets an integrator input reaches,
+    and a net read once is inlined into its reader, in the same operations
+    and operand order, as is each lookup (``machine.lookup_code``). Signs
+    fold as the module docstring says: a value -(X) is bound as X, and a
+    sum, a stage value or a product that reads it folds the sign.
 
-    A state or an observed net outside [-1, 1], or not finite, goes
-    through ``clamp(v, tau, element, i)``, the value model's slow path at
-    step ``i``, which returns the clamped value or raises. On a raise the
-    states of the last completed state update are written back into ``s``.
+    A net ``_in_range`` proves, at a resolution whose quantizing keeps it
+    in range, is observed only where it is read, at each sample and at
+    the return. Every other net is checked per step; a reference's
+    observed value is computed here and checked per step only if it lies
+    outside [-1, 1]. A state or a checked net outside [-1, 1], or not
+    finite, goes through ``clamp(v, tau, element, i)``, the value model's
+    slow path at step ``i``, which returns the clamped value or raises.
+    On a raise the states of the last completed state update are written
+    back into ``s``.
     """
     elements = netlist.elements
     integrators = [e for e in elements.values() if e.kind is Kind.INTEGRATOR]
@@ -283,29 +350,27 @@ def _generate(netlist: Netlist, resolution: float):
     order = evaluation_order(netlist)
     local_of = {eid: f"v{i}" for i, eid in enumerate(order)}
     namespace: dict = {"OverloadError": OverloadError, "StructuralError": StructuralError}
-    # Locals bound once per call: a run cannot change its pots or tables.
+    # Locals bound once per call: a run cannot change its pots.
     prologue = ["rnd = round", "h2 = 0.5 * dt", "h6 = dt / 6.0"]
     prologue += [f"pot{i} = c[{i}]" for i in range(len(coefficients))]
-    param_of: dict[str, str | None] = {}  # element id -> its parameter's expression
-    for i, eid in enumerate(order):
+    param_of = {}  # element id -> what its output expression reads as its parameter
+    for eid in order:
         e = elements[eid]
         p = parameter(e.kind, e.params)
-        if e.kind is Kind.COEFFICIENT:
-            p = f"pot{coef_of[eid]}"
-        elif callable(p):
-            namespace[f"_fg{i}"] = p
-            prologue.append(f"fg{i} = _fg{i}")
-            p = f"fg{i}"
-        elif p is not None:
-            p = repr(p)
-        param_of[eid] = p
+        param_of[eid] = (f"pot{coef_of[eid]}" if e.kind is Kind.COEFFICIENT
+                         else repr(p) if e.kind is Kind.REFERENCE else p)
 
     driver = {nid: net.driver for nid, net in netlist.nets.items()}
 
     def output(e, ins: list[_Expr]) -> _Expr:
         if e.kind is Kind.SUMMER:  # the negated sum, its sign kept apart
             return _neg(_sum(ins))
-        return _name(KINDS[e.kind].output(list(map(_code, ins)), param_of[e.id]))
+        neg = False
+        if e.kind in (Kind.COEFFICIENT, Kind.MULTIPLIER):  # x * (-(y)) is -(x * y)
+            neg = sum(x[1] for x in ins) % 2 == 1
+            ins = [(x[0], False, x[2]) for x in ins]
+        y = _name(KINDS[e.kind].output(list(map(_code, ins)), param_of[e.id]))
+        return _neg(y) if neg else y
 
     # How many inputs read each element's net in stages b, d and e: the
     # integrators' inputs, then the inputs of every element read in turn.
@@ -314,21 +379,24 @@ def _generate(netlist: Netlist, resolution: float):
         if reads[eid]:
             reads.update(driver[n] for n in elements[eid].inputs)
 
-    def emit_stage(tag: str, states: list[_Expr]) -> tuple[list[str], dict, list[str]]:
+    def bound(lines: list[str], name: str, x: _Expr, inline: bool = False) -> _Expr:
+        """``x`` itself if it is a local or its negation, or if ``inline``;
+        else ``name``, bound to x by a new line and its sign kept apart."""
+        if inline or (not x[2] and x[0].isidentifier()):
+            return x
+        lines.append(f"{name} = {x[0]}")
+        return name, x[1], False
+
+    def emit_stage(tag: str, states: list[_Expr]):
         """Stage ``tag`` on the integrators' stage values ``states``: the
         lines binding its nets, every net's expression by driver, and the
-        lines of its derivatives ``k{tag}{i}``."""
+        lines binding its derivatives ``k{tag}{i}`` with their expressions."""
         lines: list[str] = []
         view: dict[str, _Expr] = {}
 
         def bind(eid: str, name: str, x: _Expr) -> None:
-            if not x[2] and x[0].isidentifier():  # a local, or its negation
-                view[eid] = x
-            elif tag != "a" and reads[eid] == 1 and len(x[0]) < _INLINE_CHARS:
-                view[eid] = x
-            else:
-                lines.append(f"{name} = {_code(x)}")
-                view[eid] = _name(name)
+            inline = tag != "a" and reads[eid] == 1 and len(x[0]) < _INLINE_CHARS
+            view[eid] = bound(lines, name, x, inline)
 
         for i, (e, x) in enumerate(zip(integrators, states)):
             if tag == "a":
@@ -341,24 +409,30 @@ def _generate(netlist: Netlist, resolution: float):
                 view[eid] = output(e, [])  # a constant, folded into uses
             elif tag == "a" or reads[eid]:
                 bind(eid, f"{tag}_{local_of[eid]}", output(e, [view[driver[n]] for n in e.inputs]))
-        derivs = [f"k{tag}{i} = "
-                  + _code(_scaled(-e.params["k0"], _sum([view[driver[n]] for n in e.inputs])))
+        deriv_lines: list[str] = []
+        derivs = [bound(deriv_lines, f"k{tag}{i}",
+                        _scaled(-e.params["k0"], _sum([view[driver[n]] for n in e.inputs])))
                   for i, e in enumerate(integrators)]
-        return lines, view, derivs
+        return lines, view, deriv_lines, derivs
 
-    a_lines, a_view, ka_lines = emit_stage("a", [_name(f"as{i}") for i in range(len(integrators))])
+    a_lines, a_view, ka_lines, a_derivs = emit_stage(
+        "a", [_name(f"as{i}") for i in range(len(integrators))])
     tau = "t0 + i * dt"
     step = []
     if integrators:
         step += ka_lines
-        for tag, base, scale in (("b", "a", "h2"), ("d", "b", "h2"), ("e", "d", "dt")):
-            lines, _, derivs = emit_stage(
-                tag, [(f"as{i} + {scale} * k{base}{i}", False, True)
-                      for i in range(len(integrators))])
-            step += lines + derivs
+        ks = [a_derivs]
+        for tag, scale in (("b", "h2"), ("d", "h2"), ("e", "dt")):
+            lines, _, deriv_lines, derivs = emit_stage(
+                tag, [(f"as{i} {'-' if k[1] else '+'} {scale} * {k[0]}", False, True)
+                      for i, k in enumerate(ks[-1])])
+            step += lines + deriv_lines
+            ks.append(derivs)
         for i, e in enumerate(integrators):
-            new = f"as{i} + h6 * (ka{i} + 2.0 * kb{i} + 2.0 * kd{i} + ke{i})"
-            step.append(f"if not -1.0 <= (ns{i} := {new}) <= 1.0: "
+            ka, kb, kd, ke = (k[i] for k in ks)
+            total = _sum([ka, (f"2.0 * {kb[0]}", kb[1], False),
+                          (f"2.0 * {kd[0]}", kd[1], False), ke])
+            step.append(f"if not -1.0 <= (ns{i} := as{i} + h6 * ({total[0]})) <= 1.0: "
                         f"ns{i} = clamp(ns{i}, {tau}, {e.id!r}, i)")
         step += [f"as{i} = ns{i}" for i in range(len(integrators))] + a_lines
 
@@ -367,9 +441,10 @@ def _generate(netlist: Netlist, resolution: float):
 
     # The value model observes every net when quantizing; otherwise an
     # integrator net is its state, already clamped, and is left alone.
+    proven = _in_range(netlist, order) if _grid_keeps_range(resolution) else set()
     raw = [_code(a_view[driver[nid]]) for nid in netlist.nets]
-    values = list(raw)
-    observe, dynamic = [], []
+    values = list(raw)  # each net's observed value, as read at a sample
+    observe, observed, checked = [], [], []
     for j, nid in enumerate(netlist.nets):
         e = elements[driver[nid]]
         if resolution == 0.0 and e.kind is Kind.INTEGRATOR:
@@ -382,12 +457,17 @@ def _generate(netlist: Netlist, resolution: float):
                 values[j] = repr(v)
                 continue
             observe.append(f"o{j} = clamp({v!r}, {tau}, {e.id!r}, i)")
+        elif e.id in proven:  # never clamped: observed where it is read
+            values[j] = quantized(raw[j])
+            observed.append((j, e.id))
+            continue
         else:
             observe.append(f"if not -1.0 <= (o{j} := {quantized(raw[j])}) <= 1.0: "
                            f"o{j} = clamp(o{j}, {tau}, {e.id!r}, i)")
         values[j] = f"o{j}"
-        dynamic.append((j, e.id))
-    namespace["_observed"] = tuple(dynamic)
+        observed.append((j, e.id))
+        checked.append(j)
+    namespace["_observed"] = tuple(observed)
     name_pos = {net.name: j for j, net in enumerate(netlist.nets.values()) if net.name}
     samples = [f"ap{k}({values[name_pos[name]]})" for k, name in enumerate(netlist.outputs)]
     states = ", ".join(f"as{i}" for i in range(len(integrators)))
@@ -403,7 +483,7 @@ def _generate(netlist: Netlist, resolution: float):
              f"            if not -1.0 <= (v := {quantized('nets[j]')}) <= 1.0: "
              f"v = clamp(v, {tau}, element, i)",
              "            nets[j] = v"]
-    head += _indent([f"o{j} = nets[{j}]" for j, _ in dynamic] + ["apt(t0)"] + samples, 1)
+    head += _indent([f"o{j} = nets[{j}]" for j in checked] + ["apt(t0)"] + samples, 1)
     # Then one outer pass per sample, of up to ``every`` steps.
     loop = ["while i < n:", "    stop = i + every", "    if stop > n:", "        stop = n",
             "    for i in range(i + 1, stop + 1):"]

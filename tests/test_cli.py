@@ -12,7 +12,15 @@ from pathlib import Path
 import pytest
 
 from apc.cli import main
-from apc.machine import Netlist, coefficient, integrator, reference, save_netlist, summer
+from apc.machine import (
+    Netlist,
+    coefficient,
+    function_generator,
+    integrator,
+    reference,
+    save_netlist,
+    summer,
+)
 from conftest import FIG2_SRC, ROOT, SINE5_SRC, SINE_SRC, UNSTABLE_SRC, VCO_SRC, src_env
 
 
@@ -230,6 +238,31 @@ class TestRun:
         buf = io.StringIO()
         descaled.write_csv(buf)
         assert problem_csv.read_text() == buf.getvalue()
+
+    def test_overloads_csv_holds_each_reported_overload(self, workdir, capsys):
+        out = compiled(workdir, UNSTABLE_SRC, "runaway", extra=("--scale", "none"))
+        capsys.readouterr()
+        trace = workdir / "runaway.csv"
+        assert main(["run", str(out), "--tend", "2", "--trace", str(trace)]) == 0
+        reported = int(capsys.readouterr().out.split("overloads: ")[1])
+        with open(workdir / "runaway.overloads.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["time", "element", "magnitude"]
+        assert len(rows) - 1 == reported > 0
+        times = [float(r[0]) for r in rows[1:]]
+        assert times == sorted(times)
+        assert all(float(r[2]) > 1.0 for r in rows[1:])
+
+    def test_nan_into_a_function_generator_exits_4(self, workdir, capsys):
+        # int1 overflows to -inf within the first step of 10; s reads
+        # -inf + inf = NaN in the stage after, and looks it up.
+        n = Netlist.from_elements(
+            [reference("r", 1.0), integrator("int1", ["r"], k0=1e308), summer("inv", ["int1"]),
+             summer("s", ["int1", "inv"]), function_generator("fg", "s", [(-1, -1), (1, 1)]),
+             integrator("int2", ["fg"])], outputs={"y": "int2"})
+        save_netlist(n, workdir / "nanfg.json")
+        assert main(["run", "nanfg.json", "--tend", "20", "--dt", "10"]) == 4
+        assert capsys.readouterr().err == "apc: simulation: non-finite value at element 'int1'\n"
 
     def test_problem_units_without_sidecar_exits_1(self, workdir):
         out = compiled(workdir, SINE_SRC, "sine")

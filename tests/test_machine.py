@@ -27,6 +27,7 @@ from apc.machine import (
     netlist_to_dict,
     reference,
     summer,
+    Violation,
     table_lookup,
     validate,
 )
@@ -415,6 +416,45 @@ def test_table_lookup_agrees_with_numpy(xs, ys, x):
     table = tuple(zip(xs, ys))
     assert table_lookup(table)(x) == pytest.approx(float(np.interp(x, xs, ys[:len(xs)])),
                                                    abs=1e-12)
+
+
+def test_table_lookup_of_nan_is_nan():
+    # NaN fails every comparison of the lookup; it must not pick a segment
+    # past the table's end.
+    assert math.isnan(table_lookup(((-1.0, -1.0), (0.0, 0.5), (1.0, 1.0)))(math.nan))
+
+
+def _netlist(*extra, nets=None):
+    elems = [reference("r", 1.0), *extra]
+    return Netlist(elems, {e.id: Net(e.id) for e in elems} if nets is None else nets)
+
+
+#: name -> (netlist, its one violation): the parameter and driver rules the
+#: simulator's range proofs rest on.
+VALIDATION_CASES = {
+    "params-missing": (_netlist(Element("k", Kind.COEFFICIENT, {}, ("r",))),
+                       Violation("k", "param-range", "expected params ['alpha'], got []")),
+    "params-extra": (_netlist(Element("i", Kind.INTEGRATOR, {"ic": 0.0, "k0": 1.0, "x": 1.0},
+                                      ("r",))),
+                     Violation("i", "param-range",
+                               "expected params ['ic', 'k0'], got ['ic', 'k0', 'x']")),
+    "constant-not-unit": (_netlist(reference("q", 0.5)),
+                          Violation("q", "param-range", "constant 0.5 not in {+1, -1}")),
+    "one-breakpoint": (_netlist(function_generator("f", "r", [(0.0, 0.0)])),
+                       Violation("f", "param-range", "table needs at least 2 breakpoints")),
+    "breakpoint-x": (_netlist(function_generator("f", "r", [(-1.0, 0.0), (1.5, 0.0)])),
+                     Violation("f", "param-range", "breakpoint (1.5, 0.0) outside [-1, 1]")),
+    "breakpoint-y": (_netlist(function_generator("f", "r", [(-1.0, 0.0), (1.0, -2.0)])),
+                     Violation("f", "param-range", "breakpoint (1.0, -2.0) outside [-1, 1]")),
+    "drives-no-net": (_netlist(summer("s", ["r"]), nets={"r": Net("r")}),
+                      Violation("s", "single-driver", "element drives no net")),
+}
+
+
+@pytest.mark.parametrize("case", VALIDATION_CASES)
+def test_validate_reports_the_rule(case):
+    netlist, violation = VALIDATION_CASES[case]
+    assert validate(netlist) == [violation]
 
 
 def test_interpolation_midpoints():

@@ -1,3 +1,4 @@
+import bisect
 import functools
 import math
 import operator
@@ -15,9 +16,11 @@ from apc.machine import (
     coefficient,
     element_output,
     evaluation_order,
+    function_generator,
     integrator,
     reference,
     summer,
+    table_lookup,
 )
 from apc.simulator import (
     LEGAL_TRANSITIONS,
@@ -278,6 +281,21 @@ class TestOverloads:
         assert before.overloads == [] and inst.states == before.states
         assert inst.value("y") == before.value("y")
 
+    def test_strict_abort_shows_nets_beyond_the_rails_on_them(self):
+        # s = -(x + y) reads -1.8 from the start: step 0 logs it, step 1
+        # aborts on it, and the machine then shows s on its rail, not
+        # logged a second time.
+        elems = [reference("r", 1.0), coefficient("zero", "r", 0.0),
+                 integrator("x", ["zero"], ic=0.9), integrator("y", ["zero"], ic=0.9),
+                 summer("s", ["x", "y"])]
+        netlist = Netlist.from_elements(elems, outputs={"s": "s"})
+        inst = new_instance(netlist, SimConfig(dt=0.1, strict_overload=True))
+        with pytest.raises(OverloadError) as err:
+            inst.run(1.0)
+        assert (err.value.element, err.value.time) == ("s", 0.1)
+        assert [(ev.time, ev.element) for ev in inst.overloads] == [(0.0, "s"), (0.1, "s")]
+        assert inst.value("s") == -1.0
+
     def test_values_stay_clamped(self):
         _, result = build(UNSTABLE_SRC)
         inst = new_instance(result.netlist, SimConfig(dt=1e-3))
@@ -453,6 +471,27 @@ def test_run_equals_reference_stepper_on_compiled_programs(src, resolution):
     assert_run_equals_reference(result.netlist, SimConfig(dt=0.01, resolution=resolution), 1.0)
 
 
+#: Breakpoints inside [-1, 1], unevenly spaced, so the end clamps and
+#: every level of the lookup's comparison chain are reached.
+TABLE = ((-0.8, 0.5), (-0.3, -0.2), (0.1, 0.9), (0.35, 0.9), (0.6, -1.0), (0.9, 0.25))
+LOOKUP_POINTS = sorted(
+    [x for x, _ in TABLE]
+    + [math.nextafter(x, d) for x, _ in TABLE for d in (-math.inf, math.inf)]
+    + [-1.0, -0.0, 0.0, 0.5, 1.0, -math.inf, math.inf])
+
+
+def bisect_lookup(table, x):
+    """The end-clamped piecewise-linear lookup by ``bisect_right``."""
+    xs = [p[0] for p in table]
+    ys = [p[1] for p in table]
+    if x <= xs[0]:
+        return ys[0]
+    if x >= xs[-1]:
+        return ys[-1]
+    i = bisect.bisect_right(xs, x)
+    return ys[i - 1] + (ys[i] - ys[i - 1]) * (x - xs[i - 1]) / (xs[i] - xs[i - 1])
+
+
 class TestGeneratedLoopEdges:
     """Named cases of the run loop's code generation, each against the reference stepper."""
 
@@ -476,6 +515,63 @@ class TestGeneratedLoopEdges:
         trace = new_instance(netlist, config).run(0.5)
         assert [ev.element for ev in trace.overloads] == ["r"] * 6  # step 0 and 5 steps
         assert trace.series["r"] == [1.0] * 6
+
+    @pytest.mark.parametrize("k0", [0.5, 1.0])
+    @pytest.mark.parametrize("ics", [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)])
+    def test_signed_zeros_through_a_sum_of_negated_terms(self, k0, ics):
+        # s and z's derivative read -(x) - y, which is (-x) + (-y) and not
+        # -(x + y) for zeros of opposite signs; w's derivative is -k0 * x,
+        # stored as x or k0 * (x) with its sign apart.
+        elems = [reference("one", 1.0), coefficient("zero", "one", 0.0),
+                 integrator("x", ["zero"], ic=ics[0], k0=k0),
+                 integrator("y", ["zero"], ic=ics[1], k0=k0), summer("nx", ["x"]),
+                 summer("ny", ["y"]), summer("s", ["nx", "ny"]),
+                 integrator("z", ["nx", "ny"], ic=-0.0, k0=k0),
+                 integrator("w", ["x"], ic=-0.0, k0=k0)]
+        netlist = Netlist.from_elements(elems, outputs={e.id: e.id for e in elems})
+        assert_run_equals_reference(netlist, SimConfig(dt=0.1), 0.3)
+
+    def test_coefficient_quantized_out_of_range_overloads_every_step(self):
+        # 0.9 * (+1) lies in [-1, 1], but at resolution 0.6 it reads
+        # 0.6 * round(0.9 / 0.6) = 1.2: 0.6 * round(1 / 0.6) is 1.2, so
+        # no net is taken as staying in range and each is checked per step.
+        elems = [reference("r", 1.0), coefficient("k", "r", 0.9),
+                 integrator("i", ["k"], ic=0.0, k0=0.1)]
+        netlist = Netlist.from_elements(elems, outputs={"k": "k", "i": "i"})
+        config = SimConfig(dt=0.1, resolution=0.6)
+        assert_run_equals_reference(netlist, config, 0.5)
+        trace = new_instance(netlist, config).run(0.5)
+        assert [ev.time for ev in trace.overloads if ev.element == "k"] == trace.tau
+        assert trace.series["k"] == [1.0] * 6
+
+    def test_lookup_one_ulp_past_its_breakpoint_overloads_every_step(self):
+        # At the input just below x1, y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        # rounds to 1.0000000000000002 although y1 is 1: such a table is
+        # not taken as staying in range, and its net is checked per step.
+        x0, y0, x1 = -0.799741712099096, -0.920759573172591, 0.37378023030454477
+        elems = [reference("one", 1.0), coefficient("zero", "one", 0.0),
+                 integrator("i", ["zero"], ic=math.nextafter(x1, 0.0)),
+                 function_generator("f", "i", [(x0, y0), (x1, 1.0)])]
+        netlist = Netlist.from_elements(elems, outputs={"f": "f"})
+        assert_run_equals_reference(netlist, SimConfig(dt=0.1), 0.5)
+        trace = new_instance(netlist, SimConfig(dt=0.1)).run(0.5)
+        assert [ev.time for ev in trace.overloads] == trace.tau
+        assert {ev.magnitude for ev in trace.overloads} == {1.0000000000000002}
+
+    @pytest.mark.parametrize("x", LOOKUP_POINTS)
+    def test_lookup_matches_bisection(self, x):
+        # The inline lookup against bisect_right over the same formula, in
+        # the generated loop (the net at step 0) and through table_lookup.
+        expected = bisect_lookup(TABLE, x)
+        assert repr(table_lookup(TABLE)(x)) == repr(expected)
+        if not -1.0 <= x <= 1.0:
+            return
+        elems = [reference("one", 1.0), coefficient("zero", "one", 0.0),
+                 integrator("i", ["zero"], ic=x), function_generator("f", "i", TABLE),
+                 integrator("j", ["f"], ic=0.0)]
+        netlist = Netlist.from_elements(elems, outputs={"f": "f", "j": "j"})
+        assert repr(new_instance(netlist, SimConfig(dt=0.1)).value("f")) == repr(expected)
+        assert_run_equals_reference(netlist, SimConfig(dt=0.1), 0.3)
 
     def test_sample_every_beyond_the_step_count(self):
         netlist = ramp_netlist(k0=2.0, ic=0.5)
