@@ -19,6 +19,10 @@ runtime nonlinearities are multiplication and table lookup. The constant
 functions ``sin``, ``cos`` and ``exp`` may appear in ``param``, ``init``
 and ``bound`` expressions only and are folded at resolve time.
 
+``param``, ``eq``, ``init`` and ``bound`` share one shape, ``KEYWORD
+NAME' = expr``, and parse to one node, Decl; a param's name takes no
+apostrophes. Each signal takes at most one ``init`` and one ``bound``.
+
 ``parse`` produces an untyped Program, ``resolve`` checks and folds it
 into an OdeSystem ready for compilation. Both report problems as
 Diagnostic values with source locations instead of raising.
@@ -101,8 +105,16 @@ class Stmt:
 
 
 @dataclass(frozen=True)
-class ParamDecl(Stmt):
+class Decl(Stmt):
+    """A ``param``, ``eq``, ``init`` or ``bound`` line, ``KEYWORD NAME' = expr``.
+
+    ``keyword`` is the statement's keyword and ``order`` the number of
+    apostrophes on the name, always 0 for a param.
+    """
+
+    keyword: str
     name: str
+    order: int
     expr: Expr
     line: int = field(default=0, compare=False)
 
@@ -115,33 +127,9 @@ class VarDecl(Stmt):
 
 
 @dataclass(frozen=True)
-class EqDecl(Stmt):
-    name: str
-    order: int
-    expr: Expr
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class InitDecl(Stmt):
-    name: str
-    order: int
-    expr: Expr
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
 class TableDecl(Stmt):
     name: str
     points: tuple
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class BoundDecl(Stmt):
-    name: str
-    order: int
-    expr: Expr
     line: int = field(default=0, compare=False)
 
 
@@ -377,13 +365,13 @@ def _parse_statement(p: _LineParser) -> Stmt | None:
         p.expect_eol()
         return ("system", name, tok.line)
 
-    if kw == "param":
-        name, _, _ = p.ident()
+    if kw in ("param", "eq", "init", "bound"):
+        name, order, _ = p.ident(allow_primes=kw != "param")
         p.expect_op("=")
         expr = p.expr()
         p.expect_eol()
-        _reject_calls(expr, runtime=False, diags=p.diags)
-        return ParamDecl(name, expr, line=tok.line)
+        _reject_calls(expr, runtime=kw == "eq", diags=p.diags)
+        return Decl(kw, name, order, expr, line=tok.line)
 
     if kw == "var":
         name, _, _ = p.ident()
@@ -395,30 +383,6 @@ def _parse_statement(p: _LineParser) -> Stmt | None:
         order = int(p.advance().text)
         p.expect_eol()
         return VarDecl(name, order, line=tok.line)
-
-    if kw == "eq":
-        name, order, _ = p.ident(allow_primes=True)
-        p.expect_op("=")
-        expr = p.expr()
-        p.expect_eol()
-        _reject_calls(expr, runtime=True, diags=p.diags)
-        return EqDecl(name, order, expr, line=tok.line)
-
-    if kw == "init":
-        name, order, _ = p.ident(allow_primes=True)
-        p.expect_op("=")
-        expr = p.expr()
-        p.expect_eol()
-        _reject_calls(expr, runtime=False, diags=p.diags)
-        return InitDecl(name, order, expr, line=tok.line)
-
-    if kw == "bound":
-        name, order, _ = p.ident(allow_primes=True)
-        p.expect_op("=")
-        expr = p.expr()
-        p.expect_eol()
-        _reject_calls(expr, runtime=False, diags=p.diags)
-        return BoundDecl(name, order, expr, line=tok.line)
 
     if kw == "table":
         name, _, _ = p.ident()
@@ -523,16 +487,10 @@ def pretty(program: Program) -> str:
     """Render a Program back to source text; re-parsing is a fixpoint."""
     lines = [f"system {program.name}"]
     for s in program.statements:
-        if isinstance(s, ParamDecl):
-            lines.append(f"param {s.name} = {_fmt_expr(s.expr)}")
+        if isinstance(s, Decl):
+            lines.append(f"{s.keyword} {signal_name(s.name, s.order)} = {_fmt_expr(s.expr)}")
         elif isinstance(s, VarDecl):
             lines.append(f"var {s.name} order {s.order}")
-        elif isinstance(s, EqDecl):
-            lines.append(f"eq {signal_name(s.name, s.order)} = {_fmt_expr(s.expr)}")
-        elif isinstance(s, InitDecl):
-            lines.append(f"init {signal_name(s.name, s.order)} = {_fmt_expr(s.expr)}")
-        elif isinstance(s, BoundDecl):
-            lines.append(f"bound {signal_name(s.name, s.order)} = {_fmt_expr(s.expr)}")
         elif isinstance(s, TableDecl):
             pts = " ".join(f"({repr(x)}, {repr(y)})" for x, y in s.points)
             lines.append(f"table {s.name} = {pts}")
@@ -662,7 +620,6 @@ class _Resolver:
         var_order: dict[str, int] = {}
         tables: dict[str, tuple] = {}
         equations: dict[str, Expr] = {}
-        eq_lines: dict[str, int] = {}
         inits: dict[tuple, float] = {}
         bounds: dict[tuple, float] = {}
         horizon = None
@@ -677,7 +634,7 @@ class _Resolver:
             return True
 
         for s in prog.statements:
-            if isinstance(s, ParamDecl):
+            if isinstance(s, Decl) and s.keyword == "param":
                 if declare(s.name, s.line, "param"):
                     v = self.fold_const(s.expr, params, "param value")
                     params[s.name] = 0.0 if v is None else v
@@ -704,53 +661,44 @@ class _Resolver:
                     self.fail(s.line, 1, "duplicate output statement")
                 outputs = s
 
+        nouns = {"eq": "equation", "init": "initial condition", "bound": "bound"}
         for s in prog.statements:
-            if isinstance(s, EqDecl):
-                if s.name not in var_order:
-                    self.fail(s.line, 1, f"equation for undeclared variable {s.name!r}")
-                    continue
+            if not isinstance(s, Decl) or s.keyword == "param":
+                continue
+            if s.name not in var_order:
+                self.fail(s.line, 1, f"{nouns[s.keyword]} for undeclared variable {s.name!r}")
+                continue
+            n = var_order[s.name]
+            key = (s.name, s.order)
+            if s.keyword == "eq":
                 if s.name in equations:
                     self.fail(s.line, 1, f"duplicate equation for {s.name!r}")
-                    continue
-                n = var_order[s.name]
-                if s.order != n:
+                elif s.order != n:
                     self.fail(s.line, 1, f"equation must define the highest derivative "
                                          f"{_derivative_name(s.name, n)}, "
                                          f"got {_derivative_name(s.name, s.order)}")
-                    continue
-                self.check_rhs(s.expr, var_order, params, tables)
-                equations[s.name] = s.expr
-                eq_lines[s.name] = s.line
-            elif isinstance(s, InitDecl):
-                if s.name not in var_order:
-                    self.fail(s.line, 1, f"initial condition for undeclared variable {s.name!r}")
-                    continue
-                n = var_order[s.name]
+                else:
+                    self.check_rhs(s.expr, var_order, params, tables)
+                    equations[s.name] = s.expr
+            elif s.keyword == "init":
                 if n == 0:
                     self.fail(s.line, 1, f"{s.name!r} has order 0 and takes no initial conditions")
-                    continue
-                if s.order >= n:
+                elif s.order >= n:
                     self.fail(s.line, 1, f"initial condition order too high for {s.name!r}")
-                    continue
-                key = (s.name, s.order)
-                if key in inits:
+                elif key in inits:
                     self.fail(s.line, 1, f"duplicate initial condition for {signal_name(*key)}")
-                    continue
-                v = self.fold_const(s.expr, params, "initial condition")
-                inits[key] = 0.0 if v is None else v  # diagnosed already if None
-            elif isinstance(s, BoundDecl):
-                if s.name not in var_order:
-                    self.fail(s.line, 1, f"bound for undeclared variable {s.name!r}")
-                    continue
-                if s.order > var_order[s.name]:
-                    self.fail(s.line, 1, f"bound order too high for {s.name!r}")
-                    continue
+                else:
+                    v = self.fold_const(s.expr, params, "initial condition")
+                    inits[key] = 0.0 if v is None else v  # diagnosed already if None
+            elif s.order > n:
+                self.fail(s.line, 1, f"bound order too high for {s.name!r}")
+            elif key in bounds:
+                self.fail(s.line, 1, f"duplicate bound for {signal_name(*key)}")
+            else:
                 v = self.fold_const(s.expr, params, "bound")
-                if v is not None:
-                    if v <= 0:
-                        self.fail(s.line, 1, "bounds must be positive")
-                    else:
-                        bounds[(s.name, s.order)] = v
+                if v is not None and v <= 0:
+                    self.fail(s.line, 1, "bounds must be positive")
+                bounds[key] = v  # even when rejected, so that a second bound is a duplicate
 
         given = Counter(v for v, _ in inits)
         for v, n in var_order.items():

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from .machine import (AlgebraicLoopError, Element, Kind, Net, Netlist, algebraic_loops,
-                      is_inverter, json_object, validate)
+                      inventory_kind, json_object, validate)
 
 _INVENTORY_KINDS = ("integrator", "summer", "inverter", "multiplier",
                     "coefficient", "function_generator")
@@ -101,17 +101,10 @@ class PatchAssignment:
 
 
 def _demand(netlist: Netlist):
-    singles, multis = [], []
-    by_kind: dict[str, list] = {k: [] for k in ("integrator", "multiplier", "coefficient",
-                                                "function_generator")}
-    refs = []
+    by_kind: dict[str, list] = {k: [] for k in (*_INVENTORY_KINDS, "reference")}
     for e in netlist.elements.values():
-        if e.kind is Kind.SUMMER:
-            (singles if is_inverter(e) else multis).append(e.id)
-        elif e.kind is Kind.REFERENCE:
-            refs.append(e.id)
-        else:
-            by_kind[e.kind.value].append(e.id)
+        by_kind[inventory_kind(e)].append(e.id)
+    singles, multis, refs = (by_kind.pop(k) for k in ("inverter", "summer", "reference"))
     return singles, multis, by_kind, refs
 
 

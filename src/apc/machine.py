@@ -130,6 +130,12 @@ def is_inverter(e: "Element") -> bool:
     return e.kind is Kind.SUMMER and len(e.inputs) == 1
 
 
+def inventory_kind(e: "Element") -> str:
+    """The slot kind ``e`` takes on a machine: ``"inverter"`` for a
+    single-input summer, else its own kind."""
+    return "inverter" if is_inverter(e) else e.kind.value
+
+
 @dataclass(frozen=True)
 class Element:
     """One computing element: identity, kind, parameters and input nets."""
@@ -233,14 +239,11 @@ class Netlist:
         return cls(elements, nets, tuple(outputs))
 
     def counts(self) -> dict[str, int]:
-        """Element counts by kind, with single-input summers split out."""
+        """Element counts by ``inventory_kind``, in ``Kind`` order with inverters last."""
         out = {k.value: 0 for k in Kind}
         out["inverter"] = 0
         for e in self.elements.values():
-            if is_inverter(e):
-                out["inverter"] += 1
-            else:
-                out[e.kind.value] += 1
+            out[inventory_kind(e)] += 1
         return {k: v for k, v in out.items() if v}
 
 

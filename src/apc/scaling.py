@@ -30,6 +30,7 @@ on first use, so that compiling never loads the simulator.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -455,30 +456,24 @@ def normalize(expr: Expr, system: OdeSystem) -> _NSum:
 _GRID = (1.0, 2.0, 2.5, 5.0)
 
 
-def round_up_grid(x: float) -> float:
-    """Smallest {1, 2, 2.5, 5} x 10^k value >= x (within float slack)."""
+def _grid_candidates(x: float) -> list[float]:
+    """The {1, 2, 2.5, 5} x 10^k values from the decade below x's to the
+    decade above, ascending; 10^k itself must be a finite float."""
     if not (x > 0 and math.isfinite(x)):
         raise ValueError(f"grid rounding needs a positive finite value, got {x}")
-    e = math.floor(math.log10(x)) - 1
-    for exp in (e, e + 1, e + 2):
-        for g in _GRID:
-            cand = g * 10.0 ** exp
-            if cand >= x * (1.0 - 1e-9):
-                return cand
-    raise AssertionError("unreachable")
+    e = math.floor(math.log10(x))
+    return [g * 10.0 ** k for k in range(e - 1, min(e + 2, sys.float_info.max_10_exp + 1))
+            for g in _GRID]
+
+
+def round_up_grid(x: float) -> float:
+    """Smallest {1, 2, 2.5, 5} x 10^k value >= x (within float slack)."""
+    return next(c for c in _grid_candidates(x) if c >= x * (1.0 - 1e-9))
 
 
 def round_down_grid(x: float) -> float:
     """Largest {1, 2, 2.5, 5} x 10^k value <= x (within float slack)."""
-    if not (x > 0 and math.isfinite(x)):
-        raise ValueError(f"grid rounding needs a positive finite value, got {x}")
-    e = math.floor(math.log10(x)) + 1
-    for exp in (e, e - 1, e - 2):
-        for g in sorted(_GRID, reverse=True):
-            cand = g * 10.0 ** exp
-            if cand <= x * (1.0 + 1e-9):
-                return cand
-    raise AssertionError("unreachable")
+    return next(c for c in reversed(_grid_candidates(x)) if c <= x * (1.0 + 1e-9))
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,7 @@ DIAGNOSTICS = {
     "bound-undeclared": (OK_SRC + "bound z = 1\n", 3, ["6:1: bound for undeclared variable 'z'"]),
     "bound-order": (OK_SRC + "bound y'' = 1\n", 3, ["6:1: bound order too high for 'y'"]),
     "bound-negative": (OK_SRC + "bound y = -1\n", 3, ["6:1: bounds must be positive"]),
+    "bound-twice": (OK_SRC + "bound y = 0.1\nbound y = 2\n", 3, ["7:1: duplicate bound for y"]),
     "bound-derivative": (OK_SRC + "param k = 1\nbound y = k'\n", 3,
                          ["7:11: bound must be constant; derivatives are not"]),
     "init-order": (OK_SRC + "init y' = 0\n", 3, ["6:1: initial condition order too high for 'y'"]),

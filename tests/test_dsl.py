@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 from apc.dsl import (
     Bin,
     Call,
-    EqDecl,
-    InitDecl,
+    Decl,
     Neg,
     Num,
     OutputDecl,
-    ParamDecl,
     Program,
     Ref,
     TableDecl,
@@ -39,7 +37,7 @@ def diags_of(src):
 class TestParse:
     def test_sine_equation_lhs(self):
         program = parse_ok(SINE_SRC)
-        eqs = [s for s in program.statements if isinstance(s, EqDecl)]
+        eqs = [s for s in program.statements if isinstance(s, Decl) and s.keyword == "eq"]
         assert (eqs[0].name, eqs[0].order) == ("y", 2)
 
     def test_empty_input(self):
@@ -213,10 +211,10 @@ def _exprs(runtime: bool):
 
 
 _statements = st.one_of(
-    st.builds(ParamDecl, _names, _exprs(False)),
+    st.builds(Decl, st.just("param"), _names, st.just(0), _exprs(False)),
     st.builds(VarDecl, _names, st.integers(0, 4)),
-    st.builds(EqDecl, _names, st.integers(0, 4), _exprs(True)),
-    st.builds(InitDecl, _names, st.integers(0, 3), _exprs(False)),
+    st.builds(Decl, st.just("eq"), _names, st.integers(0, 4), _exprs(True)),
+    st.builds(Decl, st.sampled_from(["init", "bound"]), _names, st.integers(0, 3), _exprs(False)),
     st.builds(TimeDecl, _exprs(False)),
     st.builds(lambda pts: TableDecl("tbl", tuple(pts)),
               st.lists(st.tuples(st.floats(-1, 1, allow_nan=False),

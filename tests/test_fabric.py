@@ -98,6 +98,12 @@ class TestPatchInstructions:
         lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
         assert lines == ["connect REFP1.out -> POT1.in1", "set POT1 = 0.25"]
 
+    def test_negative_reference_taps_the_minus_rail(self):
+        _, result = build("system t\nvar y order 1\neq y' = -0.5\ninit y = 0\ntime 1\n")
+        text = patch_instructions(map_netlist(result.netlist, THAT))
+        assert "connect REFN1.out -> POT1.in1" in text.splitlines()
+        assert "REFP" not in text
+
     def test_ordered_by_destination(self, fig2):
         from apc.fabric import _slot_key
 

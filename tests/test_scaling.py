@@ -66,13 +66,13 @@ def driven_by(rhs: str):
 class TestGrid:
     @pytest.mark.parametrize("x,expect", [
         (6.25, 10.0), (0.625, 1.0), (1.25, 2.0), (0.3, 0.5),
-        (2.0, 2.0), (2.5, 2.5), (0.051, 0.1), (49.0, 50.0),
+        (2.0, 2.0), (2.5, 2.5), (0.051, 0.1), (49.0, 50.0), (1e308, 1e308),
     ])
     def test_round_up(self, x, expect):
         assert round_up_grid(x) == expect
 
     @pytest.mark.parametrize("x,expect", [
-        (0.2, 0.2), (0.21, 0.2), (6.25, 5.0), (1.0, 1.0), (0.9, 0.5),
+        (0.2, 0.2), (0.21, 0.2), (6.25, 5.0), (1.0, 1.0), (0.9, 0.5), (1.5e308, 1e308),
     ])
     def test_round_down(self, x, expect):
         assert round_down_grid(x) == expect
@@ -211,6 +211,15 @@ class TestAmplitudeScale:
                "table f = (-1, -1) (0, 0) (1, 1)\nbound z = 3\ntime 5\n")
         system = resolve_src(src)
         with pytest.raises(ScalingError, match="lookup table"):
+            amplitude_scale(system, estimate_bounds(system))
+
+    def test_lut_argument_whose_equation_can_leave_the_range_rejected(self):
+        # x itself stays within 0.6, but each 0.6 * y term is scaled by y's m = 1.
+        src = ("system t\nvar x order 0\nvar y order 1\neq x = 0.6 * y + 0.6 * y\n"
+               "eq y' = -lut(f, x)\ninit y = 0.5\ntable f = (-1, -1) (1, 1)\ntime 1\n")
+        system = resolve_src(src)
+        with pytest.raises(ScalingError, match="signal x feeds a lookup table but its equation "
+                                               "can reach 1.2; restructure or bound it to 1"):
             amplitude_scale(system, estimate_bounds(system))
 
 

@@ -150,6 +150,12 @@ class TestModeMachine:
         with pytest.raises(ModeError):
             inst.set_mode(Mode.HALT)
 
+    def test_run_from_halt_rejected(self, sine):
+        inst = new_instance(sine[1].netlist, SimConfig(dt=1e-3))
+        inst.run(0.01)
+        with pytest.raises(ModeError, match="run requires IC or OP mode"):
+            inst.run(0.02)
+
     def test_step_requires_op(self, sine):
         _, result = sine
         inst = new_instance(result.netlist)
@@ -727,6 +733,10 @@ class TestConfigValidation:
     def test_bad_adc_bits(self):
         with pytest.raises(ValueError):
             SimConfig(adc_bits=0)
+
+    def test_bad_sample_every(self):
+        with pytest.raises(ValueError, match="sample_every must be >= 1"):
+            SimConfig(sample_every=0)
 
     def test_non_finite_value_is_structural(self):
         # k0 * dt overflows: the first step's state update is -inf.
