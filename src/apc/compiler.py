@@ -24,7 +24,6 @@ chains are plain and the netlist computes y(k0 * tau).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 
 from .dsl import OdeSystem, signal_name
 from .machine import (
@@ -44,6 +43,7 @@ from .machine import (
     summer,
     validate,
 )
+from .record import Frozen, Record, set_field
 from .scaling import (ScaleMap, _FSignal, _FSum, _NSum, _Term, algebraic_order, normalize,
                       stage_gain)
 
@@ -63,18 +63,22 @@ class ScalingViolationError(CompileError):
     """An initial condition or stage gain escaped machine range."""
 
 
-@dataclass(frozen=True)
-class CompileOptions:
+class CompileOptions(Frozen):
     """``scale`` carries lambda, k0 and the amplitudes; None is ``ScaleMap.identity()``."""
 
-    scale: ScaleMap | None = None
+    __slots__ = ("scale",)
+
+    def __init__(self, scale: ScaleMap | None = None):
+        set_field(self, "scale", scale)
 
 
-@dataclass
-class CompileResult:
-    netlist: Netlist
-    mapping: Mapping
-    report: dict
+class CompileResult(Record):
+    __slots__ = ("netlist", "mapping", "report")
+
+    def __init__(self, netlist: Netlist, mapping: Mapping, report: dict):
+        self.netlist = netlist
+        self.mapping = mapping
+        self.report = report
 
 
 #: Element id prefix of each of machine's element constructors.
@@ -101,7 +105,7 @@ class NetlistBuilder:
         return eid
 
     def name_net(self, net_id: str, name: str) -> None:
-        self.nets[net_id] = replace(self.nets[net_id], name=name)
+        self.nets[net_id] = Net(self.nets[net_id].driver, name)
 
     def build(self, outputs) -> Netlist:
         for e in self.elements.values():
@@ -271,7 +275,8 @@ def build_integrator_chain(builder: NetlistBuilder, var: str, order: int,
 def close_feedback(builder: NetlistBuilder, entry: str, rhs_net: str) -> None:
     """Patch the fed-back highest-derivative net into a chain entry element."""
     e = builder.elements[entry]
-    builder.elements[entry] = replace(e, inputs=[rhs_net if n == _PENDING else n for n in e.inputs])
+    builder.elements[entry] = Element(e.id, e.kind, e.params,
+                                      [rhs_net if n == _PENDING else n for n in e.inputs])
 
 
 # --- top-level compilation ---------------------------------------------------

@@ -33,78 +33,91 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from .record import Frozen, set_field
 
 KEYWORDS = {"system", "param", "var", "order", "eq", "init", "table", "time", "output", "bound"}
 CONST_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    line: int
-    column: int
-    message: str
+class Diagnostic(Frozen):
+    __slots__ = ("line", "column", "message")
+
+    def __init__(self, line: int, column: int, message: str):
+        set_field(self, "line", line)
+        set_field(self, "column", column)
+        set_field(self, "message", message)
 
     def __str__(self):
         return f"{self.line}:{self.column}: {self.message}"
 
 
 # --- AST ------------------------------------------------------------------
-# Locations never take part in equality so that a pretty-printed and
-# re-parsed tree compares equal to the original.
+# Locations never take part in equality or hashing so that a
+# pretty-printed and re-parsed tree compares equal to the original.
 
-@dataclass(frozen=True)
-class Expr:
-    pass
+class Expr(Frozen):
+    __slots__ = ()
+    _uncompared = ("line", "column")
 
 
-@dataclass(frozen=True)
 class Num(Expr):
-    value: float
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+    __slots__ = ("value", "line", "column")
+
+    def __init__(self, value: float, line: int = 0, column: int = 0):
+        set_field(self, "value", value)
+        set_field(self, "line", line)
+        set_field(self, "column", column)
 
 
-@dataclass(frozen=True)
 class Ref(Expr):
     """A name with a derivative order: ``y''`` is Ref("y", 2)."""
 
-    name: str
-    order: int = 0
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+    __slots__ = ("name", "order", "line", "column")
+
+    def __init__(self, name: str, order: int = 0, line: int = 0, column: int = 0):
+        set_field(self, "name", name)
+        set_field(self, "order", order)
+        set_field(self, "line", line)
+        set_field(self, "column", column)
 
 
-@dataclass(frozen=True)
 class Bin(Expr):
-    op: str
-    left: Expr
-    right: Expr
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+    __slots__ = ("op", "left", "right", "line", "column")
+
+    def __init__(self, op: str, left: Expr, right: Expr, line: int = 0, column: int = 0):
+        set_field(self, "op", op)
+        set_field(self, "left", left)
+        set_field(self, "right", right)
+        set_field(self, "line", line)
+        set_field(self, "column", column)
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    operand: Expr
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+    __slots__ = ("operand", "line", "column")
+
+    def __init__(self, operand: Expr, line: int = 0, column: int = 0):
+        set_field(self, "operand", operand)
+        set_field(self, "line", line)
+        set_field(self, "column", column)
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    func: str
-    args: tuple
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+    __slots__ = ("func", "args", "line", "column")
+
+    def __init__(self, func: str, args: tuple, line: int = 0, column: int = 0):
+        set_field(self, "func", func)
+        set_field(self, "args", args)
+        set_field(self, "line", line)
+        set_field(self, "column", column)
 
 
-@dataclass(frozen=True)
-class Stmt:
-    pass
+class Stmt(Frozen):
+    __slots__ = ()
+    _uncompared = ("line",)
 
 
-@dataclass(frozen=True)
 class Decl(Stmt):
     """A ``param``, ``eq``, ``init`` or ``bound`` line, ``KEYWORD NAME' = expr``.
 
@@ -112,43 +125,56 @@ class Decl(Stmt):
     apostrophes on the name, always 0 for a param.
     """
 
-    keyword: str
-    name: str
-    order: int
-    expr: Expr
-    line: int = field(default=0, compare=False)
+    __slots__ = ("keyword", "name", "order", "expr", "line")
+
+    def __init__(self, keyword: str, name: str, order: int, expr: Expr, line: int = 0):
+        set_field(self, "keyword", keyword)
+        set_field(self, "name", name)
+        set_field(self, "order", order)
+        set_field(self, "expr", expr)
+        set_field(self, "line", line)
 
 
-@dataclass(frozen=True)
 class VarDecl(Stmt):
-    name: str
-    order: int
-    line: int = field(default=0, compare=False)
+    __slots__ = ("name", "order", "line")
+
+    def __init__(self, name: str, order: int, line: int = 0):
+        set_field(self, "name", name)
+        set_field(self, "order", order)
+        set_field(self, "line", line)
 
 
-@dataclass(frozen=True)
 class TableDecl(Stmt):
-    name: str
-    points: tuple
-    line: int = field(default=0, compare=False)
+    __slots__ = ("name", "points", "line")
+
+    def __init__(self, name: str, points: tuple, line: int = 0):
+        set_field(self, "name", name)
+        set_field(self, "points", points)
+        set_field(self, "line", line)
 
 
-@dataclass(frozen=True)
 class TimeDecl(Stmt):
-    t_end: Expr
-    line: int = field(default=0, compare=False)
+    __slots__ = ("t_end", "line")
+
+    def __init__(self, t_end: Expr, line: int = 0):
+        set_field(self, "t_end", t_end)
+        set_field(self, "line", line)
 
 
-@dataclass(frozen=True)
 class OutputDecl(Stmt):
-    signals: tuple  # of (name, order)
-    line: int = field(default=0, compare=False)
+    __slots__ = ("signals", "line")
+
+    def __init__(self, signals: tuple, line: int = 0):
+        set_field(self, "signals", signals)  # of (name, order)
+        set_field(self, "line", line)
 
 
-@dataclass(frozen=True)
-class Program:
-    name: str
-    statements: tuple
+class Program(Frozen):
+    __slots__ = ("name", "statements")
+
+    def __init__(self, name: str, statements: tuple):
+        set_field(self, "name", name)
+        set_field(self, "statements", statements)
 
 
 def signal_name(name: str, order: int) -> str:
@@ -193,12 +219,14 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # num | ident | keyword | op | eol
-    text: str
-    line: int
-    column: int
+class Token(Frozen):
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        set_field(self, "kind", kind)  # num | ident | keyword | op | eol
+        set_field(self, "text", text)
+        set_field(self, "line", line)
+        set_field(self, "column", column)
 
 
 def _lex_line(text: str, lineno: int, diags: list) -> list[Token]:

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-
 from .machine import (AlgebraicLoopError, Element, Kind, Net, Netlist, algebraic_loops,
                       inventory_kind, json_object, validate)
+from .record import Frozen, Record, set_field
 
 _INVENTORY_KINDS = ("integrator", "summer", "inverter", "multiplier",
                     "coefficient", "function_generator")
@@ -45,21 +44,21 @@ class ResourceError(ValueError):
         super().__init__(f"netlist does not fit machine {machine!r}; missing {short}")
 
 
-@dataclass(frozen=True)
-class MachineSpec:
-    name: str
-    inventory: dict
-    crossbar: str = "full"
+class MachineSpec(Frozen):
+    __slots__ = ("name", "inventory", "crossbar")
 
-    def __post_init__(self):
-        unknown = set(self.inventory) - set(_INVENTORY_KINDS)
+    def __init__(self, name: str, inventory: dict, crossbar: str = "full"):
+        unknown = set(inventory) - set(_INVENTORY_KINDS)
         if unknown:
             raise ValueError(f"unknown inventory kind(s) {sorted(unknown)}")
-        for kind, v in self.inventory.items():
+        for kind, v in inventory.items():
             if not (math.isfinite(v) and v >= 0 and v == int(v)):
                 raise ValueError(f"inventory count of {kind} must be a non-negative integer, got {v!r}")
-        if self.crossbar != "full":
+        if crossbar != "full":
             raise ValueError("only full crossbars are modeled")
+        set_field(self, "name", name)
+        set_field(self, "inventory", inventory)
+        set_field(self, "crossbar", crossbar)
 
     def count(self, kind: str) -> int:
         return int(self.inventory.get(kind, 0))
@@ -90,14 +89,17 @@ def load_machine_spec(source: str) -> MachineSpec:
     return MachineSpec(doc["name"], inventory, doc.get("crossbar", "full"))
 
 
-@dataclass
-class PatchAssignment:
+class PatchAssignment(Record):
     """Element-to-slot mapping plus the ordered patch connection list."""
 
-    machine: str
-    slot_of: dict
-    patches: list = field(default_factory=list)  # (src_slot, dst_slot, input index)
-    settings: list = field(default_factory=list)  # (slot, alpha)
+    __slots__ = ("machine", "slot_of", "patches", "settings")
+
+    def __init__(self, machine: str, slot_of: dict, patches: list | None = None,
+                 settings: list | None = None):
+        self.machine = machine
+        self.slot_of = slot_of
+        self.patches = [] if patches is None else patches  # (src_slot, dst_slot, input index)
+        self.settings = [] if settings is None else settings  # (slot, alpha)
 
 
 def _demand(netlist: Netlist):

@@ -27,8 +27,9 @@ import json
 import math
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from enum import Enum
+
+from .record import Frozen, Record, set_field
 
 
 class StructuralError(ValueError):
@@ -85,8 +86,7 @@ def table_lookup(table):
     return eval(f"lambda x: {lookup_code(table, 'x')}")
 
 
-@dataclass(frozen=True)
-class KindSpec:
+class KindSpec(Frozen):
     """What one element kind means.
 
     ``arity`` is the (min, max) input count, max None for unbounded;
@@ -96,9 +96,12 @@ class KindSpec:
     integrator has none, its output is its state.
     """
 
-    arity: tuple
-    params: tuple
-    output: Callable[[list, str], str] | None = None
+    __slots__ = ("arity", "params", "output")
+
+    def __init__(self, arity: tuple, params: tuple, output: Callable[[list, str], str] | None = None):
+        set_field(self, "arity", arity)
+        set_field(self, "params", params)
+        set_field(self, "output", output)
 
 
 KINDS = {
@@ -136,24 +139,24 @@ def inventory_kind(e: "Element") -> str:
     return "inverter" if is_inverter(e) else e.kind.value
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(Frozen):
     """One computing element: identity, kind, parameters and input nets."""
 
-    id: str
-    kind: Kind
-    params: dict = field(default_factory=dict)
-    inputs: tuple = ()
+    __slots__ = ("id", "kind", "params", "inputs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        if self.kind is Kind.FUNCTION_GENERATOR and "table" in self.params:
+    def __init__(self, id: str, kind: Kind, params: dict | None = None, inputs: tuple = ()):
+        params = {} if params is None else params
+        if kind is Kind.FUNCTION_GENERATOR and "table" in params:
             try:
-                table = tuple((float(x), float(y)) for x, y in self.params["table"])
+                table = tuple((float(x), float(y)) for x, y in params["table"])
             except (TypeError, ValueError):
                 raise StructuralError(
-                    f"'table' of params of element {self.id!r} must hold [x, y] pairs") from None
-            object.__setattr__(self, "params", {**self.params, "table": table})
+                    f"'table' of params of element {id!r} must hold [x, y] pairs") from None
+            params = {**params, "table": table}
+        set_field(self, "id", id)
+        set_field(self, "kind", kind)
+        set_field(self, "params", params)
+        set_field(self, "inputs", tuple(inputs))
 
 
 def summer(eid: str, inputs) -> Element:
@@ -200,12 +203,14 @@ def element_output(kind: Kind, params: dict, inputs, state: float | None = None)
     return eval(expr, {"x": list(inputs), "p": p})
 
 
-@dataclass(frozen=True)
-class Net:
+class Net(Frozen):
     """A single-driver net: the driving element id and an optional name."""
 
-    driver: str
-    name: str | None = None
+    __slots__ = ("driver", "name")
+
+    def __init__(self, driver: str, name: str | None = None):
+        set_field(self, "driver", driver)
+        set_field(self, "name", name)
 
 
 class Netlist:
@@ -247,11 +252,13 @@ class Netlist:
         return {k: v for k, v in out.items() if v}
 
 
-@dataclass(frozen=True)
-class Violation:
-    element: str
-    rule: str
-    message: str
+class Violation(Frozen):
+    __slots__ = ("element", "rule", "message")
+
+    def __init__(self, element: str, rule: str, message: str):
+        set_field(self, "element", element)
+        set_field(self, "rule", rule)
+        set_field(self, "message", message)
 
 
 def _check_params(e: Element):
@@ -487,36 +494,43 @@ def load_netlist(path) -> Netlist:
 # ---------------------------------------------------------------------------
 # The compiler's sidecar mapping (``*.map.json``).
 
-@dataclass(frozen=True)
-class SignalBinding:
+class SignalBinding(Frozen):
     """Where a source-level signal lives in the netlist.
 
     net value = parity * signal / scale.
     """
 
-    net: str
-    parity: int
-    scale: float = 1.0
+    __slots__ = ("net", "parity", "scale")
+
+    def __init__(self, net: str, parity: int, scale: float = 1.0):
+        set_field(self, "net", net)
+        set_field(self, "parity", parity)
+        set_field(self, "scale", scale)
 
 
-@dataclass(frozen=True)
-class ParamBinding:
+class ParamBinding(Frozen):
     """A source parameter realized by one coefficient: alpha = |scale * value|."""
 
-    element: str
-    scale: float
-    value: float
+    __slots__ = ("element", "scale", "value")
+
+    def __init__(self, element: str, scale: float, value: float):
+        set_field(self, "element", element)
+        set_field(self, "scale", scale)
+        set_field(self, "value", value)
 
 
-@dataclass
-class Mapping:
+class Mapping(Record):
     """Compiler sidecar: signal and parameter bindings plus time scaling."""
 
-    signals: dict
-    params: dict
-    lam: float = 1.0
-    k0: float = 1.0
-    horizon_machine: float | None = None
+    __slots__ = ("signals", "params", "lam", "k0", "horizon_machine")
+
+    def __init__(self, signals: dict, params: dict, lam: float = 1.0, k0: float = 1.0,
+                 horizon_machine: float | None = None):
+        self.signals = signals
+        self.params = params
+        self.lam = lam
+        self.k0 = k0
+        self.horizon_machine = horizon_machine
 
     def to_dict(self) -> dict:
         return {

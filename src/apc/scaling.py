@@ -32,10 +32,10 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, replace
 
 from .dsl import Bin, Call, Expr, Neg, Num, OdeSystem, Ref, signal_name, walk
 from .machine import ScalingError, simple_cycles, topological_order
+from .record import Frozen, Record, set_field
 
 # The sidecar mapping, under the names it had here.
 from .machine import Mapping, ParamBinding, SignalBinding  # noqa: F401
@@ -104,12 +104,14 @@ def algebraic_order(system: OdeSystem) -> list[str]:
     return order
 
 
-@dataclass
-class OracleSolution:
+class OracleSolution(Record):
     """High-precision reference trajectories in problem units."""
 
-    t: np.ndarray
-    signals: dict  # (var, order) -> np.ndarray
+    __slots__ = ("t", "signals")
+
+    def __init__(self, t: np.ndarray, signals: dict):
+        self.t = t
+        self.signals = signals  # (var, order) -> np.ndarray
 
 
 # Dormand–Prince 5(4): nodes C, stages A, 5th-order weights B, error
@@ -282,12 +284,14 @@ def reference_solution(system: OdeSystem, t_eval=None) -> OracleSolution:
 
 # --- bounds -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundsEstimate:
+class BoundsEstimate(Frozen):
     """Per-signal peak magnitudes (problem units) and how they were obtained."""
 
-    values: dict  # (var, order) -> bound > 0
-    method: dict  # (var, order) -> "user" | "interval" | "oracle"
+    __slots__ = ("values", "method")
+
+    def __init__(self, values: dict, method: dict):
+        set_field(self, "values", values)  # (var, order) -> bound > 0
+        set_field(self, "method", method)  # (var, order) -> "user" | "interval" | "oracle"
 
 
 def _interval_bound(expr: Expr, env: dict, params: dict, tables: dict) -> float:
@@ -354,33 +358,43 @@ def estimate_bounds(system: OdeSystem) -> BoundsEstimate:
 # lowers this form term by term, and the feasibility pass below sizes
 # signals from it.
 
-@dataclass
-class _FSignal:
-    var: str
-    order: int
+class _FSignal(Record):
+    __slots__ = ("var", "order")
+
+    def __init__(self, var: str, order: int):
+        self.var = var
+        self.order = order
 
 
-@dataclass
-class _FLut:
-    table: str
-    arg: "_NSum"
+class _FLut(Record):
+    __slots__ = ("table", "arg")
+
+    def __init__(self, table: str, arg: _NSum):
+        self.table = table
+        self.arg = arg
 
 
-@dataclass
-class _FSum:
-    inner: "_NSum"
+class _FSum(Record):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: _NSum):
+        self.inner = inner
 
 
-@dataclass
-class _Term:
-    coeff: float
-    pexps: Counter
-    factors: list
+class _Term(Record):
+    __slots__ = ("coeff", "pexps", "factors")
+
+    def __init__(self, coeff: float, pexps: Counter, factors: list):
+        self.coeff = coeff
+        self.pexps = pexps
+        self.factors = factors
 
 
-@dataclass
-class _NSum:
-    terms: list
+class _NSum(Record):
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: list):
+        self.terms = terms
 
 
 def _mk_sum(terms) -> _NSum:
@@ -476,8 +490,17 @@ def round_down_grid(x: float) -> float:
     return next(c for c in reversed(_grid_candidates(x)) if c <= x * (1.0 + 1e-9))
 
 
-@dataclass(frozen=True)
-class ScaleMap:
+def _scale_factor(key: tuple, bound: float) -> float:
+    """``round_up_grid(bound)``, the amplitude factor of signal ``key``;
+    ScalingError if no finite grid value covers the bound."""
+    m = round_up_grid(bound) if bound < math.inf else math.inf
+    if m == math.inf:
+        raise ScalingError(f"bound {bound:.6g} of {signal_name(*key)} exceeds the largest "
+                           "scale factor, 1e+308")
+    return m
+
+
+class ScaleMap(Frozen):
     """Amplitude factors per signal plus the time-scale factor.
 
     Machine signal = problem signal / m; problem time t = lam * tau.
@@ -486,13 +509,14 @@ class ScaleMap:
     unit stage coefficients.
     """
 
-    amplitude: dict = field(default_factory=dict)
-    lam: float = 1.0
-    k0: float = 1.0
+    __slots__ = ("amplitude", "lam", "k0")
 
-    def __post_init__(self):
-        if not (self.lam > 0 and self.k0 > 0):
+    def __init__(self, amplitude: dict | None = None, lam: float = 1.0, k0: float = 1.0):
+        if not (lam > 0 and k0 > 0):
             raise ValueError("lambda and k0 must be positive")
+        set_field(self, "amplitude", {} if amplitude is None else amplitude)
+        set_field(self, "lam", lam)
+        set_field(self, "k0", k0)
 
     def m(self, var: str, order: int) -> float:
         return self.amplitude.get((var, order), 1.0)
@@ -557,7 +581,9 @@ def amplitude_scale(system: OdeSystem, bounds: BoundsEstimate) -> ScaleMap:
     Grid rounding of independent signals would otherwise let a gain
     escape by up to 2x. A parenthesized sum used as a multiplier operand
     and a lookup-table argument are built unscaled, so each must fit
-    [-1, 1] on its own; otherwise this raises ScalingError.
+    [-1, 1] on its own; otherwise this raises ScalingError, as it does
+    for a bound no finite grid value covers and for an initial condition
+    the scale factor leaves above 1 machine unit.
     """
     pinned = _lut_arg_signals(system)
     amplitude = {}
@@ -571,7 +597,10 @@ def amplitude_scale(system: OdeSystem, bounds: BoundsEstimate) -> ScaleMap:
                     f"machine range (bound {b}); restructure or bound it to 1")
             amplitude[key] = 1.0
         else:
-            amplitude[key] = round_up_grid(b)
+            amplitude[key] = _scale_factor(key, b)
+        if key in system.inits and abs(system.inits[key] / amplitude[key]) > 1.0 + 1e-9:
+            raise ScalingError(f"initial condition {system.inits[key]:.6g} of "
+                               f"{signal_name(*key)} exceeds its bound {b:.6g}")
 
     driven = algebraic_order(system) + [v for v, n in system.var_order.items() if n >= 1]
     for v in driven:
@@ -583,7 +612,7 @@ def amplitude_scale(system: OdeSystem, bounds: BoundsEstimate) -> ScaleMap:
                     f"signal {signal_name(*key)} feeds a lookup table but its equation "
                     f"can reach {need:.4g}; restructure or bound it to 1")
         elif need > amplitude[key] * (1 + 1e-9):
-            amplitude[key] = round_up_grid(need)
+            amplitude[key] = _scale_factor(key, need)
     return ScaleMap(amplitude)
 
 
@@ -612,7 +641,7 @@ def time_scale(system: OdeSystem, scale: ScaleMap, lam: float | None = None,
     limit = k0 * min(ratios.values(), default=1.0)
     if lam is None:
         lam = k0 if limit >= k0 * (1 - 1e-9) else round_down_grid(limit)
-    scaled = replace(scale, lam=lam, k0=k0)
+    scaled = ScaleMap(scale.amplitude, lam, k0)
     for (v, j), ratio in ratios.items():
         alpha = lam / (k0 * ratio)
         if alpha > 1.0 + 1e-9:

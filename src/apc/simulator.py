@@ -73,7 +73,6 @@ import csv
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, replace
 from enum import Enum
 
 from .machine import (
@@ -88,6 +87,7 @@ from .machine import (
     parameter,
     validate,
 )
+from .record import Frozen, Record, set_field
 
 
 class ConstructionError(ValueError):
@@ -133,46 +133,51 @@ LEGAL_TRANSITIONS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Frozen):
     """Fixed-step simulation parameters.
 
     ``resolution`` is the machine's value grid in machine units; 0 means
     ideal (quantization off). ``sample_every`` decimates the trace.
     """
 
-    dt: float = 1e-4
-    resolution: float = 0.0
-    adc_bits: int = 12
-    strict_overload: bool = False
-    sample_every: int = 1
+    __slots__ = ("dt", "resolution", "adc_bits", "strict_overload", "sample_every")
 
-    def __post_init__(self):
-        if not (self.dt > 0):
+    def __init__(self, dt: float = 1e-4, resolution: float = 0.0, adc_bits: int = 12,
+                 strict_overload: bool = False, sample_every: int = 1):
+        if not (dt > 0):
             raise ValueError("dt must be positive")
-        if not (0.0 <= self.resolution < 1.0):
+        if not (0.0 <= resolution < 1.0):
             raise ValueError("resolution must lie in [0, 1)")
-        if not (1 <= self.adc_bits <= 32):
+        if not (1 <= adc_bits <= 32):
             raise ValueError("adc_bits must lie in 1..32")
-        if self.sample_every < 1:
+        if sample_every < 1:
             raise ValueError("sample_every must be >= 1")
+        set_field(self, "dt", dt)
+        set_field(self, "resolution", resolution)
+        set_field(self, "adc_bits", adc_bits)
+        set_field(self, "strict_overload", strict_overload)
+        set_field(self, "sample_every", sample_every)
 
 
-@dataclass(frozen=True)
-class OverloadEvent:
-    time: float
-    element: str
-    magnitude: float
+class OverloadEvent(Frozen):
+    __slots__ = ("time", "element", "magnitude")
+
+    def __init__(self, time: float, element: str, magnitude: float):
+        set_field(self, "time", time)
+        set_field(self, "element", element)
+        set_field(self, "magnitude", magnitude)
 
 
-@dataclass
-class Trace:
+class Trace(Record):
     """Sampled machine-unit values of the named nets plus the overload log."""
 
-    tau: list
-    series: dict
-    overloads: list
-    time_label: str = "tau"
+    __slots__ = ("tau", "series", "overloads", "time_label")
+
+    def __init__(self, tau: list, series: dict, overloads: list, time_label: str = "tau"):
+        self.tau = tau
+        self.series = series
+        self.overloads = overloads
+        self.time_label = time_label
 
     def final(self) -> dict:
         return {name: values[-1] for name, values in self.series.items()}
@@ -209,7 +214,8 @@ def descale_trace(trace: Trace, mapping: Mapping) -> Trace:
         factor = b.parity * b.scale
         series[name] = [factor * v for v in values]
     t = [mapping.lam * tau for tau in trace.tau]
-    overloads = [replace(ev, time=mapping.lam * ev.time) for ev in trace.overloads]
+    overloads = [OverloadEvent(mapping.lam * ev.time, ev.element, ev.magnitude)
+                 for ev in trace.overloads]
     return Trace(t, series, overloads, time_label="t")
 
 

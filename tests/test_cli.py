@@ -176,6 +176,25 @@ class TestCompile:
                     "system t\nvar y order 2\neq y'' = -2*y\ninit y = 0.1\ninit y' = 0\ntime 1\n")
         assert main(["compile", src, "--scale", "none", "-o", str(workdir / "c.json")]) == 4
 
+    @pytest.mark.parametrize("source, message", [
+        (OK_SRC + "bound y = 1.5e308\n", "bound 1.5e+308 of y exceeds the largest scale factor, 1e+308"),
+        ("system s\nvar y order 1\nvar x order 0\neq x = y*y\neq y' = -x\ninit y = 0.5\n"
+         "bound y = 1e200\ntime 1\n", "bound inf of y' exceeds the largest scale factor, 1e+308"),
+        (OK_SRC + "bound y = 0.1\n", "initial condition 0.5 of y exceeds its bound 0.1"),
+        (OK_SRC + "bound y = 1e-320\n", "initial condition 0.5 of y exceeds its bound 9.99989e-321"),
+    ], ids=["huge", "huge-interval", "below-init", "subnormal"])
+    def test_bound_the_autoscaler_cannot_use_exits_4(self, workdir, capsys, source, message):
+        """Each once ended in a grid-rounding traceback or blamed a skipped autoscaler."""
+        src = write(workdir / "b.apc", source)
+        assert main(["compile", src, "-o", str(workdir / "b.json")]) == 4
+        assert capsys.readouterr().err == f"apc: scaling: {message}\n"
+
+    @pytest.mark.parametrize("bound", ["1e307", "1e308", "0.45"])
+    def test_bound_on_the_grid_compiles(self, workdir, bound):
+        """1e308 is the largest scale factor; 0.45 rounds up to 0.5, which holds init y = 0.5."""
+        src = write(workdir / "b.apc", OK_SRC + f"bound y = {bound}\n")
+        assert main(["compile", src, "-o", str(workdir / "b.json")]) == 0
+
     def test_parse_error_exits_2(self, workdir):
         src = write(workdir / "p.apc", "var y order 1\n")
         assert main(["compile", src]) == 2
@@ -716,17 +735,26 @@ def test_sidecar_names_keep_their_scaling_home():
 
 #: command -> the apc modules besides apc.cli that running it loads.
 COMMAND_MODULES = {
-    "check": ["apc.dsl"],
-    "compile": ["apc.compiler", "apc.dsl", "apc.machine", "apc.scaling"],
-    "run": ["apc.machine", "apc.simulator"],
-    "run-problem-units": ["apc.machine", "apc.simulator"],
-    "sweep": ["apc.machine", "apc.simulator"],
-    "map": ["apc.fabric", "apc.machine"],
+    "check": ["apc.dsl", "apc.record"],
+    "compile": ["apc.compiler", "apc.dsl", "apc.machine", "apc.record", "apc.scaling"],
+    "run": ["apc.machine", "apc.record", "apc.simulator"],
+    "run-problem-units": ["apc.machine", "apc.record", "apc.simulator"],
+    "sweep": ["apc.machine", "apc.record", "apc.simulator"],
+    "map": ["apc.fabric", "apc.machine", "apc.record"],
 }
+
+
+#: command -> the apc classes that are dataclasses once it has run; every
+#: other command never imports ``dataclasses``.
+COMMAND_DATACLASSES = {"check": ["apc.dsl.OdeSystem"], "compile": ["apc.dsl.OdeSystem"]}
 
 
 @pytest.mark.parametrize("command", list(COMMAND_MODULES))
 def test_each_command_loads_only_the_modules_it_runs(workdir, command):
+    """Each command loads only its own modules. Records are plain slotted
+    classes: only ``OdeSystem``, which callers copy with
+    ``dataclasses.replace``, is a dataclass, so a command that never
+    resolves a program never imports ``dataclasses``."""
     sine = compiled(workdir, SINE_SRC, "sine")
     vco = compiled(workdir, VCO_SRC, "vco", ("--scale", "none"))
     argv = {
@@ -741,8 +769,39 @@ def test_each_command_loads_only_the_modules_it_runs(workdir, command):
     }[command]
     code = ("import sys; from apc.cli import main; code = main(%r); "
             "print(code, sorted(m for m in sys.modules "
-            "if m.startswith('apc.') and m != 'apc.cli'))" % argv)
-    assert fresh_python(code).splitlines()[-1] == f"0 {COMMAND_MODULES[command]}"
+            "if m.startswith('apc.') and m != 'apc.cli')); "
+            "print('dataclasses' in sys.modules, sorted(f'{m}.{n}' "
+            "for m, mod in list(sys.modules.items()) if m.startswith('apc.') "
+            "for n, v in vars(mod).items() if isinstance(v, type) and v.__module__ == m "
+            "and hasattr(v, '__dataclass_fields__')))" % argv)
+    dataclasses = COMMAND_DATACLASSES.get(command, [])
+    assert fresh_python(code).splitlines()[-2:] == [f"0 {COMMAND_MODULES[command]}",
+                                                    f"{bool(dataclasses)} {dataclasses}"]
+
+
+def test_importing_apc_runs_no_generated_code():
+    """No apc module builds code from text (``exec`` or ``eval`` of a string,
+    as a dataclass or a namedtuple does) when it is imported: the modules a
+    run or a map loads build none, and the rest build only what
+    ``dataclasses`` builds, on import and for ``OdeSystem``."""
+    code = ("import builtins, sys\n"
+            "made = []\n"
+            "def spy(real):\n"
+            "    def call(source, *args, **kwargs):\n"
+            "        if isinstance(source, str):\n"
+            "            frame, names = sys._getframe(1), set()\n"
+            "            while frame:\n"
+            "                names.add(frame.f_globals.get('__name__'))\n"
+            "                frame = frame.f_back\n"
+            "            made.append('dataclasses' in names)\n"
+            "        return real(source, *args, **kwargs)\n"
+            "    return call\n"
+            "builtins.exec, builtins.eval = spy(builtins.exec), spy(builtins.eval)\n"
+            "import apc.cli, apc.fabric, apc.machine, apc.record, apc.simulator\n"
+            "print(len(made))\n"
+            "import apc.compiler, apc.dsl, apc.scaling\n"
+            "print(sorted(set(made)))\n")
+    assert fresh_python(code).splitlines() == ["0", "[True]"]
 
 
 @pytest.mark.parametrize("k0", ["0", "-1", "nan", "inf"])
