@@ -5,16 +5,20 @@ parametrizes the simulated analog machine through digital-pot updates,
 runs it, and reads traces back out.
 
 Exit codes are stable: 0 ok, 1 usage, 2 parse error, 3 resolve/compile
-error, 4 scaling, resource or simulation error, 5 strict-overload abort.
+error, 4 scaling, resource or simulation error (a lost sweep lane among
+them), 5 strict-overload abort.
 
 Each command imports only the modules it runs: ``check`` the DSL, ``run``
 and ``sweep`` the machine and the simulator, ``map`` the machine and the
-fabric. Every ``apc`` call is a new process that pays its imports again.
+fabric. Every ``apc`` call is a new process that pays its imports again,
+so a sweep forks its lanes with ``os.fork`` and sends results back with
+``marshal``, both built in, rather than load a process pool.
 """
 
 from __future__ import annotations
 
 import argparse
+import marshal
 import math
 import os
 import sys
@@ -229,19 +233,13 @@ def _sweep_values(spec: str) -> list[float]:
     return values
 
 
-#: The machine, machine end time and output directory of the sweep in
-#: progress. Set in the parent just before its runs start; forked workers
-#: inherit it.
-_sweep_machine: tuple[MachineInstance, float, Path] | None = None
-
-
-def _sweep_run(row: tuple[int, str, float]) -> tuple[dict, int]:
+def _sweep_run(instance: MachineInstance, tau_end: float, out_dir: Path,
+               row: tuple[int, str, float]) -> tuple[dict, int]:
     """Sweep row ``(i, element, alpha)``: reload the ICs, set the pot, run
     IC -> OP -> HALT and write ``run_{i:03d}.csv``. Returns the run's final
     values and its overload count."""
     from .simulator import Mode
 
-    instance, tau_end, out_dir = _sweep_machine
     i, element, alpha = row
     instance.set_mode(Mode.IC)
     instance.set_coefficient(element, alpha)
@@ -250,34 +248,137 @@ def _sweep_run(row: tuple[int, str, float]) -> tuple[dict, int]:
     return trace.final(), len(trace.overloads)
 
 
+class _LaneError(Exception):
+    """A forked sweep lane ended without sending its rows' results."""
+
+
+def _lane(run, rows) -> tuple[list, tuple[int, Exception] | None]:
+    """``run`` over ``rows`` in order: the results, and ``(i, exception)``
+    of the row that raised, which ends the lane, or None."""
+    results = []
+    for row in rows:
+        try:
+            results.append(run(row))
+        except Exception as exc:
+            return results, (row[0], exc)
+    return results, None
+
+
+def _child_lane(run, rows, fd: int):
+    """Body of a forked lane: run ``rows`` and write to pipe ``fd`` either
+    ``b"m"`` and the marshalled results or ``b"p"`` and the pickled
+    ``(i, exception)`` of the row that failed. Never returns: it leaves
+    with ``os._exit``, status 0 once the pipe holds the whole message, so
+    no code of the caller runs and nothing the parent buffered is flushed.
+    An exception that does not survive pickling leaves with status 1."""
+    status = 1
+    try:
+        results, failure = _lane(run, rows)
+        if failure is None:
+            message = b"m" + marshal.dumps(results)
+        else:
+            import pickle
+
+            message = b"p" + pickle.dumps(failure)
+            pickle.loads(message[1:])
+        with open(fd, "wb") as fh:
+            fh.write(message)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _lost_lane(rows, status: int) -> _LaneError:
+    """The error of a lane over ``rows`` whose child ended with wait
+    ``status`` before it sent a result."""
+    names = [str(i) for i, *_ in rows]
+    if len(names) > 4:
+        names[2:-1] = ["..."]
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        import signal
+
+        how = f"was killed by signal {-code} ({signal.Signals(-code).name})"
+    else:
+        how = f"exited with status {code}"
+    noun = "rows" if len(rows) > 1 else "row"
+    return _LaneError(f"the lane running {noun} {', '.join(names)} {how} without a result")
+
+
+def _forked_lanes(run, rows, workers: int) -> list:
+    """``run`` over ``rows`` in ``workers`` lanes, each row's result in order.
+
+    Lane j takes rows j, j + workers, ...; this process runs lane 0 and
+    forks one child per other lane, which inherits everything ``run``
+    needs and sends its results back through its own pipe. Every child is
+    reaped before this returns or raises; on an error outside the rows
+    (an interrupt, say) the children still running are killed first. The
+    row that fails first in row order raises its own exception; a lane
+    that ends without a result raises a ``_LaneError`` as its first row.
+    """
+    lanes = [rows[j::workers] for j in range(workers)]
+    children = []  # (pid, read end of its pipe, its rows)
+    try:
+        for lane in lanes[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child_lane(run, lane, w)
+            os.close(w)
+            children.append((pid, open(r, "rb"), lane))
+        results, failure = _lane(run, lanes[0])
+        failures = [failure] if failure else []
+        done = dict(zip((i for i, *_ in lanes[0]), results))
+        while children:
+            pid, fh, lane = children[0]
+            with fh:
+                message = fh.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            if status != 0:
+                failures.append((lane[0][0], _lost_lane(lane, status)))
+            elif message[:1] == b"p":
+                import pickle
+
+                failures.append(pickle.loads(message[1:]))
+            else:
+                done.update(zip((i for i, *_ in lane), marshal.loads(message[1:])))
+        if failures:
+            raise min(failures, key=lambda f: f[0])[1]
+        return [done[i] for i, *_ in rows]
+    finally:
+        if children:
+            import signal
+        for pid, fh, _ in children:
+            fh.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+
+
 def _sweep_rows(instance, tau_end, out_dir, settings) -> list[tuple[dict, int]]:
-    """Run and write each pot setting's row, over one process per usable CPU;
+    """Run and write each pot setting's row, over one lane per usable CPU;
     returns each row's final values and overload count, in order.
 
-    Rows are independent, so any worker may run any of them and write its
-    trace file: the worker count never changes a result. Only the final
-    values cross back. Workers are forked from this process, which starts
-    no threads, and inherit ``instance``, whose generated run loop cannot
-    be pickled. Where the usable CPUs cannot be read (macOS, Windows) the
-    rows run in-process. An executor, not ``multiprocessing.Pool``:
-    leaving a Pool kills its workers, and one killed while it holds the
-    result queue's lock deadlocks the Pool's task handler after a failed run.
+    Rows are independent, so any lane may run any of them and write its
+    trace file: the lane count never changes a result. This process runs
+    one lane and forks the others (``_forked_lanes``); each child inherits
+    ``instance``, whose generated run loop is built once, and sends back
+    only the final values. Where the usable CPUs cannot be read (macOS,
+    Windows) the rows run in-process.
     """
-    global _sweep_machine
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(settings))
     rows = [(i, element, alpha) for i, (element, alpha) in enumerate(settings)]
-    _sweep_machine = (instance, tau_end, out_dir)
-    try:
-        if workers == 1:
-            return list(map(_sweep_run, rows))
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
-            return list(pool.map(_sweep_run, rows))
-    finally:
-        _sweep_machine = None
+    def run(row):
+        return _sweep_run(instance, tau_end, out_dir, row)
+
+    if workers == 1:
+        return list(map(run, rows))
+    return _forked_lanes(run, rows, workers)
 
 
 def cmd_sweep(args) -> int:
@@ -292,14 +393,14 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = _sweep_rows(instance, tau_end, out_dir, settings)
+    from .simulator import csv_row
 
-    import csv
-
+    lines = [csv_row(["value", *netlist.outputs, "overloads"])]
+    for v, (finals, overloads) in zip(values, rows):
+        lines.append(",".join([repr(v), *[repr(finals[n]) for n in netlist.outputs],
+                               str(overloads)]) + "\n")
     with open(out_dir / "summary.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["value"] + list(netlist.outputs) + ["overloads"])
-        for v, (finals, overloads) in zip(values, rows):
-            writer.writerow([repr(v)] + [repr(finals[n]) for n in netlist.outputs] + [overloads])
+        fh.write("".join(lines))
     print(f"sweep: {len(values)} runs -> {out_dir}")
     return EXIT_OK
 
@@ -378,9 +479,10 @@ def _build_parser() -> _Parser:
 #: and looked up only when an error arrives, so that no command loads a
 #: module just for its errors. OSError is an output path that cannot be
 #: written; a StructuralError that gets this far is a simulated value gone
-#: non-finite.
+#: non-finite; a _LaneError is a sweep lane that ended without its results.
 _ERRORS = (
     (_UsageError, "usage: ", EXIT_USAGE),
+    (_LaneError, "sweep: ", EXIT_SCALE),
     ("simulator.ConstructionError", "", EXIT_USAGE),
     (OSError, "", EXIT_USAGE),
     ("machine.ScalingError", "scaling: ", EXIT_SCALE),

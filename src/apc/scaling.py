@@ -640,15 +640,28 @@ def time_scale(system: OdeSystem, scale: ScaleMap, lam: float | None = None,
     ratios = _stage_ratios(system, scale)
     limit = k0 * min(ratios.values(), default=1.0)
     if lam is None:
-        lam = k0 if limit >= k0 * (1 - 1e-9) else round_down_grid(limit)
+        lam = k0 if limit >= k0 * (1 - 1e-9) else _largest_lambda(system, ratios, limit)
     scaled = ScaleMap(scale.amplitude, lam, k0)
     for (v, j), ratio in ratios.items():
         alpha = lam / (k0 * ratio)
         if alpha > 1.0 + 1e-9:
             raise ScalingError(
                 f"stage coefficient {alpha:.6g} for {v!r} falls outside (0, 1]; "
-                f"suggested lambda <= {round_down_grid(limit)}")
+                f"suggested lambda <= {_largest_lambda(system, ratios, limit)}")
     return scaled
+
+
+def _largest_lambda(system: OdeSystem, ratios: dict, limit: float) -> float:
+    """The largest grid lambda at most ``limit``, k0 times the smallest stage
+    ratio; ScalingError naming that stage if the ratio or its grid value
+    underflows to 0."""
+    lam = round_down_grid(limit) if limit > 0 else 0.0
+    if lam > 0:
+        return lam
+    v, j = min(ratios, key=ratios.get)
+    n = system.var_order[v]
+    raise ScalingError(f"the stage from {signal_name(v, n - j + 1)} to {signal_name(v, n - j)} "
+                       f"needs lambda <= {limit:.6g}, below every positive time scale")
 
 
 def autoscale(system: OdeSystem, k0: float = 1.0) -> ScaleMap:

@@ -62,14 +62,14 @@ through the compiler's sidecar mapping.
 
 Instances are single-threaded. A parameter sweep builds one instance
 and cycles it IC -> OP -> HALT once per value; with several usable CPUs
-each forked worker process cycles its own copy and writes its rows'
-traces, so ``_run`` is generated once per sweep and neither it nor a
-trace crosses a process boundary.
+each forked sweep lane cycles its own copy and writes its rows' traces,
+so ``_run`` is generated once per sweep and neither it nor a trace
+crosses a process boundary. Traces are written as one string per file,
+quoted as ``csv.writer`` quotes, without loading ``csv``.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from collections import Counter
@@ -168,6 +168,20 @@ class OverloadEvent(Frozen):
         set_field(self, "magnitude", magnitude)
 
 
+def csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted as ``csv.writer`` quotes it with
+    ``lineterminator="\\n"``: only a field holding ``,``, ``"`` or ``\\n``,
+    with each ``"`` doubled."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def csv_row(fields) -> str:
+    """One CSV line of the text ``fields``, each quoted by ``csv_field``."""
+    return ",".join(map(csv_field, fields)) + "\n"
+
+
 class Trace(Record):
     """Sampled machine-unit values of the named nets plus the overload log."""
 
@@ -183,18 +197,16 @@ class Trace(Record):
         return {name: values[-1] for name, values in self.series.items()}
 
     def write_csv(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
         names = list(self.series)
-        writer.writerow([self.time_label] + names)
-        columns = [self.series[n] for n in names]
-        for i, t in enumerate(self.tau):
-            writer.writerow([repr(t)] + [repr(col[i]) for col in columns])
+        row = ",".join(["%r"] * (len(names) + 1)) + "\n"
+        fh.write("".join([csv_row([self.time_label, *names]),
+                          *[row % values for values in zip(self.tau, *self.series.values())]]))
 
     def write_overloads_csv(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["time", "element", "magnitude"])
-        for ev in self.overloads:
-            writer.writerow([repr(ev.time), ev.element, repr(ev.magnitude)])
+        quoted = {name: csv_field(name) for name in {ev.element for ev in self.overloads}}
+        fh.write("".join([csv_row(["time", "element", "magnitude"]),
+                          *[f"{ev.time!r},{quoted[ev.element]},{ev.magnitude!r}\n"
+                            for ev in self.overloads]]))
 
     def save(self, path, overload_path=None) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:

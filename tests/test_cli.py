@@ -1,19 +1,24 @@
 import csv
+import io
 import json
 import math
 import os
 import re
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from apc import cli
 from apc.cli import main
 from apc.machine import (
     Netlist,
+    StructuralError,
     coefficient,
     function_generator,
     integrator,
@@ -21,6 +26,7 @@ from apc.machine import (
     save_netlist,
     summer,
 )
+from apc.simulator import OverloadError
 from conftest import FIG2_SRC, ROOT, SINE5_SRC, SINE_SRC, UNSTABLE_SRC, VCO_SRC, src_env
 
 
@@ -182,9 +188,17 @@ class TestCompile:
          "bound y = 1e200\ntime 1\n", "bound inf of y' exceeds the largest scale factor, 1e+308"),
         (OK_SRC + "bound y = 0.1\n", "initial condition 0.5 of y exceeds its bound 0.1"),
         (OK_SRC + "bound y = 1e-320\n", "initial condition 0.5 of y exceeds its bound 9.99989e-321"),
-    ], ids=["huge", "huge-interval", "below-init", "subnormal"])
+        ("system s\nvar y order 1\neq y' = -y\ninit y = 1e-300\nbound y = 1e-300\n"
+         "bound y' = 1e300\ntime 1\n",
+         "the stage from y' to y needs lambda <= 0, below every positive time scale"),
+        ("system s\nvar y order 1\neq y' = -y\ninit y = 1e-16\nbound y = 1e-16\n"
+         "bound y' = 2e307\ntime 1\n",
+         "the stage from y' to y needs lambda <= 4.94066e-324, below every positive time scale"),
+    ], ids=["huge", "huge-interval", "below-init", "subnormal", "ratio-underflow",
+            "lambda-underflow"])
     def test_bound_the_autoscaler_cannot_use_exits_4(self, workdir, capsys, source, message):
-        """Each once ended in a grid-rounding traceback or blamed a skipped autoscaler."""
+        """Each once ended in a grid-rounding or ScaleMap traceback or blamed
+        a skipped autoscaler."""
         src = write(workdir / "b.apc", source)
         assert main(["compile", src, "-o", str(workdir / "b.json")]) == 4
         assert capsys.readouterr().err == f"apc: scaling: {message}\n"
@@ -432,6 +446,39 @@ def set_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
+def count_forks(monkeypatch) -> list:
+    """A list that gains one entry per ``os.fork`` the parent makes."""
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def patch_rows(monkeypatch, faults):
+    """Make sweep row i call ``faults[i]()`` before its run."""
+    real_run = cli._sweep_run
+
+    def run(instance, tau_end, out_dir, row):
+        faults.get(row[0], lambda: None)()
+        return real_run(instance, tau_end, out_dir, row)
+
+    monkeypatch.setattr(cli, "_sweep_run", run)
+
+
+def kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def raise_(exc):
+    def fault():
+        raise exc
+    return fault
+
+
 class TestInvalidNetlist:
     def test_run_names_the_loop(self, workdir, capsys):
         assert main(["run", looped_netlist(workdir), "--tend", "1"]) == 1
@@ -544,31 +591,25 @@ class TestSweep:
     def test_output_does_not_depend_on_worker_count(self, workdir, capsys, monkeypatch,
                                                     netlist, argv):
         path = netlist(workdir)
-        import multiprocessing
-
-        pools = []
-        real_get_context = multiprocessing.get_context
-        monkeypatch.setattr(multiprocessing, "get_context",
-                            lambda method: pools.append(method) or real_get_context(method))
+        forks = count_forks(monkeypatch)
         outputs = []
-        for cpus in (1, 3):
+        for cpus in (1, 2, 3):
             set_cpus(monkeypatch, cpus)
             capsys.readouterr()
             assert main(["sweep", str(path), *argv, "--out", str(workdir / "s")]) == 0
             files = {f.name: f.read_bytes() for f in sorted((workdir / "s").iterdir())}
             outputs.append((files, capsys.readouterr()))
             shutil.rmtree(workdir / "s")
-        assert pools == ["fork"]
-        assert outputs[0] == outputs[1]
+        assert len(forks) == 0 + 1 + 2  # one lane fewer than the CPUs: this process runs one
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert_no_child_left()
 
     @pytest.mark.parametrize("cpus, values", [(3, "0.4"), (1, "0.2,0.4,0.6")])
     def test_one_worker_runs_in_process(self, workdir, monkeypatch, cpus, values):
-        import multiprocessing
+        def no_fork():
+            raise AssertionError("a one-worker sweep forked")
 
-        def no_pool(method):
-            raise AssertionError("a one-worker sweep started a pool")
-
-        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         set_cpus(monkeypatch, cpus)
         out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
         assert main(["sweep", str(out), "--param", f"k={values}", "--tend", "1",
@@ -584,6 +625,68 @@ class TestSweep:
         assert main(["sweep", path, "--param", "k=0.5,0.9,0.7", *flags,
                      "--out", str(workdir / "s")]) == 4
         assert capsys.readouterr().err == run_err
+
+    @pytest.mark.parametrize("faults, code, err", [
+        # lane 1 (rows 1, 3) dies by a signal; lane 0 finishes
+        ({1: kill_self}, 4,
+         "apc: sweep: the lane running rows 1, 3 was killed by signal 9 (SIGKILL) "
+         "without a result\n"),
+        # lane 0, this process, fails while lane 1 is still running
+        ({0: raise_(StructuralError("non-finite value at element 'x'")),
+          1: lambda: time.sleep(0.5)}, 4, "apc: simulation: non-finite value at element 'x'\n"),
+        # lane 1 fails first in row order; its exception crosses the pipe
+        ({1: raise_(OSError(28, "No space left on device")),
+          2: raise_(StructuralError("non-finite value at element 'x'"))}, 1,
+         "apc: [Errno 28] No space left on device\n"),
+        # a lost lane counts as its first row, after a failure in row 0
+        ({0: raise_(StructuralError("row 0")), 3: kill_self}, 4, "apc: simulation: row 0\n"),
+        # an exception that cannot cross the pipe ends its lane with status 1
+        ({1: raise_(OverloadError("x", 0.5, 2.0))}, 4,
+         "apc: sweep: the lane running rows 1, 3 exited with status 1 without a result\n"),
+    ], ids=["child-killed", "parent-fails", "child-fails-first", "lost-lane-later",
+            "child-unpicklable"])
+    def test_failed_lane_exits_with_one_line(self, workdir, capsys, monkeypatch, faults, code,
+                                             err):
+        out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
+        set_cpus(monkeypatch, 2)
+        patch_rows(monkeypatch, faults)
+        capsys.readouterr()
+        assert main(["sweep", str(out), "--param", "k=0.1,0.2,0.3,0.4", "--tend", "1",
+                     "--dt", "1e-2", "--out", str(workdir / "s")]) == code
+        captured = capsys.readouterr()
+        assert (captured.err, captured.out) == (err, "")
+        assert not (workdir / "s" / "summary.csv").exists()
+        assert_no_child_left()
+
+    def test_interrupt_kills_and_reaps_the_lanes(self, workdir, monkeypatch):
+        """An interrupt in this process's lane does not wait for the others."""
+        out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
+        set_cpus(monkeypatch, 3)
+        patch_rows(monkeypatch, {0: raise_(KeyboardInterrupt()), 1: lambda: time.sleep(60),
+                                 2: lambda: time.sleep(60)})
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", str(out), "--param", "k=0.1,0.2,0.3", "--tend", "1",
+                  "--out", str(workdir / "s")])
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+    def test_csv_files_quote_names_as_csv_writer_does(self, workdir, monkeypatch):
+        n = Netlist.from_elements([reference("r", 1.0), coefficient("k", "r", 0.5),
+                                   summer("s", ["k"])],
+                                  outputs={"a,b": "k", 'say "s"': "s", "two\nlines": "r"})
+        save_netlist(n, workdir / "q.json")
+        set_cpus(monkeypatch, 2)
+        assert main(["sweep", str(workdir / "q.json"), "--param", "k=0.25,0.5", "--tend", "0.1",
+                     "--dt", "0.05", "--out", str(workdir / "s")]) == 0
+        for name in ("summary.csv", "run_000.csv", "run_001.csv"):
+            text = (workdir / "s" / name).read_text(encoding="utf-8")
+            with open(workdir / "s" / name, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0][1:4] == ["a,b", 'say "s"', "two\nlines"]
+            rewritten = io.StringIO()
+            csv.writer(rewritten, lineterminator="\n").writerows(rows)
+            assert text == rewritten.getvalue()
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "k=0.5", "--out", "s"]],
                              ids=["run", "sweep"])
@@ -674,9 +777,23 @@ def test_import_leaves_out_networkx_and_scipy():
 
 
 def test_cli_import_leaves_out_multiprocessing():
-    """Only a sweep over several CPUs imports multiprocessing."""
     code = "import apc.cli, sys; print('multiprocessing' in sys.modules)"
     assert fresh_python(code).strip() == "False"
+
+
+def test_forked_sweep_loads_no_process_pool(tmp_path):
+    """A sweep over three lanes forks them itself: neither ``multiprocessing``
+    nor ``concurrent.futures`` is loaded, nor ``csv`` or ``pickle``."""
+    vco = compiled(tmp_path, VCO_SRC, "vco", ("--scale", "none"))
+    argv = ["sweep", str(vco), "--param", "k=0.2,0.4,0.6", "--tend", "1",
+            "--out", str(tmp_path / "sweep")]
+    code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1, 2}; "
+            "from apc.cli import main; code = main(%r); "
+            "print(code, [m for m in ('multiprocessing', 'concurrent.futures', 'csv', 'pickle') "
+            "if m in sys.modules])" % argv)
+    assert fresh_python(code).splitlines()[-1] == "0 []"
+    assert sorted(f.name for f in (tmp_path / "sweep").iterdir()) == [
+        "run_000.csv", "run_001.csv", "run_002.csv", "summary.csv"]
 
 
 def test_autoscaled_compile_leaves_out_scipy(tmp_path):

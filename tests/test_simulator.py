@@ -1,5 +1,7 @@
 import bisect
+import csv
 import functools
+import io
 import math
 import operator
 import subprocess
@@ -32,6 +34,7 @@ from apc.simulator import (
     OverloadError,
     SimConfig,
     SimulationWarning,
+    Trace,
     new_instance,
 )
 from conftest import SINE_SRC, UNSTABLE_SRC, build, src_env
@@ -719,6 +722,35 @@ class TestDeterminism:
         assert t1.tau == t2.tau
         assert t1.series == t2.series
         assert t1.overloads == t2.overloads
+
+
+#: Names that ``csv.writer`` quotes, or leaves as they are ("\r", "'", " ").
+AWKWARD_NAMES = ["y", "a,b", 'say "hi"', "two\nlines", "cr\rhere", '"', "y'", " x", ""]
+
+
+def csv_writer_text(rows) -> str:
+    fh = io.StringIO()
+    csv.writer(fh, lineterminator="\n").writerows(rows)
+    return fh.getvalue()
+
+
+class TestTraceFiles:
+    def test_names_are_quoted_as_csv_writer_quotes_them(self):
+        tau = [0.0, 0.1, 0.2]
+        series = {name: [i * 0.5, -i / 3, 1e-300 * i] for i, name in enumerate(AWKWARD_NAMES)}
+        events = [OverloadEvent(0.1 * i, name, 1.0 + i / 7) for i, name in
+                  enumerate(AWKWARD_NAMES * 2)]
+        trace = Trace(tau, series, events, time_label="t,ime")
+        fh = io.StringIO()
+        trace.write_csv(fh)
+        assert fh.getvalue() == csv_writer_text(
+            [["t,ime", *AWKWARD_NAMES]]
+            + [[repr(t)] + [repr(series[n][i]) for n in AWKWARD_NAMES] for i, t in enumerate(tau)])
+        fh = io.StringIO()
+        trace.write_overloads_csv(fh)
+        assert fh.getvalue() == csv_writer_text(
+            [["time", "element", "magnitude"]]
+            + [[repr(ev.time), ev.element, repr(ev.magnitude)] for ev in events])
 
 
 class TestConfigValidation:
