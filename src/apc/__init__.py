@@ -21,13 +21,13 @@ _EXPORTS = {
     "dsl": ("Diagnostic", "OdeSystem", "parse", "pretty", "resolve"),
     "fabric": ("THAT", "MachineSpec", "PatchAssignment", "ResourceError", "apply_assignment",
                "load_machine_spec", "map_netlist", "patch_instructions"),
-    "machine": ("Element", "Kind", "Mapping", "Net", "Netlist", "ScalingError", "SignalBinding",
-                "StructuralError", "algebraic_loops", "element_output", "evaluation_order",
-                "load_netlist", "netlist_from_dict", "netlist_to_dict", "save_netlist",
-                "validate"),
+    "machine": ("ConstructionError", "Element", "Kind", "Mapping", "Net", "Netlist",
+                "ScalingError", "SignalBinding", "StructuralError", "element_output",
+                "evaluation_order", "load_netlist", "netlist_from_dict", "netlist_to_dict",
+                "save_netlist", "validate"),
     "scaling": ("BoundsEstimate", "ScaleMap", "amplitude_scale", "autoscale", "estimate_bounds",
                 "reference_solution", "time_scale"),
-    "simulator": ("ConstructionError", "MachineInstance", "Mode", "ModeError", "OverloadError",
+    "simulator": ("MachineInstance", "Mode", "ModeError", "OverloadError",
                   "SimConfig", "Trace", "descale_trace", "new_instance"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -215,6 +215,12 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+#: The most rows a sweep range may ask for. Each row is one run and one
+#: trace file, and the values and their pot settings are all built before
+#: the first run, so a range past this is a mistyped step, not a sweep.
+MAX_SWEEP_ROWS = 10**6
+
+
 def _sweep_values(spec: str) -> list[float]:
     if ":" in spec:
         parts = spec.split(":")
@@ -225,8 +231,11 @@ def _sweep_values(spec: str) -> list[float]:
             raise _UsageError("sweep range must be finite")
         if s <= 0 or b < a:
             raise _UsageError("empty sweep range")
-        n = int((b - a) / s + 1e-9) + 1
-        return [a + i * s for i in range(n)]
+        steps = (b - a) / s + 1e-9
+        if not steps < MAX_SWEEP_ROWS:  # also an infinite count, from a step near 0
+            raise _UsageError(f"sweep range has {steps + 1:.7g} rows, "
+                              f"at most {MAX_SWEEP_ROWS} are allowed")
+        return [a + i * s for i in range(int(steps) + 1)]
     values = [_number(x, "--param") for x in spec.split(",") if x.strip()]
     if not values:
         raise _UsageError("empty sweep value list")
@@ -367,7 +376,7 @@ def _sweep_rows(instance, tau_end, out_dir, settings) -> list[tuple[dict, int]]:
     one lane and forks the others (``_forked_lanes``); each child inherits
     ``instance``, whose generated run loop is built once, and sends back
     only the final values. Where the usable CPUs cannot be read (macOS,
-    Windows) the rows run in-process.
+    Windows) there is one lane, which forks nothing.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(settings))
@@ -376,8 +385,6 @@ def _sweep_rows(instance, tau_end, out_dir, settings) -> list[tuple[dict, int]]:
     def run(row):
         return _sweep_run(instance, tau_end, out_dir, row)
 
-    if workers == 1:
-        return list(map(run, rows))
     return _forked_lanes(run, rows, workers)
 
 
@@ -417,9 +424,6 @@ def cmd_map(args) -> int:
         for kind, n in exc.deficits.items():
             print(f"  missing {kind}: {n}", file=sys.stderr)
         return EXIT_SCALE
-    except ValueError as exc:  # the netlist does not validate
-        print(f"apc: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     text = fabric.patch_instructions(assignment)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -483,7 +487,7 @@ def _build_parser() -> _Parser:
 _ERRORS = (
     (_UsageError, "usage: ", EXIT_USAGE),
     (_LaneError, "sweep: ", EXIT_SCALE),
-    ("simulator.ConstructionError", "", EXIT_USAGE),
+    ("machine.ConstructionError", "", EXIT_USAGE),
     (OSError, "", EXIT_USAGE),
     ("machine.ScalingError", "scaling: ", EXIT_SCALE),
     ("compiler.UnscaledCoefficientError", "scaling: ", EXIT_SCALE),

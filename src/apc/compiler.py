@@ -34,14 +34,13 @@ from .machine import (
     ParamBinding,
     ScalingError,
     SignalBinding,
-    algebraic_loops,
     coefficient,
+    evaluation_order,
     function_generator,
     integrator,
     multiplier,
     reference,
     summer,
-    validate,
 )
 from .record import Frozen, Record, set_field
 from .scaling import (ScaleMap, _FSignal, _FSum, _NSum, _Term, algebraic_order, normalize,
@@ -339,12 +338,7 @@ def compile_system(system: OdeSystem, options: CompileOptions | None = None) -> 
     outputs = tuple(signal_name(name, order) for name, order in system.outputs)
     netlist = builder.build(outputs)
 
-    problems = validate(netlist)
-    if problems:
-        raise CompileError(f"internal error: compiled netlist invalid: {problems}")
-    loops = algebraic_loops(netlist)
-    if loops:
-        raise CompileError(f"algebraic loop without an integrator: {loops[0]}")
+    evaluation_order(netlist)  # no resolved program fails this check
 
     bindings = {
         signal_name(var, order): SignalBinding(net, parity, scale.m(var, order))

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from .machine import (AlgebraicLoopError, Element, Kind, Net, Netlist, algebraic_loops,
-                      inventory_kind, json_object, validate)
+from .machine import Element, Kind, Net, Netlist, evaluation_order, inventory_kind, json_object
 from .record import Frozen, Record, set_field
 
 _INVENTORY_KINDS = ("integrator", "summer", "inverter", "multiplier",
@@ -42,6 +41,9 @@ class ResourceError(ValueError):
         self.deficits = dict(deficits)
         short = ", ".join(f"{k}: {v}" for k, v in self.deficits.items())
         super().__init__(f"netlist does not fit machine {machine!r}; missing {short}")
+
+    def __reduce__(self):  # pickle rebuilds through __init__
+        return type(self), (self.machine, self.deficits)
 
 
 class MachineSpec(Frozen):
@@ -116,15 +118,11 @@ def map_netlist(netlist: Netlist, spec: MachineSpec) -> PatchAssignment:
     With a full crossbar, mapping succeeds exactly when per-kind demand
     fits supply after placing single-input summers into inverter slots
     first. On failure the error lists the per-kind deficit, which equals
-    demand minus supply under that optimal substitution. A netlist that
-    fails validation or has an algebraic loop raises ValueError.
+    demand minus supply under that optimal substitution. The netlist is
+    checked first by ``machine.evaluation_order``: ConstructionError if it
+    fails validation, AlgebraicLoopError naming one loop if it has any.
     """
-    problems = validate(netlist)
-    if problems:
-        raise ValueError(f"netlist does not validate: {[str(v) for v in problems]}")
-    loops = algebraic_loops(netlist)
-    if loops:
-        raise AlgebraicLoopError(loops)
+    evaluation_order(netlist)
     singles, multis, by_kind, refs = _demand(netlist)
 
     deficits = {}

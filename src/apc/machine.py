@@ -40,12 +40,20 @@ class ScalingError(ValueError):
     """A program or a pot setting does not fit the machine interval."""
 
 
-class AlgebraicLoopError(StructuralError):
-    """An operation that requires a loop-free algebraic graph found cycles."""
+class ConstructionError(ValueError):
+    """A netlist that ``evaluation_order`` rejects: it fails validation or
+    holds an algebraic loop."""
+
+
+class AlgebraicLoopError(ConstructionError):
+    """A netlist holds a cycle through no integrator; ``cycles`` lists one."""
 
     def __init__(self, cycles):
         self.cycles = cycles
         super().__init__(f"algebraic loop(s): {cycles}")
+
+    def __reduce__(self):  # pickle rebuilds through __init__
+        return type(self), (self.cycles,)
 
 
 class Kind(str, Enum):
@@ -328,24 +336,23 @@ def validate(netlist: Netlist) -> list[Violation]:
     return report
 
 
-def _successors(nodes, edges) -> dict:
-    succ = {v: {} for v in nodes}
-    for u, v in edges:
-        if u in succ and v in succ:
-            succ[u][v] = None
-    return succ
-
-
 def topological_order(nodes, edges) -> tuple[list, list]:
     """Kahn's pass (CACM 1962) over ``nodes`` and ``(source, target)`` edges.
 
     Edges touching other nodes are ignored; duplicates count once.
-    Returns ``(order, residue)``. ``order`` holds the sources in node
+    Returns ``(order, cycle)``. ``order`` holds the sources in node
     order, then each freed node's consumers in first-edge order.
-    ``residue`` lists the nodes never freed; it is empty exactly when
-    the graph is acyclic.
+    ``cycle`` is empty exactly when the graph is acyclic; else it lists
+    one cycle's nodes, each feeding the next and the last the first,
+    from its smallest node. Every node the pass never frees has a
+    predecessor it never frees, so a walk over first predecessors from
+    the first of them comes back to a node it passed: the stretch
+    between, reversed, is that cycle. All of it takes linear time.
     """
-    succ = _successors(nodes, edges)
+    succ = {v: {} for v in nodes}
+    for u, v in edges:
+        if u in succ and v in succ:
+            succ[u][v] = None
     indegree = Counter(v for targets in succ.values() for v in targets)
     order = [v for v in succ if not indegree[v]]
     for u in order:
@@ -353,59 +360,42 @@ def topological_order(nodes, edges) -> tuple[list, list]:
             indegree[v] -= 1
             if not indegree[v]:
                 order.append(v)
-    return order, [v for v in succ if indegree[v]]
-
-
-def simple_cycles(nodes, edges):
-    """Yield each elementary cycle among ``nodes`` once, from its smallest node.
-
-    Kahn's pass forwards and backwards first drops the nodes no cycle
-    passes through. A depth-first search from each remaining node r, in
-    sorted order, then visits only nodes greater than r.
-    """
-    _, nodes = topological_order(nodes, edges)
-    _, nodes = topological_order(nodes, [(v, u) for u, v in edges])
-    succ = _successors(nodes, edges)
-    for r in sorted(succ):
-        path = {r: iter(succ[r])}  # path node -> its successors not yet tried
-        while path:
-            v = next(next(reversed(path.values())), None)
-            if v is None:
-                path.popitem()
-            elif v == r:
-                yield list(path)
-            elif v > r and v not in path:
-                path[v] = iter(succ[v])
-
-
-def _algebraic_graph(netlist: Netlist):
-    """Non-integrator element ids and all (driver, consumer) edges."""
-    nodes = [eid for eid, e in netlist.elements.items() if e.kind is not Kind.INTEGRATOR]
-    return nodes, [(netlist.nets[nid].driver, e.id) for e in netlist.elements.values() for nid in e.inputs]
-
-
-def algebraic_loops(netlist: Netlist) -> list[list[str]]:
-    """Every element cycle that does not pass through an integrator.
-
-    Feedback through integrators is the normal programming pattern;
-    integrator-free cycles have no defined dataflow value. Cycles are
-    rotated to start at their smallest id and sorted, so output is
-    deterministic.
-    """
-    return sorted(simple_cycles(*_algebraic_graph(netlist)))
+    residue = [v for v in succ if indegree[v]]
+    if not residue:
+        return order, []
+    pred = {}
+    for u in residue:
+        for v in succ[u]:
+            pred.setdefault(v, u)
+    walk = {}  # node -> its step on the walk
+    v = residue[0]
+    while v not in walk:
+        walk[v] = len(walk)
+        v = pred[v]
+    cycle = list(walk)[walk[v]:][::-1]
+    i = cycle.index(min(cycle))
+    return order, cycle[i:] + cycle[:i]
 
 
 def evaluation_order(netlist: Netlist) -> list[str]:
-    """Topological order of the non-integrator elements.
+    """The one check of a netlist, and the order its elements evaluate in.
 
-    Integrator outputs are treated as sources (their values come from
-    simulator state), so evaluating elements in this order computes every
-    net in a single pass. Raises AlgebraicLoopError if cycles remain.
+    Raises ConstructionError listing every violation ``validate``
+    reports, then AlgebraicLoopError naming one cycle of non-integrator
+    elements if there is any: such a loop has no defined value.
+    Otherwise returns the topological order of the non-integrator
+    elements. Integrator outputs are sources (their values come from
+    simulator state), so evaluating elements in this order computes
+    every net in a single pass.
     """
-    nodes, edges = _algebraic_graph(netlist)
-    order, residue = topological_order(nodes, edges)
-    if residue:
-        raise AlgebraicLoopError(sorted(simple_cycles(residue, edges)))
+    report = validate(netlist)
+    if report:
+        raise ConstructionError(f"netlist does not validate: {[str(v) for v in report]}")
+    nodes = [eid for eid, e in netlist.elements.items() if e.kind is not Kind.INTEGRATOR]
+    edges = [(netlist.nets[nid].driver, e.id) for e in netlist.elements.values() for nid in e.inputs]
+    order, cycle = topological_order(nodes, edges)
+    if cycle:
+        raise AlgebraicLoopError([cycle])
     return order
 
 

@@ -34,7 +34,7 @@ import sys
 from collections import Counter
 
 from .dsl import Bin, Call, Expr, Neg, Num, OdeSystem, Ref, signal_name, walk
-from .machine import ScalingError, simple_cycles, topological_order
+from .machine import ScalingError, topological_order
 from .record import Frozen, Record, set_field
 
 # The sidecar mapping, under the names it had here.
@@ -97,9 +97,8 @@ def algebraic_order(system: OdeSystem) -> list[str]:
     """Dependency order of the order-0 variables; cycles are an error."""
     zeros = [v for v, n in system.var_order.items() if n == 0]
     edges = [(ref.name, v) for v in zeros for ref in _refs(system.equations[v])]
-    order, residue = topological_order(zeros, edges)
-    if residue:
-        cycle = next(simple_cycles(residue, edges))
+    order, cycle = topological_order(zeros, edges)
+    if cycle:
         raise ScalingError(f"algebraic cycle among order-0 variables: {cycle}")
     return order
 

@@ -1,5 +1,9 @@
 """Netlist execution: the IC/OP/HALT machine with a fixed-step engine.
 
+A MachineInstance checks its netlist once, through
+``machine.evaluation_order``, which orders the elements it generates
+code for: a netlist that fails validation or holds an algebraic loop
+raises ``ConstructionError`` there and never reaches the run loop.
 A MachineInstance owns integrator states and advances them with the
 classical 4th-order fixed-step scheme, re-evaluating the part of the
 algebraic element graph that the integrators read at every internal
@@ -77,7 +81,7 @@ from enum import Enum
 
 from .machine import (
     KINDS,
-    AlgebraicLoopError,
+    ConstructionError,  # noqa: F401 -- re-exported: apc.simulator.ConstructionError
     Kind,
     Mapping,
     Netlist,
@@ -85,13 +89,8 @@ from .machine import (
     StructuralError,
     evaluation_order,
     parameter,
-    validate,
 )
 from .record import Frozen, Record, set_field
-
-
-class ConstructionError(ValueError):
-    """The netlist cannot be instantiated (validation or loop failure)."""
 
 
 class ModeError(ValueError):
@@ -106,6 +105,9 @@ class OverloadError(RuntimeError):
         self.time = time
         self.magnitude = magnitude
         super().__init__(f"overload at tau={time}: element {element!r} reached {magnitude}")
+
+    def __reduce__(self):  # pickle rebuilds through __init__
+        return type(self), (self.element, self.time, self.magnitude)
 
 
 class SimulationWarning(UserWarning):
@@ -171,8 +173,9 @@ class OverloadEvent(Frozen):
 def csv_field(text: str) -> str:
     """``text`` as one CSV field, quoted as ``csv.writer`` quotes it with
     ``lineterminator="\\n"``: only a field holding ``,``, ``"`` or ``\\n``,
-    with each ``"`` doubled."""
-    if "," in text or '"' in text or "\n" in text:
+    with each ``"`` doubled. A field holding ``\\r`` is quoted too, which
+    ``csv.writer`` omits although ``csv.reader`` rejects it bare."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -543,16 +546,10 @@ class MachineInstance:
     """One analog machine loaded with a netlist, in IC mode after creation."""
 
     def __init__(self, netlist: Netlist, config: SimConfig | None = None):
-        report = validate(netlist)
-        if report:
-            raise ConstructionError(f"netlist does not validate: {[str(v) for v in report]}")
         self.netlist = netlist
         self.config = config or SimConfig()
-        try:
-            self._run, self._integrators, self._coefficients, self._name_pos = _generate(
-                netlist, self.config.resolution)
-        except AlgebraicLoopError as exc:
-            raise ConstructionError(str(exc)) from exc
+        self._run, self._integrators, self._coefficients, self._name_pos = _generate(
+            netlist, self.config.resolution)
         self._coef_pos = {e.id: i for i, e in enumerate(self._coefficients)}
         self._c = [e.params["alpha"] for e in self._coefficients]
         self.mode = Mode.IC
@@ -680,7 +677,8 @@ class MachineInstance:
 
 
 def new_instance(netlist: Netlist, config: SimConfig | None = None) -> MachineInstance:
-    """Create a machine in IC mode; fails on validation errors or loops."""
+    """Create a machine in IC mode; ConstructionError on a netlist that
+    ``evaluation_order`` rejects."""
     return MachineInstance(netlist, config)
 
 

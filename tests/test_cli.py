@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import pickle
 import re
 import shlex
 import shutil
@@ -26,6 +27,8 @@ from apc.machine import (
     save_netlist,
     summer,
 )
+from apc.fabric import ResourceError
+from apc.machine import AlgebraicLoopError
 from apc.simulator import OverloadError
 from conftest import FIG2_SRC, ROOT, SINE5_SRC, SINE_SRC, UNSTABLE_SRC, VCO_SRC, src_env
 
@@ -479,6 +482,36 @@ def raise_(exc):
     return fault
 
 
+class Unpicklable(Exception):
+    """An exception pickle cannot rebuild: its ``__init__`` takes two arguments."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+@pytest.mark.parametrize("exc, fields", [
+    (OverloadError("x", 0.5, 2.0), {"element": "x", "time": 0.5, "magnitude": 2.0}),
+    (ResourceError("that", {"summer": 2}), {"machine": "that", "deficits": {"summer": 2}}),
+    (AlgebraicLoopError([["a", "b"]]), {"cycles": [["a", "b"]]}),
+], ids=["OverloadError", "ResourceError", "AlgebraicLoopError"])
+def test_errors_survive_pickle(exc, fields):
+    """Only pickle carries a failed row's exception out of a sweep lane."""
+    back = pickle.loads(pickle.dumps(exc))
+    assert (type(back), str(back)) == (type(exc), str(exc))
+    assert {name: getattr(back, name) for name in fields} == fields
+
+
+def dense_loop_netlist(workdir):
+    """Twelve summers each reading all twelve nets, and a coefficient k: more
+    than 10^8 elementary cycles, of which an error names one."""
+    ids = [f"s{i:02d}" for i in range(12)]
+    n = Netlist.from_elements([*[summer(i, ids) for i in ids], coefficient("k", "s00", 0.5)],
+                              outputs={"y": "k"})
+    path = workdir / "dense.json"
+    save_netlist(n, path)
+    return str(path)
+
+
 class TestInvalidNetlist:
     def test_run_names_the_loop(self, workdir, capsys):
         assert main(["run", looped_netlist(workdir), "--tend", "1"]) == 1
@@ -492,6 +525,18 @@ class TestInvalidNetlist:
         assert main(["sweep", looped_netlist(workdir), "--param", "k=0.1,0.2", "--tend", "1",
                      "--out", str(workdir / "s")]) == 1
         assert "apc: algebraic loop(s): [['k', 's1', 's2']]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--tend", "1"], ["map"],
+        ["sweep", "--param", "k=0.1,0.2", "--tend", "1", "--out", "s"],
+    ], ids=["run", "map", "sweep"])
+    def test_dense_loops_name_one_fast(self, workdir, capsys, command):
+        path = dense_loop_netlist(workdir)
+        start = time.perf_counter()
+        assert main([command[0], path, *command[1:]]) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert (captured.err, captured.out) == ("apc: algebraic loop(s): [['s00']]\n", "")
 
     @pytest.mark.parametrize("command", [["run", "--tend", "1"], ["map"]])
     def test_invalid_netlist_exits_1(self, workdir, capsys, command):
@@ -604,6 +649,21 @@ class TestSweep:
         assert outputs[0] == outputs[1] == outputs[2]
         assert_no_child_left()
 
+    @pytest.mark.parametrize("spec, rows", [("0:1:5e-324", "inf"), ("0:1:1e-300", "1e+300")])
+    def test_oversized_range_exits_1(self, workdir, capsys, spec, rows):
+        """The row count is checked before a value is built: a step near 0
+        once overflowed, and a tiny step built 10^300 values."""
+        assert main(["sweep", looped_netlist(workdir), "--param", f"k={spec}", "--tend", "1",
+                     "--out", "s"]) == 1
+        assert capsys.readouterr().err == (f"apc: usage: sweep range has {rows} rows, "
+                                           f"at most {cli.MAX_SWEEP_ROWS} are allowed\n")
+
+    def test_range_may_reach_the_row_limit(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SWEEP_ROWS", 3)
+        assert cli._sweep_values("0:2:1") == [0.0, 1.0, 2.0]
+        with pytest.raises(cli._UsageError, match="has 4 rows, at most 3"):
+            cli._sweep_values("0:3:1")
+
     @pytest.mark.parametrize("cpus, values", [(3, "0.4"), (1, "0.2,0.4,0.6")])
     def test_one_worker_runs_in_process(self, workdir, monkeypatch, cpus, values):
         def no_fork():
@@ -641,10 +701,13 @@ class TestSweep:
         # a lost lane counts as its first row, after a failure in row 0
         ({0: raise_(StructuralError("row 0")), 3: kill_self}, 4, "apc: simulation: row 0\n"),
         # an exception that cannot cross the pipe ends its lane with status 1
-        ({1: raise_(OverloadError("x", 0.5, 2.0))}, 4,
+        ({1: raise_(Unpicklable("x", 0.5))}, 4,
          "apc: sweep: the lane running rows 1, 3 exited with status 1 without a result\n"),
+        # an error with its own fields crosses the pipe and exits as in run
+        ({1: raise_(OverloadError("x", 0.5, 2.0))}, 5,
+         "apc: overload: overload at tau=0.5: element 'x' reached 2.0\n"),
     ], ids=["child-killed", "parent-fails", "child-fails-first", "lost-lane-later",
-            "child-unpicklable"])
+            "child-unpicklable", "child-overload"])
     def test_failed_lane_exits_with_one_line(self, workdir, capsys, monkeypatch, faults, code,
                                              err):
         out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
@@ -806,14 +869,15 @@ def test_autoscaled_compile_leaves_out_scipy(tmp_path):
     assert fresh_python(code).splitlines()[-1] == "0 True []"
 
 
-#: Every name ``apc`` exported when its ``__init__`` still imported every submodule.
+#: Every name ``apc`` exported when its ``__init__`` still imported every
+#: submodule, but ``algebraic_loops``, which enumerated every cycle and is gone.
 PACKAGE_NAMES = [
     "BoundsEstimate", "CompileError", "CompileOptions", "CompileResult", "ConstructionError",
     "Diagnostic", "Element", "Kind", "MachineInstance", "MachineSpec", "Mapping", "Mode",
     "ModeError", "Net", "Netlist", "OdeSystem", "OverloadError", "PatchAssignment",
     "ResourceError", "ScaleMap", "ScalingError", "ScalingViolationError", "SignalBinding",
     "SimConfig", "StructuralError", "THAT", "Trace", "UnscaledCoefficientError",
-    "algebraic_loops", "amplitude_scale", "apply_assignment", "autoscale", "compile_system",
+    "amplitude_scale", "apply_assignment", "autoscale", "compile_system",
     "compiler", "descale_trace", "dsl", "element_output", "estimate_bounds", "evaluation_order",
     "fabric", "load_machine_spec", "load_netlist", "machine", "map_netlist", "netlist_from_dict",
     "netlist_to_dict", "new_instance", "parse", "patch_instructions", "pretty",
@@ -850,7 +914,8 @@ def test_sidecar_names_keep_their_scaling_home():
         assert getattr(scaling, name) is getattr(home, name)
 
 
-#: command -> the apc modules besides apc.cli that running it loads.
+#: command -> the apc modules besides apc.cli that running it loads; a map
+#: that fails on a loop reports it without loading the simulator.
 COMMAND_MODULES = {
     "check": ["apc.dsl", "apc.record"],
     "compile": ["apc.compiler", "apc.dsl", "apc.machine", "apc.record", "apc.scaling"],
@@ -858,7 +923,11 @@ COMMAND_MODULES = {
     "run-problem-units": ["apc.machine", "apc.record", "apc.simulator"],
     "sweep": ["apc.machine", "apc.record", "apc.simulator"],
     "map": ["apc.fabric", "apc.machine", "apc.record"],
+    "map-loop": ["apc.fabric", "apc.machine", "apc.record"],
 }
+
+#: command -> its exit code, where it is not 0.
+COMMAND_EXITS = {"map-loop": 1}
 
 
 #: command -> the apc classes that are dataclasses once it has run; every
@@ -883,6 +952,7 @@ def test_each_command_loads_only_the_modules_it_runs(workdir, command):
         "sweep": ["sweep", str(vco), "--param", "k=0.2,0.4", "--tend", "1",
                   "--out", str(workdir / "sweep")],
         "map": ["map", str(sine), "--machine", "that"],
+        "map-loop": ["map", looped_netlist(workdir)],
     }[command]
     code = ("import sys; from apc.cli import main; code = main(%r); "
             "print(code, sorted(m for m in sys.modules "
@@ -892,7 +962,8 @@ def test_each_command_loads_only_the_modules_it_runs(workdir, command):
             "for n, v in vars(mod).items() if isinstance(v, type) and v.__module__ == m "
             "and hasattr(v, '__dataclass_fields__')))" % argv)
     dataclasses = COMMAND_DATACLASSES.get(command, [])
-    assert fresh_python(code).splitlines()[-2:] == [f"0 {COMMAND_MODULES[command]}",
+    assert fresh_python(code).splitlines()[-2:] == [f"{COMMAND_EXITS.get(command, 0)} "
+                                                    f"{COMMAND_MODULES[command]}",
                                                     f"{bool(dataclasses)} {dataclasses}"]
 
 

@@ -16,7 +16,6 @@ from apc.machine import (
     Net,
     Netlist,
     StructuralError,
-    algebraic_loops,
     coefficient,
     element_output,
     evaluation_order,
@@ -139,13 +138,15 @@ class TestValidate:
 class TestGraphAnalysis:
     def test_oscillator_loop_passes_through_integrators(self, sine):
         _, result = sine
-        assert algebraic_loops(result.netlist) == []
+        algebraic = {eid for eid, e in result.netlist.elements.items()
+                     if e.kind is not Kind.INTEGRATOR}
+        assert set(evaluation_order(result.netlist)) == algebraic
 
     def test_two_summers_feeding_each_other(self):
         n = Netlist.from_elements([summer("s1", ["s2"]), summer("s2", ["s1"])])
-        cycles = algebraic_loops(n)
-        assert len(cycles) == 1
-        assert sorted(cycles[0]) == ["s1", "s2"]
+        with pytest.raises(AlgebraicLoopError) as err:
+            evaluation_order(n)
+        assert err.value.cycles == [["s1", "s2"]]
 
     def test_loop_feeding_diamonds_is_not_exponential(self):
         # 2^20 paths lead away from the loop; a search that walked them all
@@ -163,7 +164,6 @@ class TestGraphAnalysis:
 
     def test_empty_netlist(self):
         n = Netlist([], {})
-        assert algebraic_loops(n) == []
         assert evaluation_order(n) == []
 
     def test_fig2_order(self):
@@ -304,15 +304,16 @@ def test_evaluation_order_matches_networkx(netlist):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(looped_netlists())
 def test_algebraic_loops_match_networkx(netlist):
+    """evaluation_order raises exactly when networkx finds a cycle, and
+    names one of networkx's cycles, rotated to its smallest node."""
     g = nx_algebraic_graph(netlist)
-    expected = nx_loops(g)
-    assert algebraic_loops(netlist) == expected
-    if expected:
+    if nx.is_directed_acyclic_graph(g):
+        assert evaluation_order(netlist) == list(nx.topological_sort(g))
+    else:
         with pytest.raises(AlgebraicLoopError) as err:
             evaluation_order(netlist)
-        assert err.value.cycles == expected
-    else:
-        assert evaluation_order(netlist) == list(nx.topological_sort(g))
+        [cycle] = err.value.cycles
+        assert cycle in nx_loops(g)
 
 
 @st.composite

@@ -724,14 +724,16 @@ class TestDeterminism:
         assert t1.overloads == t2.overloads
 
 
-#: Names that ``csv.writer`` quotes, or leaves as they are ("\r", "'", " ").
+#: Names that ``csv.writer`` quotes, or leaves as they are ("'", " "), and
+#: "cr\rhere", which it leaves bare although ``csv.reader`` then rejects it.
 AWKWARD_NAMES = ["y", "a,b", 'say "hi"', "two\nlines", "cr\rhere", '"', "y'", " x", ""]
 
 
 def csv_writer_text(rows) -> str:
+    """``rows`` as ``csv.writer`` writes them, but with "cr\\rhere" quoted."""
     fh = io.StringIO()
     csv.writer(fh, lineterminator="\n").writerows(rows)
-    return fh.getvalue()
+    return fh.getvalue().replace("cr\rhere", '"cr\rhere"')
 
 
 class TestTraceFiles:
@@ -746,11 +748,15 @@ class TestTraceFiles:
         assert fh.getvalue() == csv_writer_text(
             [["t,ime", *AWKWARD_NAMES]]
             + [[repr(t)] + [repr(series[n][i]) for n in AWKWARD_NAMES] for i, t in enumerate(tau)])
+        assert next(csv.reader(io.StringIO(fh.getvalue(), newline=""))) == ["t,ime",
+                                                                            *AWKWARD_NAMES]
         fh = io.StringIO()
         trace.write_overloads_csv(fh)
         assert fh.getvalue() == csv_writer_text(
             [["time", "element", "magnitude"]]
             + [[repr(ev.time), ev.element, repr(ev.magnitude)] for ev in events])
+        rows = list(csv.reader(io.StringIO(fh.getvalue(), newline="")))
+        assert [row[1] for row in rows[1:]] == [ev.element for ev in events]
 
 
 class TestConfigValidation:
