@@ -198,10 +198,10 @@ def cmd_run(args) -> int:
     netlist, mapping = _load_netlist_and_mapping(args)
     if args.problem_units and mapping is None:
         raise _UsageError("--problem-units needs the compiler's sidecar mapping file")
-    settings = [_pot_setting(netlist, mapping, *_parse_set(spec)) for spec in args.set or []]
-    instance, tau_end = _new_machine(args, netlist, mapping)
-    for element, alpha in settings:
-        instance.set_coefficient(element, alpha)
+    specs = [_parse_set(spec) for spec in args.set or []]
+    instance, tau_end = _new_machine(args, netlist, mapping)  # checks the netlist first
+    for spec in specs:
+        instance.set_coefficient(*_pot_setting(netlist, mapping, *spec))
     trace = instance.run(tau_end)
     if args.problem_units:
         from .simulator import descale_trace
@@ -395,8 +395,8 @@ def cmd_sweep(args) -> int:
     if not spec:
         raise _UsageError("--param needs NAME=start:stop:step or NAME=v1,v2,...")
     values = _sweep_values(spec)
+    instance, tau_end = _new_machine(args, netlist, mapping)  # checks the netlist first
     settings = [_pot_setting(netlist, mapping, name, v) for v in values]
-    instance, tau_end = _new_machine(args, netlist, mapping)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = _sweep_rows(instance, tau_end, out_dir, settings)

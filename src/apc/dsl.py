@@ -170,11 +170,15 @@ class OutputDecl(Stmt):
 
 
 class Program(Frozen):
-    __slots__ = ("name", "statements")
+    """A parsed program; ``line`` is its ``system`` header's, a location only."""
 
-    def __init__(self, name: str, statements: tuple):
+    __slots__ = ("name", "statements", "line")
+    _uncompared = ("line",)
+
+    def __init__(self, name: str, statements: tuple, line: int = 1):
         set_field(self, "name", name)
         set_field(self, "statements", statements)
+        set_field(self, "line", line)
 
 
 def signal_name(name: str, order: int) -> str:
@@ -471,7 +475,7 @@ def parse(text: str) -> tuple[Program | None, list[Diagnostic]]:
             continue
         if isinstance(stmt, tuple) and stmt[0] == "system":
             if system_name is None and not statements:
-                system_name = stmt[1]
+                system_name, header_line = stmt[1], stmt[2]
             elif system_name == "?":  # statements came before it
                 diags.append(Diagnostic(stmt[2], 1, "system header must come first"))
             else:
@@ -486,7 +490,7 @@ def parse(text: str) -> tuple[Program | None, list[Diagnostic]]:
         diags.append(Diagnostic(1, 1, "missing system header"))
     if diags:
         return None, diags
-    return Program(system_name, tuple(statements)), []
+    return Program(system_name, tuple(statements), header_line), []
 
 
 # --- Pretty printer -------------------------------------------------------
@@ -646,6 +650,7 @@ class _Resolver:
         prog = self.program
         params: dict[str, float] = {}
         var_order: dict[str, int] = {}
+        var_line: dict[str, int] = {}
         tables: dict[str, tuple] = {}
         equations: dict[str, Expr] = {}
         inits: dict[tuple, float] = {}
@@ -669,6 +674,7 @@ class _Resolver:
             elif isinstance(s, VarDecl):
                 if declare(s.name, s.line, "var"):
                     var_order[s.name] = s.order
+                    var_line[s.name] = s.line
             elif isinstance(s, TableDecl):
                 if declare(s.name, s.line, "table"):
                     xs = [p[0] for p in s.points]
@@ -731,17 +737,17 @@ class _Resolver:
         given = Counter(v for v, _ in inits)
         for v, n in var_order.items():
             if v not in equations:
-                self.fail(1, 1, f"missing equation for {v!r}")
+                self.fail(var_line[v], 1, f"missing equation for {v!r}")
             missing = n - given[v]  # one diagnostic, never a loop over range(n)
             if missing:
                 k = min(k for k in range(given[v] + 1) if (v, k) not in inits)
                 more = f" (and {missing - 1} more)" if missing > 1 else ""
-                self.fail(1, 1, f"missing initial condition for {signal_name(v, k)}{more}")
+                self.fail(var_line[v], 1, f"missing initial condition for {signal_name(v, k)}{more}")
 
         if time_line is None:
-            self.fail(1, 1, "missing time statement")
+            self.fail(prog.line, 1, "missing time statement")
         elif horizon is not None and horizon <= 0:
-            self.fail(1, 1, "time horizon must be positive")
+            self.fail(time_line, 1, "time horizon must be positive")
 
         if outputs is None:
             out_signals = tuple((v, 0) for v in var_order)
@@ -758,7 +764,7 @@ class _Resolver:
                     self.fail(outputs.line, 1, f"output {signal_name(name, order)!r} exceeds usable order")
 
         if not var_order:
-            self.fail(1, 1, "program declares no variables")
+            self.fail(prog.line, 1, "program declares no variables")
 
         if self.diags:
             return None

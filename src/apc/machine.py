@@ -28,6 +28,8 @@ import math
 from collections import Counter
 from collections.abc import Callable
 from enum import Enum
+from functools import reduce
+from operator import add
 
 from .record import Frozen, Record, set_field
 
@@ -94,31 +96,47 @@ def table_lookup(table):
     return eval(f"lambda x: {lookup_code(table, 'x')}")
 
 
+def table_bound(table) -> float:
+    """The largest |lookup| over ``table``: the ys of the end clamps and of
+    each segment's start, and each segment's formula at its x1 (monotonic
+    in x, so the segment lies between), which can round one ulp past y1."""
+    ys = [y for _, y in table]
+    ys += [y0 + (y1 - y0) * (x1 - x0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(table, table[1:])]
+    return max(map(abs, ys))
+
+
 class KindSpec(Frozen):
     """What one element kind means.
 
     ``arity`` is the (min, max) input count, max None for unbounded;
     ``params`` are the parameter keys. ``output`` maps the input
     expressions and the parameter's expression (a function generator's
-    table itself) to the Python expression of the element's output; an
-    integrator has none, its output is its state.
+    table itself) to the Python expression of the element's output.
+    ``bound`` maps bounds on the inputs' magnitudes and the parameter to a
+    bound on the output's, by the output's own operations in their order,
+    which rounding (monotonic) keeps a bound; a coefficient's ignores the
+    pot, which an update may set to 1. An integrator has neither: its
+    output is its state, which the value model holds within 1.
     """
 
-    __slots__ = ("arity", "params", "output")
+    __slots__ = ("arity", "params", "output", "bound")
 
-    def __init__(self, arity: tuple, params: tuple, output: Callable[[list, str], str] | None = None):
+    def __init__(self, arity: tuple, params: tuple, output: Callable[[list, str], str] | None = None,
+                 bound: Callable[[list, object], float] | None = None):
         set_field(self, "arity", arity)
         set_field(self, "params", params)
         set_field(self, "output", output)
+        set_field(self, "bound", bound)
 
 
 KINDS = {
-    Kind.SUMMER: KindSpec((1, None), (), lambda x, p: f"-({' + '.join(x)})"),
+    Kind.SUMMER: KindSpec((1, None), (), lambda x, p: f"-({' + '.join(x)})", lambda b, p: reduce(add, b)),
     Kind.INTEGRATOR: KindSpec((1, None), ("ic", "k0")),
-    Kind.MULTIPLIER: KindSpec((2, 2), (), lambda x, p: f"({x[0]}) * ({x[1]})"),
-    Kind.COEFFICIENT: KindSpec((1, 1), ("alpha",), lambda x, p: f"{p} * ({x[0]})"),
-    Kind.FUNCTION_GENERATOR: KindSpec((1, 1), ("table",), lambda x, p: lookup_code(p, x[0])),
-    Kind.REFERENCE: KindSpec((0, 0), ("constant",), lambda x, p: p),
+    Kind.MULTIPLIER: KindSpec((2, 2), (), lambda x, p: f"({x[0]}) * ({x[1]})", lambda b, p: b[0] * b[1]),
+    Kind.COEFFICIENT: KindSpec((1, 1), ("alpha",), lambda x, p: f"{p} * ({x[0]})", lambda b, p: b[0]),
+    Kind.FUNCTION_GENERATOR: KindSpec((1, 1), ("table",), lambda x, p: lookup_code(p, x[0]),
+                                      lambda b, p: table_bound(p)),
+    Kind.REFERENCE: KindSpec((0, 0), ("constant",), lambda x, p: p, lambda b, p: abs(p)),
 }
 
 
@@ -268,6 +286,9 @@ class Violation(Frozen):
         set_field(self, "rule", rule)
         set_field(self, "message", message)
 
+    def __str__(self) -> str:  # element: rule: message, without an empty element
+        return ": ".join(filter(None, (self.element, self.rule, self.message)))
+
 
 def _check_params(e: Element):
     keys = set(e.params)
@@ -390,13 +411,25 @@ def evaluation_order(netlist: Netlist) -> list[str]:
     """
     report = validate(netlist)
     if report:
-        raise ConstructionError(f"netlist does not validate: {[str(v) for v in report]}")
+        raise ConstructionError(f"netlist does not validate: {'; '.join(map(str, report))}")
     nodes = [eid for eid, e in netlist.elements.items() if e.kind is not Kind.INTEGRATOR]
     edges = [(netlist.nets[nid].driver, e.id) for e in netlist.elements.values() for nid in e.inputs]
     order, cycle = topological_order(nodes, edges)
     if cycle:
         raise AlgebraicLoopError([cycle])
     return order
+
+
+def net_bounds(netlist: Netlist, order: list[str]) -> dict[str, float]:
+    """A bound on each net's magnitude, by net id, while the states are
+    finite: one pass of ``KINDS``' bounds over ``evaluation_order``'s
+    ``order``, each integrator at 1 (the rails hold its state)."""
+    bounds = {eid: 1.0 for eid, e in netlist.elements.items() if e.kind is Kind.INTEGRATOR}
+    for eid in order:
+        e = netlist.elements[eid]
+        bounds[eid] = KINDS[e.kind].bound([bounds[netlist.nets[n].driver] for n in e.inputs],
+                                          parameter(e.kind, e.params))
+    return {nid: bounds[net.driver] for nid, net in netlist.nets.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,11 @@ value model inlined as one range comparison per state and checked net
 blocks of ``sample_every`` steps with no per-step branch. The overload
 log, the strict abort, the clamp and the non-finite check sit out of
 line in ``MachineInstance._overload``, reached only by a value outside
-[-1, 1]. Pot values are read once per run, and a reference's observed
-value once per instance. The raw nets after a step are the next step's
-first stage, where every net is evaluated; the three inner stages
-evaluate only what an integrator input reaches, with nets read once
-inlined. Three further savings keep every result the same:
+[-1, 1]. Pot values are read once per run. The raw nets after a step
+are the next step's first stage, where every net is evaluated; the
+three inner stages evaluate only what an integrator input reaches, with
+nets read once inlined. Three further savings keep every result the
+same:
 
 - *Sign folding.* A net or derivative whose value is -(X) is stored as
   X with its sign kept apart, and each reader folds the sign exactly:
@@ -38,14 +38,13 @@ inlined. Three further savings keep every result the same:
   its negation (an inverter) gets no line at all. A negation is never
   pushed through a sum, as -(a + b) and -(a) - b differ in the sign of a
   zero, and terms are never reordered.
-- *Range-proven observation.* Integrators, references, function
-  generators whose tables stay in range, and the coefficients,
-  inverters and multipliers of such nets stay in [-1, 1] while the
-  states are finite, so they can never log an overload. Where
-  quantizing cannot push them out (``resolution * round(1 /
-  resolution) <= 1``, always at resolution 0) they are not checked per
-  step: their observed values are computed only at each sample and at
-  the return. Step 0 still observes every net.
+- *Range-proven observation.* ``machine.net_bounds`` bounds each net's
+  magnitude while the states are finite, in one pass of the kinds'
+  bounds with each integrator at 1. A net whose bound, quantized as the
+  loop quantizes (``resolution * round(b / resolution)``, b itself at
+  resolution 0), is at most 1 can never log an overload, so it is not
+  checked per step: its observed value is computed only at each sample
+  and at the return. Step 0 still observes every net.
 - *Inline tables.* A function generator's end-clamped lookup is
   generated code (``machine.lookup_code``): the argument bound once, the
   two end clamps, then a balanced comparison chain that picks the
@@ -88,6 +87,7 @@ from .machine import (
     ScalingError,
     StructuralError,
     evaluation_order,
+    net_bounds,
     parameter,
 )
 from .record import Frozen, Record, set_field
@@ -146,8 +146,8 @@ class SimConfig(Frozen):
 
     def __init__(self, dt: float = 1e-4, resolution: float = 0.0, adc_bits: int = 12,
                  strict_overload: bool = False, sample_every: int = 1):
-        if not (dt > 0):
-            raise ValueError("dt must be positive")
+        if not 0.0 < dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         if not (0.0 <= resolution < 1.0):
             raise ValueError("resolution must lie in [0, 1)")
         if not (1 <= adc_bits <= 32):
@@ -295,42 +295,6 @@ def _scaled(m: float, x: _Expr) -> _Expr:
     return _name(f"{m!r} * ({_code(x)})")
 
 
-def _grid_keeps_range(resolution: float) -> bool:
-    """Whether quantizing to ``resolution`` keeps a value in [-1, 1]
-    inside it, that is, whether the grid point nearest 1 is at most 1."""
-    if resolution == 0.0:
-        return True
-    top = 1.0 / resolution
-    return top < math.inf and resolution * round(top) <= 1.0
-
-
-def _table_in_range(table) -> bool:
-    """Whether every lookup over ``table`` lies in [-1, 1]. Each segment's
-    formula is monotonic in x, so a segment spans y0 and its formula at
-    x1, which can round one ulp past y1."""
-    return all(-1.0 <= y0 + (y1 - y0) * (x1 - x0) / (x1 - x0) <= 1.0
-               for (x0, y0), (x1, y1) in zip(table, table[1:]))
-
-
-def _in_range(netlist: Netlist, order: list[str]) -> set[str]:
-    """The elements whose outputs stay in [-1, 1] while the states are
-    finite: integrators (their states are clamped), references, function
-    generators whose tables stay in range, and the coefficients (pots lie
-    in [0, 1]), inverters and multipliers of such outputs."""
-    elements = netlist.elements
-    proven = {eid for eid, e in elements.items() if e.kind is Kind.INTEGRATOR}
-    for eid in order:
-        e = elements[eid]
-        if e.kind is Kind.FUNCTION_GENERATOR:
-            ok = _table_in_range(e.params["table"])
-        else:
-            ok = not (e.kind is Kind.SUMMER and len(e.inputs) > 1) and all(
-                netlist.nets[n].driver in proven for n in e.inputs)
-        if ok:
-            proven.add(eid)
-    return proven
-
-
 def _generate(netlist: Netlist, resolution: float):
     """Compile the netlist into ``_run``, the whole OP loop as straight-line code.
 
@@ -354,15 +318,16 @@ def _generate(netlist: Netlist, resolution: float):
     fold as the module docstring says: a value -(X) is bound as X, and a
     sum, a stage value or a product that reads it folds the sign.
 
-    A net ``_in_range`` proves, at a resolution whose quantizing keeps it
-    in range, is observed only where it is read, at each sample and at
-    the return. Every other net is checked per step; a reference's
-    observed value is computed here and checked per step only if it lies
-    outside [-1, 1]. A state or a checked net outside [-1, 1], or not
-    finite, goes through ``clamp(v, tau, element, i)``, the value model's
-    slow path at step ``i``, which returns the clamped value or raises.
-    On a raise the states of the last completed state update are written
-    back into ``s``.
+    One rule picks the nets checked per step. A net whose
+    ``machine.net_bounds`` bound, quantized as the loop quantizes, is at
+    most 1 is observed only where it is read, at each sample and at the
+    return; rounding is monotonic, so the bound, computed with the
+    generated code's own operations in its order, bounds what that code
+    computes. Every other net is checked per step. A state or a checked
+    net outside [-1, 1], or not finite, goes through ``clamp(v, tau,
+    element, i)``, the value model's slow path at step ``i``, which
+    returns the clamped value or raises. On a raise the states of the
+    last completed state update are written back into ``s``.
     """
     elements = netlist.elements
     integrators = [e for e in elements.values() if e.kind is Kind.INTEGRATOR]
@@ -460,35 +425,26 @@ def _generate(netlist: Netlist, resolution: float):
     def quantized(v: str) -> str:
         return f"{resolution!r} * rnd({v} / {resolution!r})" if resolution > 0.0 else v
 
-    # The value model observes every net when quantizing; otherwise an
-    # integrator net is its state, already clamped, and is left alone.
-    proven = _in_range(netlist, order) if _grid_keeps_range(resolution) else set()
+    def grid_bound(b: float) -> float:
+        """``b`` quantized as the loop quantizes; inf where b / resolution is not finite."""
+        if resolution == 0.0:
+            return b
+        q = b / resolution
+        return resolution * round(q) if q < math.inf else math.inf
+
+    bounds = net_bounds(netlist, order)
     raw = [_code(a_view[driver[nid]]) for nid in netlist.nets]
     values = list(raw)  # each net's observed value, as read at a sample
-    observe, observed, checked = [], [], []
-    for j, nid in enumerate(netlist.nets):
-        e = elements[driver[nid]]
-        if resolution == 0.0 and e.kind is Kind.INTEGRATOR:
-            continue
-        if e.kind is Kind.REFERENCE:  # a constant: observed once, here
-            v = e.params["constant"]
-            if resolution > 0.0:
-                v = resolution * round(v / resolution)
-            if -1.0 <= v <= 1.0:
-                values[j] = repr(v)
-                continue
-            observe.append(f"o{j} = clamp({v!r}, {tau}, {e.id!r}, i)")
-        elif e.id in proven:  # never clamped: observed where it is read
+    observe, checked = [], []
+    for j, (nid, net) in enumerate(netlist.nets.items()):
+        if grid_bound(bounds[nid]) <= 1.0:  # never clamped: observed where it is read
             values[j] = quantized(raw[j])
-            observed.append((j, e.id))
-            continue
         else:
             observe.append(f"if not -1.0 <= (o{j} := {quantized(raw[j])}) <= 1.0: "
-                           f"o{j} = clamp(o{j}, {tau}, {e.id!r}, i)")
-        values[j] = f"o{j}"
-        observed.append((j, e.id))
-        checked.append(j)
-    namespace["_observed"] = tuple(observed)
+                           f"o{j} = clamp(o{j}, {tau}, {net.driver!r}, i)")
+            values[j] = f"o{j}"
+            checked.append(j)
+    namespace["_drivers"] = tuple(driver.values())
     name_pos = {net.name: j for j, net in enumerate(netlist.nets.values()) if net.name}
     samples = [f"ap{k}({values[name_pos[name]]})" for k, name in enumerate(netlist.outputs)]
     states = ", ".join(f"as{i}" for i in range(len(integrators)))
@@ -497,10 +453,10 @@ def _generate(netlist: Netlist, resolution: float):
     head += ["taus = []", "apt = taus.append"]
     for k in range(len(samples)):
         head += [f"col{k} = []", f"ap{k} = col{k}.append"]
-    # Step 0 continues from the observed nets, or observes the nets of s,
-    # as a loop over the observed nets: it runs once per call, not per step.
+    # Step 0 continues from the observed nets, or observes every net of s
+    # in one loop: it runs once per call, not per step.
     head += ["i = 0", "try:", "    if nets is None:", f"        nets = [{', '.join(raw)}]",
-             "        for j, element in _observed:",
+             "        for j, element in enumerate(_drivers):",
              f"            if not -1.0 <= (v := {quantized('nets[j]')}) <= 1.0: "
              f"v = clamp(v, {tau}, element, i)",
              "            nets[j] = v"]

@@ -114,6 +114,18 @@ DIAGNOSTICS = {
                     ["6:1: table 'f' breakpoints must lie in [-1, 1]"]),
     "table-one-point": (OK_SRC + "table f = (0, 0)\n", 3,
                         ["6:1: table 'f' needs at least 2 breakpoints"]),
+    # program-wide checks, located at the var, time or system line they concern
+    "missing-equation": ("system s\nparam k = 1\nvar y order 1\ninit y = 0.5\ntime 1\n", 3,
+                         ["3:1: missing equation for 'y'"]),
+    "missing-init": ("system s\nvar x order 1\neq x' = 0\ninit x = 0\nvar y order 2\n"
+                     "eq y'' = -y\ninit y = 0\ntime 1\n", 3,
+                     ["5:1: missing initial condition for y'"]),
+    "horizon-not-positive": ("system s\nvar y order 1\neq y' = -y\ninit y = 0.5\nparam k = 1\n"
+                             "time -1\n", 3, ["6:1: time horizon must be positive"]),
+    "missing-time": ("# header below\n\nsystem s\nvar y order 1\neq y' = -y\ninit y = 0.5\n", 3,
+                     ["3:1: missing time statement"]),
+    "no-variables": ("# header below\nsystem s\ntime 1\n", 3,
+                     ["2:1: program declares no variables"]),
 }
 
 
@@ -538,12 +550,18 @@ class TestInvalidNetlist:
         captured = capsys.readouterr()
         assert (captured.err, captured.out) == ("apc: algebraic loop(s): [['s00']]\n", "")
 
-    @pytest.mark.parametrize("command", [["run", "--tend", "1"], ["map"]])
+    @pytest.mark.parametrize("command", [
+        ["run", "--tend", "1"], ["map"],
+        # The netlist is checked before a pot setting that names no coefficient.
+        ["run", "--tend", "1", "--set", "k=0.1"],
+        ["sweep", "--param", "k=0.1,0.2", "--tend", "1", "--out", "s"],
+    ])
     def test_invalid_netlist_exits_1(self, workdir, capsys, command):
         path = workdir / "dangling.json"
         save_netlist(Netlist.from_elements([summer("s1", ["ghost"])]), path)
         assert main([command[0], str(path), *command[1:]]) == 1
-        assert "apc: netlist does not validate" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("apc: netlist does not validate: "
+                                           "s1: dangling-input: input references missing net 'ghost'\n")
 
 
 class TestSweep:

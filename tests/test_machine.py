@@ -22,6 +22,7 @@ from apc.machine import (
     function_generator,
     integrator,
     multiplier,
+    net_bounds,
     netlist_from_dict,
     netlist_to_dict,
     reference,
@@ -251,6 +252,46 @@ def test_generated_nets_equal_element_output_fold(netlist):
     assume(not inst.overloads)
     expected = fold_outputs(named)
     assert {eid: inst.value(eid) for eid in named.elements} == expected
+
+
+#: A table whose segment formula, evaluated at its last breakpoint,
+#: rounds one ulp past its y of 1.
+ONE_ULP_TABLE = [(-0.799741712099096, -0.920759573172591), (0.37378023030454477, 1.0)]
+
+
+def bounds_netlist():
+    half = [(-1.0, -0.5), (1.0, 0.5)]
+    elems = [reference("r", -1.0), integrator("i", ["r"]), coefficient("c", "i", 0.25),
+             function_generator("f", "i", half), function_generator("g", "c", [(-1.0, 0.5), (1.0, -0.5)]),
+             summer("s", ["f", "g"]), multiplier("m", "f", "r"),
+             function_generator("u", "i", ONE_ULP_TABLE)]
+    return Netlist.from_elements(elems)
+
+
+@pytest.mark.parametrize("net, bound", [
+    ("i", 1.0), ("r", 1.0), ("c", 1.0), ("s", 1.0), ("m", 0.5),
+], ids=["integrator", "reference", "coefficient-on-integrator", "summer-of-half-tables",
+        "multiplier-of-half-table-and-reference"])
+def test_net_bounds(net, bound):
+    netlist = bounds_netlist()
+    assert net_bounds(netlist, evaluation_order(netlist))[net] == bound
+
+
+def test_net_bounds_of_a_table_one_ulp_past_its_breakpoint_exceed_1():
+    netlist = bounds_netlist()
+    assert net_bounds(netlist, evaluation_order(netlist))["u"] > 1.0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dag_netlists())
+def test_net_bounds_hold_every_output(netlist):
+    # At the initial conditions as built, and with every pot at 1, as an
+    # update may set it: each element's output lies within its net's bound.
+    bounds = net_bounds(netlist, evaluation_order(netlist))
+    full = Netlist.from_elements([coefficient(e.id, e.inputs[0], 1.0) if e.kind is Kind.COEFFICIENT
+                                  else e for e in netlist.elements.values()])
+    for values in (fold_outputs(netlist), fold_outputs(full)):
+        assert all(abs(values[net.driver]) <= bounds[nid] for nid, net in netlist.nets.items())
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -122,12 +122,13 @@ def test_repr_reads_as_a_dataclass_repr():
         "column=9), line=3, column=8), line=3)")
 
 
-def test_construction_error_shows_each_violation_repr():
-    """A violation's repr reaches stderr through ConstructionError."""
+def test_construction_error_shows_each_violation():
+    """Each violation reaches stderr through ConstructionError as
+    ``element: rule: message``, without an empty element."""
     with pytest.raises(ConstructionError) as info:
-        new_instance(Netlist.from_elements([summer("s", [])]))
-    assert str(info.value) == ("netlist does not validate: [\"Violation(element='s', rule='arity', "
-                               "message='summer takes 1..N inputs, got 0')\"]")
+        new_instance(Netlist.from_elements([summer("s", [])], outputs={"y": "gone"}))
+    assert str(info.value) == ("netlist does not validate: s: arity: summer takes 1..N inputs, "
+                               "got 0; missing-output: output 'y' names no net")
 
 
 def test_ode_system_stays_a_dataclass_for_replace():

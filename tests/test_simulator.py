@@ -461,7 +461,7 @@ def assert_run_equals_reference(netlist, config, tau_end):
     assert repr(got) == repr(reference_run(netlist, config, tau_end))
 
 
-RESOLUTIONS = st.sampled_from([0.0, 1e-3])
+RESOLUTIONS = st.sampled_from([0.0, 1e-3, 0.6])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -761,8 +761,9 @@ class TestTraceFiles:
 
 class TestConfigValidation:
     def test_bad_dt(self):
-        with pytest.raises(ValueError):
-            SimConfig(dt=0)
+        for dt in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                SimConfig(dt=dt)
 
     def test_bad_resolution(self):
         with pytest.raises(ValueError):
