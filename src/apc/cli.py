@@ -185,10 +185,10 @@ def _new_machine(args, netlist, mapping) -> tuple[MachineInstance, float]:
         nsteps, _ = simulator.step_grid(tau_end, dt)
     except ValueError as exc:
         raise _UsageError(f"{exc}; pass --dt or a shorter --tend") from None
-    try:
-        config = simulator.SimConfig(dt=dt, resolution=args.resolution, adc_bits=args.adc_bits,
-                                     strict_overload=getattr(args, "strict_overload", False),
-                                     sample_every=max(1, nsteps // args.samples))
+    flags = ("resolution", "adc_bits", "strict_overload")  # registered without a default
+    try:  # so a flag left out, or one the command lacks, keeps SimConfig's default
+        config = simulator.SimConfig(dt=dt, sample_every=max(1, nsteps // args.samples),
+                                     **{k: v for k, v in vars(args).items() if k in flags})
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     return simulator.new_instance(netlist, config), tau_end
@@ -451,15 +451,15 @@ def _build_parser() -> _Parser:
         p.add_argument("netlist")
         p.add_argument("--tend", type=float, default=None, help="machine-time end")
         p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--resolution", type=float, default=0.0)
-        p.add_argument("--adc-bits", type=int, default=12)
+        p.add_argument("--resolution", type=float, default=argparse.SUPPRESS)
         p.add_argument("--samples", type=int, default=1000)
 
     p = sub.add_parser("run", help="simulate a netlist IC -> OP -> HALT")
     add_run_flags(p)
+    p.add_argument("--adc-bits", type=int, default=argparse.SUPPRESS)
     p.add_argument("--trace", help="trace CSV output path")
     p.add_argument("--problem-units", action="store_true")
-    p.add_argument("--strict-overload", action="store_true")
+    p.add_argument("--strict-overload", action="store_true", default=argparse.SUPPRESS)
     p.add_argument("--set", action="append", metavar="NAME=V",
                    help="digital-pot update before OP")
     p.set_defaults(func=cmd_run)

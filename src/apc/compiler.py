@@ -234,11 +234,11 @@ def build_integrator_chain(builder: NetlistBuilder, var: str, order: int,
     """Create the integrator chain for one variable.
 
     ``machine_inits[k]`` is the scaled initial value of derivative order
-    k. ``gains[j]`` is the required stage gain feeding integrator j
-    (default 1.0 each, realized as a coefficient of gains[j] / k0 when
-    that is not unity). Returns (entry element id, {(var, order) ->
-    (net, parity)}). The entry element's input stays unpatched for the
-    fed-back highest derivative.
+    k. ``gains[j]`` is the required stage gain feeding integrator j,
+    realized as a coefficient of alpha = gains[j] / k0 when that is not
+    unity (default k0 each: alpha 1, no coefficient). Returns (entry
+    element id, {(var, order) -> (net, parity)}). The entry element's
+    input stays unpatched for the fed-back highest derivative.
     """
     gains = gains or [k0] * (order + 1)
     entries = {}

@@ -43,8 +43,8 @@ class ScalingError(ValueError):
 
 
 class ConstructionError(ValueError):
-    """A netlist that ``evaluation_order`` rejects: it fails validation or
-    holds an algebraic loop."""
+    """A machine that cannot be built: a netlist ``evaluation_order``
+    rejects, or a resolution too fine to quantize one of its nets."""
 
 
 class AlgebraicLoopError(ConstructionError):

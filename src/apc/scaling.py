@@ -34,7 +34,7 @@ import sys
 from collections import Counter
 
 from .dsl import Bin, Call, Expr, Neg, Num, OdeSystem, Ref, signal_name, walk
-from .machine import ScalingError, topological_order
+from .machine import ScalingError, table_bound, topological_order
 from .record import Frozen, Record, set_field
 
 # The sidecar mapping, under the names it had here.
@@ -308,7 +308,7 @@ def _interval_bound(expr: Expr, env: dict, params: dict, tables: dict) -> float:
         r = _interval_bound(expr.right, env, params, tables)
         return l * r if expr.op == "*" else l + r
     if isinstance(expr, Call) and expr.func == "lut":
-        return max(abs(p[1]) for p in tables[expr.args[0].name])
+        return table_bound(tables[expr.args[0].name])
     raise TypeError(f"cannot bound {expr!r}")
 
 
@@ -562,7 +562,7 @@ def _demand(n: _NSum, amplitude: dict, tables: dict) -> tuple[float, float]:
                 if arg > 1.0 + 1e-9:
                     raise ScalingError(
                         f"lookup-table argument can reach {arg:.4g}; arguments must stay in [-1, 1]")
-                size *= max(abs(p[1]) for p in tables[f.table])
+                size *= table_bound(tables[f.table])
         g = max(g, gain)
         v += size
     return g, v

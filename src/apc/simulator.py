@@ -43,8 +43,9 @@ same:
   bounds with each integrator at 1. A net whose bound, quantized as the
   loop quantizes (``resolution * round(b / resolution)``, b itself at
   resolution 0), is at most 1 can never log an overload, so it is not
-  checked per step: its observed value is computed only at each sample
-  and at the return. Step 0 still observes every net.
+  checked, at step 0 as at every step: its observed value is computed
+  only at each sample and at the return. A grid on which some b /
+  resolution overflows cannot quantize that net: ``ConstructionError``.
 - *Inline tables.* A function generator's end-clamped lookup is
   generated code (``machine.lookup_code``): the argument bound once, the
   two end clamps, then a balanced comparison chain that picks the
@@ -80,7 +81,7 @@ from enum import Enum
 
 from .machine import (
     KINDS,
-    ConstructionError,  # noqa: F401 -- re-exported: apc.simulator.ConstructionError
+    ConstructionError,
     Kind,
     Mapping,
     Netlist,
@@ -307,9 +308,9 @@ def _generate(netlist: Netlist, resolution: float):
     ``every``-th step and the last step. With ``nets`` None it first
     observes the nets of ``s`` as step 0.
 
-    Step 0 is peeled off: it takes ``nets`` as given, or observes every
-    net of ``s`` in one loop. Then an outer loop runs once per sample and
-    an inner ``for`` runs up to ``every`` steps with no per-step branch.
+    Step 0 is peeled off: it reads the checked nets from ``nets``, or
+    checks them on ``s``. Then an outer loop runs once per sample and an
+    inner ``for`` runs up to ``every`` steps with no per-step branch.
     A step evaluates the RK4 stages a, b, d and e. Stage a evaluates every
     net, and the raw nets after a step are the next step's stage a.
     Stages b, d and e evaluate only the nets an integrator input reaches,
@@ -318,16 +319,18 @@ def _generate(netlist: Netlist, resolution: float):
     fold as the module docstring says: a value -(X) is bound as X, and a
     sum, a stage value or a product that reads it folds the sign.
 
-    One rule picks the nets checked per step. A net whose
-    ``machine.net_bounds`` bound, quantized as the loop quantizes, is at
-    most 1 is observed only where it is read, at each sample and at the
-    return; rounding is monotonic, so the bound, computed with the
+    One rule picks the nets checked, at step 0 as at every step. A net
+    whose ``machine.net_bounds`` bound, quantized as the loop quantizes,
+    is at most 1 is observed only where it is read, at each sample and at
+    the return; rounding is monotonic, so the bound, computed with the
     generated code's own operations in its order, bounds what that code
-    computes. Every other net is checked per step. A state or a checked
-    net outside [-1, 1], or not finite, goes through ``clamp(v, tau,
-    element, i)``, the value model's slow path at step ``i``, which
-    returns the clamped value or raises. On a raise the states of the
-    last completed state update are written back into ``s``.
+    computes. Every other net is checked. A bound whose quotient by the
+    resolution overflows is a ``ConstructionError``, so no quantization
+    can raise. A state or a checked net outside [-1, 1], or not finite,
+    goes through ``clamp(v, tau, element, i)``, the value model's slow
+    path at step ``i``, which returns the clamped value or raises. On a
+    raise the states of the last completed state update are written back
+    into ``s``.
     """
     elements = netlist.elements
     integrators = [e for e in elements.values() if e.kind is Kind.INTEGRATOR]
@@ -425,26 +428,21 @@ def _generate(netlist: Netlist, resolution: float):
     def quantized(v: str) -> str:
         return f"{resolution!r} * rnd({v} / {resolution!r})" if resolution > 0.0 else v
 
-    def grid_bound(b: float) -> float:
-        """``b`` quantized as the loop quantizes; inf where b / resolution is not finite."""
-        if resolution == 0.0:
-            return b
-        q = b / resolution
-        return resolution * round(q) if q < math.inf else math.inf
-
-    bounds = net_bounds(netlist, order)
-    raw = [_code(a_view[driver[nid]]) for nid in netlist.nets]
-    values = list(raw)  # each net's observed value, as read at a sample
-    observe, checked = [], []
-    for j, (nid, net) in enumerate(netlist.nets.items()):
-        if grid_bound(bounds[nid]) <= 1.0:  # never clamped: observed where it is read
-            values[j] = quantized(raw[j])
+    values, observe, checked = [], [], []  # values: each net's observed value at a sample
+    for j, (nid, b) in enumerate(net_bounds(netlist, order).items()):
+        v = quantized(_code(a_view[driver[nid]]))
+        if resolution > 0.0:  # b on the loop's grid, if b / resolution is finite
+            if not b / resolution < math.inf:
+                raise ConstructionError(f"resolution {resolution!r} cannot quantize net {nid!r}: "
+                                        f"its bound {b!r} over the resolution overflows")
+            b = resolution * round(b / resolution)
+        if b <= 1.0:  # never clamped: observed where it is read
+            values.append(v)
         else:
-            observe.append(f"if not -1.0 <= (o{j} := {quantized(raw[j])}) <= 1.0: "
-                           f"o{j} = clamp(o{j}, {tau}, {net.driver!r}, i)")
-            values[j] = f"o{j}"
+            observe.append(f"if not -1.0 <= (o{j} := {v}) <= 1.0: "
+                           f"o{j} = clamp(o{j}, {tau}, {driver[nid]!r}, i)")
+            values.append(f"o{j}")
             checked.append(j)
-    namespace["_drivers"] = tuple(driver.values())
     name_pos = {net.name: j for j, net in enumerate(netlist.nets.values()) if net.name}
     samples = [f"ap{k}({values[name_pos[name]]})" for k, name in enumerate(netlist.outputs)]
     states = ", ".join(f"as{i}" for i in range(len(integrators)))
@@ -453,14 +451,13 @@ def _generate(netlist: Netlist, resolution: float):
     head += ["taus = []", "apt = taus.append"]
     for k in range(len(samples)):
         head += [f"col{k} = []", f"ap{k} = col{k}.append"]
-    # Step 0 continues from the observed nets, or observes every net of s
-    # in one loop: it runs once per call, not per step.
-    head += ["i = 0", "try:", "    if nets is None:", f"        nets = [{', '.join(raw)}]",
-             "        for j, element in enumerate(_drivers):",
-             f"            if not -1.0 <= (v := {quantized('nets[j]')}) <= 1.0: "
-             f"v = clamp(v, {tau}, element, i)",
-             "            nets[j] = v"]
-    head += _indent([f"o{j} = nets[{j}]" for j in checked] + ["apt(t0)"] + samples, 1)
+    # Step 0 continues from the observed nets, or checks the nets of s as
+    # every step does: an unchecked net cannot clamp at step 0 either.
+    head += ["i = 0", "try:"]
+    if checked:
+        head += _indent(["if nets is None:", *_indent(observe, 1),
+                         "else:", *_indent([f"o{j} = nets[{j}]" for j in checked], 1)], 1)
+    head += _indent(["apt(t0)"] + samples, 1)
     # Then one outer pass per sample, of up to ``every`` steps.
     loop = ["while i < n:", "    stop = i + every", "    if stop > n:", "        stop = n",
             "    for i in range(i + 1, stop + 1):"]
@@ -547,11 +544,12 @@ class MachineInstance:
             raise OverloadError(element, tau, abs(v))
         return 1.0 if v > 0 else -1.0
 
-    def _observe(self) -> None:
+    def _observe(self, clamp=None) -> None:
         """Evaluate and observe every net at the current state and time as
-        step 0: overloads are logged but never abort."""
+        step 0, through ``clamp`` or else the value model: overloads are
+        logged but never abort."""
         self._s, self._net_values, _, _ = self._run(
-            self._s, self._c, None, self.tau, self.config.dt, 0, 1, self._overload)
+            self._s, self._c, None, self.tau, self.config.dt, 0, 1, clamp or self._overload)
 
     def _steps(self, dt: float, n: int, every: int) -> tuple[list, list]:
         """Advance ``n`` steps of size ``dt``; step ``i`` ends at ``t0 + i*dt``,
@@ -563,8 +561,7 @@ class MachineInstance:
         except OverloadError:
             # The machine holds the states the abort left; show their nets,
             # clamped to the rails but not logged a second time.
-            _, self._net_values, _, _ = self._run(
-                self._s, self._c, None, self.tau, dt, 0, 1, _rail)
+            self._observe(_rail)
             raise
         self.tau = t0 + n * dt
         return taus, cols
@@ -634,7 +631,7 @@ class MachineInstance:
 
 def new_instance(netlist: Netlist, config: SimConfig | None = None) -> MachineInstance:
     """Create a machine in IC mode; ConstructionError on a netlist that
-    ``evaluation_order`` rejects."""
+    ``evaluation_order`` rejects or whose nets the resolution cannot quantize."""
     return MachineInstance(netlist, config)
 
 

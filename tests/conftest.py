@@ -1,10 +1,11 @@
+import json
 import os
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from apc import compiler, dsl
+from apc import compiler, dsl, machine, scaling
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -147,6 +148,18 @@ def resolve_src(src: str) -> dsl.OdeSystem:
     system, diags = dsl.resolve(program)
     assert system is not None, diags
     return system
+
+
+def autoscaled_json(src: str) -> str:
+    """The netlist and sidecar JSON that parse, resolve, autoscale and
+    compile make of ``src``, or the scaling error's message."""
+    system = resolve_src(src)
+    try:
+        scale = scaling.autoscale(system)
+    except machine.ScalingError as exc:
+        return f"ScalingError: {exc}"
+    result = compiler.compile_system(system, compiler.CompileOptions(scale=scale))
+    return json.dumps([machine.netlist_to_dict(result.netlist), result.mapping.to_dict()])
 
 
 @pytest.fixture

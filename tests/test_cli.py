@@ -11,7 +11,6 @@ import signal
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -252,6 +251,21 @@ class TestRun:
         out = compiled(workdir, SINE_SRC, "sine", extra=("--scale", "none"))
         assert main(["run", str(out), "--dt", "1e-2"]) == 0
         assert "overloads: 0" in capsys.readouterr().out
+
+    def test_tend_is_required_without_a_sidecar_horizon(self, workdir, capsys):
+        save_netlist(Netlist.from_elements([integrator("i", ["i"], ic=0.5)]), workdir / "bare.json")
+        assert main(["run", "bare.json"]) == 1
+        assert capsys.readouterr().err == (
+            "apc: usage: --tend is required (no sidecar mapping with a horizon found)\n")
+
+    def test_grid_that_cannot_quantize_a_net_exits_1(self, workdir, capsys):
+        # 1.0 / 1e-310 overflows, so the integrators' nets cannot be quantized.
+        out = compiled(workdir, SINE_SRC, "sine", extra=("--scale", "none"))
+        assert main(["run", str(out), "--resolution", "1e-310", "--tend", "0.01"]) == 1
+        assert capsys.readouterr().err == ("apc: resolution 1e-310 cannot quantize net 'int1': "
+                                           "its bound 1.0 over the resolution overflows\n")
+        assert main(["run", str(out), "--resolution", "1e-300", "--tend", "0.01"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_problem_units(self, workdir):
         out = compiled(workdir, SINE5_SRC, "big")
@@ -606,16 +620,32 @@ class TestSweep:
         assert main(["sweep", str(out), "--param", "k=1.5:2.0:0.5", "--tend", "1",
                      "--out", str(workdir / "s")]) == 4
 
-    def test_bad_range_exits_1(self, workdir):
+    def test_bad_range_exits_1(self, workdir, capsys):
         out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
-        for spec in ("k=0.1:x:0.1", "k=0.1:nan:0.1", "k=0.1,,y"):
+        for spec, message in [("k=0.1:x:0.1", "--param: 'x' is not a number"),
+                              ("k=0.1:nan:0.1", "--param: 'nan' is not a number"),
+                              ("k=0.1,,y", "--param: 'y' is not a number"),
+                              ("k=1:2", "range must be start:stop:step"),
+                              ("k=0:inf:1", "sweep range must be finite"),
+                              ("k=,", "empty sweep value list"),
+                              ("k", "--param needs NAME=start:stop:step or NAME=v1,v2,...")]:
+            capsys.readouterr()
             assert main(["sweep", str(out), "--param", spec, "--out", str(workdir / "s")]) == 1
+            assert capsys.readouterr().err == f"apc: usage: {message}\n", spec
+        assert not (workdir / "s").exists()
 
     def test_workers_flag_is_gone(self, workdir, capsys):
         out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
         assert main(["sweep", str(out), "--param", "k=0.2", "--tend", "1", "--workers", "2",
                      "--out", str(workdir / "s")]) == 1
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+    def test_adc_bits_flag_is_gone(self, workdir, capsys):
+        # A sweep's summary holds full-precision finals; it reads no ADC.
+        out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
+        assert main(["sweep", str(out), "--param", "k=0.2", "--tend", "1", "--adc-bits", "4",
+                     "--out", str(workdir / "s")]) == 1
+        assert capsys.readouterr().err == "apc: usage: unrecognized arguments: --adc-bits 4\n"
 
     def test_each_run_equals_run_set(self, workdir, capsys):
         out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
@@ -829,12 +859,24 @@ class TestMap:
         assert main(["map", str(out), "--machine", spec]) == 0
 
 
+def readme_blocks(heading: str, lang: str = "") -> list[str]:
+    """The bodies of the ``lang`` code blocks in README's section ``heading``."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", section, re.S | re.M)
+    return [body for tag, body in blocks if tag == lang]
+
+
+def tour_program() -> str:
+    """The README's sine.apc."""
+    return readme_blocks("Quick tour")[0]
+
+
 def test_readme_quick_tour(workdir, capsys):
     """The README's sine.apc and its five commands work as written."""
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    tour = readme.split("## Quick tour", 1)[1]
-    program = re.search(r"```\n(system sine\n.*?)```", tour, re.S).group(1)
-    commands = re.search(r"```sh\n(.*?)```", tour, re.S).group(1).splitlines()
+    program = tour_program()
+    assert program.startswith("system sine\n")
+    commands = readme_blocks("Quick tour", "sh")[0].splitlines()
     write(workdir / "sine.apc", program)
     assert len(commands) == 5
     for line in commands:
@@ -843,6 +885,39 @@ def test_readme_quick_tour(workdir, capsys):
         assert main(argv[1:]) == 0, line
     assert (workdir / "out.csv").read_text().startswith("t,y,y'\n")
     assert "connect INT1.out" in capsys.readouterr().out
+
+
+def test_readme_sweep(workdir):
+    """The README's sweep of the sample vco works as written."""
+    commands = readme_blocks("Quick tour", "sh")[1].splitlines()
+    (workdir / "programs").mkdir()
+    shutil.copy(ROOT / "programs" / "vco.apc", workdir / "programs")
+    assert len(commands) == 2
+    for line in commands:
+        assert main(shlex.split(line)[1:]) == 0, line
+    rows = (workdir / "sweep" / "summary.csv").read_text().splitlines()
+    assert rows[0] == "value,y,overloads" and len(rows) == 11
+    assert len(list((workdir / "sweep").glob("run_*.csv"))) == 10
+
+
+def test_readme_custom_machine_holds_the_tour_sine(workdir):
+    """The README's custom machine spec, loaded by ``apc map``."""
+    (spec,) = readme_blocks("Machine placement", "json")
+    write(workdir / "mini.json", spec)
+    write(workdir / "sine.apc", tour_program())
+    assert main(["compile", "sine.apc", "-o", "sine.json"]) == 0
+    assert main(["map", "sine.json", "--machine", "mini.json"]) == 0
+
+
+def test_readme_library_use():
+    """The README's library example, run on the tour's sine.apc."""
+    (code,) = readme_blocks("Library use", "python")
+    namespace = {"source_text": tour_program()}
+    exec(code, namespace)
+    trace, problem = namespace["trace"], namespace["problem_trace"]
+    assert trace.tau[-1] == namespace["machine"].tau == namespace["result"].mapping.horizon_machine
+    assert problem.tau[-1] == pytest.approx(2 * math.pi) and trace.overloads == []
+    assert abs(problem.series["y"][-1] - 0.5) < 1e-3  # one period: back to sin(pi/6)
 
 
 def fresh_python(code: str) -> str:

@@ -1,7 +1,10 @@
 import json
 import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apc.fabric import (
     THAT,
@@ -13,8 +16,11 @@ from apc.fabric import (
     patch_instructions,
 )
 from apc.machine import AlgebraicLoopError, Netlist, coefficient, reference, summer
-from apc.simulator import SimConfig, new_instance
-from conftest import build
+from apc.simulator import OverloadEvent, SimConfig, new_instance
+from conftest import build, compilable_programs
+
+#: Room for any program ``compilable_programs`` draws.
+ROOMY = MachineSpec("roomy", dict.fromkeys(THAT.inventory, 64))
 
 
 def six_integrator_src():
@@ -129,6 +135,22 @@ class TestSoundness:
         t2 = new_instance(renamed, cfg).run(1.0)
         assert t1.series == t2.series and t1.tau == t2.tau
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(compilable_programs(), st.sampled_from([0.0, 1e-3, 0.6]))
+    def test_trace_is_identical_after_placement(self, src, resolution):
+        """Renaming every element to its slot changes no sample, and the
+        overload log only by the slot names."""
+        _, result = build(src)
+        assignment = map_netlist(result.netlist, ROOMY)
+        renamed = apply_assignment(result.netlist, assignment)
+        config = SimConfig(dt=0.05, resolution=resolution)
+        before = new_instance(result.netlist, config).run(1.0)
+        after = new_instance(renamed, config).run(1.0)
+        assert repr((after.tau, after.series)) == repr((before.tau, before.series))
+        slot = assignment.slot_of
+        assert repr(after.overloads) == repr(
+            [OverloadEvent(ev.time, slot[ev.element], ev.magnitude) for ev in before.overloads])
+
 
 class TestSpecLoading:
     def test_builtin(self):
@@ -151,6 +173,9 @@ class TestSpecLoading:
         path.write_text(json.dumps({"name": "x", "inventory": {"comparator": 2}}))
         with pytest.raises(ValueError):
             load_machine_spec(str(path))
+        # json_object rejects the key above; a spec built in code meets this check.
+        with pytest.raises(ValueError, match=re.escape("unknown inventory kind(s) ['bogus']")):
+            MachineSpec("x", {"bogus": 1})
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,7 +1,11 @@
 import csv
 import dataclasses
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -27,8 +31,10 @@ from apc.scaling import (
     round_up_grid,
     time_scale,
 )
+from apc.machine import table_bound
 from apc.simulator import OverloadEvent, SimConfig, Trace, new_instance
-from conftest import SINE5_SRC, SINE_SRC, compilable_programs, resolve_src
+from conftest import (ROOT, SINE5_SRC, SINE_SRC, autoscaled_json, compilable_programs,
+                      resolve_src, src_env)
 from test_compiler import simulable_odes
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -54,6 +60,10 @@ param k = 0.15
 eq x = ((k + (0.05 + 0.05)) * ((0.05 + k) + 0.05))
 time 1
 """
+
+
+#: A table whose segment formula at x1 rounds to one ulp past y1 = 1.
+ONE_ULP_TABLE_SRC = "(-0.799741712099096, -0.920759573172591) (0.37378023030454477, 1)"
 
 
 def driven_by(rhs: str):
@@ -109,6 +119,19 @@ class TestBounds:
         bounds = estimate_bounds(resolve_src(src))
         assert bounds.values[("y", 2)] == pytest.approx(2 + 0.5 * 4)
         assert bounds.method[("y", 2)] == "interval"
+
+    def test_lookup_is_bounded_by_its_table_bound(self):
+        # At x just below x1 the segment's formula rounds one ulp past
+        # y1 = 1 (the table of test_simulator's one-ulp lookup): the interval
+        # fill and the feasibility pass both count it, as the run loop does.
+        system = resolve_src("system t\nvar x order 1\nvar y order 0\neq x' = -x\ninit x = 0.5\n"
+                             f"bound x = 1\neq y = lut(f, x)\ntable f = {ONE_ULP_TABLE_SRC}\ntime 1\n")
+        bounds = estimate_bounds(system)
+        assert bounds.values[("y", 0)] == table_bound(system.tables["f"]) == 1.0000000000000002
+        assert bounds.method[("y", 0)] == "interval"
+        unit = dict.fromkeys(bounds.values, 1.0)
+        assert scaling._demand(scaling.normalize(system.equations["y"], system), unit,
+                               system.tables) == (1.0, 1.0000000000000002)
 
     def test_divergent_system_reports_unbounded(self, tmp_path, capsys):
         src = "system t\nvar y order 1\neq y' = y*y\ninit y = 2\ntime 1\n"
@@ -249,6 +272,11 @@ class TestAmplitudeScale:
 
 
 class TestTimeScale:
+    @pytest.mark.parametrize("lam, k0", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
+    def test_scale_map_needs_positive_lambda_and_k0(self, lam, k0):
+        with pytest.raises(ValueError, match="^lambda and k0 must be positive$"):
+            ScaleMap(lam=lam, k0=k0)
+
     def test_identity(self):
         system = resolve_src(HALF_SINE_SRC)
         scale = time_scale(system, amplitude_scale(system, estimate_bounds(system)), lam=1.0)
@@ -302,6 +330,33 @@ class TestRoundTrip:
             ref = oracle.signals[key]
             err = np.max(np.abs(np.asarray(problem.series[signal_name(*key)]) - ref))
             assert err <= 1e-3 * np.max(np.abs(ref)), (signal_name(*key), err)
+
+    def test_compiling_is_deterministic(self):
+        """Property 2: parse, resolve, autoscale and compile give the same
+        netlist and sidecar bytes here and in two new interpreters, each
+        with its own string hash seed."""
+        sources = []
+
+        @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+        @given(compilable_programs())
+        def collect(src):
+            sources.append(src)
+
+        collect()
+        code = ("import json, sys; from conftest import autoscaled_json; "
+                "print(json.dumps([autoscaled_json(s) for s in json.load(sys.stdin)]))")
+        env = {**src_env(), "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])}
+        runs = [subprocess.Popen([sys.executable, "-c", code], stdin=subprocess.PIPE,
+                                 stdout=subprocess.PIPE, text=True,
+                                 env={**env, "PYTHONHASHSEED": seed}) for seed in ("1", "2")]
+        for run in runs:
+            with run.stdin:
+                run.stdin.write(json.dumps(sources))
+        here = [autoscaled_json(s) for s in sources]
+        for run in runs:
+            with run.stdout:
+                out = run.stdout.read()
+            assert run.wait() == 0 and json.loads(out) == here
 
     def test_scaled_run_matches_oracle_after_descale(self):
         system = resolve_src(SINE5_SRC)

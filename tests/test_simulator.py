@@ -4,6 +4,7 @@ import functools
 import io
 import math
 import operator
+import re
 import subprocess
 import sys
 
@@ -86,6 +87,21 @@ class TestConstruction:
         n = Netlist.from_elements([summer("s1", ["ghost"])])
         with pytest.raises(ConstructionError):
             new_instance(n)
+
+    @pytest.mark.parametrize("resolution, net, bound", [(1e-310, "i", 1.0), (1e-308, "s", 2.0)])
+    def test_grid_that_cannot_quantize_a_net_rejected(self, resolution, net, bound):
+        # bound / resolution overflows, so rnd(v / resolution) could too.
+        elems = [integrator("i", ["s"], ic=0.5), integrator("j", ["i"]), summer("s", ["i", "j"])]
+        n = Netlist.from_elements(elems, outputs={"s": "s"})
+        message = (f"resolution {resolution!r} cannot quantize net {net!r}: "
+                   f"its bound {bound!r} over the resolution overflows")
+        with pytest.raises(ConstructionError, match=re.escape(message)):
+            new_instance(n, SimConfig(resolution=resolution))
+
+    def test_finest_grid_that_quantizes_every_net_runs(self, sine):
+        _, result = sine
+        trace = new_instance(result.netlist, SimConfig(resolution=1e-300)).run(0.01)
+        assert trace.overloads == [] and trace.tau[-1] == 0.01
 
 
 class TestModeMachine:
