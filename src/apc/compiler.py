@@ -32,7 +32,6 @@ from .machine import (
     Net,
     Netlist,
     ParamBinding,
-    ScalingError,
     SignalBinding,
     coefficient,
     evaluation_order,
@@ -43,8 +42,7 @@ from .machine import (
     summer,
 )
 from .record import Frozen, Record, set_field
-from .scaling import (ScaleMap, _FSignal, _FSum, _NSum, _Term, algebraic_order, normalize,
-                      stage_gain)
+from .scaling import ScaleMap, _FSignal, _FSum, _NSum, _Term, normalize, stage_gain
 
 _PENDING = "__pending__"
 _TOL = 1e-9
@@ -284,9 +282,9 @@ def compile_system(system: OdeSystem, options: CompileOptions | None = None) -> 
     """Lower a resolved system to a validated netlist plus its sidecar.
 
     Deterministic: identical input produces an identical netlist. The
-    netlist is loop-free (every cycle passes through an integrator);
-    order-0 subsystems with algebraic cycles are a compile error naming
-    the cycle.
+    netlist is loop-free (every cycle passes through an integrator):
+    ``resolve`` rejects a cycle among order-0 equations, and their
+    elements are built in ``system.order0``.
     """
     options = options or CompileOptions()
     scale = options.scale if options.scale is not None else ScaleMap.identity()
@@ -306,11 +304,7 @@ def compile_system(system: OdeSystem, options: CompileOptions | None = None) -> 
         chains[var] = entry
         signals.update(entries)
 
-    try:
-        zero_order = algebraic_order(system)
-    except ScalingError as exc:
-        raise CompileError(str(exc)) from None
-    for var in zero_order:
+    for var in system.order0:
         net, parity = synth.sum(normalize(system.equations[var], system),
                                 m_top=scale.m(var, 0))
         signals[(var, 0)] = (net, parity)

@@ -34,6 +34,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 
 from .record import Frozen, set_field
 
@@ -545,6 +546,8 @@ class OdeSystem:
     ``v``; every Ref in it names a param, a table (inside lut) or a
     derivative strictly below the owning variable's order. ``inits`` maps
     (var, order) to folded numeric initial values for orders 0..n-1.
+    ``order0`` lists the order-0 variables so that each equation reads
+    only earlier ones: they form no cycle.
     """
 
     name: str
@@ -556,6 +559,7 @@ class OdeSystem:
     horizon: float
     outputs: tuple
     bounds: dict
+    order0: tuple
 
     def signals(self):
         """All (var, order) pairs up to and including the highest derivative."""
@@ -646,6 +650,26 @@ class _Resolver:
             elif isinstance(e, Call):
                 self.fail(e.line, e.column, f"unknown function {e.func!r}")
 
+    def order_zeros(self, var_order: dict, equations: dict, eq_line: dict) -> tuple:
+        """The order-0 variables with equations, each after those its
+        equation reads: graphlib's order, which takes the variables that
+        read none in declaration order, then each one's readers. A cycle
+        among them is diagnosed once, at the equation of its smallest
+        variable, and the order is empty."""
+        zeros = {v: () for v, n in var_order.items() if n == 0 and v in equations}
+        sorter = TopologicalSorter(zeros)
+        for v in zeros:
+            refs = (e.name for e in walk(equations[v]) if isinstance(e, Ref) and not e.order)
+            sorter.add(v, *dict.fromkeys(r for r in refs if r in zeros))
+        try:
+            return tuple(sorter.static_order())
+        except CycleError as err:
+            cycle = err.args[1][:-1]
+            i = cycle.index(min(cycle))
+            cycle = cycle[i:] + cycle[:i]
+            self.fail(eq_line[cycle[0]], 1, f"algebraic cycle among order-0 variables: {cycle}")
+            return ()
+
     def run(self) -> OdeSystem | None:
         prog = self.program
         params: dict[str, float] = {}
@@ -653,6 +677,7 @@ class _Resolver:
         var_line: dict[str, int] = {}
         tables: dict[str, tuple] = {}
         equations: dict[str, Expr] = {}
+        eq_line: dict[str, int] = {}
         inits: dict[tuple, float] = {}
         bounds: dict[tuple, float] = {}
         horizon = None
@@ -714,6 +739,7 @@ class _Resolver:
                 else:
                     self.check_rhs(s.expr, var_order, params, tables)
                     equations[s.name] = s.expr
+                    eq_line[s.name] = s.line
             elif s.keyword == "init":
                 if n == 0:
                     self.fail(s.line, 1, f"{s.name!r} has order 0 and takes no initial conditions")
@@ -734,6 +760,7 @@ class _Resolver:
                     self.fail(s.line, 1, "bounds must be positive")
                 bounds[key] = v  # even when rejected, so that a second bound is a duplicate
 
+        order0 = self.order_zeros(var_order, equations, eq_line)
         given = Counter(v for v, _ in inits)
         for v, n in var_order.items():
             if v not in equations:
@@ -778,11 +805,13 @@ class _Resolver:
             horizon=horizon,
             outputs=out_signals,
             bounds=bounds,
+            order0=order0,
         )
 
 
 def resolve(program: Program) -> tuple[OdeSystem | None, list[Diagnostic]]:
-    """Bind names, fold constants and check orders; see OdeSystem."""
+    """Bind names, fold constants, check orders and order the order-0
+    equations; see OdeSystem."""
     r = _Resolver(program)
     system = r.run()
     return system, sorted(r.diags, key=lambda d: (d.line, d.column))

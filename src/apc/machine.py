@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from collections.abc import Callable
 from enum import Enum
 from functools import reduce
+from graphlib import CycleError, TopologicalSorter
 from operator import add
 
 from .record import Frozen, Record, set_field
@@ -48,7 +48,8 @@ class ConstructionError(ValueError):
 
 
 class AlgebraicLoopError(ConstructionError):
-    """A netlist holds a cycle through no integrator; ``cycles`` lists one."""
+    """A netlist holds a cycle through no integrator; ``cycles`` lists one,
+    each element feeding the next and the last the first."""
 
     def __init__(self, cycles):
         self.cycles = cycles
@@ -88,12 +89,6 @@ def lookup_code(table, x: str) -> str:
 
     return (f"({ys[0]!r} if (t := {x}) <= {xs[0]!r} else {ys[-1]!r} if t >= {xs[-1]!r} "
             f"else {segments(0, len(xs) - 1)})")
-
-
-def table_lookup(table):
-    """End-clamped piecewise-linear lookup over a breakpoint table: the
-    function of ``lookup_code``'s expression."""
-    return eval(f"lambda x: {lookup_code(table, 'x')}")
 
 
 def table_bound(table) -> float:
@@ -357,67 +352,33 @@ def validate(netlist: Netlist) -> list[Violation]:
     return report
 
 
-def topological_order(nodes, edges) -> tuple[list, list]:
-    """Kahn's pass (CACM 1962) over ``nodes`` and ``(source, target)`` edges.
-
-    Edges touching other nodes are ignored; duplicates count once.
-    Returns ``(order, cycle)``. ``order`` holds the sources in node
-    order, then each freed node's consumers in first-edge order.
-    ``cycle`` is empty exactly when the graph is acyclic; else it lists
-    one cycle's nodes, each feeding the next and the last the first,
-    from its smallest node. Every node the pass never frees has a
-    predecessor it never frees, so a walk over first predecessors from
-    the first of them comes back to a node it passed: the stretch
-    between, reversed, is that cycle. All of it takes linear time.
-    """
-    succ = {v: {} for v in nodes}
-    for u, v in edges:
-        if u in succ and v in succ:
-            succ[u][v] = None
-    indegree = Counter(v for targets in succ.values() for v in targets)
-    order = [v for v in succ if not indegree[v]]
-    for u in order:
-        for v in succ[u]:
-            indegree[v] -= 1
-            if not indegree[v]:
-                order.append(v)
-    residue = [v for v in succ if indegree[v]]
-    if not residue:
-        return order, []
-    pred = {}
-    for u in residue:
-        for v in succ[u]:
-            pred.setdefault(v, u)
-    walk = {}  # node -> its step on the walk
-    v = residue[0]
-    while v not in walk:
-        walk[v] = len(walk)
-        v = pred[v]
-    cycle = list(walk)[walk[v]:][::-1]
-    i = cycle.index(min(cycle))
-    return order, cycle[i:] + cycle[:i]
-
-
 def evaluation_order(netlist: Netlist) -> list[str]:
     """The one check of a netlist, and the order its elements evaluate in.
 
     Raises ConstructionError listing every violation ``validate``
     reports, then AlgebraicLoopError naming one cycle of non-integrator
-    elements if there is any: such a loop has no defined value.
-    Otherwise returns the topological order of the non-integrator
-    elements. Integrator outputs are sources (their values come from
-    simulator state), so evaluating elements in this order computes
+    elements if there is any (graphlib's, from its smallest element id):
+    such a loop has no defined value. Otherwise returns the topological
+    order of the non-integrator elements that ``graphlib`` gives: the
+    sources in netlist order, then each freed element's readers in
+    netlist order. Integrator outputs are sources (their values come
+    from simulator state), so evaluating elements in this order computes
     every net in a single pass.
     """
     report = validate(netlist)
     if report:
         raise ConstructionError(f"netlist does not validate: {'; '.join(map(str, report))}")
-    nodes = [eid for eid, e in netlist.elements.items() if e.kind is not Kind.INTEGRATOR]
-    edges = [(netlist.nets[nid].driver, e.id) for e in netlist.elements.values() for nid in e.inputs]
-    order, cycle = topological_order(nodes, edges)
-    if cycle:
-        raise AlgebraicLoopError([cycle])
-    return order
+    algebraic = {eid: e for eid, e in netlist.elements.items() if e.kind is not Kind.INTEGRATOR}
+    sorter = TopologicalSorter(dict.fromkeys(algebraic, ()))
+    for eid, e in algebraic.items():
+        drivers = (netlist.nets[nid].driver for nid in e.inputs)
+        sorter.add(eid, *dict.fromkeys(d for d in drivers if d in algebraic))
+    try:
+        return list(sorter.static_order())
+    except CycleError as err:
+        cycle = err.args[1][:-1]
+        i = cycle.index(min(cycle))
+        raise AlgebraicLoopError([cycle[i:] + cycle[:i]]) from None
 
 
 def net_bounds(netlist: Netlist, order: list[str]) -> dict[str, float]:

@@ -34,7 +34,7 @@ import sys
 from collections import Counter
 
 from .dsl import Bin, Call, Expr, Neg, Num, OdeSystem, Ref, signal_name, walk
-from .machine import ScalingError, table_bound, topological_order
+from .machine import ScalingError, table_bound
 from .record import Frozen, Record, set_field
 
 # The sidecar mapping, under the names it had here.
@@ -83,24 +83,10 @@ def eval_expr(expr: Expr, env: dict, params: dict, tables: dict):
     if isinstance(expr, Call) and expr.func == "lut":
         table = tables[expr.args[0].name]
         x = eval_expr(expr.args[1], env, params, tables)
-        import numpy as np  # the oracle's own lookup, independent of machine.table_lookup
+        import numpy as np  # the oracle's own lookup, independent of machine.lookup_code
 
         return np.interp(x, [p[0] for p in table], [p[1] for p in table])
     raise TypeError(f"cannot evaluate {expr!r}")
-
-
-def _refs(expr: Expr):
-    return (e for e in walk(expr) if isinstance(e, Ref))
-
-
-def algebraic_order(system: OdeSystem) -> list[str]:
-    """Dependency order of the order-0 variables; cycles are an error."""
-    zeros = [v for v, n in system.var_order.items() if n == 0]
-    edges = [(ref.name, v) for v in zeros for ref in _refs(system.equations[v])]
-    order, cycle = topological_order(zeros, edges)
-    if cycle:
-        raise ScalingError(f"algebraic cycle among order-0 variables: {cycle}")
-    return order
 
 
 class OracleSolution(Record):
@@ -237,11 +223,10 @@ def reference_solution(system: OdeSystem, t_eval=None) -> OracleSolution:
     """
     import numpy as np  # deferred: only the oracle needs it
 
-    zeros = algebraic_order(system)
     state_keys = [(v, k) for v, n in system.var_order.items() if n >= 1 for k in range(n)]
 
     def fill_env(env):
-        for v in zeros:
+        for v in system.order0:
             env[(v, 0)] = eval_expr(system.equations[v], env, system.params, system.tables)
         return env
 
@@ -331,9 +316,7 @@ def estimate_bounds(system: OdeSystem) -> BoundsEstimate:
     missing = [key for key in needed if key not in values]
     driven = {(v, n) for v, n in system.var_order.items()}
     if missing and all(key in driven for key in missing):
-        order = algebraic_order(system)
-        rest = [key for key in missing if key[0] not in order]
-        for v in order + [key[0] for key in rest]:
+        for v in (*system.order0, *(v for v, n in missing if n)):
             key = (v, system.var_order[v])
             if key in values:
                 continue
@@ -530,7 +513,8 @@ def _lut_arg_signals(system: OdeSystem):
     for expr in system.equations.values():
         for e in walk(expr):
             if isinstance(e, Call) and e.func == "lut":
-                found.update((r.name, r.order) for r in _refs(e.args[1]) if r.name in system.var_order)
+                found.update((r.name, r.order) for r in walk(e.args[1])
+                             if isinstance(r, Ref) and r.name in system.var_order)
     return found
 
 
@@ -601,8 +585,7 @@ def amplitude_scale(system: OdeSystem, bounds: BoundsEstimate) -> ScaleMap:
             raise ScalingError(f"initial condition {system.inits[key]:.6g} of "
                                f"{signal_name(*key)} exceeds its bound {b:.6g}")
 
-    driven = algebraic_order(system) + [v for v, n in system.var_order.items() if n >= 1]
-    for v in driven:
+    for v in (*system.order0, *(v for v, n in system.var_order.items() if n >= 1)):
         key = (v, system.var_order[v])
         need = max(_demand(normalize(system.equations[v], system), amplitude, system.tables))
         if key in pinned:

@@ -50,8 +50,8 @@ same:
   generated code (``machine.lookup_code``): the argument bound once, the
   two end clamps, then a balanced comparison chain that picks the
   segment ``bisect_right`` would, with the segment's slope terms folded
-  at generation. ``machine.table_lookup`` builds its function from the
-  same expression.
+  at generation. ``machine.element_output`` evaluates the same
+  expression.
 
 The generated code performs the same floating-point operations on the
 same operands as one evaluation of every element per stage, up to these

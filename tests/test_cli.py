@@ -125,6 +125,12 @@ DIAGNOSTICS = {
                      ["3:1: missing time statement"]),
     "no-variables": ("# header below\nsystem s\ntime 1\n", 3,
                      ["2:1: program declares no variables"]),
+    # an algebraic loop, located at the equation of its smallest variable
+    "algebraic-cycle": ("system s\nvar z order 1\neq z' = -z\ninit z = 0.5\nvar x order 0\n"
+                        "var y order 0\neq y = 0.5*x + z\neq x = 0.5*y\ntime 1\n", 3,
+                        ["8:1: algebraic cycle among order-0 variables: ['x', 'y']"]),
+    "algebraic-self-loop": ("system s\nvar x order 0\neq x = 0.5*x\ntime 1\n", 3,
+                            ["3:1: algebraic cycle among order-0 variables: ['x']"]),
 }
 
 
@@ -222,6 +228,14 @@ class TestCompile:
         """1e308 is the largest scale factor; 0.45 rounds up to 0.5, which holds init y = 0.5."""
         src = write(workdir / "b.apc", OK_SRC + f"bound y = {bound}\n")
         assert main(["compile", src, "-o", str(workdir / "b.json")]) == 0
+
+    @pytest.mark.parametrize("case", ["algebraic-cycle", "algebraic-self-loop"])
+    @pytest.mark.parametrize("scale", ["auto", "none"])
+    def test_algebraic_cycle_exits_3_as_check_does(self, workdir, capsys, case, scale):
+        text, _, [line] = DIAGNOSTICS[case]
+        src = write(workdir / "bad.apc", text)
+        assert main(["compile", src, "--scale", scale]) == 3
+        assert capsys.readouterr() == ("", f"{src}:{line}\n")
 
     def test_parse_error_exits_2(self, workdir):
         src = write(workdir / "p.apc", "var y order 1\n")

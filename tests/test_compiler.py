@@ -1,15 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apc import compiler, scaling, simulator
+from apc import compiler, dsl, scaling, simulator
 from apc.compiler import (
-    CompileError,
     CompileOptions,
     NetlistBuilder,
+    ScalingViolationError,
     UnscaledCoefficientError,
     build_integrator_chain,
     compile_system,
@@ -120,10 +121,11 @@ class TestSynthesis:
             compile_system(system)
 
     def test_algebraic_cycle_names_the_cycle(self):
-        system = resolve_src("system t\nvar x order 0\nvar w order 0\n"
-                             "eq x = w\neq w = x\ntime 1\n")
-        with pytest.raises(CompileError, match="x|w"):
-            compile_system(system)
+        # resolve rejects the loop, so no system with one reaches the compiler
+        program, _ = dsl.parse("system t\nvar x order 0\nvar w order 0\n"
+                               "eq x = w\neq w = x\ntime 1\n")
+        message = "algebraic cycle among order-0 variables: ['w', 'x']"
+        assert dsl.resolve(program) == (None, [dsl.Diagnostic(5, 1, message)])
 
     def test_lut_lowering(self):
         _, result = build("system t\nvar z order 1\neq z' = -lut(f, z)\ninit z = 0.9\n"
@@ -250,6 +252,15 @@ class TestScaledCompile:
         err = max(abs(a - b) for a, b in zip(trace.series["y"], ref))
         assert err < 1e-5
         assert not trace.overloads
+
+    def test_stage_gain_above_one_rejected(self):
+        # A hand-made scale in which y' carries twice y's factor: the stage
+        # into y needs alpha = lambda * 2 / (1 * k0) = 2.
+        system = resolve_src("system s\nvar y order 1\neq y' = -0.5*y\ninit y = 0.5\ntime 1\n")
+        scale = ScaleMap({("y", 0): 1.0, ("y", 1): 2.0})
+        with pytest.raises(ScalingViolationError,
+                           match=re.escape("stage gain 2 needs alpha 2 at k0=1; rerun time scaling")):
+            compile_system(system, CompileOptions(scale=scale))
 
     def test_scaled_inits_in_range(self):
         from conftest import SINE5_SRC

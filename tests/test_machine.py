@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from apc.dsl import Bin, Call, Num, OdeSystem, Ref
+from apc.dsl import (Bin, Call, Decl, Num, Program, Ref, TableDecl, TimeDecl, VarDecl, parse, pretty,
+                     resolve)
 from apc.machine import (
     AlgebraicLoopError,
     Element,
@@ -28,10 +29,8 @@ from apc.machine import (
     reference,
     summer,
     Violation,
-    table_lookup,
     validate,
 )
-from apc.scaling import ScalingError, algebraic_order
 from apc.simulator import new_instance
 
 
@@ -361,14 +360,17 @@ def test_algebraic_loops_match_networkx(netlist):
 def order0_systems(draw):
     """Order-0 equations over random references to one another, a param and a state.
 
-    Returns the system and each equation's references in left-to-right order.
+    Returns the program and each equation's references in left-to-right order.
     """
     n = draw(st.integers(min_value=1, max_value=8))
     rank = [f"a{i}" for i in range(n)]  # acyclic unless back-references are drawn
     names = draw(st.permutations(rank))
     cyclic = draw(st.booleans())
-    var_order = {"y": 1, **dict.fromkeys(names, 0)}
-    equations, refs = {"y": Ref(names[0])}, {}
+    statements = [Decl("param", "p", 0, Num(0.5)), VarDecl("y", 1),
+                  *(VarDecl(v, 0) for v in names), TableDecl("f", ((-1.0, -1.0), (1.0, 1.0))),
+                  Decl("eq", "y", 1, Ref(names[0])), Decl("init", "y", 0, Num(0.0)),
+                  TimeDecl(Num(1.0))]
+    refs = {}
     for v in names:
         callees = rank if cyclic else rank[:rank.index(v)]
         refs[v] = draw(st.lists(st.sampled_from(callees + ["p", "y", None]), min_size=1, max_size=4))
@@ -378,25 +380,31 @@ def order0_systems(draw):
         expr = terms[0]
         for t in terms[1:]:
             expr = Bin(draw(st.sampled_from("+*")), expr, t)
-        equations[v] = expr
-    system = OdeSystem("g", {"p": 0.5}, var_order, equations, {("y", 0): 0.0},
-                       {"f": ((-1.0, -1.0), (1.0, 1.0))}, 1.0, (), {})
-    return system, refs
+        statements.append(Decl("eq", v, 0, expr))
+    program, _ = parse(pretty(Program("g", tuple(statements))))  # with source lines
+    return program, refs
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(order0_systems())
 def test_algebraic_order_matches_networkx(case):
-    system, refs = case
+    """resolve orders the order-0 equations as networkx does, or names one
+    of networkx's cycles, rotated to its smallest variable, at that
+    variable's equation."""
+    program, refs = case
+    lines = {s.name: s.line for s in program.statements if isinstance(s, Decl) and s.keyword == "eq"}
     g = nx.DiGraph()
     g.add_nodes_from(refs)
     g.add_edges_from((r, v) for v, rs in refs.items() for r in rs if r in refs)
+    system, diags = resolve(program)
     if nx.is_directed_acyclic_graph(g):
-        assert algebraic_order(system) == list(nx.topological_sort(g))
+        assert diags == []
+        assert list(system.order0) == list(nx.topological_sort(g))
     else:
-        with pytest.raises(ScalingError, match="algebraic cycle") as err:
-            algebraic_order(system)
-        assert any(f"{c}" in str(err.value) for c in nx_loops(g))
+        assert system is None
+        [d] = diags
+        assert any(str(d) == f"{lines[c[0]]}:1: algebraic cycle among order-0 variables: {c}"
+                   for c in nx_loops(g))
 
 
 def test_json_rejects_unknown_keys():
@@ -456,14 +464,15 @@ def test_json_malformed_table_names_the_element(table):
 def test_table_lookup_agrees_with_numpy(xs, ys, x):
     xs = sorted(xs)
     table = tuple(zip(xs, ys))
-    assert table_lookup(table)(x) == pytest.approx(float(np.interp(x, xs, ys[:len(xs)])),
-                                                   abs=1e-12)
+    assert element_output(Kind.FUNCTION_GENERATOR, {"table": table}, [x]) == pytest.approx(
+        float(np.interp(x, xs, ys[:len(xs)])), abs=1e-12)
 
 
 def test_table_lookup_of_nan_is_nan():
     # NaN fails every comparison of the lookup; it must not pick a segment
     # past the table's end.
-    assert math.isnan(table_lookup(((-1.0, -1.0), (0.0, 0.5), (1.0, 1.0)))(math.nan))
+    table = ((-1.0, -1.0), (0.0, 0.5), (1.0, 1.0))
+    assert math.isnan(element_output(Kind.FUNCTION_GENERATOR, {"table": table}, [math.nan]))
 
 
 def _netlist(*extra, nets=None):

@@ -120,6 +120,18 @@ class TestBounds:
         assert bounds.values[("y", 2)] == pytest.approx(2 + 0.5 * 4)
         assert bounds.method[("y", 2)] == "interval"
 
+    def test_interval_fill_keeps_an_order_zero_bound(self):
+        # x carries its own bound, 0.8, above its interval 0.5: the walk
+        # over the order-0 equations, x before w, which reads it, keeps it
+        # and bounds w and y' from it.
+        src = ("system t\nvar w order 0\nvar x order 0\nvar y order 1\neq w = x + 0.25\n"
+               "eq x = 0.5*y\neq y' = -w\ninit y = 0.5\nbound y = 1\nbound x = 0.8\ntime 1\n")
+        bounds = estimate_bounds(resolve_src(src))
+        assert bounds.method == {("x", 0): "user", ("y", 0): "user", ("w", 0): "interval",
+                                 ("y", 1): "interval"}
+        assert bounds.values[("x", 0)] == 0.8
+        assert bounds.values[("w", 0)] == bounds.values[("y", 1)] == pytest.approx(0.8 + 0.25)
+
     def test_lookup_is_bounded_by_its_table_bound(self):
         # At x just below x1 the segment's formula rounds one ulp past
         # y1 = 1 (the table of test_simulator's one-ulp lookup): the interval

@@ -23,7 +23,6 @@ from apc.machine import (
     integrator,
     reference,
     summer,
-    table_lookup,
 )
 from apc.simulator import (
     LEGAL_TRANSITIONS,
@@ -586,9 +585,9 @@ class TestGeneratedLoopEdges:
     @pytest.mark.parametrize("x", LOOKUP_POINTS)
     def test_lookup_matches_bisection(self, x):
         # The inline lookup against bisect_right over the same formula, in
-        # the generated loop (the net at step 0) and through table_lookup.
+        # the generated loop (the net at step 0) and through element_output.
         expected = bisect_lookup(TABLE, x)
-        assert repr(table_lookup(TABLE)(x)) == repr(expected)
+        assert repr(element_output(Kind.FUNCTION_GENERATOR, {"table": TABLE}, [x])) == repr(expected)
         if not -1.0 <= x <= 1.0:
             return
         elems = [reference("one", 1.0), coefficient("zero", "one", 0.0),
