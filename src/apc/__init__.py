@@ -16,8 +16,8 @@ from importlib import import_module as _import_module
 
 #: Submodule -> the names the package exports from it.
 _EXPORTS = {
-    "compiler": ("CompileError", "CompileOptions", "CompileResult", "ScalingViolationError",
-                 "UnscaledCoefficientError", "compile_system"),
+    "compiler": ("CompileError", "CompileOptions", "CompileResult", "ScaleMap",
+                 "ScalingViolationError", "UnscaledCoefficientError", "compile_system"),
     "dsl": ("Diagnostic", "OdeSystem", "parse", "pretty", "resolve"),
     "fabric": ("THAT", "MachineSpec", "PatchAssignment", "ResourceError", "apply_assignment",
                "load_machine_spec", "map_netlist", "patch_instructions"),
@@ -25,7 +25,7 @@ _EXPORTS = {
                 "ScalingError", "SignalBinding", "StructuralError", "element_output",
                 "evaluation_order", "load_netlist", "netlist_from_dict", "netlist_to_dict",
                 "save_netlist", "validate"),
-    "scaling": ("BoundsEstimate", "ScaleMap", "amplitude_scale", "autoscale", "estimate_bounds",
+    "scaling": ("BoundsEstimate", "amplitude_scale", "autoscale", "estimate_bounds",
                 "reference_solution", "time_scale"),
     "simulator": ("MachineInstance", "Mode", "ModeError", "OverloadError",
                   "SimConfig", "Trace", "descale_trace", "new_instance"),

@@ -8,11 +8,13 @@ Exit codes are stable: 0 ok, 1 usage, 2 parse error, 3 resolve/compile
 error, 4 scaling, resource or simulation error (a lost sweep lane among
 them), 5 strict-overload abort.
 
-Each command imports only the modules it runs: ``check`` the DSL, ``run``
-and ``sweep`` the machine and the simulator, ``map`` the machine and the
-fabric. Every ``apc`` call is a new process that pays its imports again,
-so a sweep forks its lanes with ``os.fork`` and sends results back with
-``marshal``, both built in, rather than load a process pool.
+Each command imports only the modules it runs: ``check`` the DSL,
+``compile`` the DSL, the compiler and, under ``--scale auto`` only, the
+scaler, ``run`` and ``sweep`` the machine and the simulator, ``map`` the
+machine and the fabric. Every ``apc`` call is a new process that pays its
+imports again, so a sweep forks its lanes with ``os.fork`` and sends
+results back with ``marshal``, both built in, rather than load a process
+pool.
 """
 
 from __future__ import annotations
@@ -54,11 +56,7 @@ def _load_system(path: str):
     """Parse and resolve a source file; raises SystemExit on diagnostics."""
     from . import dsl
 
-    try:
-        program, diags = dsl.load_program(path)
-    except OSError as exc:
-        print(f"apc: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE) from None
+    program, diags = _load_file(dsl.load_program, path)
     if program is None:
         _print_diags(path, diags)
         raise SystemExit(EXIT_PARSE)
@@ -81,16 +79,18 @@ def _sibling(path, ext: str, suffix: str) -> Path:
 
 
 def cmd_compile(args) -> int:
-    from . import compiler, scaling
+    from . import compiler
     from .machine import save_netlist
 
     if not 0 < args.k0 < math.inf:
         raise _UsageError(f"--k0 must be positive and finite, got {args.k0}")
     system = _load_system(args.source)
     if args.scale == "auto":
-        scale = scaling.autoscale(system, k0=args.k0)
+        from .scaling import autoscale
+
+        scale = autoscale(system, k0=args.k0)
     else:
-        scale = scaling.ScaleMap.identity(args.k0)
+        scale = compiler.ScaleMap.identity(args.k0)
     result = compiler.compile_system(system, compiler.CompileOptions(scale=scale))
     out = Path(args.output) if args.output else Path(args.source).with_suffix(".json")
     save_netlist(result.netlist, out)
@@ -143,7 +143,8 @@ def _parse_set(spec: str) -> tuple[str, float]:
 
 
 def _load_file(load, path):
-    """Run a JSON loader; a malformed or unreadable file exits 1 naming it."""
+    """Run a file loader; a malformed, undecodable or unreadable file exits 1
+    naming it."""
     try:
         return load(path)
     except (OSError, ValueError) as exc:
@@ -166,13 +167,13 @@ def _new_machine(args, netlist, mapping) -> tuple[MachineInstance, float]:
     """A machine in IC mode set up by the run flags, and the machine time to run to."""
     from . import simulator
 
-    tau_end = args.tend
+    tau_end, source = args.tend, "--tend"
     if tau_end is None:
-        if not (mapping and mapping.horizon_machine):
+        if mapping is None or mapping.horizon_machine is None:
             raise _UsageError("--tend is required (no sidecar mapping with a horizon found)")
-        tau_end = mapping.horizon_machine
-    if not math.isfinite(tau_end):
-        raise _UsageError(f"--tend must be finite, got {tau_end}")
+        tau_end, source = mapping.horizon_machine, "the sidecar mapping's horizon_machine"
+    if not 0 < tau_end < math.inf:
+        raise _UsageError(f"{source} must be positive and finite, got {tau_end}")
     if args.dt is not None and not 0 < args.dt < math.inf:
         raise _UsageError(f"--dt must be positive and finite, got {args.dt}")
     if args.samples < 1:

@@ -10,28 +10,33 @@ net value = parity * signal value. The lowering tracks parity per net
 and inserts single-input summers only where parities genuinely clash;
 with the chain head assumed positive, the k-th integrator output carries
 parity (-1)^k and its initial-condition setting is parity * init.
-Normalization (``scaling.normalize``, the form the autoscaler sizes
-signals from) folds every sign into term coefficients and net parities,
-so no inverter ever reads an inverter or feeds a multiplier, and no
-cleanup pass is needed.
+Normalization (``normalize``) folds every sign into term coefficients
+and net parities, so no inverter ever reads an inverter or feeds a
+multiplier, and no cleanup pass is needed.
 
 Amplitude and time scaling enter here: a ScaleMap turns each chain stage
 into a coefficient of alpha = lambda * m_upper / (m_lower * k0) and
 folds amplitude factors into term coefficients. Without a ScaleMap the
 chains are plain and the netlist computes y(k0 * tau).
+
+This module owns the contract between scaling and lowering: the normal
+form, ``demand`` (the gains its lowering will need, which the autoscaler
+in ``scaling`` sizes signals by) and ``ScaleMap``. It imports nothing
+from ``scaling``, so a compile without autoscaling never loads it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .dsl import OdeSystem, signal_name
+from .dsl import Bin, Call, Expr, Neg, Num, OdeSystem, Ref, signal_name
 from .machine import (
     Element,
     Mapping,
     Net,
     Netlist,
     ParamBinding,
+    ScalingError,
     SignalBinding,
     coefficient,
     evaluation_order,
@@ -40,9 +45,9 @@ from .machine import (
     multiplier,
     reference,
     summer,
+    table_bound,
 )
 from .record import Frozen, Record, set_field
-from .scaling import ScaleMap, _FSignal, _FSum, _NSum, _Term, normalize, stage_gain
 
 _PENDING = "__pending__"
 _TOL = 1e-9
@@ -58,6 +63,152 @@ class UnscaledCoefficientError(CompileError):
 
 class ScalingViolationError(CompileError):
     """An initial condition or stage gain escaped machine range."""
+
+
+# --- normal form -------------------------------------------------------------
+# An expression becomes a sum of terms; each term is a numeric coefficient
+# (with symbolic param bookkeeping for the sweep interface) times signal,
+# lookup and parenthesized-sum factors. Products never distribute over
+# sums, so the element structure of the source is preserved. The compiler
+# lowers this form term by term (``_Synth``), and ``demand`` predicts the
+# gains that lowering needs, which the autoscaler sizes signals by.
+
+class _FSignal(Record):
+    __slots__ = ("var", "order")
+
+    def __init__(self, var: str, order: int):
+        self.var = var
+        self.order = order
+
+
+class _FLut(Record):
+    __slots__ = ("table", "arg")
+
+    def __init__(self, table: str, arg: _NSum):
+        self.table = table
+        self.arg = arg
+
+
+class _FSum(Record):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: _NSum):
+        self.inner = inner
+
+
+class _Term(Record):
+    __slots__ = ("coeff", "pexps", "factors")
+
+    def __init__(self, coeff: float, pexps: Counter, factors: list):
+        self.coeff = coeff
+        self.pexps = pexps
+        self.factors = factors
+
+
+class _NSum(Record):
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: list):
+        self.terms = terms
+
+
+def _mk_sum(terms) -> _NSum:
+    merged: dict = {}
+    out = []
+    for t in terms:
+        if t.coeff == 0.0:
+            continue
+        if not t.factors:
+            key = frozenset(t.pexps.items())
+            if key in merged:
+                merged[key].coeff += t.coeff
+            else:
+                merged[key] = _Term(t.coeff, t.pexps, [])
+                out.append(merged[key])
+        else:
+            out.append(t)
+    return _NSum([t for t in out if t.coeff != 0.0])
+
+
+def _is_const(n: _NSum) -> bool:
+    return len(n.terms) == 1 and not n.terms[0].factors
+
+
+def _scaled(n: _NSum, c: float, pexps: Counter) -> _NSum:
+    return _mk_sum([_Term(t.coeff * c, t.pexps + pexps, t.factors) for t in n.terms])
+
+
+def _negated(n: _NSum) -> _NSum:
+    return _NSum([_Term(-t.coeff, t.pexps, t.factors) for t in n.terms])
+
+
+def normalize(expr: Expr, system: OdeSystem) -> _NSum:
+    if isinstance(expr, Num):
+        return _mk_sum([_Term(expr.value, Counter(), [])])
+    if isinstance(expr, Ref):
+        if expr.name in system.params:
+            return _mk_sum([_Term(system.params[expr.name], Counter({expr.name: 1}), [])])
+        return _mk_sum([_Term(1.0, Counter(), [_FSignal(expr.name, expr.order)])])
+    if isinstance(expr, Neg):
+        return _negated(normalize(expr.operand, system))
+    if isinstance(expr, Bin):
+        left = normalize(expr.left, system)
+        right = normalize(expr.right, system)
+        if expr.op == "+":
+            return _mk_sum(left.terms + right.terms)
+        if expr.op == "-":
+            return _mk_sum(left.terms + _negated(right).terms)
+        if _is_const(left):
+            t = left.terms[0]
+            return _scaled(right, t.coeff, t.pexps)
+        if _is_const(right):
+            t = right.terms[0]
+            return _scaled(left, t.coeff, t.pexps)
+
+        def as_factors(n: _NSum):
+            if len(n.terms) == 1:
+                t = n.terms[0]
+                return t.coeff, t.pexps, t.factors
+            return 1.0, Counter(), [_FSum(n)]
+
+        lc, lp, lf = as_factors(left)
+        rc, rp, rf = as_factors(right)
+        return _mk_sum([_Term(lc * rc, lp + rp, lf + rf)])
+    if isinstance(expr, Call) and expr.func == "lut":
+        arg = normalize(expr.args[1], system)
+        return _mk_sum([_Term(1.0, Counter(), [_FLut(expr.args[0].name, arg)])])
+    raise TypeError(f"cannot normalize {expr!r}")
+
+
+class ScaleMap(Frozen):
+    """Amplitude factors per signal plus the time-scale factor.
+
+    Machine signal = problem signal / m; problem time t = lam * tau.
+    ``k0`` is the integrator rate the compiled netlist will use; with the
+    default lam = k0 and uniform amplitudes the integrator chains carry
+    unit stage coefficients.
+    """
+
+    __slots__ = ("amplitude", "lam", "k0")
+
+    def __init__(self, amplitude: dict | None = None, lam: float = 1.0, k0: float = 1.0):
+        if not (lam > 0 and k0 > 0):
+            raise ValueError("lambda and k0 must be positive")
+        set_field(self, "amplitude", {} if amplitude is None else amplitude)
+        set_field(self, "lam", lam)
+        set_field(self, "k0", k0)
+
+    def m(self, var: str, order: int) -> float:
+        return self.amplitude.get((var, order), 1.0)
+
+    @classmethod
+    def identity(cls, k0: float = 1.0) -> "ScaleMap":
+        return cls({}, lam=k0, k0=k0)
+
+
+def stage_gain(scale: ScaleMap, var: str, low_order: int) -> float:
+    """Required gain alpha*k0 feeding the integrator that outputs ``low_order``."""
+    return scale.lam * scale.m(var, low_order + 1) / scale.m(var, low_order)
 
 
 class CompileOptions(Frozen):
@@ -112,6 +263,40 @@ class NetlistBuilder:
 
 
 # --- synthesis ---------------------------------------------------------------
+
+def demand(n: _NSum, amplitude: dict, tables: dict) -> tuple[float, float]:
+    """(G, V) of a normal form as ``_Synth`` lowers it.
+
+    G is the largest gain any one term's coefficient needs (its constant
+    times the amplitude factors of its signals) and V the worst-case
+    magnitude of the summing net with every machine net at full scale.
+    A sum used as a multiplier operand or as a lookup-table argument is
+    lowered unscaled, so it must fit [-1, 1] on its own.
+    """
+    g = v = 0.0
+    for t in n.terms:
+        gain = size = abs(t.coeff)
+        for f in t.factors:
+            if isinstance(f, _FSignal):
+                m = amplitude[(f.var, f.order)]
+                gain, size = gain * m, size * m
+            elif isinstance(f, _FSum):
+                g_in, v_in = demand(f.inner, amplitude, tables)
+                if max(g_in, v_in) > 1.0 + 1e-9:
+                    raise ScalingError(
+                        f"parenthesized sum needs {max(g_in, v_in):.4g} machine units; "
+                        "expand it or bound its inputs")
+                size *= min(1.0, v_in)
+            else:
+                arg = max(demand(f.arg, amplitude, tables))
+                if arg > 1.0 + 1e-9:
+                    raise ScalingError(
+                        f"lookup-table argument can reach {arg:.4g}; arguments must stay in [-1, 1]")
+                size *= table_bound(tables[f.table])
+        g = max(g, gain)
+        v += size
+    return g, v
+
 
 class _Synth:
     def __init__(self, builder: NetlistBuilder, system: OdeSystem, scale: ScaleMap):

@@ -320,9 +320,9 @@ def _check_params(e: Element):
 def validate(netlist: Netlist) -> list[Violation]:
     """Structural validation report; empty means the netlist is well formed.
 
-    Checks the single-driver rule, input arities, parameter ranges, and
-    that every declared output name exists. Violations are report
-    entries, never exceptions.
+    Checks the single-driver rule, input arities, parameter ranges, that
+    no two nets share a name and that every declared output name exists.
+    Violations are report entries, never exceptions.
     """
     report: list[Violation] = []
     drivers_seen: dict[str, str] = {}
@@ -345,9 +345,15 @@ def validate(netlist: Netlist) -> list[Violation]:
             if nid not in netlist.nets:
                 report.append(Violation(e.id, "dangling-input", f"input references missing net {nid!r}"))
         report.extend(_check_params(e))
-    names = {net.name for net in netlist.nets.values() if net.name}
+    named: dict[str, str] = {}  # name -> the first net that carries it
+    for nid, net in netlist.nets.items():
+        if net.name in named:
+            report.append(Violation("", "duplicate-name", f"nets {named[net.name]!r} and "
+                                    f"{nid!r} are both named {net.name!r}"))
+        elif net.name:
+            named[net.name] = nid
     for name in netlist.outputs:
-        if name not in names:
+        if name not in named:
             report.append(Violation("", "missing-output", f"output {name!r} names no net"))
     return report
 

@@ -26,8 +26,9 @@ from apc import (
     reference_solution,
 )
 from apc.compiler import NetlistBuilder  # noqa: F401  (import check of public surface)
+from apc.compiler import ScaleMap
 from apc.machine import Netlist, integrator, reference
-from apc.scaling import ScaleMap, autoscale
+from apc.scaling import autoscale
 from apc.simulator import LEGAL_TRANSITIONS, Mode, ModeError
 from conftest import SINE5_SRC, SINE_SRC, UNSTABLE_SRC, FIG2_SRC, build, resolve_src, src_env
 

@@ -155,8 +155,19 @@ class TestCheck:
         src = write(workdir / "bad.apc", "system t\nvar y order 2\neq y'' = -y\ninit y = 0\ntime 1\n")
         assert main(["check", src]) == 3
 
-    def test_missing_file_exits_1(self, workdir):
+    def test_missing_file_exits_1(self, workdir, capsys):
         assert main(["check", "nope.apc"]) == 1
+        assert capsys.readouterr().err == (
+            "apc: nope.apc: [Errno 2] No such file or directory: 'nope.apc'\n")
+
+    @pytest.mark.parametrize("command", ["check", "compile"])
+    def test_undecodable_source_exits_1(self, workdir, capsys, command):
+        """A source that is not UTF-8 once ended in a UnicodeDecodeError traceback."""
+        (workdir / "bad.apc").write_bytes(b"system s\nvar y order 1\neq y\xff = -y\n")
+        assert main([command, "bad.apc"]) == 1
+        assert capsys.readouterr().err == ("apc: bad.apc: 'utf-8' codec can't decode byte 0xff "
+                                           "in position 27: invalid start byte\n")
+        assert not (workdir / "bad.json").exists()
 
     @pytest.mark.parametrize("order, lowest", [("200000", "y^(200000)"),
                                                ("1000000000000", "y^(1000000000000)")])
@@ -401,6 +412,30 @@ class TestRun:
         assert main(["run", str(out), *flag]) == 1
         assert "apc: usage: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tend", ["-1", "0", "-0"])
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "k=0.1,0.2", "--out", "s"]],
+                             ids=["run", "sweep"])
+    def test_run_end_not_positive_exits_1(self, workdir, capsys, command, tend):
+        """Such a run end once ran nothing and exited 0 with the initial values."""
+        out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
+        capsys.readouterr()
+        assert main([command[0], str(out), "--tend", tend, *command[1:]]) == 1
+        assert capsys.readouterr() == ("", "apc: usage: --tend must be positive and finite, "
+                                           f"got {float(tend)}\n")
+        assert not (workdir / "s").exists()
+
+    @pytest.mark.parametrize("horizon", [-1.0, 0.0])
+    def test_sidecar_horizon_not_positive_exits_1(self, workdir, capsys, horizon):
+        out = compiled(workdir, SINE_SRC, "sine")
+        mpath = workdir / "sine.map.json"
+        doc = json.loads(mpath.read_text())
+        doc["horizon_machine"] = horizon
+        mpath.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["run", str(out)]) == 1
+        assert capsys.readouterr() == ("", "apc: usage: the sidecar mapping's horizon_machine "
+                                           f"must be positive and finite, got {horizon}\n")
+
     def test_infinite_dt_exits_1(self, workdir, capsys):
         out = compiled(workdir, SINE_SRC, "sine")
         assert main(["run", str(out), "--dt", "inf"]) == 1
@@ -577,6 +612,23 @@ class TestInvalidNetlist:
         assert time.perf_counter() - start < 1.0
         captured = capsys.readouterr()
         assert (captured.err, captured.out) == ("apc: algebraic loop(s): [['s00']]\n", "")
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--tend", "1", "--trace", "t.csv"], ["map"],
+        ["sweep", "--param", "k=0.1,0.2", "--tend", "1", "--out", "s"],
+    ], ids=["run", "map", "sweep"])
+    def test_duplicate_net_name_exits_1(self, workdir, capsys, command):
+        """Two nets named y once validated, and run traced the last one as y."""
+        out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
+        doc = json.loads(out.read_text())
+        next(net for net in doc["nets"] if net["name"] is None)["name"] = "y"
+        out.write_text(json.dumps(doc))
+        first, second = [net["id"] for net in doc["nets"] if net["name"] == "y"]
+        capsys.readouterr()
+        assert main([command[0], str(out), *command[1:]]) == 1
+        assert capsys.readouterr() == ("", "apc: netlist does not validate: duplicate-name: "
+                                           f"nets {first!r} and {second!r} are both named 'y'\n")
+        assert not (workdir / "t.csv").exists() and not (workdir / "s").exists()
 
     @pytest.mark.parametrize("command", [
         ["run", "--tend", "1"], ["map"],
@@ -1026,6 +1078,7 @@ def test_sidecar_names_keep_their_scaling_home():
 COMMAND_MODULES = {
     "check": ["apc.dsl", "apc.record"],
     "compile": ["apc.compiler", "apc.dsl", "apc.machine", "apc.record", "apc.scaling"],
+    "compile-none": ["apc.compiler", "apc.dsl", "apc.machine", "apc.record"],
     "run": ["apc.machine", "apc.record", "apc.simulator"],
     "run-problem-units": ["apc.machine", "apc.record", "apc.simulator"],
     "sweep": ["apc.machine", "apc.record", "apc.simulator"],
@@ -1039,7 +1092,8 @@ COMMAND_EXITS = {"map-loop": 1}
 
 #: command -> the apc classes that are dataclasses once it has run; every
 #: other command never imports ``dataclasses``.
-COMMAND_DATACLASSES = {"check": ["apc.dsl.OdeSystem"], "compile": ["apc.dsl.OdeSystem"]}
+COMMAND_DATACLASSES = {"check": ["apc.dsl.OdeSystem"], "compile": ["apc.dsl.OdeSystem"],
+                       "compile-none": ["apc.dsl.OdeSystem"]}
 
 
 @pytest.mark.parametrize("command", list(COMMAND_MODULES))
@@ -1053,6 +1107,8 @@ def test_each_command_loads_only_the_modules_it_runs(workdir, command):
     argv = {
         "check": ["check", str(workdir / "sine.apc")],
         "compile": ["compile", str(workdir / "sine.apc"), "-o", str(workdir / "c.json")],
+        "compile-none": ["compile", str(workdir / "sine.apc"), "--scale", "none",
+                         "-o", str(workdir / "c.json")],
         "run": ["run", str(sine), "--trace", str(workdir / "t.csv")],
         "run-problem-units": ["run", str(sine), "--trace", str(workdir / "t.csv"),
                               "--problem-units"],
@@ -1072,6 +1128,20 @@ def test_each_command_loads_only_the_modules_it_runs(workdir, command):
     assert fresh_python(code).splitlines()[-2:] == [f"{COMMAND_EXITS.get(command, 0)} "
                                                     f"{COMMAND_MODULES[command]}",
                                                     f"{bool(dataclasses)} {dataclasses}"]
+
+
+@pytest.mark.parametrize("first, second", [("compiler", "scaling"), ("scaling", "compiler")])
+def test_compiler_loads_without_the_scaler(first, second):
+    """The compiler owns the normal form, ``demand`` and ``ScaleMap`` and
+    imports nothing from ``scaling``, which imports them from it; either
+    module may be imported first."""
+    code = ("import sys\n"
+            f"import apc.{first}\n"
+            "print('apc.scaling' in sys.modules)\n"
+            f"import apc.{second}\n"
+            "from apc import compiler, scaling\n"
+            "print(scaling.ScaleMap is compiler.ScaleMap)\n")
+    assert fresh_python(code).splitlines() == [str(first == "scaling"), "True"]
 
 
 def test_importing_apc_runs_no_generated_code():

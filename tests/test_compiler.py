@@ -10,13 +10,14 @@ from apc import compiler, dsl, scaling, simulator
 from apc.compiler import (
     CompileOptions,
     NetlistBuilder,
+    ScaleMap,
     ScalingViolationError,
     UnscaledCoefficientError,
     build_integrator_chain,
     compile_system,
 )
 from apc.machine import Kind, is_inverter, netlist_to_dict
-from apc.scaling import ScaleMap, ScalingError, reference_solution
+from apc.scaling import ScalingError, reference_solution
 from conftest import SINE_SRC, VCO_SRC, build, compilable_programs, resolve_src
 
 COUPLED_SRC = """\

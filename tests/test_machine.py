@@ -499,6 +499,8 @@ VALIDATION_CASES = {
                      Violation("f", "param-range", "breakpoint (1.0, -2.0) outside [-1, 1]")),
     "drives-no-net": (_netlist(summer("s", ["r"]), nets={"r": Net("r")}),
                       Violation("s", "single-driver", "element drives no net")),
+    "duplicate-name": (_netlist(summer("s", ["r"]), nets={"r": Net("r", "y"), "s": Net("s", "y")}),
+                       Violation("", "duplicate-name", "nets 'r' and 's' are both named 'y'")),
 }
 
 

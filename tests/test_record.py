@@ -28,7 +28,7 @@ FROZEN = [
     dsl.Program("s", ()), dsl.Token("num", "1", 1, 1), machine.KINDS[Kind.SUMMER],
     Element("e", Kind.SUMMER, {}, ("n",)), Net("e"), Violation("e", "arity", "m"),
     SignalBinding("n", 1), ParamBinding("e", 1.0, 0.5), SimConfig(), OverloadEvent(0.5, "e", 1.2),
-    scaling.BoundsEstimate({}, {}), scaling.ScaleMap(), compiler.CompileOptions(), fabric.THAT,
+    scaling.BoundsEstimate({}, {}), compiler.ScaleMap(), compiler.CompileOptions(), fabric.THAT,
 ]
 
 
@@ -97,7 +97,7 @@ def test_a_frozen_record_survives_copy_and_pickle(record):
 def test_mutable_records_stay_mutable_and_unhashable():
     trace = Trace([0.0], {"y": [0.5]}, [])
     trace.time_label = "t"
-    term = scaling._Term(1.0, Counter(), [])
+    term = compiler._Term(1.0, Counter(), [])
     term.coeff += 1.0
     assert (trace.time_label, term.coeff) == ("t", 2.0)
     for record in (trace, term, machine.Mapping({}, {}), fabric.PatchAssignment("that", {})):
@@ -108,7 +108,7 @@ def test_mutable_records_stay_mutable_and_unhashable():
 def test_defaults_are_fresh_per_instance():
     assert Element("a", Kind.SUMMER).params == {} and Element("a", Kind.SUMMER).inputs == ()
     assert Element("a", Kind.SUMMER).params is not Element("b", Kind.SUMMER).params
-    assert scaling.ScaleMap().amplitude is not scaling.ScaleMap().amplitude
+    assert compiler.ScaleMap().amplitude is not compiler.ScaleMap().amplitude
     first, second = fabric.PatchAssignment("that", {}), fabric.PatchAssignment("that", {})
     assert first.patches == [] and first.patches is not second.patches
 

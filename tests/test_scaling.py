@@ -15,11 +15,10 @@ from hypothesis import given, settings
 
 from apc import compiler, scaling, simulator
 from apc.cli import main
-from apc.compiler import CompileOptions, compile_system
+from apc.compiler import CompileOptions, ScaleMap, compile_system
 from apc.dsl import signal_name
 from apc.scaling import (
     Mapping,
-    ScaleMap,
     ScalingError,
     SignalBinding,
     amplitude_scale,
@@ -142,7 +141,7 @@ class TestBounds:
         assert bounds.values[("y", 0)] == table_bound(system.tables["f"]) == 1.0000000000000002
         assert bounds.method[("y", 0)] == "interval"
         unit = dict.fromkeys(bounds.values, 1.0)
-        assert scaling._demand(scaling.normalize(system.equations["y"], system), unit,
+        assert compiler.demand(compiler.normalize(system.equations["y"], system), unit,
                                system.tables) == (1.0, 1.0000000000000002)
 
     def test_divergent_system_reports_unbounded(self, tmp_path, capsys):
