@@ -166,6 +166,7 @@ def _load_netlist_and_mapping(args):
 def _new_machine(args, netlist, mapping) -> tuple[MachineInstance, float]:
     """A machine in IC mode set up by the run flags, and the machine time to run to."""
     from . import simulator
+    from .machine import evaluation_order
 
     tau_end, source = args.tend, "--tend"
     if tau_end is None:
@@ -178,7 +179,10 @@ def _new_machine(args, netlist, mapping) -> tuple[MachineInstance, float]:
         raise _UsageError(f"--dt must be positive and finite, got {args.dt}")
     if args.samples < 1:
         raise _UsageError(f"--samples must be at least 1, got {args.samples}")
-    dt = args.dt if args.dt is not None else simulator.default_dt(netlist)
+    dt = args.dt
+    if dt is None:
+        evaluation_order(netlist)  # default_dt reads params only a valid netlist must have
+        dt = simulator.default_dt(netlist)
     if not dt > 0:
         raise _UsageError("the default step size underflows to 0 for this netlist's "
                           "integrator gains; pass --dt")

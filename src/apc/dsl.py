@@ -818,5 +818,5 @@ def resolve(program: Program) -> tuple[OdeSystem | None, list[Diagnostic]]:
 
 
 def load_program(path) -> tuple[Program | None, list[Diagnostic]]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is not source text
         return parse(fh.read())

@@ -169,6 +169,17 @@ class TestCheck:
                                            "in position 27: invalid start byte\n")
         assert not (workdir / "bad.json").exists()
 
+    def test_byte_order_mark_is_not_source(self, workdir):
+        """A UTF-8 byte-order mark once exited 2 as an unexpected character."""
+        text = (ROOT / "programs" / "sine.apc").read_bytes()
+        (workdir / "plain.apc").write_bytes(text)
+        (workdir / "bom.apc").write_bytes(b"\xef\xbb\xbf" + text)
+        assert main(["check", "bom.apc"]) == 0
+        for name in ("plain", "bom"):
+            assert main(["compile", f"{name}.apc"]) == 0
+        for name in ("bom.json", "bom.map.json"):
+            assert (workdir / name).read_bytes() == (workdir / f"plain{name[3:]}").read_bytes()
+
     @pytest.mark.parametrize("order, lowest", [("200000", "y^(200000)"),
                                                ("1000000000000", "y^(1000000000000)")])
     def test_huge_order_exits_3_in_bounded_memory(self, workdir, order, lowest):
@@ -644,6 +655,23 @@ class TestInvalidNetlist:
                                            "s1: dangling-input: input references missing net 'ghost'\n")
 
 
+    @pytest.mark.parametrize("command", [
+        ["run", "--tend", "0.01"], ["run", "--tend", "0.01", "--dt", "1e-3"],
+        ["sweep", "--param", "k=0.1,0.2", "--tend", "0.01", "--out", "s"],
+    ], ids=["run", "run-dt", "sweep"])
+    def test_integrator_without_k0_exits_1(self, workdir, capsys, command):
+        """Without --dt such a netlist once ended in a KeyError traceback:
+        the default step size read k0 before anything validated."""
+        out = compiled(workdir, SINE_SRC, "sine")
+        doc = json.loads(out.read_text())
+        del next(e for e in doc["elements"] if e["id"] == "int1")["params"]["k0"]
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main([command[0], str(out), *command[1:]]) == 1
+        assert capsys.readouterr() == ("", "apc: netlist does not validate: int1: param-range: "
+                                           "expected params ['ic', 'k0'], got ['ic']\n")
+
+
 class TestSweep:
     def test_ten_rows_and_traces(self, workdir):
         out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
@@ -1019,13 +1047,15 @@ def test_forked_sweep_loads_no_process_pool(tmp_path):
 
 
 def test_autoscaled_compile_leaves_out_scipy(tmp_path):
-    """The oracle of an autoscaled compile runs on numpy alone."""
-    argv = ["compile", str(ROOT / "programs" / "vco.apc"), "--scale", "auto",
-            "-o", str(tmp_path / "vco.json")]
-    code = ("import sys; from apc.cli import main; code = main(%r); "
-            "print(code, 'numpy' in sys.modules, "
-            "sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))" % argv)
-    assert fresh_python(code).splitlines()[-1] == "0 True []"
+    """vco's modal bound needs neither numpy nor scipy; the oracle, which
+    decay's lookup table needs, runs on numpy alone."""
+    for name, numpy in [("vco", False), ("decay", True)]:
+        argv = ["compile", str(ROOT / "programs" / f"{name}.apc"), "--scale", "auto",
+                "-o", str(tmp_path / f"{name}.json")]
+        code = ("import sys; from apc.cli import main; code = main(%r); "
+                "print(code, 'numpy' in sys.modules, "
+                "sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))" % argv)
+        assert fresh_python(code).splitlines()[-1] == f"0 {numpy} []", name
 
 
 #: Every name ``apc`` exported when its ``__init__`` still imported every

@@ -11,7 +11,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from apc import compiler, scaling, simulator
 from apc.cli import main
@@ -32,8 +33,8 @@ from apc.scaling import (
 )
 from apc.machine import table_bound
 from apc.simulator import OverloadEvent, SimConfig, Trace, new_instance
-from conftest import (ROOT, SINE5_SRC, SINE_SRC, autoscaled_json, compilable_programs,
-                      resolve_src, src_env)
+from conftest import (DECAY_LUT_SRC, ROOT, SINE5_SRC, SINE_SRC, autoscaled_json,
+                      compilable_programs, resolve_src, src_env)
 from test_compiler import simulable_odes
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -98,7 +99,14 @@ class TestBounds:
         # y = 5 cos t: every derivative peaks at 5, margin 1.25 makes 6.25
         assert bounds.values[("y", 0)] == pytest.approx(6.25, rel=1e-3)
         assert bounds.values[("y", 1)] == pytest.approx(6.25, rel=1e-3)
-        assert bounds.method[("y", 0)] == "oracle"
+        assert bounds.method[("y", 0)] == "modal"
+
+    def test_nonlinear_oracle_bounds_with_margin(self):
+        # y = 5 / (1 + 5t) and y' = -y^2 peak at t = 0, at 5 and 25
+        system = resolve_src("system t\nvar y order 1\neq y' = -y*y\ninit y = 5\ntime 1\n")
+        bounds = estimate_bounds(system)
+        assert bounds.values == {("y", 0): 6.25, ("y", 1): 31.25}
+        assert bounds.method == {("y", 0): "oracle", ("y", 1): "oracle"}
 
     def test_in_range_system(self):
         system = resolve_src(HALF_SINE_SRC)
@@ -175,6 +183,134 @@ class TestBounds:
         src = "system t\nvar y order 1\neq y' = -y\ninit y = 0\ntime 1\n"
         bounds = estimate_bounds(resolve_src(src))
         assert bounds.values[("y", 0)] == 1.0
+
+
+#: 2,001 evenly spaced samples fall one period apart: every sample of y'
+#: lands on a zero crossing, so the oracle's peak of y' missed by 10^7.
+ALIAS_SRC = """\
+system alias
+var y order 2
+eq y'' = -10000*y
+init y = 0.5
+init y' = 0
+time 125.66370614359172
+output y
+"""
+
+
+def oracle_path():
+    """Send ``estimate_bounds`` to the oracle, as it went before modal bounds."""
+    return mock.patch.object(scaling, "_modal_bounds", return_value=None)
+
+
+class TestModalBounds:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 8), st.integers(0, 4), st.integers(0, 2**32 - 1))
+    def test_eigen_decomposition_matches_numpy(self, n, pairs, seed):
+        """A = S D S^-1 with random S and a D of real roots and up to
+        ``pairs`` rotation blocks, each a complex pair."""
+        rng = np.random.default_rng(seed)
+        d = np.diag(rng.normal(size=n))
+        for i in range(0, 2 * min(pairs, n // 2), 2):
+            re, im = rng.normal(), rng.uniform(0.1, 2.0)
+            d[i:i + 2, i:i + 2] = [[re, im], [-im, re]]
+        s = rng.normal(size=(n, n))
+        a = s @ d @ np.linalg.inv(s)
+        lam, v, _ = scaling._eig(a.tolist())
+        expect = list(np.linalg.eigvals(a))
+        for z in lam:  # match each root to its nearest, once
+            nearest = min(expect, key=lambda e: abs(e - z))
+            assert abs(nearest - z) <= 1e-8 * max(1.0, np.abs(a).sum(0).max())
+            expect.remove(nearest)
+        v = np.array(v)
+        residual = np.abs(a @ v - v * np.array(lam)).sum(0).max()
+        norm1 = np.abs(a).sum(0).max() * np.abs(v).sum(0).max()
+        assert residual <= 16 * n * np.finfo(float).eps * norm1
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(simulable_odes())
+    def test_bound_covers_the_dense_peak(self, src):
+        system = resolve_src(src)
+        bounds = scaling._modal_bounds(system)
+        assume(bounds is not None)
+        oracle = reference_solution(system, t_eval=np.linspace(0.0, system.horizon, 20001))
+        for key, bound in bounds.items():
+            peak = float(np.max(np.abs(oracle.signals[key])))
+            assert bound >= peak * (1 - scaling.ORACLE_RTOL) - scaling.ORACLE_ATOL, key
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.one_of(simulable_odes(), compilable_programs()))
+    def test_no_factor_below_the_oracle_paths(self, src):
+        system = resolve_src(src)
+        try:
+            with oracle_path():
+                before = amplitude_scale(system, estimate_bounds(system))
+        except ScalingError:
+            return
+        after = amplitude_scale(system, estimate_bounds(system))
+        assert all(after.amplitude[key] >= m for key, m in before.amplitude.items())
+
+    @pytest.mark.parametrize("init, m", [("4", 5.0), ("2", 2.5), ("0.8", 1.0), ("0.16", 0.2)])
+    def test_grid_edge_keeps_its_scale(self, init, m):
+        """A fixed slack of 1e-9 bounded init 4 at just over 5, scaled by 10."""
+        system = resolve_src(SINE5_SRC.replace("init y = 5", f"init y = {init}"))
+        with oracle_path():
+            before = autoscale(system)
+        assert estimate_bounds(system).method[("y", 0)] == "modal"
+        assert autoscale(system) == before and before.m("y", 0) == m
+
+    @pytest.mark.parametrize("src", [
+        # a defective A, cond(V) 3e16; inits this small keep the modes' sum below 1e12
+        "system t\nparam c = -0.5\nvar y order 3\neq y''' = c*y''\ninit y = 1e-8\n"
+        "init y' = 1e-8\ninit y'' = 1e-8\ntime 1\n",
+        "system t\nvar x order 0\nvar y order 1\neq x = 0.5*y\neq y' = -x\ninit y = 0.5\ntime 1\n",
+        "system t\nvar y order 1\neq y' = 0.1 - y\ninit y = 0.5\ntime 1\n",
+        DECAY_LUT_SRC,
+        # y = e^1.01t - e^t peaks at 1.7e11, but its modes add up past 1e12
+        "system t\nvar y order 2\neq y'' = 2.01*y' - 1.01*y\ninit y = 0\ninit y' = 0.01\ntime 27\n",
+        # eleven zero roots: back-substitution divides by eps ten times, and the
+        # square of an eigenvector entry overflows
+        "system t\nvar y order 11\neq y" + "'" * 11 + " = 0\n"
+        + "".join(f"init y{chr(39) * k} = 0.1\n" for k in range(11)) + "time 1\n",
+    ], ids=["double-zero-root", "order-0", "constant", "lut", "over-1e12", "overflow"])
+    def test_fallback_keeps_the_oracle(self, src):
+        system = resolve_src(src)
+        assert scaling._modal_bounds(system) is None
+        assert set(estimate_bounds(system).method.values()) == {"oracle"}
+
+    def test_a_stiff_program_keeps_its_growing_mode(self):
+        """Roots near 1 and -1e17: QR finds the small one only to within
+        eps 1e17, here as 0, and a bound from that root alone read 0.5
+        where y reaches 0.5 e^10."""
+        system = resolve_src("system t\nvar y order 2\neq y'' = -1e17*y' + 1e17*y\n"
+                             "init y = 0.5\ninit y' = 0.5\ntime 10\n")
+        bounds = scaling._modal_bounds(system)
+        assert bounds is None or min(bounds.values()) >= 0.5 * math.exp(10)
+
+    @pytest.mark.parametrize("src", [ALIAS_SRC, HALF_SINE_SRC.replace("time 10", "time 1e6")],
+                             ids=["alias", "time-1e6"])
+    def test_compile_time_does_not_grow_with_the_horizon(self, tmp_path, src):
+        """A separate process with a timeout: the oracle integrated the
+        whole horizon, 12.6 s for alias and over 120 s at time 1e6."""
+        (tmp_path / "p.apc").write_text(src, encoding="utf-8")
+        code = ("import time; from apc.cli import main; start = time.perf_counter(); "
+                f"code = main(['compile', {str(tmp_path / 'p.apc')!r}]); "
+                "print(code, time.perf_counter() - start)")
+        proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                              text=True, timeout=60)
+        status, seconds = proc.stdout.split()[-2:]
+        assert status == "0" and float(seconds) < 1.0
+
+    def test_alias_runs_without_overload(self, tmp_path, capsys):
+        source, out = tmp_path / "alias.apc", tmp_path / "alias.json"
+        source.write_text(ALIAS_SRC, encoding="utf-8")
+        assert main(["compile", str(source), "-o", str(out)]) == 0
+        mapping = Mapping.load(tmp_path / "alias.map.json")
+        assert [mapping.signals[name].scale for name in ("y", "y'", "y''")] == [1.0, 100.0, 1e4]
+        assert mapping.lam == 0.01
+        capsys.readouterr()
+        assert main(["run", str(out), "--tend", "1e4", "--dt", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "overloads: 0"
 
 
 @pytest.fixture(scope="module")
