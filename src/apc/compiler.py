@@ -72,8 +72,9 @@ class ScalingViolationError(CompileError):
 # sums, so the element structure of the source is preserved. The compiler
 # lowers this form term by term (``_Synth``), and ``demand`` predicts the
 # gains that lowering needs, which the autoscaler sizes signals by.
+# ``FSignal`` is public: the modal bounds in ``scaling`` read linear terms by it.
 
-class _FSignal(Record):
+class FSignal(Record):
     __slots__ = ("var", "order")
 
     def __init__(self, var: str, order: int):
@@ -148,7 +149,7 @@ def normalize(expr: Expr, system: OdeSystem) -> _NSum:
     if isinstance(expr, Ref):
         if expr.name in system.params:
             return _mk_sum([_Term(system.params[expr.name], Counter({expr.name: 1}), [])])
-        return _mk_sum([_Term(1.0, Counter(), [_FSignal(expr.name, expr.order)])])
+        return _mk_sum([_Term(1.0, Counter(), [FSignal(expr.name, expr.order)])])
     if isinstance(expr, Neg):
         return _negated(normalize(expr.operand, system))
     if isinstance(expr, Bin):
@@ -277,7 +278,7 @@ def demand(n: _NSum, amplitude: dict, tables: dict) -> tuple[float, float]:
     for t in n.terms:
         gain = size = abs(t.coeff)
         for f in t.factors:
-            if isinstance(f, _FSignal):
+            if isinstance(f, FSignal):
                 m = amplitude[(f.var, f.order)]
                 gain, size = gain * m, size * m
             elif isinstance(f, _FSum):
@@ -318,22 +319,23 @@ class _Synth:
     def invert(self, net: str) -> str:
         return self.b.add(summer, [net])
 
-    def const_net(self, value: float, pexps: Counter, want: int) -> str:
-        """Materialize a constant on a net at the requested parity."""
-        mag = abs(value)
+    def weigh(self, net: str, c: float, pexps: Counter, noun: str) -> str:
+        """``net`` times |c|: the net itself when |c| is 1, else a coefficient
+        element; UnscaledCoefficientError naming ``noun`` when |c| exceeds 1.
+        Records the parameter sites of ``pexps`` either way."""
+        mag = abs(c)
         if mag > 1.0 + _TOL:
             raise UnscaledCoefficientError(
-                f"unscaled coefficient {value:.6g}: constants must lie in [-1, 1]; "
+                f"unscaled coefficient {c:.6g}: {noun} must lie in [-1, 1]; "
                 "run the autoscaler or rescale the program")
-        mag = min(mag, 1.0)
-        sign = 1.0 if value >= 0 else -1.0
-        ref = self.b.add(reference, want * sign)
-        if mag == 1.0:
-            self._record_params(pexps, None, value)
-            return ref
-        coef = self.b.add(coefficient, ref, mag)
-        self._record_params(pexps, coef, value)
-        return coef
+        element = self.b.add(coefficient, net, mag) if mag < 1.0 else None
+        self._record_params(pexps, element, c)
+        return element or net
+
+    def const_net(self, value: float, pexps: Counter, want: int) -> str:
+        """Materialize a constant on a net at the requested parity."""
+        ref = self.b.add(reference, want * (1.0 if value >= 0 else -1.0))
+        return self.weigh(ref, value, pexps, "constants")
 
     def term(self, t: _Term, m_top: float):
         """Lower one term; returns ('const', value, pexps) or ('net', id, parity)."""
@@ -343,7 +345,7 @@ class _Synth:
         nets = []
         parity = 1
         for f in t.factors:
-            if isinstance(f, _FSignal):
+            if isinstance(f, FSignal):
                 net, p = self.signals[(f.var, f.order)]
                 amp *= self.scale.m(f.var, f.order)
             elif isinstance(f, _FSum):
@@ -358,21 +360,9 @@ class _Synth:
         for other in nets[1:]:
             out = self.b.add(multiplier, out, other)
         c = t.coeff * amp / m_top
-        mag = abs(c)
-        if mag > 1.0 + _TOL:
-            raise UnscaledCoefficientError(
-                f"unscaled coefficient {c:.6g}: term gains must lie in [-1, 1]; "
-                "run the autoscaler or rescale the program")
-        mag = min(mag, 1.0)
-        if mag != 1.0:
-            coef = self.b.add(coefficient, out, mag)
-            self._record_params(t.pexps, coef, c)
-            out = coef
-        else:
-            self._record_params(t.pexps, None, c)
         if c < 0:
             parity = -parity
-        return ("net", out, parity)
+        return ("net", self.weigh(out, c, t.pexps, "term gains"), parity)
 
     def sum(self, n: _NSum, m_top: float, want: int | None = None):
         """Lower a sum of terms to one net.
@@ -388,8 +378,7 @@ class _Synth:
         nets = [(x[1], x[2]) for x in lowered if x[0] == "net"]
 
         if not nets and not consts:
-            zero = self.b.add(coefficient, self.b.add(reference, 1.0), 0.0)
-            return (zero, 1)
+            return (self.const_net(0.0, Counter(), 1), 1)
         if not nets and len(consts) == 1:
             parity = want or 1
             return (self.const_net(consts[0][0], consts[0][1], parity), parity)

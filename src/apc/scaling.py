@@ -19,15 +19,13 @@ Scaling proceeds in three steps:
    factors) by the rules the compiler lowers it with, so the gains it
    checks are the ones the compiler builds.
 3. ``time_scale``: pick the machine-time factor lambda (problem time
-   t = lambda * tau) and the integrator rate k0. Each integrator stage
-   then needs gain alpha * k0 = lambda * m_upper / m_lower; alphas
-   outside (0, 1] are a scaling error with a suggested lambda.
+   t = lambda * tau) that keeps each integrator stage's alpha, with
+   alpha * k0 = lambda * m_upper / m_lower, in (0, 1]. This module only
+   picks factors; ``compiler.compile_system`` accepts or rejects gains.
 
-The compiled program's sidecar mapping (signal and parameter bindings)
-lives in ``machine`` and trace de-scaling back to problem units in
-``simulator``, so running a compiled program never loads this module;
-both are re-exported here under their old names, ``descale_trace`` only
-on first use, so that compiling never loads the simulator.
+The compiled program's sidecar mapping lives in ``machine`` and trace
+de-scaling back to problem units in ``simulator``, so running a compiled
+program never loads this module.
 """
 
 from __future__ import annotations
@@ -36,13 +34,14 @@ import cmath
 import math
 import sys
 
-from .compiler import ScaleMap, _FSignal, demand, normalize
+from .compiler import FSignal, ScaleMap, demand, normalize
 from .dsl import Bin, Call, Expr, Neg, Num, OdeSystem, Ref, signal_name, walk
 from .machine import ScalingError, table_bound
 from .record import Frozen, Record, set_field
 
-# The sidecar mapping, under the names it had here.
-from .machine import Mapping, ParamBinding, SignalBinding  # noqa: F401
+# Old homes kept for perfbench, which reads ``scaling.Mapping`` (workloads.py)
+# and wraps ``scaling.descale_trace`` (tracing.py), loaded only on use.
+from .machine import Mapping  # noqa: F401
 
 
 def __getattr__(name: str):
@@ -129,6 +128,7 @@ _DP_P = [
 _DP_SAFETY, _DP_MIN_FACTOR, _DP_MAX_FACTOR = 0.9, 0.2, 10
 _DIVERGED = ("unbounded system: the reference run diverged; "
              "annotate bounds with 'bound NAME = VALUE'")
+_UNBOUNDED = "unbounded system: reference magnitudes exceed 1e12; annotate bounds"
 
 
 def _dopri45(fun, y0, t_end: float, t_eval, rtol: float, atol: float):
@@ -223,7 +223,8 @@ def reference_solution(system: OdeSystem, t_eval=None) -> OracleSolution:
 
     Returns trajectories for every signal, including the highest
     derivative of each variable. Independent of the netlist path: it
-    evaluates the resolved equations directly.
+    evaluates the resolved equations directly. A magnitude above 1e12 is
+    a ScalingError, raised before integrating if t = 0 already shows it.
     """
     import numpy as np  # deferred: only the oracle needs it
 
@@ -250,6 +251,9 @@ def reference_solution(system: OdeSystem, t_eval=None) -> OracleSolution:
         t_eval = np.asarray(t_eval, dtype=float)
     if state_keys:
         x0 = [system.inits[key] for key in state_keys]
+        if any(math.isfinite(x) and abs(x) > 1e12
+               for x in (*fill_env(dict(zip(state_keys, x0))).values(), *rhs(0.0, x0))):
+            raise ScalingError(_UNBOUNDED)
         y = _dopri45(rhs, x0, max(system.horizon, float(t_eval[-1])), t_eval, ORACLE_RTOL, ORACLE_ATOL)
         if not np.all(np.isfinite(y)):
             raise ScalingError(_DIVERGED)
@@ -266,7 +270,7 @@ def reference_solution(system: OdeSystem, t_eval=None) -> OracleSolution:
     if any(not np.all(np.isfinite(np.asarray(a, dtype=float))) for a in env.values()):
         raise ScalingError("unbounded system: non-finite reference values; annotate bounds")
     if max((float(np.max(np.abs(a))) for a in env.values()), default=0.0) > 1e12:
-        raise ScalingError("unbounded system: reference magnitudes exceed 1e12; annotate bounds")
+        raise ScalingError(_UNBOUNDED)
     return OracleSolution(t_eval, env)
 
 
@@ -359,7 +363,7 @@ def _state_matrix(system: OdeSystem):
             a[i][i + 1] = 1.0
             continue
         for t in normalize(system.equations[v], system).terms:
-            if len(t.factors) != 1 or not isinstance(t.factors[0], _FSignal):
+            if len(t.factors) != 1 or not isinstance(t.factors[0], FSignal):
                 return None
             a[i][index[(t.factors[0].var, t.factors[0].order)]] += t.coeff
     return states, a
@@ -642,8 +646,9 @@ def _lut_arg_signals(system: OdeSystem):
 def amplitude_scale(system: OdeSystem, bounds: BoundsEstimate) -> ScaleMap:
     """Choose per-signal amplitude factors from the scaling grid.
 
-    Signals feeding lookup tables keep scale 1: a table maps the actual
-    net value, so rescaling its argument would change the function.
+    Signals feeding lookup tables keep scale 1: a factor above 1 would
+    need an argument gain above 1, and the pin accepts a peak up to 1
+    even after the safety margin.
 
     A feasibility pass then raises each driven (equation) scale to what
     its right-hand side demands in the compiler's normal form, so every
@@ -694,31 +699,21 @@ def _stage_ratios(system: OdeSystem, scale: ScaleMap):
     return out
 
 
-def time_scale(system: OdeSystem, scale: ScaleMap, lam: float | None = None,
-               k0: float = 1.0) -> ScaleMap:
-    """Fix lambda and k0; verify every stage coefficient lands in (0, 1].
-
-    Without ``lam``, lambda defaults to k0 (or the largest grid value the
-    stage ratios allow), so unit-amplitude systems compile to plain chains.
-    """
+def time_scale(system: OdeSystem, scale: ScaleMap, k0: float = 1.0) -> ScaleMap:
+    """``scale``'s amplitudes with lambda k0 where every stage allows it (so
+    unit-amplitude systems compile to plain chains), else ``_largest_lambda``.
+    A hand-picked lambda is ``ScaleMap(amplitude, lam, k0)``, whose stage
+    gains ``compiler.compile_system`` checks."""
     ratios = _stage_ratios(system, scale)
     limit = k0 * min(ratios.values(), default=1.0)
-    if lam is None:
-        lam = k0 if limit >= k0 * (1 - 1e-9) else _largest_lambda(system, ratios, limit)
-    scaled = ScaleMap(scale.amplitude, lam, k0)
-    for (v, j), ratio in ratios.items():
-        alpha = lam / (k0 * ratio)
-        if alpha > 1.0 + 1e-9:
-            raise ScalingError(
-                f"stage coefficient {alpha:.6g} for {v!r} falls outside (0, 1]; "
-                f"suggested lambda <= {_largest_lambda(system, ratios, limit)}")
-    return scaled
+    lam = k0 if limit >= k0 * (1 - 1e-9) else _largest_lambda(system, ratios, limit)
+    return ScaleMap(scale.amplitude, lam, k0)
 
 
 def _largest_lambda(system: OdeSystem, ratios: dict, limit: float) -> float:
     """The largest grid lambda at most ``limit``, k0 times the smallest stage
-    ratio; ScalingError naming that stage if the ratio or its grid value
-    underflows to 0."""
+    ratio, which keeps every stage's alpha at most 1; ScalingError naming
+    that stage if the ratio or its grid value underflows to 0."""
     lam = round_down_grid(limit) if limit > 0 else 0.0
     if lam > 0:
         return lam

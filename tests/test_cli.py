@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -1094,13 +1095,26 @@ def test_every_package_name_resolves_and_is_listed():
 
 def test_sidecar_names_keep_their_scaling_home():
     """The sidecar mapping lives in machine and de-scaling in simulator;
-    scaling re-exports the same objects."""
+    scaling still resolves the names perfbench reads there, and the error
+    it raises, as the same objects."""
     from apc import machine, scaling, simulator
 
-    moved = {"Mapping": machine, "SignalBinding": machine, "ParamBinding": machine,
-             "ScalingError": machine, "descale_trace": simulator}
+    moved = {"Mapping": machine, "ScalingError": machine, "descale_trace": simulator}
     for name, home in moved.items():
         assert getattr(scaling, name) is getattr(home, name)
+
+
+def test_modules_import_no_private_name_from_each_other():
+    """No apc module imports another's underscore name: the rule
+    ``grep -nE "^from \\.[a-z]+ import .*\\b_" src/apc/*.py`` states, read
+    from the syntax tree so that a parenthesized import counts too."""
+    found = []
+    for path in sorted((ROOT / "src" / "apc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [f"{path.name}:{node.lineno}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == []
 
 
 #: command -> the apc modules besides apc.cli that running it loads; a map

@@ -16,8 +16,8 @@ from apc.compiler import (
     build_integrator_chain,
     compile_system,
 )
-from apc.machine import Kind, is_inverter, netlist_to_dict
-from apc.scaling import ScalingError, reference_solution
+from apc.machine import Kind, ScalingError, is_inverter, netlist_to_dict
+from apc.scaling import reference_solution
 from conftest import SINE_SRC, VCO_SRC, build, compilable_programs, resolve_src
 
 COUPLED_SRC = """\
@@ -113,12 +113,12 @@ class TestSynthesis:
     def test_unscaled_coefficient_rejected(self):
         system = resolve_src("system t\nvar y order 2\neq y'' = -2*y\n"
                              "init y = 0.5\ninit y' = 0\ntime 1\n")
-        with pytest.raises(UnscaledCoefficientError):
+        with pytest.raises(UnscaledCoefficientError, match="^unscaled coefficient -2: term gains "):
             compile_system(system)
 
     def test_unscaled_constant_addend_rejected(self):
         system = resolve_src("system t\nvar y order 1\neq y' = -y + 1.5\ninit y = 0\ntime 1\n")
-        with pytest.raises(UnscaledCoefficientError):
+        with pytest.raises(UnscaledCoefficientError, match="^unscaled coefficient 1.5: constants "):
             compile_system(system)
 
     def test_algebraic_cycle_names_the_cycle(self):
@@ -147,6 +147,11 @@ class TestSynthesis:
         # the odd-order chain carries -y; the output tap restores +y
         assert trace.series["y"][-1] == pytest.approx(0.5)
         assert result.mapping.signals["y"].parity == 1
+        # the empty sum is a zero coefficient on a +1 reference
+        elements = result.netlist.elements
+        assert elements["int1"].inputs == ("coef1",)
+        assert (elements["coef1"].params, elements["coef1"].inputs) == ({"alpha": 0.0}, ("ref1",))
+        assert elements["ref1"].params == {"constant": 1.0}
 
 
 class TestSynthesisEdgeCases:
@@ -239,7 +244,7 @@ class TestScaledCompile:
         system = resolve_src(src)
         bounds = scaling.estimate_bounds(system)
         scale = scaling.amplitude_scale(system, bounds)
-        scale = scaling.time_scale(system, scale, lam=1.0, k0=10.0)
+        scale = ScaleMap(scale.amplitude, 1.0, 10.0)
         result = compile_system(system, CompileOptions(scale=scale))
         counts = result.netlist.counts()
         assert counts == {"integrator": 2, "coefficient": 2, "inverter": 1}

@@ -19,20 +19,16 @@ from apc.cli import main
 from apc.compiler import CompileOptions, ScaleMap, compile_system
 from apc.dsl import signal_name
 from apc.scaling import (
-    Mapping,
-    ScalingError,
-    SignalBinding,
     amplitude_scale,
     autoscale,
-    descale_trace,
     estimate_bounds,
     reference_solution,
     round_down_grid,
     round_up_grid,
     time_scale,
 )
-from apc.machine import table_bound
-from apc.simulator import OverloadEvent, SimConfig, Trace, new_instance
+from apc.machine import Mapping, ParamBinding, ScalingError, SignalBinding, table_bound
+from apc.simulator import OverloadEvent, SimConfig, Trace, descale_trace, new_instance
 from conftest import (DECAY_LUT_SRC, ROOT, SINE5_SRC, SINE_SRC, autoscaled_json,
                       compilable_programs, resolve_src, src_env)
 from test_compiler import simulable_odes
@@ -90,6 +86,9 @@ class TestGrid:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             round_up_grid(0.0)
+
+
+UNBOUNDED = "unbounded system: reference magnitudes exceed 1e12; annotate bounds"
 
 
 class TestBounds:
@@ -162,6 +161,30 @@ class TestBounds:
         assert main(["compile", str(tmp_path / "div.apc"), "-o", str(tmp_path / "div.json")]) == 4
         assert capsys.readouterr().err == f"apc: scaling: {message}\n"
 
+    @pytest.mark.parametrize("rhs", ["30*y + 0.001", "1e13*y + 0.001"], ids=["at-t1", "at-t0"])
+    def test_growth_past_1e12_reports_unbounded(self, tmp_path, capsys, rhs):
+        # y = 0.5 e^(30 t) passes 1e12 near t = 0.95, and y' = 1e13 y already
+        # at t = 0, where the check before integrating rejects it
+        (tmp_path / "g.apc").write_text(f"system t\nvar y order 1\neq y' = {rhs}\n"
+                                        "init y = 0.5\ntime 1\n", encoding="utf-8")
+        assert main(["compile", str(tmp_path / "g.apc"), "-o", str(tmp_path / "g.json")]) == 4
+        assert capsys.readouterr().err == f"apc: scaling: {UNBOUNDED}\n"
+
+    @pytest.mark.parametrize("src", [
+        "system t\nvar y order 2\neq y'' = -1e300*y - 1e300*y'\ninit y = 0.5\ninit y' = 0\n"
+        "time 1\n",
+        "system t\nvar y order 1\neq y' = -1e13*y + 0.001\ninit y = 0.5\ntime 1\n",
+    ], ids=["linear", "affine"])
+    def test_stiff_program_past_1e12_at_t0_is_rejected_before_integrating(self, tmp_path, src):
+        """The oracle steps near 1 / |rate| on these and ran each for minutes
+        before reaching its first sample's verdict. A separate process with
+        a timeout, so that a regression fails rather than hangs."""
+        (tmp_path / "s.apc").write_text(src, encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "apc", "compile", str(tmp_path / "s.apc"),
+                               "-o", str(tmp_path / "s.json")],
+                              env=src_env(), capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stderr) == (4, f"apc: scaling: {UNBOUNDED}\n")
+
     def test_non_finite_initial_value_reports_unbounded(self):
         # The resolver rejects such an init, so the system is built directly.
         system = resolve_src("system t\nvar y order 1\neq y' = -y\ninit y = 1\ntime 1\n")
@@ -226,6 +249,30 @@ class TestModalBounds:
         residual = np.abs(a @ v - v * np.array(lam)).sum(0).max()
         norm1 = np.abs(a).sum(0).max() * np.abs(v).sum(0).max()
         assert residual <= 16 * n * np.finfo(float).eps * norm1
+
+    def test_a_cycling_matrix_takes_the_exceptional_shift(self):
+        """The cyclic permutation's Wilkinson shifts repeat; the exceptional
+        shift at the tenth sweep breaks the cycle."""
+        cyclic = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        lam, _, _ = scaling._eig(cyclic)
+        roots = [complex(-0.5, math.sqrt(3) / 2), complex(-0.5, -math.sqrt(3) / 2), 1]
+        assert all(min(abs(z - r) for z in lam) < 1e-14 for r in roots)
+        with mock.patch.object(scaling, "_QR_SWEEPS", 9):
+            assert scaling._eig(cyclic) is None
+
+    def test_decomposition_failures_return_none(self):
+        with mock.patch.object(scaling, "_RESIDUAL_ULPS", 0):
+            assert scaling._eig([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]) is None
+        assert scaling._inverse([[1.0, 1.0], [1.0, 1.0]]) is None  # zero pivot
+
+    def test_qr_that_does_not_converge_hands_over_to_the_oracle(self):
+        system = resolve_src(SINE5_SRC)
+        with mock.patch.object(scaling, "_QR_SWEEPS", 0):
+            bounds = estimate_bounds(system)
+        with oracle_path():
+            expected = estimate_bounds(system)
+        assert set(bounds.method.values()) == {"oracle"}
+        assert bounds == expected
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(simulable_odes())
@@ -454,7 +501,7 @@ class TestTimeScale:
 
     def test_identity(self):
         system = resolve_src(HALF_SINE_SRC)
-        scale = time_scale(system, amplitude_scale(system, estimate_bounds(system)), lam=1.0)
+        scale = time_scale(system, amplitude_scale(system, estimate_bounds(system)))
         assert scale.lam == 1.0 and scale.k0 == 1.0
 
     def test_default_lambda_equals_k0_for_uniform_amplitudes(self):
@@ -469,14 +516,6 @@ class TestTimeScale:
         scale = time_scale(system, amplitude_scale(system, estimate_bounds(system)))
         assert scale.lam < 1.0
         compile_system(system, CompileOptions(scale=scale))  # all alphas legal
-
-    def test_explicit_lambda_out_of_range_suggests(self):
-        src = ("system fast\nvar y order 2\neq y'' = -25*y\ninit y = 0.25\n"
-               "init y' = 2.1650635094610966\ntime 2\n")
-        system = resolve_src(src)
-        amp = amplitude_scale(system, estimate_bounds(system))
-        with pytest.raises(ScalingError, match="suggested lambda"):
-            time_scale(system, amp, lam=1.0, k0=1.0)
 
     def test_phase_invariance(self):
         # scaling decisions depend on bounds only, not on phase
@@ -594,8 +633,6 @@ class TestDescale:
 
 class TestMappingSerialization:
     def test_round_trip(self):
-        from apc.scaling import ParamBinding
-
         m = Mapping({"y": SignalBinding("int2", 1, 10.0)},
                     {"k": ParamBinding("coef1", -1.0, 0.5)}, lam=2.0, k0=2.0,
                     horizon_machine=5.0)
