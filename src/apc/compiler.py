@@ -47,7 +47,7 @@ from .machine import (
     summer,
     table_bound,
 )
-from .record import Frozen, Record, set_field
+from .record import Frozen, Record
 
 _PENDING = "__pending__"
 _TOL = 1e-9
@@ -77,40 +77,21 @@ class ScalingViolationError(CompileError):
 class FSignal(Record):
     __slots__ = ("var", "order")
 
-    def __init__(self, var: str, order: int):
-        self.var = var
-        self.order = order
-
 
 class _FLut(Record):
     __slots__ = ("table", "arg")
-
-    def __init__(self, table: str, arg: _NSum):
-        self.table = table
-        self.arg = arg
 
 
 class _FSum(Record):
     __slots__ = ("inner",)
 
-    def __init__(self, inner: _NSum):
-        self.inner = inner
-
 
 class _Term(Record):
     __slots__ = ("coeff", "pexps", "factors")
 
-    def __init__(self, coeff: float, pexps: Counter, factors: list):
-        self.coeff = coeff
-        self.pexps = pexps
-        self.factors = factors
-
 
 class _NSum(Record):
     __slots__ = ("terms",)
-
-    def __init__(self, terms: list):
-        self.terms = terms
 
 
 def _mk_sum(terms) -> _NSum:
@@ -195,9 +176,7 @@ class ScaleMap(Frozen):
     def __init__(self, amplitude: dict | None = None, lam: float = 1.0, k0: float = 1.0):
         if not (lam > 0 and k0 > 0):
             raise ValueError("lambda and k0 must be positive")
-        set_field(self, "amplitude", {} if amplitude is None else amplitude)
-        set_field(self, "lam", lam)
-        set_field(self, "k0", k0)
+        super().__init__({} if amplitude is None else amplitude, lam, k0)
 
     def m(self, var: str, order: int) -> float:
         return self.amplitude.get((var, order), 1.0)
@@ -216,18 +195,11 @@ class CompileOptions(Frozen):
     """``scale`` carries lambda, k0 and the amplitudes; None is ``ScaleMap.identity()``."""
 
     __slots__ = ("scale",)
-
-    def __init__(self, scale: ScaleMap | None = None):
-        set_field(self, "scale", scale)
+    _defaults = {"scale": None}
 
 
 class CompileResult(Record):
     __slots__ = ("netlist", "mapping", "report")
-
-    def __init__(self, netlist: Netlist, mapping: Mapping, report: dict):
-        self.netlist = netlist
-        self.mapping = mapping
-        self.report = report
 
 
 #: Element id prefix of each of machine's element constructors.

@@ -36,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 
-from .record import Frozen, set_field
+from .record import Frozen
 
 KEYWORDS = {"system", "param", "var", "order", "eq", "init", "table", "time", "output", "bound"}
 CONST_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
@@ -44,11 +44,6 @@ CONST_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
 
 class Diagnostic(Frozen):
     __slots__ = ("line", "column", "message")
-
-    def __init__(self, line: int, column: int, message: str):
-        set_field(self, "line", line)
-        set_field(self, "column", column)
-        set_field(self, "message", message)
 
     def __str__(self):
         return f"{self.line}:{self.column}: {self.message}"
@@ -61,62 +56,36 @@ class Diagnostic(Frozen):
 class Expr(Frozen):
     __slots__ = ()
     _uncompared = ("line", "column")
+    _defaults = {"line": 0, "column": 0}
 
 
 class Num(Expr):
     __slots__ = ("value", "line", "column")
-
-    def __init__(self, value: float, line: int = 0, column: int = 0):
-        set_field(self, "value", value)
-        set_field(self, "line", line)
-        set_field(self, "column", column)
 
 
 class Ref(Expr):
     """A name with a derivative order: ``y''`` is Ref("y", 2)."""
 
     __slots__ = ("name", "order", "line", "column")
-
-    def __init__(self, name: str, order: int = 0, line: int = 0, column: int = 0):
-        set_field(self, "name", name)
-        set_field(self, "order", order)
-        set_field(self, "line", line)
-        set_field(self, "column", column)
+    _defaults = {"order": 0, **Expr._defaults}
 
 
 class Bin(Expr):
     __slots__ = ("op", "left", "right", "line", "column")
 
-    def __init__(self, op: str, left: Expr, right: Expr, line: int = 0, column: int = 0):
-        set_field(self, "op", op)
-        set_field(self, "left", left)
-        set_field(self, "right", right)
-        set_field(self, "line", line)
-        set_field(self, "column", column)
-
 
 class Neg(Expr):
     __slots__ = ("operand", "line", "column")
-
-    def __init__(self, operand: Expr, line: int = 0, column: int = 0):
-        set_field(self, "operand", operand)
-        set_field(self, "line", line)
-        set_field(self, "column", column)
 
 
 class Call(Expr):
     __slots__ = ("func", "args", "line", "column")
 
-    def __init__(self, func: str, args: tuple, line: int = 0, column: int = 0):
-        set_field(self, "func", func)
-        set_field(self, "args", args)
-        set_field(self, "line", line)
-        set_field(self, "column", column)
-
 
 class Stmt(Frozen):
     __slots__ = ()
     _uncompared = ("line",)
+    _defaults = {"line": 0}
 
 
 class Decl(Stmt):
@@ -128,46 +97,21 @@ class Decl(Stmt):
 
     __slots__ = ("keyword", "name", "order", "expr", "line")
 
-    def __init__(self, keyword: str, name: str, order: int, expr: Expr, line: int = 0):
-        set_field(self, "keyword", keyword)
-        set_field(self, "name", name)
-        set_field(self, "order", order)
-        set_field(self, "expr", expr)
-        set_field(self, "line", line)
-
 
 class VarDecl(Stmt):
     __slots__ = ("name", "order", "line")
-
-    def __init__(self, name: str, order: int, line: int = 0):
-        set_field(self, "name", name)
-        set_field(self, "order", order)
-        set_field(self, "line", line)
 
 
 class TableDecl(Stmt):
     __slots__ = ("name", "points", "line")
 
-    def __init__(self, name: str, points: tuple, line: int = 0):
-        set_field(self, "name", name)
-        set_field(self, "points", points)
-        set_field(self, "line", line)
-
 
 class TimeDecl(Stmt):
     __slots__ = ("t_end", "line")
 
-    def __init__(self, t_end: Expr, line: int = 0):
-        set_field(self, "t_end", t_end)
-        set_field(self, "line", line)
-
 
 class OutputDecl(Stmt):
-    __slots__ = ("signals", "line")
-
-    def __init__(self, signals: tuple, line: int = 0):
-        set_field(self, "signals", signals)  # of (name, order)
-        set_field(self, "line", line)
+    __slots__ = ("signals", "line")  # signals: of (name, order)
 
 
 class Program(Frozen):
@@ -175,11 +119,7 @@ class Program(Frozen):
 
     __slots__ = ("name", "statements", "line")
     _uncompared = ("line",)
-
-    def __init__(self, name: str, statements: tuple, line: int = 1):
-        set_field(self, "name", name)
-        set_field(self, "statements", statements)
-        set_field(self, "line", line)
+    _defaults = {"line": 1}
 
 
 def signal_name(name: str, order: int) -> str:
@@ -225,13 +165,7 @@ _TOKEN_RE = re.compile(
 
 
 class Token(Frozen):
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind: str, text: str, line: int, column: int):
-        set_field(self, "kind", kind)  # num | ident | keyword | op | eol
-        set_field(self, "text", text)
-        set_field(self, "line", line)
-        set_field(self, "column", column)
+    __slots__ = ("kind", "text", "line", "column")  # kind: num | ident | keyword | op | eol
 
 
 def _lex_line(text: str, lineno: int, diags: list) -> list[Token]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from .machine import Element, Kind, Net, Netlist, evaluation_order, inventory_kind, json_object
-from .record import Frozen, Record, set_field
+from .record import Frozen, Record
 
 _INVENTORY_KINDS = ("integrator", "summer", "inverter", "multiplier",
                     "coefficient", "function_generator")
@@ -58,9 +58,7 @@ class MachineSpec(Frozen):
                 raise ValueError(f"inventory count of {kind} must be a non-negative integer, got {v!r}")
         if crossbar != "full":
             raise ValueError("only full crossbars are modeled")
-        set_field(self, "name", name)
-        set_field(self, "inventory", inventory)
-        set_field(self, "crossbar", crossbar)
+        super().__init__(name, inventory, crossbar)
 
     def count(self, kind: str) -> int:
         return int(self.inventory.get(kind, 0))
@@ -98,10 +96,9 @@ class PatchAssignment(Record):
 
     def __init__(self, machine: str, slot_of: dict, patches: list | None = None,
                  settings: list | None = None):
-        self.machine = machine
-        self.slot_of = slot_of
-        self.patches = [] if patches is None else patches  # (src_slot, dst_slot, input index)
-        self.settings = [] if settings is None else settings  # (slot, alpha)
+        super().__init__(machine, slot_of,
+                         [] if patches is None else patches,  # (src_slot, dst_slot, input index)
+                         [] if settings is None else settings)  # (slot, alpha)
 
 
 def _demand(netlist: Netlist):

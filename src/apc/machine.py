@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable
 from enum import Enum
 from functools import reduce
 from graphlib import CycleError, TopologicalSorter
 from operator import add
 
-from .record import Frozen, Record, set_field
+from .record import Frozen, Record
 
 
 class StructuralError(ValueError):
@@ -115,13 +114,7 @@ class KindSpec(Frozen):
     """
 
     __slots__ = ("arity", "params", "output", "bound")
-
-    def __init__(self, arity: tuple, params: tuple, output: Callable[[list, str], str] | None = None,
-                 bound: Callable[[list, object], float] | None = None):
-        set_field(self, "arity", arity)
-        set_field(self, "params", params)
-        set_field(self, "output", output)
-        set_field(self, "bound", bound)
+    _defaults = {"output": None, "bound": None}
 
 
 KINDS = {
@@ -174,10 +167,7 @@ class Element(Frozen):
                 raise StructuralError(
                     f"'table' of params of element {id!r} must hold [x, y] pairs") from None
             params = {**params, "table": table}
-        set_field(self, "id", id)
-        set_field(self, "kind", kind)
-        set_field(self, "params", params)
-        set_field(self, "inputs", tuple(inputs))
+        super().__init__(id, kind, params, tuple(inputs))
 
 
 def summer(eid: str, inputs) -> Element:
@@ -228,10 +218,7 @@ class Net(Frozen):
     """A single-driver net: the driving element id and an optional name."""
 
     __slots__ = ("driver", "name")
-
-    def __init__(self, driver: str, name: str | None = None):
-        set_field(self, "driver", driver)
-        set_field(self, "name", name)
+    _defaults = {"name": None}
 
 
 class Netlist:
@@ -248,9 +235,7 @@ class Netlist:
             if e.id in self.elements:
                 raise StructuralError(f"duplicate element id {e.id!r}")
             self.elements[e.id] = e
-        self.nets: dict[str, Net] = {}
-        for nid, net in nets.items():
-            self.nets[nid] = net if isinstance(net, Net) else Net(*net)
+        self.nets: dict[str, Net] = dict(nets)
         self.outputs: tuple[str, ...] = tuple(outputs)
 
     @classmethod
@@ -275,11 +260,6 @@ class Netlist:
 
 class Violation(Frozen):
     __slots__ = ("element", "rule", "message")
-
-    def __init__(self, element: str, rule: str, message: str):
-        set_field(self, "element", element)
-        set_field(self, "rule", rule)
-        set_field(self, "message", message)
 
     def __str__(self) -> str:  # element: rule: message, without an empty element
         return ": ".join(filter(None, (self.element, self.rule, self.message)))
@@ -491,11 +471,7 @@ class SignalBinding(Frozen):
     """
 
     __slots__ = ("net", "parity", "scale")
-
-    def __init__(self, net: str, parity: int, scale: float = 1.0):
-        set_field(self, "net", net)
-        set_field(self, "parity", parity)
-        set_field(self, "scale", scale)
+    _defaults = {"scale": 1.0}
 
 
 class ParamBinding(Frozen):
@@ -503,24 +479,12 @@ class ParamBinding(Frozen):
 
     __slots__ = ("element", "scale", "value")
 
-    def __init__(self, element: str, scale: float, value: float):
-        set_field(self, "element", element)
-        set_field(self, "scale", scale)
-        set_field(self, "value", value)
-
 
 class Mapping(Record):
     """Compiler sidecar: signal and parameter bindings plus time scaling."""
 
     __slots__ = ("signals", "params", "lam", "k0", "horizon_machine")
-
-    def __init__(self, signals: dict, params: dict, lam: float = 1.0, k0: float = 1.0,
-                 horizon_machine: float | None = None):
-        self.signals = signals
-        self.params = params
-        self.lam = lam
-        self.k0 = k0
-        self.horizon_machine = horizon_machine
+    _defaults = {"lam": 1.0, "k0": 1.0, "horizon_machine": None}
 
     def to_dict(self) -> dict:
         return {

@@ -37,7 +37,7 @@ import sys
 from .compiler import FSignal, ScaleMap, demand, normalize
 from .dsl import Bin, Call, Expr, Neg, Num, OdeSystem, Ref, signal_name, walk
 from .machine import ScalingError, table_bound
-from .record import Frozen, Record, set_field
+from .record import Frozen, Record
 
 # Old homes kept for perfbench, which reads ``scaling.Mapping`` (workloads.py)
 # and wraps ``scaling.descale_trace`` (tracing.py), loaded only on use.
@@ -95,11 +95,7 @@ def eval_expr(expr: Expr, env: dict, params: dict, tables: dict):
 class OracleSolution(Record):
     """High-precision reference trajectories in problem units."""
 
-    __slots__ = ("t", "signals")
-
-    def __init__(self, t: np.ndarray, signals: dict):
-        self.t = t
-        self.signals = signals  # (var, order) -> np.ndarray
+    __slots__ = ("t", "signals")  # signals: (var, order) -> np.ndarray
 
 
 # Dormand–Prince 5(4): nodes C, stages A, 5th-order weights B, error
@@ -254,7 +250,8 @@ def reference_solution(system: OdeSystem, t_eval=None) -> OracleSolution:
         if any(math.isfinite(x) and abs(x) > 1e12
                for x in (*fill_env(dict(zip(state_keys, x0))).values(), *rhs(0.0, x0))):
             raise ScalingError(_UNBOUNDED)
-        y = _dopri45(rhs, x0, max(system.horizon, float(t_eval[-1])), t_eval, ORACLE_RTOL, ORACLE_ATOL)
+        with np.errstate(over="ignore", invalid="ignore"):  # a diverging run raises below instead
+            y = _dopri45(rhs, x0, max(system.horizon, float(t_eval[-1])), t_eval, ORACLE_RTOL, ORACLE_ATOL)
         if not np.all(np.isfinite(y)):
             raise ScalingError(_DIVERGED)
         env = fill_env({key: y[i] for i, key in enumerate(state_keys)})
@@ -279,12 +276,9 @@ def reference_solution(system: OdeSystem, t_eval=None) -> OracleSolution:
 class BoundsEstimate(Frozen):
     """Per-signal peak magnitudes (problem units) and how they were obtained."""
 
+    # values: (var, order) -> bound > 0;
+    # method: (var, order) -> "user" | "interval" | "modal" | "oracle"
     __slots__ = ("values", "method")
-
-    def __init__(self, values: dict, method: dict):
-        set_field(self, "values", values)  # (var, order) -> bound > 0
-        # (var, order) -> "user" | "interval" | "modal" | "oracle"
-        set_field(self, "method", method)
 
 
 def _interval_bound(expr: Expr, env: dict, params: dict, tables: dict) -> float:

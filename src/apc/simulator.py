@@ -91,7 +91,7 @@ from .machine import (
     net_bounds,
     parameter,
 )
-from .record import Frozen, Record, set_field
+from .record import Frozen, Record
 
 
 class ModeError(ValueError):
@@ -155,20 +155,11 @@ class SimConfig(Frozen):
             raise ValueError("adc_bits must lie in 1..32")
         if sample_every < 1:
             raise ValueError("sample_every must be >= 1")
-        set_field(self, "dt", dt)
-        set_field(self, "resolution", resolution)
-        set_field(self, "adc_bits", adc_bits)
-        set_field(self, "strict_overload", strict_overload)
-        set_field(self, "sample_every", sample_every)
+        super().__init__(dt, resolution, adc_bits, strict_overload, sample_every)
 
 
 class OverloadEvent(Frozen):
     __slots__ = ("time", "element", "magnitude")
-
-    def __init__(self, time: float, element: str, magnitude: float):
-        set_field(self, "time", time)
-        set_field(self, "element", element)
-        set_field(self, "magnitude", magnitude)
 
 
 def csv_field(text: str) -> str:
@@ -190,12 +181,7 @@ class Trace(Record):
     """Sampled machine-unit values of the named nets plus the overload log."""
 
     __slots__ = ("tau", "series", "overloads", "time_label")
-
-    def __init__(self, tau: list, series: dict, overloads: list, time_label: str = "tau"):
-        self.tau = tau
-        self.series = series
-        self.overloads = overloads
-        self.time_label = time_label
+    _defaults = {"time_label": "tau"}
 
     def final(self) -> dict:
         return {name: values[-1] for name, values in self.series.items()}

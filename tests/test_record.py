@@ -1,9 +1,13 @@
 """The plain records: equality, hashing, repr, immutability and constructors."""
 
+import ast
 import copy
 import dataclasses
 import inspect
 import pickle
+import re
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -13,7 +17,7 @@ from apc.dsl import Bin, Call, Decl, Neg, Num, OutputDecl, Ref, TableDecl, TimeD
 from apc.machine import Element, Kind, Net, Netlist, ParamBinding, SignalBinding, Violation, summer
 from apc.record import Frozen, Record
 from apc.simulator import ConstructionError, OverloadEvent, SimConfig, Trace, new_instance
-from conftest import resolve_src
+from conftest import ROOT, resolve_src, src_env
 
 #: Every record class of the package.
 RECORDS = [cls for module in (compiler, dsl, fabric, machine, scaling, simulator)
@@ -41,6 +45,82 @@ def test_every_record_is_listed():
 def test_constructor_takes_the_fields_in_order(cls):
     """Positional and keyword construction, and the repr, share one field order."""
     assert list(inspect.signature(cls).parameters) == list(cls.__slots__)
+
+
+#: The records that check or convert their input, each in its own ``__init__``.
+CHECKING = {Element, compiler.ScaleMap, SimConfig, fabric.MachineSpec, fabric.PatchAssignment}
+
+#: The records, bases without fields aside, built by the base constructor alone.
+PLAIN = [cls for cls in RECORDS if cls.__slots__ and cls not in CHECKING]
+
+
+def _fields(cls) -> dict:
+    """A distinct stand-in value for each field of ``cls``."""
+    return {name: f"{name}-value" for name in cls.__slots__}
+
+
+def test_only_the_checking_records_write_a_constructor():
+    """The rest store their arguments, which ``Record.__init__`` does once."""
+    assert {cls for cls in RECORDS if "__init__" in vars(cls)} == CHECKING
+
+
+def test_only_the_base_sets_fields():
+    found = []
+    for path in sorted(set((ROOT / "src" / "apc").glob("*.py")) - {ROOT / "src" / "apc" / "record.py"}):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                found += [f"{path.name}:{node.lineno}" for alias in node.names if alias.name == "set_field"]
+    assert found == []
+
+
+@pytest.mark.parametrize("cls", PLAIN, ids=lambda cls: cls.__name__)
+def test_positional_and_keyword_construction_agree(cls):
+    fields = _fields(cls)
+    record = cls(*fields.values())
+    assert record == cls(**fields) and [getattr(record, name) for name in fields] == list(fields.values())
+
+
+@pytest.mark.parametrize("cls", PLAIN, ids=lambda cls: cls.__name__)
+def test_an_omitted_field_takes_its_default(cls):
+    assert set(cls._defaults) <= set(cls.__slots__)
+    record = cls(**{name: value for name, value in _fields(cls).items() if name not in cls._defaults})
+    assert {name: getattr(record, name) for name in cls._defaults} == cls._defaults
+    assert {name: p.default for name, p in inspect.signature(cls).parameters.items()
+            if p.default is not p.empty} == cls._defaults
+
+
+@pytest.mark.parametrize("cls", [cls for cls in PLAIN if set(cls.__slots__) - set(cls._defaults)],
+                         ids=lambda cls: cls.__name__)
+def test_a_missing_field_is_named(cls):
+    fields = _fields(cls)
+    name = next(name for name in cls.__slots__ if name not in cls._defaults)
+    del fields[name]
+    with pytest.raises(TypeError, match=f"{cls.__name__}.*missing.*'{name}'"):
+        cls(**fields)
+
+
+@pytest.mark.parametrize("cls", PLAIN, ids=lambda cls: cls.__name__)
+def test_a_wrong_call_is_named(cls):
+    fields = _fields(cls)
+    values, first = list(fields.values()), cls.__slots__[0]
+    with pytest.raises(TypeError, match=f"{cls.__name__}.*unexpected keyword argument 'extra'"):
+        cls(*values, extra=1)
+    with pytest.raises(TypeError, match=f"{cls.__name__}.*multiple values for argument '{first}'"):
+        cls(*values, **{first: 1})
+    with pytest.raises(TypeError, match=re.escape(f"{cls.__name__}() takes {len(values)} arguments "
+                                                  f"({', '.join(fields)}) but {len(values) + 1}")):
+        cls(*values, 1)
+
+
+def test_construction_and_repr_load_no_inspect():
+    """``inspect`` builds a record's signature only when asked for one."""
+    code = ("import sys\nfrom apc import machine, simulator\n"
+            "repr([machine.Net('a'), machine.Net(driver='a', name='y'), machine.Mapping({}, {}),\n"
+            "      simulator.Trace([], {}, []), simulator.SimConfig()])\n"
+            "print('inspect' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize("a, b", [

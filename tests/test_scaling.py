@@ -185,6 +185,18 @@ class TestBounds:
                               env=src_env(), capture_output=True, text=True, timeout=30)
         assert (proc.returncode, proc.stderr) == (4, f"apc: scaling: {UNBOUNDED}\n")
 
+    def test_overflowing_oracle_prints_only_its_verdict(self, tmp_path):
+        """y = 0.5 e^(1e6 t) overflows mid-run: numpy's RuntimeWarnings stay
+        off stderr, which a fresh process shows as pytest would not."""
+        (tmp_path / "o.apc").write_text("system t\nvar y order 1\neq y' = 1e6*y + 0.001\n"
+                                        "init y = 0.5\ntime 1\n", encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "apc", "compile", str(tmp_path / "o.apc"),
+                               "-o", str(tmp_path / "o.json")],
+                              env=src_env(), capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stderr) == (
+            4, "apc: scaling: unbounded system: the reference run diverged; "
+               "annotate bounds with 'bound NAME = VALUE'\n")
+
     def test_non_finite_initial_value_reports_unbounded(self):
         # The resolver rejects such an init, so the system is built directly.
         system = resolve_src("system t\nvar y order 1\neq y' = -y\ninit y = 1\ntime 1\n")
