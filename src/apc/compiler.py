@@ -374,21 +374,18 @@ class _Synth:
 
 
 def build_integrator_chain(builder: NetlistBuilder, var: str, order: int,
-                           machine_inits, k0: float, gains=None):
+                           machine_inits, k0: float, gains: list):
     """Create the integrator chain for one variable.
 
     ``machine_inits[k]`` is the scaled initial value of derivative order
-    k. ``gains[j]`` is the required stage gain feeding integrator j,
-    realized as a coefficient of alpha = gains[j] / k0 when that is not
-    unity (default k0 each: alpha 1, no coefficient). Returns (entry
-    element id, {(var, order) -> (net, parity)}). The entry element's
-    input stays unpatched for the fed-back highest derivative.
+    k. ``gains[j - 1]`` is the required stage gain feeding integrator j,
+    realized as a coefficient of alpha = gain / k0 when that is not unity.
+    Returns (entry element id, {(var, order) -> (net, parity)}). The entry
+    element's input stays unpatched for the fed-back highest derivative.
     """
-    gains = gains or [k0] * (order + 1)
     entries = {}
-    entry = None
-    prev_net = None
-    for j in range(1, order + 1):
+    entry = prev_net = None
+    for j, gain in enumerate(gains, start=1):
         d = order - j
         parity = -1 if j % 2 else 1
         init = machine_inits[d]
@@ -398,10 +395,10 @@ def build_integrator_chain(builder: NetlistBuilder, var: str, order: int,
                 f"initial condition of {signal_name(var, d)} is {init:.6g} machine units; "
                 "the autoscaler must run first")
         ic = max(-1.0, min(1.0, ic))
-        alpha = gains[j] / k0
+        alpha = gain / k0
         if alpha > 1.0 + _TOL or alpha <= 0:
             raise ScalingViolationError(
-                f"stage gain {gains[j]:.6g} needs alpha {alpha:.6g} at k0={k0:.6g}; "
+                f"stage gain {gain:.6g} needs alpha {alpha:.6g} at k0={k0:.6g}; "
                 "rerun time scaling")
         alpha = min(alpha, 1.0)
         src = _PENDING if j == 1 else prev_net
@@ -409,7 +406,7 @@ def build_integrator_chain(builder: NetlistBuilder, var: str, order: int,
             src = builder.add(coefficient, src, alpha)
         eid = builder.add(integrator, [src], ic, k0)
         if j == 1:
-            entry = src if src != eid and src != _PENDING else eid
+            entry = eid if src == _PENDING else src
         entries[(var, d)] = (eid, parity)
         prev_net = eid
     return entry, entries
@@ -445,7 +442,7 @@ def compile_system(system: OdeSystem, options: CompileOptions | None = None) -> 
         if order == 0:
             continue
         inits = [system.inits[(var, k)] / scale.m(var, k) for k in range(order)]
-        gains = [None] + [stage_gain(scale, var, order - j) for j in range(1, order + 1)]
+        gains = [stage_gain(scale, var, order - j) for j in range(1, order + 1)]
         entry, entries = build_integrator_chain(builder, var, order, inits, k0, gains)
         chains[var] = entry
         signals.update(entries)

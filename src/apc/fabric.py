@@ -23,13 +23,16 @@ from .record import Frozen, Record
 _INVENTORY_KINDS = ("integrator", "summer", "inverter", "multiplier",
                     "coefficient", "function_generator")
 
+#: Slot kinds in the order slots are numbered, each with its slot name; a
+#: deficit is listed in this order too (inverters never fall short: the
+#: single-input summers past their supply take summer slots).
 _SLOT_PREFIX = {
     "integrator": "INT",
-    "summer": "SUM",
-    "inverter": "INV",
     "multiplier": "MUL",
     "coefficient": "POT",
     "function_generator": "FGEN",
+    "inverter": "INV",
+    "summer": "SUM",
 }
 
 
@@ -101,14 +104,6 @@ class PatchAssignment(Record):
                          [] if settings is None else settings)  # (slot, alpha)
 
 
-def _demand(netlist: Netlist):
-    by_kind: dict[str, list] = {k: [] for k in (*_INVENTORY_KINDS, "reference")}
-    for e in netlist.elements.values():
-        by_kind[inventory_kind(e)].append(e.id)
-    singles, multis, refs = (by_kind.pop(k) for k in ("inverter", "summer", "reference"))
-    return singles, multis, by_kind, refs
-
-
 def map_netlist(netlist: Netlist, spec: MachineSpec) -> PatchAssignment:
     """Place every element on a physical slot, or raise ResourceError.
 
@@ -120,42 +115,23 @@ def map_netlist(netlist: Netlist, spec: MachineSpec) -> PatchAssignment:
     fails validation, AlgebraicLoopError naming one loop if it has any.
     """
     evaluation_order(netlist)
-    singles, multis, by_kind, refs = _demand(netlist)
-
-    deficits = {}
-    for kind, ids in by_kind.items():
-        if len(ids) > spec.count(kind):
-            deficits[kind] = len(ids) - spec.count(kind)
-    inverter_used = min(len(singles), spec.count("inverter"))
-    summer_demand = len(multis) + (len(singles) - inverter_used)
-    if summer_demand > spec.count("summer"):
-        deficits["summer"] = summer_demand - spec.count("summer")
+    ids: dict[str, list] = {kind: [] for kind in (*_SLOT_PREFIX, "reference")}
+    for e in netlist.elements.values():
+        ids[inventory_kind(e)].append(e.id)
+    refs, supply = ids.pop("reference"), spec.count("inverter")
+    ids["summer"][:0] = ids["inverter"][supply:]  # single-input summers past the inverters
+    del ids["inverter"][supply:]
+    deficits = {kind: len(v) - spec.count(kind) for kind, v in ids.items()
+                if len(v) > spec.count(kind)}
     if deficits:
         raise ResourceError(spec.name, deficits)
-
-    slot_of = {}
-    counters = {prefix: 0 for prefix in _SLOT_PREFIX.values()}
-
-    def assign(eid: str, kind: str):
-        prefix = _SLOT_PREFIX[kind]
-        counters[prefix] += 1
-        slot_of[eid] = f"{prefix}{counters[prefix]}"
-
-    for kind, ids in by_kind.items():
-        for eid in ids:
-            assign(eid, kind)
-    for i, eid in enumerate(singles):
-        assign(eid, "inverter" if i < inverter_used else "summer")
-    for eid in multis:
-        assign(eid, "summer")
-    pos = neg = 0
+    slot_of = {eid: f"{_SLOT_PREFIX[kind]}{i}"
+               for kind, v in ids.items() for i, eid in enumerate(v, start=1)}
+    taps = {"REFP": 0, "REFN": 0}
     for eid in refs:
-        if netlist.elements[eid].params["constant"] > 0:
-            pos += 1
-            slot_of[eid] = f"REFP{pos}"
-        else:
-            neg += 1
-            slot_of[eid] = f"REFN{neg}"
+        rail = "REFP" if netlist.elements[eid].params["constant"] > 0 else "REFN"
+        taps[rail] += 1
+        slot_of[eid] = f"{rail}{taps[rail]}"
 
     patches = []
     for e in netlist.elements.values():

@@ -414,6 +414,14 @@ def json_object(doc, where: str, fields: dict, optional=()) -> dict:
     return out
 
 
+def _finite(doc: dict, key: str, where: str, positive: bool = False) -> float:
+    """``doc[key]``, checked to be finite and, where asked, positive."""
+    if math.isfinite(doc[key]) and (doc[key] > 0 or not positive):
+        return doc[key]
+    raise StructuralError(f"{key!r} of {where} must be {'positive and ' * positive}finite, "
+                          f"got {doc[key]!r}")
+
+
 def netlist_to_dict(netlist: Netlist) -> dict:
     elements = []
     for e in netlist.elements.values():
@@ -505,17 +513,22 @@ class Mapping(Record):
     def from_dict(cls, doc: dict) -> "Mapping":
         fields = {"signals": dict, "params": dict, "lambda": float, "k0": float,
                   "horizon_machine": float}
-        doc = json_object(doc, "mapping file", fields, optional=fields)
+        doc = {"lambda": 1.0, "k0": 1.0} | json_object(doc, "mapping file", fields, fields)
         signals, params = {}, {}
         for name, d in doc.get("signals", {}).items():
-            d = json_object(d, f"signal {name!r}",
-                            {"net": str, "parity": float, "amplitude_scale": float})
-            signals[name] = SignalBinding(d["net"], int(d["parity"]), d["amplitude_scale"])
+            where = f"signal {name!r}"
+            d = json_object(d, where, {"net": str, "parity": float, "amplitude_scale": float})
+            if d["parity"] not in (1, -1):
+                raise StructuralError(f"'parity' of {where} must be 1 or -1, got {d['parity']!r}")
+            signals[name] = SignalBinding(d["net"], int(d["parity"]),
+                                          _finite(d, "amplitude_scale", where, positive=True))
         for name, d in doc.get("params", {}).items():
-            d = json_object(d, f"param {name!r}", {"element": str, "scale": float, "value": float})
-            params[name] = ParamBinding(d["element"], d["scale"], d["value"])
-        return cls(signals, params, doc.get("lambda", 1.0), doc.get("k0", 1.0),
-                   doc.get("horizon_machine"))
+            where = f"param {name!r}"
+            d = json_object(d, where, {"element": str, "scale": float, "value": float})
+            params[name] = ParamBinding(d["element"], _finite(d, "scale", where),
+                                        _finite(d, "value", where))
+        return cls(signals, params, _finite(doc, "lambda", "mapping file", positive=True),
+                   _finite(doc, "k0", "mapping file", positive=True), doc.get("horizon_machine"))
 
     def check(self, netlist) -> "Mapping":
         """This mapping, if its bindings cover ``netlist``'s outputs and name

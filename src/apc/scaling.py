@@ -309,8 +309,9 @@ def _interval_bound(expr: Expr, env: dict, params: dict, tables: dict) -> float:
 # [0, T] it is at most max(f(0), f(T)), at most the per-mode bound
 # sum_j |(rV)_j c_j| max(1, e^(Re lambda_j T)); no cost grows with T. The
 # eigen-decomposition is plain Python (Golub & Van Loan, Matrix
-# Computations, sec. 7.4-7.5), so that a compile which needs no oracle
-# never imports numpy.
+# Computations, sec. 7.4-7.6), so that a compile which needs no oracle
+# never imports numpy. One complex Schur factorization A = Q T Q^H gives
+# both V and V^-1: T's eigenvectors are triangular, and so is their inverse.
 
 #: The most states the modal bound decomposes; a larger program runs the
 #: oracle. The decomposition takes 0.2, 9, 50 and 390 ms at 4, 16, 32 and
@@ -432,11 +433,12 @@ def _schur(h: list, q: list, scale: float) -> bool:
 
 
 def _eig(a: list):
-    """(lambda, V, residual) with A V = V diag(lambda) to within the residual
-    ||AV - V diag(lambda)||_1 and unit columns in V, or None if QR does not
-    converge or the residual exceeds ``_RESIDUAL_ULPS`` n eps ||A||_1
-    ||V||_1. Eigenvectors come from back-substitution on the triangular
-    factor."""
+    """(lambda, V, V^-1, residual) with A V = V diag(lambda) to within the
+    residual ||AV - V diag(lambda)||_1 and unit columns in V, or None if QR
+    does not converge or the residual exceeds ``_RESIDUAL_ULPS`` n eps
+    ||A||_1 ||V||_1. T = Q^H A Q has unit upper triangular eigenvectors Y,
+    found by back-substitution, so V = Q Y diag(norms)^-1 and
+    V^-1 = diag(norms) Y^-1 Q^H, where inverting Y divides by nothing."""
     n = len(a)
     scale = max(abs(x) for row in a for x in row)
     t = [[complex(x) for x in row] for row in a]
@@ -453,15 +455,20 @@ def _eig(a: list):
             y[i][k] = -sum(t[i][j] * y[j][k] for j in range(i + 1, k + 1)) / (
                 den if abs(den) >= small else small)
     v = [[sum(q[i][j] * y[j][k] for j in range(k + 1)) for k in range(n)] for i in range(n)]
-    for k in range(n):
-        norm = math.sqrt(sum(abs(v[i][k]) ** 2 for i in range(n)))
-        for row in v:
-            row[k] /= norm
+    norms = [math.sqrt(sum(abs(v[i][k]) ** 2 for i in range(n))) for k in range(n)]
+    v = [[x / norm for x, norm in zip(row, norms)] for row in v]
     residual = max(sum(abs(sum(a[i][m] * v[m][k] for m in range(n)) - v[i][k] * lam[k])
                        for i in range(n)) for k in range(n))
     if not residual <= _RESIDUAL_ULPS * n * _EPS * _norm1(a) * _norm1(v):
         return None
-    return lam, v, residual
+    z = [[0j] * n for _ in range(n)]  # Y^-1
+    for k in range(n):
+        z[k][k] = 1 + 0j
+        for i in range(k - 1, -1, -1):
+            z[i][k] = -sum(y[i][j] * z[j][k] for j in range(i + 1, k + 1))
+    inverse = [[norms[i] * sum(z[i][j] * q[m][j].conjugate() for j in range(i, n))
+                for m in range(n)] for i in range(n)]
+    return lam, v, inverse, residual
 
 
 def _norm1(m: list) -> float:
@@ -469,42 +476,14 @@ def _norm1(m: list) -> float:
     return max(sum(abs(row[k]) for row in m) for k in range(len(m[0])))
 
 
-def _inverse(v: list):
-    """V^-1 from one LU factorization with partial pivoting, or None if a
-    pivot is zero."""
-    n = len(v)
-    lu = [row[:] for row in v]
-    perm = list(range(n))
-    for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(lu[i][k]))
-        if not abs(lu[p][k]) > 0:
-            return None
-        lu[k], lu[p] = lu[p], lu[k]
-        perm[k], perm[p] = perm[p], perm[k]
-        for i in range(k + 1, n):
-            f = lu[i][k] = lu[i][k] / lu[k][k]
-            if f:
-                for j in range(k + 1, n):
-                    lu[i][j] -= f * lu[k][j]
-    columns = []
-    for j in range(n):  # solve L U x = P e_j
-        x = [complex(perm[i] == j) for i in range(n)]
-        for i in range(n):
-            x[i] -= sum(lu[i][m] * x[m] for m in range(i))
-        for i in range(n - 1, -1, -1):
-            x[i] = (x[i] - sum(lu[i][m] * x[m] for m in range(i + 1, n))) / lu[i][i]
-        columns.append(x)
-    return [list(row) for row in zip(*columns)]
-
-
 def _modal_bounds(system: OdeSystem) -> dict | None:
     """Bound of every signal's magnitude over [0, horizon] from the modes of
     x' = A x, or None where the oracle must decide: the program is not
-    homogeneous linear (``_state_matrix``), the decomposition fails
-    (``_eig``), cond_1(V) exceeds ``MODAL_MAX_COND``, a bound is not finite
-    or exceeds 1e12, a bound above 1e-12 is more than ``MODAL_MAX_SLACK``
-    times the largest magnitude its signal takes at the ``_SAMPLES`` times
-    (modes that cancel), or a magnitude overflows. Each bound carries a
+    homogeneous linear (``_state_matrix``), the decomposition that gives V
+    and V^-1 fails (``_eig``), cond_1(V) exceeds ``MODAL_MAX_COND``, a
+    bound is not finite or exceeds 1e12, a bound above 1e-12 is more than
+    ``MODAL_MAX_SLACK`` times the largest magnitude its signal takes at the
+    ``_SAMPLES`` times (modes that cancel), or a magnitude overflows. Each bound carries a
     relative slack of 8 n cond_1(V) eps for the decomposition's rounding.
     A's roots lie within cond_1(V) ||residual V^-1||_1 of the computed ones
     (Bauer-Fike), and each growth rate Re lambda_j is raised by that much:
@@ -513,10 +492,9 @@ def _modal_bounds(system: OdeSystem) -> dict | None:
     found = _state_matrix(system)
     try:
         decomposed = found and _eig(found[1])
-        inverse = decomposed and _inverse(decomposed[1])
-        if not inverse:
+        if not decomposed:
             return None
-        (states, a), (lam, v, residual) = found, decomposed
+        (states, a), (lam, v, inverse, residual) = found, decomposed
         n = len(states)
         cond = _norm1(v) * _norm1(inverse)
         if not cond <= MODAL_MAX_COND:

@@ -467,12 +467,37 @@ class TestRun:
         assert main(["run", str(out), "--trace", str(workdir / "nodir" / "t.csv")]) == 1
         assert "No such file or directory" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ['{"signals": [1]}', '{"signals": {"y": 5}}', "{"])
+    @pytest.mark.parametrize("text", [
+        '{"signals": [1]}', '{"signals": {"y": 5}}', "{",
+        *(pytest.param(edit, id=edit) for edit in [
+            "signals.y.parity=1e400", "signals.y.parity=0.5", "signals.y.parity=0",
+            "signals.y'.parity=-2", "signals.y.amplitude_scale=0",
+            "signals.y'.amplitude_scale=-0.5", "signals.y''.amplitude_scale=NaN",
+            "signals.y.amplitude_scale=Infinity", "lambda=-2.0", "lambda=0", "k0=1e400",
+            "k0=NaN", "params.k.scale=1e400", "params.k.scale=NaN", "params.k.value=-Infinity",
+        ]),
+    ])
     def test_malformed_mapping_exits_1(self, workdir, capsys, text):
-        out = compiled(workdir, SINE_SRC, "sine")
-        (workdir / "sine.map.json").write_text(text)
-        assert main(["run", str(out)]) == 1
-        assert "sine.map.json: " in capsys.readouterr().err
+        """A sidecar that is not JSON, or not a mapping, or one number of
+        the compiled sidecar out of its range (``path=value``) exits 1 with
+        one line naming the file."""
+        out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
+        mpath = workdir / "vco.map.json"
+        if not text.startswith("{"):
+            doc = json.loads(mpath.read_text())
+            path, value = text.split("=")
+            *keys, last = path.split(".")
+            field = doc
+            for key in keys:
+                field = field[key]
+            field[last] = json.loads(value)
+            text = json.dumps(doc)
+        mpath.write_text(text)
+        capsys.readouterr()
+        assert main(["run", str(out), "--tend", "0.01", "--problem-units",
+                     "--trace", str(workdir / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"apc: {mpath}: ") and err.count("\n") == 1
 
 
 class TestSidecarMismatch:

@@ -1,12 +1,13 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apc import compiler, dsl, scaling, simulator
+from apc import compiler, dsl, machine, scaling, simulator
 from apc.compiler import (
     CompileOptions,
     NetlistBuilder,
@@ -18,7 +19,10 @@ from apc.compiler import (
 )
 from apc.machine import Kind, ScalingError, is_inverter, netlist_to_dict
 from apc.scaling import reference_solution
+from apc.dsl import signal_name
 from conftest import SINE_SRC, VCO_SRC, build, compilable_programs, resolve_src
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 COUPLED_SRC = """\
 system coupled
@@ -37,7 +41,7 @@ output y, y', y'', z, z'
 class TestIntegratorChain:
     def test_second_order_signs(self):
         b = NetlistBuilder()
-        entry, entries = build_integrator_chain(b, "y", 2, [0.5, 0.866], k0=1.0)
+        entry, entries = build_integrator_chain(b, "y", 2, [0.5, 0.866], k0=1.0, gains=[1.0] * 2)
         first, second = b.elements["int1"], b.elements["int2"]
         assert first.params["ic"] == -0.866  # carries -y'
         assert second.params["ic"] == 0.5  # carries +y
@@ -47,19 +51,19 @@ class TestIntegratorChain:
 
     def test_first_order(self):
         b = NetlistBuilder()
-        _, entries = build_integrator_chain(b, "y", 1, [0.0], k0=1.0)
+        _, entries = build_integrator_chain(b, "y", 1, [0.0], k0=1.0, gains=[1.0])
         assert entries[("y", 0)] == ("int1", -1)
         assert b.elements["int1"].params["ic"] == 0.0
 
     def test_third_order_parities_alternate(self):
         b = NetlistBuilder()
-        _, entries = build_integrator_chain(b, "y", 3, [0.0, 0.0, 0.0], k0=1.0)
+        _, entries = build_integrator_chain(b, "y", 3, [0.0, 0.0, 0.0], k0=1.0, gains=[1.0] * 3)
         assert [entries[("y", k)][1] for k in (2, 1, 0)] == [-1, 1, -1]
 
     def test_out_of_range_init_is_scaling_violation(self):
         b = NetlistBuilder()
         with pytest.raises(compiler.ScalingViolationError):
-            build_integrator_chain(b, "y", 1, [5.0], k0=1.0)
+            build_integrator_chain(b, "y", 1, [5.0], k0=1.0, gains=[1.0])
 
 
 class TestSineCompile:
@@ -397,3 +401,91 @@ def test_lowering_places_no_redundant_inverter(src):
         return
     # what the scaler accepts, the compiler builds
     assert_no_redundant_inverters(compile_system(system, CompileOptions(scale=scale)))
+
+
+# --- each netlist matches its source, point by point -------------------------
+# Translation validation: at integrator states drawn in [-1, 1], every net
+# the netlist computes is compared with what the source's equations say it
+# carries. No step size and no oracle enters.
+
+def _integrator_of(netlist, net: str):
+    """(integrator, sign): ``net`` carries sign times the integrator's
+    output, through the inverters and unit coefficients (buffers) that the
+    compiler adds for outputs."""
+    e, sign = netlist.elements[netlist.nets[net].driver], 1
+    while is_inverter(e) or e.kind is Kind.COEFFICIENT and e.params["alpha"] == 1.0:
+        sign *= -1 if is_inverter(e) else 1
+        e = netlist.elements[netlist.nets[e.inputs[0]].driver]
+    assert e.kind is Kind.INTEGRATOR, f"{net} is not an integrator's output"
+    return e, sign
+
+
+def assert_matches_source(system, result, seed: int, points: int = 3):
+    """Each integrator's rate -k0 sum(inputs) is parity lambda / m times its
+    signal's next derivative, each order-0 and top-derivative net carries
+    parity x / m of its source value x, and each lookup agrees with the
+    source's own (``np.interp``) to a few ulps."""
+    netlist, mapping = result.netlist, result.mapping
+    order = machine.evaluation_order(netlist)
+    rng = np.random.default_rng(seed)
+    chain = [(v, k) for v, n in system.var_order.items() for k in range(n)]
+    integrators = {key: _integrator_of(netlist, mapping.signals[signal_name(*key)].net)
+                   for key in chain}
+    assert sorted(e.id for e, _ in integrators.values()) == sorted(
+        e.id for e in netlist.elements.values() if e.kind is Kind.INTEGRATOR)
+    value = {}
+
+    def inputs(e):
+        return [value[netlist.nets[n].driver] for n in e.inputs]
+
+    def net(key):
+        b = mapping.signals[signal_name(*key)]
+        return b, value[netlist.nets[b.net].driver]
+
+    for _ in range(points):
+        value.update((e.id, rng.uniform(-1.0, 1.0)) for e, _ in integrators.values())
+        for eid in order:
+            e = netlist.elements[eid]
+            value[eid] = machine.element_output(e.kind, e.params, inputs(e))
+            if e.kind is Kind.FUNCTION_GENERATOR:
+                xs, ys = zip(*e.params["table"])
+                ulps = 4 * math.ulp(max(map(abs, ys)))
+                assert abs(value[eid] - np.interp(inputs(e)[0], xs, ys)) <= ulps, eid
+        env = {}
+        for key in chain:
+            b, y = net(key)
+            env[key] = b.parity * b.scale * y
+        for v in system.order0:
+            env[(v, 0)] = scaling.eval_expr(system.equations[v], env, system.params, system.tables)
+        for v, n in system.var_order.items():
+            if n:
+                env[(v, n)] = scaling.eval_expr(system.equations[v], env, system.params,
+                                                system.tables)
+            b, y = net((v, n))
+            assert math.isclose(y, b.parity * env[(v, n)] / b.scale,
+                                rel_tol=1e-9, abs_tol=1e-9), signal_name(v, n)
+        for (v, k), (e, sign) in integrators.items():
+            b, _ = net((v, k))
+            rate = -e.params["k0"] * sum(inputs(e))
+            assert math.isclose(rate, sign * b.parity * mapping.lam * env[(v, k + 1)] / b.scale,
+                                rel_tol=1e-9, abs_tol=1e-9), signal_name(v, k)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(compilable_programs(), st.integers(0, 2**32 - 1))
+def test_netlists_match_their_source_pointwise(src, seed):
+    system = resolve_src(src)
+    assert_matches_source(system, compile_system(system, CompileOptions(scale=ScaleMap.identity())),
+                          seed)
+    try:
+        scale = scaling.autoscale(system)
+    except ScalingError:
+        return
+    assert_matches_source(system, compile_system(system, CompileOptions(scale=scale)), seed)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PROGRAMS.glob("*.apc")))
+def test_sample_netlists_match_their_source_pointwise(name):
+    system = resolve_src((PROGRAMS / f"{name}.apc").read_text())
+    assert_matches_source(system, compile_system(system, CompileOptions(
+        scale=scaling.autoscale(system))), seed=len(name), points=20)
