@@ -33,7 +33,6 @@ from .dsl import Bin, Call, Expr, Neg, Num, OdeSystem, Ref, signal_name
 from .machine import (
     Element,
     Mapping,
-    Net,
     Netlist,
     ParamBinding,
     ScalingError,
@@ -50,7 +49,8 @@ from .machine import (
 from .record import Frozen, Record
 
 _PENDING = "__pending__"
-_TOL = 1e-9
+#: Relative slack of every machine-range test of a gain, alpha, init or sum.
+RANGE_TOL = 1e-9
 
 
 class CompileError(ValueError):
@@ -68,10 +68,11 @@ class ScalingViolationError(CompileError):
 # --- normal form -------------------------------------------------------------
 # An expression becomes a sum of terms; each term is a numeric coefficient
 # (with symbolic param bookkeeping for the sweep interface) times signal,
-# lookup and parenthesized-sum factors. Products never distribute over
-# sums, so the element structure of the source is preserved. The compiler
-# lowers this form term by term (``_Synth``), and ``demand`` predicts the
-# gains that lowering needs, which the autoscaler sizes signals by.
+# lookup and parenthesized-sum factors, the last an ``_NSum`` itself.
+# Products never distribute over sums, so the element structure of the
+# source is preserved. The compiler lowers this form term by term
+# (``_Synth``), and ``demand`` predicts the gains that lowering needs,
+# which the autoscaler sizes signals by.
 # ``FSignal`` is public: the modal bounds in ``scaling`` read linear terms by it.
 
 class FSignal(Record):
@@ -80,10 +81,6 @@ class FSignal(Record):
 
 class _FLut(Record):
     __slots__ = ("table", "arg")
-
-
-class _FSum(Record):
-    __slots__ = ("inner",)
 
 
 class _Term(Record):
@@ -151,7 +148,7 @@ def normalize(expr: Expr, system: OdeSystem) -> _NSum:
             if len(n.terms) == 1:
                 t = n.terms[0]
                 return t.coeff, t.pexps, t.factors
-            return 1.0, Counter(), [_FSum(n)]
+            return 1.0, Counter(), [n]
 
         lc, lp, lf = as_factors(left)
         rc, rp, rf = as_factors(right)
@@ -208,11 +205,11 @@ _PREFIX = {summer: "sum", integrator: "int", multiplier: "mul", coefficient: "co
 
 
 class NetlistBuilder:
-    """Accumulates elements and nets with deterministic ids (prefix + counter)."""
+    """Elements with deterministic ids (prefix + counter), each driving the net of its id."""
 
     def __init__(self):
         self.elements: dict[str, Element] = {}
-        self.nets: dict[str, Net] = {}
+        self.outputs: dict[str, str] = {}  # output name -> element id
         self._counters: Counter = Counter()
 
     def add(self, make, *args) -> str:
@@ -222,17 +219,13 @@ class NetlistBuilder:
         self._counters[prefix] += 1
         eid = f"{prefix}{self._counters[prefix]}"
         self.elements[eid] = make(eid, *args)
-        self.nets[eid] = Net(eid)
         return eid
 
-    def name_net(self, net_id: str, name: str) -> None:
-        self.nets[net_id] = Net(self.nets[net_id].driver, name)
-
-    def build(self, outputs) -> Netlist:
+    def build(self) -> Netlist:
         for e in self.elements.values():
             if _PENDING in e.inputs:
                 raise CompileError(f"internal error: unpatched feedback input on {e.id}")
-        return Netlist(self.elements.values(), self.nets, outputs)
+        return Netlist.from_elements(self.elements.values(), self.outputs)
 
 
 # --- synthesis ---------------------------------------------------------------
@@ -253,16 +246,16 @@ def demand(n: _NSum, amplitude: dict, tables: dict) -> tuple[float, float]:
             if isinstance(f, FSignal):
                 m = amplitude[(f.var, f.order)]
                 gain, size = gain * m, size * m
-            elif isinstance(f, _FSum):
-                g_in, v_in = demand(f.inner, amplitude, tables)
-                if max(g_in, v_in) > 1.0 + 1e-9:
+            elif isinstance(f, _NSum):
+                g_in, v_in = demand(f, amplitude, tables)
+                if max(g_in, v_in) > 1.0 + RANGE_TOL:
                     raise ScalingError(
                         f"parenthesized sum needs {max(g_in, v_in):.4g} machine units; "
                         "expand it or bound its inputs")
                 size *= min(1.0, v_in)
             else:
                 arg = max(demand(f.arg, amplitude, tables))
-                if arg > 1.0 + 1e-9:
+                if arg > 1.0 + RANGE_TOL:
                     raise ScalingError(
                         f"lookup-table argument can reach {arg:.4g}; arguments must stay in [-1, 1]")
                 size *= table_bound(tables[f.table])
@@ -296,7 +289,7 @@ class _Synth:
         element; UnscaledCoefficientError naming ``noun`` when |c| exceeds 1.
         Records the parameter sites of ``pexps`` either way."""
         mag = abs(c)
-        if mag > 1.0 + _TOL:
+        if mag > 1.0 + RANGE_TOL:
             raise UnscaledCoefficientError(
                 f"unscaled coefficient {c:.6g}: {noun} must lie in [-1, 1]; "
                 "run the autoscaler or rescale the program")
@@ -320,8 +313,8 @@ class _Synth:
             if isinstance(f, FSignal):
                 net, p = self.signals[(f.var, f.order)]
                 amp *= self.scale.m(f.var, f.order)
-            elif isinstance(f, _FSum):
-                net, p = self.sum(f.inner, m_top=1.0)
+            elif isinstance(f, _NSum):
+                net, p = self.sum(f, m_top=1.0)
             else:
                 arg, _ = self.sum(f.arg, m_top=1.0, want=1)
                 net = self.b.add(function_generator, arg, self.system.tables[f.table])
@@ -390,13 +383,13 @@ def build_integrator_chain(builder: NetlistBuilder, var: str, order: int,
         parity = -1 if j % 2 else 1
         init = machine_inits[d]
         ic = parity * init
-        if abs(ic) > 1.0 + _TOL:
+        if abs(ic) > 1.0 + RANGE_TOL:
             raise ScalingViolationError(
                 f"initial condition of {signal_name(var, d)} is {init:.6g} machine units; "
                 "the autoscaler must run first")
         ic = max(-1.0, min(1.0, ic))
         alpha = gain / k0
-        if alpha > 1.0 + _TOL or alpha <= 0:
+        if alpha > 1.0 + RANGE_TOL or alpha <= 0:
             raise ScalingViolationError(
                 f"stage gain {gain:.6g} needs alpha {alpha:.6g} at k0={k0:.6g}; "
                 "rerun time scaling")
@@ -467,13 +460,12 @@ def compile_system(system: OdeSystem, options: CompileOptions | None = None) -> 
         if order == 0 and parity == -1:
             net = synth.invert(net)
             signals[(name, 0)] = (net, 1)
-        elif builder.nets[net].name:  # another output's net (eq x = y): buffer it
+        elif net in builder.outputs.values():  # another output's net (eq x = y): buffer it
             net = builder.add(coefficient, net, 1.0)
             signals[(name, order)] = (net, parity)
-        builder.name_net(net, signal_name(name, order))
+        builder.outputs[signal_name(name, order)] = net
 
-    outputs = tuple(signal_name(name, order) for name, order in system.outputs)
-    netlist = builder.build(outputs)
+    netlist = builder.build()
 
     evaluation_order(netlist)  # no resolved program fails this check
 

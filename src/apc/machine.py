@@ -153,6 +153,14 @@ def inventory_kind(e: "Element") -> str:
     return "inverter" if is_inverter(e) else e.kind.value
 
 
+def _as_float(x) -> float:
+    """``float(x)``; an integer past the float range reads as 1e400 or -1e400 does."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 class Element(Frozen):
     """One computing element: identity, kind, parameters and input nets."""
 
@@ -162,7 +170,7 @@ class Element(Frozen):
         params = {} if params is None else params
         if kind is Kind.FUNCTION_GENERATOR and "table" in params:
             try:
-                table = tuple((float(x), float(y)) for x, y in params["table"])
+                table = tuple((_as_float(x), _as_float(y)) for x, y in params["table"])
             except (TypeError, ValueError):
                 raise StructuralError(
                     f"'table' of params of element {id!r} must hold [x, y] pairs") from None
@@ -389,7 +397,7 @@ _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", float: "a num
 def json_value(value, kind: type, where: str):
     """``value`` checked to have the JSON type ``kind``; numbers come back as floats."""
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
+        return _as_float(value)
     if not isinstance(value, kind):
         raise StructuralError(f"{where} must be {_JSON_TYPES[kind]}, got {type(value).__name__}")
     return value

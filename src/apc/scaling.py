@@ -34,7 +34,7 @@ import cmath
 import math
 import sys
 
-from .compiler import FSignal, ScaleMap, demand, normalize
+from .compiler import RANGE_TOL, FSignal, ScaleMap, demand, normalize, stage_gain
 from .dsl import Bin, Call, Expr, Neg, Num, OdeSystem, Ref, signal_name, walk
 from .machine import ScalingError, table_bound
 from .record import Frozen, Record
@@ -638,14 +638,14 @@ def amplitude_scale(system: OdeSystem, bounds: BoundsEstimate) -> ScaleMap:
         b = bounds.values[key]
         if key in pinned:
             limit = SAFETY_MARGIN if bounds.method.get(key) == "oracle" else 1.0
-            if b > limit * (1 + 1e-9):
+            if b > limit * (1 + RANGE_TOL):
                 raise ScalingError(
                     f"signal {signal_name(*key)} feeds a lookup table but exceeds "
                     f"machine range (bound {b}); restructure or bound it to 1")
             amplitude[key] = 1.0
         else:
             amplitude[key] = _scale_factor(key, b)
-        if key in system.inits and abs(system.inits[key] / amplitude[key]) > 1.0 + 1e-9:
+        if key in system.inits and abs(system.inits[key] / amplitude[key]) > 1.0 + RANGE_TOL:
             raise ScalingError(f"initial condition {system.inits[key]:.6g} of "
                                f"{signal_name(*key)} exceeds its bound {b:.6g}")
 
@@ -653,45 +653,34 @@ def amplitude_scale(system: OdeSystem, bounds: BoundsEstimate) -> ScaleMap:
         key = (v, system.var_order[v])
         need = max(demand(normalize(system.equations[v], system), amplitude, system.tables))
         if key in pinned:
-            if need > 1.0 + 1e-9:
+            if need > 1.0 + RANGE_TOL:
                 raise ScalingError(
                     f"signal {signal_name(*key)} feeds a lookup table but its equation "
                     f"can reach {need:.4g}; restructure or bound it to 1")
-        elif need > amplitude[key] * (1 + 1e-9):
+        elif need > amplitude[key] * (1 + RANGE_TOL):
             amplitude[key] = _scale_factor(key, need)
     return ScaleMap(amplitude)
 
 
-def _stage_ratios(system: OdeSystem, scale: ScaleMap):
-    """(var, stage) -> m_lower / m_upper for every integrator stage."""
-    out = {}
-    for v, n in system.var_order.items():
-        for j in range(1, n + 1):  # integrator j outputs derivative order n - j
-            out[(v, j)] = scale.m(v, n - j) / scale.m(v, n - j + 1)
-    return out
-
-
 def time_scale(system: OdeSystem, scale: ScaleMap, k0: float = 1.0) -> ScaleMap:
     """``scale``'s amplitudes with lambda k0 where every stage allows it (so
-    unit-amplitude systems compile to plain chains), else ``_largest_lambda``.
-    A hand-picked lambda is ``ScaleMap(amplitude, lam, k0)``, whose stage
-    gains ``compiler.compile_system`` checks."""
-    ratios = _stage_ratios(system, scale)
-    limit = k0 * min(ratios.values(), default=1.0)
-    lam = k0 if limit >= k0 * (1 - 1e-9) else _largest_lambda(system, ratios, limit)
-    return ScaleMap(scale.amplitude, lam, k0)
-
-
-def _largest_lambda(system: OdeSystem, ratios: dict, limit: float) -> float:
-    """The largest grid lambda at most ``limit``, k0 times the smallest stage
-    ratio, which keeps every stage's alpha at most 1; ScalingError naming
-    that stage if the ratio or its grid value underflows to 0."""
+    unit-amplitude systems compile to plain chains), else the largest grid
+    lambda at most k0 over the largest ``compiler.stage_gain`` at lambda 1;
+    ScalingError naming that stage if no positive grid value is. A hand-set
+    lambda is ``ScaleMap(amplitude, lam, k0)``, whose stage gains
+    ``compiler.compile_system`` checks."""
+    unit = ScaleMap(scale.amplitude)
+    gains = {(v, d): stage_gain(unit, v, d)  # the stage into derivative order d
+             for v, n in system.var_order.items() for d in reversed(range(n))}
+    gain = max(gains.values(), default=1.0)
+    limit = k0 / gain if gain > 0 else math.inf
+    if limit >= k0 * (1 - RANGE_TOL):
+        return ScaleMap(scale.amplitude, k0, k0)
     lam = round_down_grid(limit) if limit > 0 else 0.0
     if lam > 0:
-        return lam
-    v, j = min(ratios, key=ratios.get)
-    n = system.var_order[v]
-    raise ScalingError(f"the stage from {signal_name(v, n - j + 1)} to {signal_name(v, n - j)} "
+        return ScaleMap(scale.amplitude, lam, k0)
+    v, d = max(gains, key=gains.get)
+    raise ScalingError(f"the stage from {signal_name(v, d + 1)} to {signal_name(v, d)} "
                        f"needs lambda <= {limit:.6g}, below every positive time scale")
 
 

@@ -78,6 +78,7 @@ import math
 import warnings
 from collections import Counter
 from enum import Enum
+from itertools import product
 
 from .machine import (
     KINDS,
@@ -121,19 +122,9 @@ class Mode(str, Enum):
     HALT = "HALT"
 
 
-#: Legal mode transitions. OP->IC and IC->HALT are rejected: a run must
+#: Legal mode transitions: every pair but OP->IC and IC->HALT. A run must
 #: pass through HALT before its states may be thrown away.
-LEGAL_TRANSITIONS = frozenset(
-    {
-        (Mode.IC, Mode.OP),
-        (Mode.OP, Mode.HALT),
-        (Mode.HALT, Mode.OP),
-        (Mode.HALT, Mode.IC),
-        (Mode.IC, Mode.IC),
-        (Mode.OP, Mode.OP),
-        (Mode.HALT, Mode.HALT),
-    }
-)
+LEGAL_TRANSITIONS = frozenset(product(Mode, Mode)) - {(Mode.OP, Mode.IC), (Mode.IC, Mode.HALT)}
 
 
 class SimConfig(Frozen):

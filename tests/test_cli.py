@@ -1,10 +1,12 @@
 import ast
+import copy
 import csv
 import io
 import json
 import math
 import os
 import pickle
+import random
 import re
 import shlex
 import shutil
@@ -30,7 +32,16 @@ from apc.machine import (
 from apc.fabric import ResourceError
 from apc.machine import AlgebraicLoopError
 from apc.simulator import OverloadError
-from conftest import FIG2_SRC, ROOT, SINE5_SRC, SINE_SRC, UNSTABLE_SRC, VCO_SRC, src_env
+from conftest import (
+    DECAY_LUT_SRC,
+    FIG2_SRC,
+    ROOT,
+    SINE5_SRC,
+    SINE_SRC,
+    UNSTABLE_SRC,
+    VCO_SRC,
+    src_env,
+)
 
 
 @pytest.fixture
@@ -236,12 +247,16 @@ class TestCompile:
          "the stage from y' to y needs lambda <= 0, below every positive time scale"),
         ("system s\nvar y order 1\neq y' = -y\ninit y = 1e-16\nbound y = 1e-16\n"
          "bound y' = 2e307\ntime 1\n",
-         "the stage from y' to y needs lambda <= 4.94066e-324, below every positive time scale"),
+         "the stage from y' to y needs lambda <= 0, below every positive time scale"),
+        ("system s\nvar y order 1\neq y' = 0\ninit y = 0.5\nbound y = 1e300\n"
+         "bound y' = 1e-320\ntime 1\n", "stage gain 0 needs alpha 0 at k0=1; rerun time scaling"),
     ], ids=["huge", "huge-interval", "below-init", "subnormal", "ratio-underflow",
-            "lambda-underflow"])
+            "lambda-underflow", "zero-gain"])
     def test_bound_the_autoscaler_cannot_use_exits_4(self, workdir, capsys, source, message):
         """Each once ended in a grid-rounding or ScaleMap traceback or blamed
-        a skipped autoscaler."""
+        a skipped autoscaler. The stage gain 2e307/1e-16 of lambda-underflow
+        is past the float range, so its lambda limit reads 0; zero-gain's
+        stage gain 1e-320/1e300 underflows to 0, which leaves lambda at k0."""
         src = write(workdir / "b.apc", source)
         assert main(["compile", src, "-o", str(workdir / "b.json")]) == 4
         assert capsys.readouterr().err == f"apc: scaling: {message}\n"
@@ -977,6 +992,127 @@ class TestMap:
                      json.dumps({"name": "mini", "inventory":
                                  {"integrator": 2, "summer": 1, "inverter": 0}}))
         assert main(["map", str(out), "--machine", spec]) == 0
+
+
+#: An integer past the float range, which JSON's 1e400 is not.
+HUGE_INT = 10**400
+_NOT_VALID = "netlist does not validate: "
+
+
+@pytest.mark.parametrize("case, command", [
+    ("k0", "run"), ("k0", "sweep"), ("k0", "map"),
+    ("breakpoint", "run"), ("breakpoint", "sweep"), ("breakpoint", "map"),
+    ("lambda", "run"), ("lambda", "sweep"), ("inventory", "map"),
+])
+def test_an_integer_past_the_float_range_reads_as_inf(workdir, capsys, case, command):
+    """A netlist, sidecar or machine spec holding 10**400 once ended run,
+    sweep and map in an OverflowError traceback; it reads as 1e400 does."""
+    source, name = (DECAY_LUT_SRC, "decay") if case == "breakpoint" else (VCO_SRC, "vco")
+    out = compiled(workdir, source, name, extra=("--scale", "none"))
+    doc = json.loads(out.read_text())
+    if case == "k0":
+        next(e for e in doc["elements"] if e["id"] == "int1")["params"]["k0"] = HUGE_INT
+        message = _NOT_VALID + "int1: param-range: k0 inf must be positive"
+    elif case == "breakpoint":
+        next(e for e in doc["elements"] if e["id"] == "fgen1")["params"]["table"][2][0] = HUGE_INT
+        message = _NOT_VALID + "fgen1: param-range: breakpoint (inf, 1.0) outside [-1, 1]"
+    out.write_text(json.dumps(doc))
+    mpath = workdir / f"{name}.map.json"
+    if case == "lambda":
+        mapping = json.loads(mpath.read_text())
+        mapping["lambda"] = HUGE_INT
+        mpath.write_text(json.dumps(mapping))
+        message = f"{mpath}: 'lambda' of mapping file must be positive and finite, got inf"
+    spec = "that"
+    if case == "inventory":
+        spec = write(workdir / "spec.json",
+                     json.dumps({"name": "x", "inventory": {"integrator": HUGE_INT}}))
+        message = f"{spec}: inventory count of integrator must be a non-negative integer, got inf"
+    argv = {"run": ["--tend", "0.01", "--problem-units"],
+            "sweep": ["--param", "k=0.5", "--tend", "0.01", "--out", "s"],
+            "map": ["--machine", spec]}[command]
+    capsys.readouterr()
+    assert main([command, str(out), *argv]) == 1
+    assert capsys.readouterr() == ("", f"apc: {message}\n")
+
+
+#: What a mutation puts in place of a JSON value or adds under a new key.
+_JUNK = (None, True, False, "", "x", [], [0.5, 0.5], {}, 0, -1, 0.5, 2**64, HUGE_INT, -HUGE_INT,
+         1e400, -1e400, math.nan)
+
+
+def _nodes(doc, path=()):
+    """(path, value) of ``doc`` and of every value inside it."""
+    yield path, doc
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _nodes(value, (*path, key))
+
+
+def _mutant(doc, rng: random.Random) -> tuple[str, str]:
+    """One mutation of the JSON document ``doc``: (what it did, the text)."""
+    doc = copy.deepcopy(doc)
+    nodes = list(_nodes(doc))
+    op = rng.choice(["replace", "replace", "delete", "add"])
+    if op == "replace":
+        path, _ = rng.choice([(path, n) for path, n in nodes if not isinstance(n, (dict, list))])
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = rng.choice(_JUNK)
+    else:
+        containers = [(path, n) for path, n in nodes if isinstance(n, (dict, list))
+                      and (n or op == "add")]
+        path, node = rng.choice(containers)
+        if op == "delete":
+            del node[rng.choice(list(node) if isinstance(node, dict) else range(len(node)))]
+        elif isinstance(node, dict):
+            node["extra"] = rng.choice(_JUNK)
+        else:
+            node.append(rng.choice(_JUNK))
+    return f"{op} at {path!r}", json.dumps(doc)
+
+
+def test_mutated_inputs_exit_with_one_line(workdir, capsys):
+    """About 200 mutations of a compiled sine oscillator's netlist and
+    sidecar (the unscaled vco, whose sidecar binds param k) and of a
+    machine spec: leaf values swapped for null, booleans, strings, lists,
+    objects, +-1e400, NaN, 2**64 or +-10**400, keys or items deleted or
+    added, and a few files of random bytes. run, run --problem-units,
+    a one-value sweep (which forks nothing) and map each return an exit
+    code 0..5 without raising, and a nonzero exit writes exactly one
+    ``apc:`` line, or map's deficit report."""
+    rng = random.Random(30)
+    netlist = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
+    sidecar, spec = workdir / "vco.map.json", workdir / "spec.json"
+    pristine = {netlist: netlist.read_text(), sidecar: sidecar.read_text(),
+                spec: json.dumps({"name": "m", "inventory": {"integrator": 5, "summer": 4,
+                                                             "coefficient": 8}})}
+    run = ["--tend", "0.05", "--dt", "0.01"]
+    commands = [["run", str(netlist), *run],
+                ["run", str(netlist), *run, "--problem-units", "--trace", "t.csv"],
+                ["sweep", str(netlist), *run, "--param", "k=0.25", "--out", "s"],
+                ["map", str(netlist), "--machine", str(spec)]]
+    for i in range(200):
+        for path, text in pristine.items():
+            path.write_text(text)
+        target = rng.choice(list(pristine))
+        if i % 40 == 0:
+            what, text = "random bytes", None
+            target.write_bytes(rng.randbytes(rng.randrange(1, 64)))
+        else:
+            what, text = _mutant(json.loads(pristine[target]), rng)
+            target.write_text(text)
+        for argv in commands[3:] if target == spec else commands:
+            code = main(argv)
+            err = capsys.readouterr().err
+            case = f"{target.name}: {what}: {argv[0]} exited {code} with {err!r}; {text}"
+            assert 0 <= code <= 5, case
+            if code:
+                first, *rest = err.splitlines(keepends=True) or [""]
+                assert first.startswith("apc: ") and first.endswith("\n"), case
+                deficit = argv[0] == "map" and first.startswith("apc: resources: ")
+                assert all(line.startswith("  missing ") for line in rest) if deficit else not rest, case
 
 
 def readme_blocks(heading: str, lang: str = "") -> list[str]:
