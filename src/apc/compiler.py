@@ -389,7 +389,12 @@ def build_integrator_chain(builder: NetlistBuilder, var: str, order: int,
                 "the autoscaler must run first")
         ic = max(-1.0, min(1.0, ic))
         alpha = gain / k0
-        if alpha > 1.0 + RANGE_TOL or alpha <= 0:
+        if alpha <= 0:
+            raise ScalingViolationError(
+                f"the stage from {signal_name(var, d + 1)} to {signal_name(var, d)} has gain 0: "
+                f"the bound of {signal_name(var, d + 1)} over the bound of {signal_name(var, d)} "
+                "underflows, which no time scale can mend")
+        if alpha > 1.0 + RANGE_TOL:
             raise ScalingViolationError(
                 f"stage gain {gain:.6g} needs alpha {alpha:.6g} at k0={k0:.6g}; "
                 "rerun time scaling")

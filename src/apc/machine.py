@@ -170,10 +170,13 @@ class Element(Frozen):
         params = {} if params is None else params
         if kind is Kind.FUNCTION_GENERATOR and "table" in params:
             try:
-                table = tuple((_as_float(x), _as_float(y)) for x, y in params["table"])
+                pairs = [(x, y) for x, y in params["table"]]
             except (TypeError, ValueError):
                 raise StructuralError(
                     f"'table' of params of element {id!r} must hold [x, y] pairs") from None
+            where = f"breakpoint of 'table' of params of element {id!r}"
+            table = tuple((json_value(x, float, where), json_value(y, float, where))
+                          for x, y in pairs)
             params = {**params, "table": table}
         super().__init__(id, kind, params, tuple(inputs))
 

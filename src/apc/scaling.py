@@ -4,12 +4,13 @@ Scaling proceeds in three steps:
 
 1. ``estimate_bounds``: per-signal peak magnitudes over the horizon,
    from ``bound`` annotations in the source, else from the modes of a
-   homogeneous linear program (a bound that holds at every time and
-   costs nothing that grows with the horizon, computed in plain Python),
-   else from a reference oracle run (adaptive Dormand–Prince 5(4) at
-   rtol 1e-9); the last two carry a 25% safety margin. The integrator is
-   in-house numpy, bit-identical to SciPy's RK45, and numpy loads only
-   when it runs.
+   homogeneous linear program, else from invariant boxes of a program
+   whose variables are all of order 0 or 1, else from a reference oracle
+   run (adaptive Dormand–Prince 5(4) at rtol 1e-9); the last three carry
+   a 25% safety margin. Modes and boxes give bounds that hold at every
+   time and cost nothing that grows with the horizon, computed in plain
+   Python. The integrator is in-house numpy, bit-identical to SciPy's
+   RK45, and numpy loads only when it runs.
 2. ``amplitude_scale``: pick a scale factor m per signal so that the
    machine net carries signal/m; factors come from the human-legible
    grid {1, 2, 2.5, 5} x 10^k, rounded up, which also keeps predicted
@@ -53,8 +54,10 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-#: Margin applied to modal and oracle-estimated maxima before grid rounding.
+#: Margin applied to modal, box and oracle-estimated maxima before grid rounding.
 SAFETY_MARGIN = 1.25
+#: The bound methods that carry ``SAFETY_MARGIN``.
+MARGINED = frozenset({"modal", "box", "oracle"})
 ORACLE_RTOL = 1e-9
 ORACLE_ATOL = 1e-12
 
@@ -277,7 +280,7 @@ class BoundsEstimate(Frozen):
     """Per-signal peak magnitudes (problem units) and how they were obtained."""
 
     # values: (var, order) -> bound > 0;
-    # method: (var, order) -> "user" | "interval" | "modal" | "oracle"
+    # method: (var, order) -> "user" | "interval" | "modal" | "box" | "oracle"
     __slots__ = ("values", "method")
 
 
@@ -531,6 +534,204 @@ def _modal_bounds(system: OdeSystem) -> dict | None:
         return None
 
 
+# --- invariant boxes ------------------------------------------------------------
+# A program whose variables are all of order 0 or 1 is x' = f(x) over its
+# order-1 variables, each order-0 one a function of x. A box |x_i| <= B_i
+# holding x(0) is positively invariant when on each face x_i = +-B_i the
+# value of f_i over the rest of the box points inward (Nagumo 1942;
+# Blanchini, "Set invariance in control", Automatica 1999): x stays in it for
+# all t >= 0. Then w = x' obeys w' = J(x) w, with J the Jacobian of f over the
+# box (at a table's breakpoint, the slopes on both sides), so |w_i| <= D_i
+# holds for all t >= 0 if D >= |w(0)| and, for each i,
+# J_ii,max D_i + sum_{j != i} max|J_ij| D_j <= 0: |w| then stays below the
+# solution from |w(0)| of the cooperative linear system with that matrix,
+# which D bounds. Signed intervals (Moore, Interval Analysis, 1966) give f and
+# J over the box. Their ends are exact rationals, so that no rounding decides
+# a test: a flat box over a diffusion chain meets its interior faces with
+# exactly 0, which a float rounded outward would fail. No cost grows with the
+# horizon, and numpy never loads.
+
+#: Starting sizes are raised to this fraction of the largest starting one,
+#: and a failing size of 0 with no larger one beside it restarts from it.
+BOX_FLOOR = 1e-3
+#: Sweeps after which a box that still fails hands the program to the oracle.
+BOX_ROUNDS = 64
+#: The largest bound a box reports, the oracle's rejection level.
+_BOX_MAX = 1e12
+
+
+def _add(a: tuple, b: tuple) -> tuple:
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _sub(a: tuple, b: tuple) -> tuple:
+    return a[0] - b[1], a[1] - b[0]
+
+
+def _neg(a: tuple) -> tuple:
+    return -a[1], -a[0]
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return min(p), max(p)
+
+
+def _mag(a: tuple):
+    """The largest magnitude in a."""
+    return max(-a[0], a[1])
+
+
+def _ceil(x) -> float:
+    """The smallest float at least x."""
+    f = float(x)
+    return f if f >= x else math.nextafter(f, math.inf)
+
+
+def _lut_range(table, a: tuple) -> tuple:
+    """The end-clamped lookup's interval over a: its values at a's ends and
+    at the breakpoints between them."""
+
+    def at(x):
+        if x <= table[0][0]:
+            return table[0][1]
+        if x >= table[-1][0]:
+            return table[-1][1]
+        (x0, y0), (x1, y1) = next(s for s in zip(table, table[1:]) if x < s[1][0])
+        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+    ys = [at(a[0]), at(a[1]), *(y for x, y in table if a[0] < x < a[1])]
+    return min(ys), max(ys)
+
+
+def _lut_slopes(table, a: tuple) -> tuple:
+    """The range of slopes of the segments a touches, 0 for a clamped end."""
+    s = [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(table, table[1:])
+         if x1 >= a[0] and x0 <= a[1]]
+    if a[0] <= table[0][0] or a[1] >= table[-1][0]:
+        s.append(0)
+    return min(s), max(s)
+
+
+def _grow(sizes: list, holds, reads: list) -> bool:
+    """Raise ``sizes`` until ``holds(i)`` for every i: sweeps, alternately
+    forward and backward, raise each failing size to the largest of the
+    sizes ``reads[i]`` lists, at most doubling it, and double one that is
+    already that large; a size of 0 takes that largest, or ``BOX_FLOOR`` if
+    it is 0 too. False after ``BOX_ROUNDS`` sweeps or once a size passes
+    1e12. Raising toward its neighbours carries a front across a diffusion
+    chain in one sweep, where doubling every failing size overshoots and
+    sets its neighbours failing in turn."""
+    floor = BOX_FLOOR * max(sizes, default=0.0)
+    sizes[:] = [max(x, floor) for x in sizes]
+    for sweep in range(BOX_ROUNDS):
+        failed = False
+        for i in (range(len(sizes)) if sweep % 2 == 0 else reversed(range(len(sizes)))):
+            if holds(i):
+                continue
+            failed = True
+            x, top = sizes[i], max((sizes[j] for j in reads[i]), default=0.0)
+            sizes[i] = (min(2 * x, top) if top > x else 2 * x) if x else top or BOX_FLOOR
+            if not sizes[i] <= _BOX_MAX:
+                return False
+        if not failed:
+            return True
+    return False
+
+
+def _box_bounds(system: OdeSystem) -> dict | None:
+    """Bound of every signal's magnitude at every t >= 0 from invariant boxes
+    of the states and of their derivatives, or None where the oracle must
+    decide: a variable has order 2 or more, a box still fails after
+    ``BOX_ROUNDS`` sweeps, or a bound exceeds 1e12."""
+    if any(n > 1 for n in system.var_order.values()) or not all(
+            math.isfinite(x) for x in system.inits.values()):
+        return None
+    from fractions import Fraction  # deferred: it loads decimal, which builds a namedtuple
+
+    def evaluate(expr: Expr, env: dict) -> tuple:
+        """(interval, gradient) of a runtime expression over a box. ``env``
+        maps each (var, 0) the expression reads to its own pair; a gradient
+        maps a state's index to the interval of the partial derivative by
+        that state."""
+        if isinstance(expr, Num):
+            return (Fraction(expr.value),) * 2, {}
+        if isinstance(expr, Ref):
+            if (expr.name, 0) in env:
+                return env[(expr.name, 0)]
+            return (Fraction(system.params[expr.name]),) * 2, {}
+        if isinstance(expr, Neg):
+            a, g = evaluate(expr.operand, env)
+            return _neg(a), {j: _neg(d) for j, d in g.items()}
+        if isinstance(expr, Bin):
+            (a, ga), (b, gb) = evaluate(expr.left, env), evaluate(expr.right, env)
+            if expr.op == "*":  # the product rule
+                value, combine = _mul(a, b), _add
+                ga = {j: _mul(d, b) for j, d in ga.items()}
+                gb = {j: _mul(a, d) for j, d in gb.items()}
+            else:
+                combine = _add if expr.op == "+" else _sub
+                value = combine(a, b)
+            g = dict(ga)
+            for j, d in gb.items():
+                g[j] = combine(g[j], d) if j in g else d if combine is _add else _neg(d)
+            return value, g
+        table = tables[expr.args[0].name]
+        a, g = evaluate(expr.args[1], env)
+        slopes = _lut_slopes(table, a) if g else None
+        return _lut_range(table, a), {j: _mul(slopes, d) for j, d in g.items()}
+
+    states = [v for v, n in system.var_order.items() if n]
+    index = {v: i for i, v in enumerate(states)}
+    tables = {name: [(Fraction(x), Fraction(y)) for x, y in t] for name, t in system.tables.items()}
+    zeros = {}  # each variable's order-0 variables, transitively, in system.order0
+    reads = {}  # the states each variable's equation reads, through order-0 ones too
+    for v in (*system.order0, *states):
+        refs = {e.name for e in walk(system.equations[v]) if isinstance(e, Ref)}
+        direct = {u for u in refs if system.var_order.get(u) == 0}
+        found = direct.union(*(zeros[u] for u in direct))
+        zeros[v] = [u for u in system.order0 if u in found]
+        reads[v] = {index[u] for u in refs if u in index}.union(*(reads[u] for u in direct))
+
+    def value(v: str, env: dict) -> tuple:
+        """f_v's interval over ``env``, whose order-0 entries it rewrites."""
+        for u in zeros[v]:
+            env[(u, 0)] = evaluate(system.equations[u], env)
+        return evaluate(system.equations[v], env)[0]
+
+    def inward(i: int) -> bool:
+        """Both faces x_i = +-b_i of the box b point inward."""
+        v, x = states[i], Fraction(b[i])
+        env = {(states[j], 0): ((-Fraction(b[j]), Fraction(b[j])), {}) for j in reads[v]}
+        env[(v, 0)] = (x, x), {}
+        up = value(v, env)[1]
+        env[(v, 0)] = (-x, -x), {}
+        return up <= 0 <= value(v, env)[0]
+
+    def decays(i: int) -> bool:
+        """J_ii,max d_i + sum_{j != i} max|J_ij| d_j <= 0."""
+        row = jacobian[i]
+        return (row[i][1] * Fraction(d[i]) if i in row else 0) + sum(
+            _mag(a) * Fraction(d[j]) for j, a in row.items() if j != i) <= 0
+
+    b = [abs(system.inits[(v, 0)]) for v in states]
+    if not _grow(b, inward, [reads[v] for v in states]):
+        return None
+    box = {(v, 0): ((-Fraction(x), Fraction(x)), {i: (Fraction(1),) * 2})
+           for i, (v, x) in enumerate(zip(states, b))}
+    for u in system.order0:
+        box[(u, 0)] = evaluate(system.equations[u], box)
+    jacobian = [evaluate(system.equations[v], box)[1] for v in states]
+    start = {(v, 0): ((Fraction(system.inits[(v, 0)]),) * 2, {}) for v in states}
+    d = [_ceil(_mag(value(v, start))) for v in states]
+    if not _grow(d, decays, [set(row) for row in jacobian]):
+        return None
+    out = {(u, 0): _ceil(_mag(box[(u, 0)][0])) for u in system.order0}
+    for v, x, dx in zip(states, b, d):
+        out[(v, 0)], out[(v, 1)] = x, dx
+    return out if all(x <= _BOX_MAX for x in out.values()) else None
+
+
 def estimate_bounds(system: OdeSystem) -> BoundsEstimate:
     """Peak-magnitude estimate for every signal, including top derivatives.
 
@@ -539,8 +740,10 @@ def estimate_bounds(system: OdeSystem) -> BoundsEstimate:
     by interval arithmetic over the annotated bounds (method "interval").
     Any other gap is filled, with a 25% margin, from the modal bound when
     the program is homogeneous linear and its modes pass their checks
-    (``_modal_bounds``, method "modal"), and otherwise from the peaks of
-    the reference oracle (method "oracle").
+    (``_modal_bounds``, method "modal"), else from invariant boxes when
+    its variables are all of order 0 or 1 and its boxes close
+    (``_box_bounds``, method "box"), and otherwise from the peaks of the
+    reference oracle (method "oracle").
     """
     needed = system.signals()
     values: dict = {}
@@ -562,10 +765,13 @@ def estimate_bounds(system: OdeSystem) -> BoundsEstimate:
     elif missing:
         peaks, how = _modal_bounds(system), "modal"
         if peaks is None:
+            peaks, how = _box_bounds(system), "box"
+        if peaks is None:
             oracle, how = reference_solution(system), "oracle"
             peaks = {key: float(abs(oracle.signals[key]).max()) for key in missing}
+        margin = SAFETY_MARGIN if how in MARGINED else 1.0
         for key in missing:
-            values[key] = peaks[key] * SAFETY_MARGIN if peaks[key] > 1e-12 else 1.0
+            values[key] = peaks[key] * margin if peaks[key] > 1e-12 else 1.0
             method[key] = how
     return BoundsEstimate(values, method)
 
@@ -637,7 +843,7 @@ def amplitude_scale(system: OdeSystem, bounds: BoundsEstimate) -> ScaleMap:
     for key in system.signals():
         b = bounds.values[key]
         if key in pinned:
-            limit = SAFETY_MARGIN if bounds.method.get(key) == "oracle" else 1.0
+            limit = SAFETY_MARGIN if bounds.method.get(key) in MARGINED else 1.0
             if b > limit * (1 + RANGE_TOL):
                 raise ScalingError(
                     f"signal {signal_name(*key)} feeds a lookup table but exceeds "

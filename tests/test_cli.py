@@ -249,7 +249,8 @@ class TestCompile:
          "bound y' = 2e307\ntime 1\n",
          "the stage from y' to y needs lambda <= 0, below every positive time scale"),
         ("system s\nvar y order 1\neq y' = 0\ninit y = 0.5\nbound y = 1e300\n"
-         "bound y' = 1e-320\ntime 1\n", "stage gain 0 needs alpha 0 at k0=1; rerun time scaling"),
+         "bound y' = 1e-320\ntime 1\n", "the stage from y' to y has gain 0: the bound of y' over "
+                                         "the bound of y underflows, which no time scale can mend"),
     ], ids=["huge", "huge-interval", "below-init", "subnormal", "ratio-underflow",
             "lambda-underflow", "zero-gain"])
     def test_bound_the_autoscaler_cannot_use_exits_4(self, workdir, capsys, source, message):
@@ -1036,6 +1037,22 @@ def test_an_integer_past_the_float_range_reads_as_inf(workdir, capsys, case, com
     assert capsys.readouterr() == ("", f"apc: {message}\n")
 
 
+@pytest.mark.parametrize("point, kind", [(["0.0", "0.0"], "str"), ([0.0, True], "bool")],
+                         ids=["string", "boolean"])
+def test_a_table_breakpoint_that_is_no_json_number_exits_1(workdir, capsys, point, kind):
+    """A breakpoint written as a string once read as the number it spells,
+    and a boolean as 0 or 1, so the run went on and exited 0, where an "ic"
+    of "0.5" exits 1: each coordinate is checked as "ic" is."""
+    out = compiled(workdir, DECAY_LUT_SRC, "decay")
+    doc = json.loads(out.read_text())
+    next(e for e in doc["elements"] if e["id"] == "fgen1")["params"]["table"][1] = point
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["run", str(out), "--tend", "0.01"]) == 1
+    assert capsys.readouterr() == ("", f"apc: {out}: breakpoint of 'table' of params of element "
+                                       f"'fgen1' must be a number, got {kind}\n")
+
+
 #: What a mutation puts in place of a JSON value or adds under a new key.
 _JUNK = (None, True, False, "", "x", [], [0.5, 0.5], {}, 0, -1, 0.5, 2**64, HUGE_INT, -HUGE_INT,
          1e400, -1e400, math.nan)
@@ -1209,15 +1226,15 @@ def test_forked_sweep_loads_no_process_pool(tmp_path):
 
 
 def test_autoscaled_compile_leaves_out_scipy(tmp_path):
-    """vco's modal bound needs neither numpy nor scipy; the oracle, which
-    decay's lookup table needs, runs on numpy alone."""
-    for name, numpy in [("vco", False), ("decay", True)]:
-        argv = ["compile", str(ROOT / "programs" / f"{name}.apc"), "--scale", "auto",
-                "-o", str(tmp_path / f"{name}.json")]
+    """No sample program's autoscaled compile loads numpy or scipy: the
+    linear ones take modal bounds, xabc interval bounds and decay, whose
+    lookup table once sent it to the oracle, an invariant box."""
+    for path in sorted((ROOT / "programs").glob("*.apc")):
+        argv = ["compile", str(path), "--scale", "auto", "-o", str(tmp_path / f"{path.stem}.json")]
         code = ("import sys; from apc.cli import main; code = main(%r); "
                 "print(code, 'numpy' in sys.modules, "
                 "sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))" % argv)
-        assert fresh_python(code).splitlines()[-1] == f"0 {numpy} []", name
+        assert fresh_python(code).splitlines()[-1] == "0 False []", path.stem
 
 
 #: Every name ``apc`` exported when its ``__init__`` still imported every

@@ -516,6 +516,19 @@ def test_interpolation_midpoints():
     assert element_output(Kind.FUNCTION_GENERATOR, {"table": table}, [0.25]) == pytest.approx(0.75)
 
 
+@pytest.mark.parametrize("point, kind", [(["-1.0", "0.0"], "str"), ([-1.0, False], "bool")],
+                         ids=["string", "boolean"])
+def test_json_table_breakpoint_must_be_a_number(point, kind):
+    """Each coordinate is a JSON number, as an "ic" must be: float() once
+    took "-1.0" for -1 and False for 0."""
+    doc = netlist_to_dict(Netlist.from_elements(
+        [reference("r", 1.0), function_generator("f", "r", [(-1.0, 0.0), (1.0, 1.0)])]))
+    doc["elements"][1]["params"]["table"][0] = point
+    with pytest.raises(StructuralError, match=re.escape(
+            f"breakpoint of 'table' of params of element 'f' must be a number, got {kind}")):
+        netlist_from_dict(doc)
+
+
 def test_duplicate_element_ids_rejected():
     with pytest.raises(StructuralError):
         Netlist([reference("r", 1.0), reference("r", -1.0)], {})

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import json
@@ -233,9 +234,13 @@ output y
 """
 
 
+@contextlib.contextmanager
 def oracle_path():
-    """Send ``estimate_bounds`` to the oracle, as it went before modal bounds."""
-    return mock.patch.object(scaling, "_modal_bounds", return_value=None)
+    """Send ``estimate_bounds`` to the oracle, as it went before modal bounds
+    and invariant boxes."""
+    with mock.patch.object(scaling, "_modal_bounds", return_value=None), \
+            mock.patch.object(scaling, "_box_bounds", return_value=None):
+        yield
 
 
 class TestModalBounds:
@@ -353,9 +358,14 @@ class TestModalBounds:
         + "".join(f"init y{chr(39) * k} = 0.1\n" for k in range(11)) + "time 1\n",
     ], ids=["double-zero-root", "order-0", "constant", "lut", "over-1e12", "overflow"])
     def test_fallback_keeps_the_oracle(self, src):
+        """Past the modes, a program of order 1 at most gets an invariant box
+        and any other the oracle; without boxes every one gets the oracle."""
         system = resolve_src(src)
         assert scaling._modal_bounds(system) is None
-        assert set(estimate_bounds(system).method.values()) == {"oracle"}
+        first_order = max(system.var_order.values()) <= 1
+        assert set(estimate_bounds(system).method.values()) == {"box" if first_order else "oracle"}
+        with mock.patch.object(scaling, "_box_bounds", return_value=None):
+            assert set(estimate_bounds(system).method.values()) == {"oracle"}
 
     @pytest.mark.parametrize("periods", [1, 63, 64, 2000, 2016])
     def test_whole_periods_keep_the_modes(self, periods):
@@ -400,6 +410,115 @@ class TestModalBounds:
         capsys.readouterr()
         assert main(["run", str(out), "--tend", "1e4", "--dt", "1"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "overloads: 0"
+
+
+@st.composite
+def first_order_programs(draw):
+    """Source text of a program of order 1 at most that the modes cannot
+    bound: one to three states, each damped, with constant addends (always
+    one in x0's equation), couplings, products and lookups over a bounded
+    argument, and up to two order-0 variables that read them."""
+    xs = [f"x{i}" for i in range(draw(st.integers(1, 3)))]
+    ws = [f"w{i}" for i in range(draw(st.integers(0, 2)))]
+    lines = ["system box", "table f = (-1, -0.5) (0, 0.25) (1, 1)"]
+    lines += [f"var {x} order 1" for x in xs] + [f"var {w} order 0" for w in ws]
+    for i, w in enumerate(ws):
+        a, b = draw(st.sampled_from(xs + ws[:i])), draw(st.sampled_from(xs))
+        lines.append(f"eq {w} = " + draw(st.sampled_from(
+            [f"0.5*{a}", f"0.5*{a} - 0.25*{b}", f"{a}*{b}", f"lut(f, {b})", f"0.1 + 0.5*{a}"])))
+    for x in xs:
+        terms = [f"-{draw(st.sampled_from(['0.5', '1', '2']))}*{x}"]
+        if x == "x0":
+            terms.append(draw(st.sampled_from(["0.05", "-0.1"])))
+        for _ in range(draw(st.integers(1, 3))):
+            a, b = draw(st.sampled_from(xs + ws)), draw(st.sampled_from(xs))
+            c = draw(st.sampled_from(["0.05", "-0.1", "0.2", "-0.25"]))
+            terms.append(draw(st.sampled_from(
+                [c, f"{c}*{a}", f"{c}*{a}*{b}", f"{c}*lut(f, {b})", f"lut(f, 0.5*{a})"])))
+        lines.append(f"eq {x}' = " + " + ".join(terms))
+        lines.append(f"init {x} = {draw(st.sampled_from(['0', '0.25', '-0.5']))}")
+    lines.append(f"time {draw(st.sampled_from(['1', '10']))}")
+    return "\n".join(lines) + "\n"
+
+
+def heat_src(n: int, end: float = 0.5) -> str:
+    """The heat chain u_i' = 100 (u_(i-1) - 2 u_i + u_(i+1)) from half a sine
+    wave of height 0.5, with u_(-1) held at ``end`` and u_n at 0: affine, so
+    no program the modes take."""
+    lines = ["system heat", f"param c = {end!r}"] + [f"var u{i} order 1" for i in range(n)]
+    for i in range(n):
+        right = f" + u{i + 1}" if i < n - 1 else ""
+        lines.append(f"eq u{i}' = 100*({f'u{i - 1}' if i else 'c'} - 2*u{i}{right})")
+        lines.append(f"init u{i} = {0.5 * math.sin(math.pi * (i + 1) / (n + 1))!r}")
+    return "\n".join(lines + ["time 1"]) + "\n"
+
+
+def assert_box_covers_the_dense_peak(system, box: dict) -> None:
+    oracle = reference_solution(system, t_eval=np.linspace(0.0, system.horizon, 20001))
+    for key, bound in box.items():
+        peak = float(np.max(np.abs(oracle.signals[key])))
+        assert bound >= peak * (1 - scaling.ORACLE_RTOL) - scaling.ORACLE_ATOL, key
+
+
+def assert_runs_without_overload(system) -> None:
+    result = compile_system(system, CompileOptions(scale=autoscale(system)))
+    horizon = result.mapping.horizon_machine
+    trace = new_instance(result.netlist, SimConfig(dt=horizon / 4000)).run(horizon)
+    assert trace.overloads == []
+
+
+class TestInvariantBoxes:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(first_order_programs())
+    def test_box_covers_the_dense_peak(self, src):
+        """Nearly every draw gets a box: 379 of 400 in a longer run."""
+        system = resolve_src(src)
+        box = scaling._box_bounds(system)
+        if box is not None:
+            assert set(estimate_bounds(system).method.values()) == {"box"}
+            assert_box_covers_the_dense_peak(system, box)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(first_order_programs())
+    def test_boxed_programs_run_without_overload(self, src):
+        system = resolve_src(src)
+        if scaling._box_bounds(system) is not None:
+            try:
+                autoscale(system)
+            except ScalingError:  # a lookup argument the scaler must not scale
+                return
+            assert_runs_without_overload(system)
+
+    @pytest.mark.parametrize("n", [3, 16, 40])
+    def test_heat_with_a_fixed_end(self, n):
+        """40 states is past ``MODAL_MAX_STATES``. The box is flat at the
+        end's value, 0.5, where each interior face meets 0 exactly."""
+        system = resolve_src(heat_src(n))
+        assert scaling._modal_bounds(system) is None
+        box = scaling._box_bounds(system)
+        assert box is not None and set(estimate_bounds(system).method.values()) == {"box"}
+        assert_box_covers_the_dense_peak(system, box)
+        assert_runs_without_overload(system)
+
+    @pytest.mark.parametrize("rhs, init", [("y - y*y", "0.1"), ("-y*y*y", "0.5")],
+                             ids=["logistic", "cubic"])
+    def test_no_box_keeps_the_oracle(self, rhs, init):
+        """The logistic's face at -B points outward at every B. The cubic's
+        box holds, but its Jacobian -3 y*y is an interval of both signs, as
+        interval arithmetic takes y*y for a product of two variables."""
+        system = resolve_src(f"system t\nvar y order 1\neq y' = {rhs}\ninit y = {init}\ntime 1\n")
+        assert scaling._box_bounds(system) is None
+        assert set(estimate_bounds(system).method.values()) == {"oracle"}
+
+    @pytest.mark.parametrize("horizon", ["5", "1e6"])
+    def test_decay_box_is_its_oracle_peak_at_any_horizon(self, horizon):
+        """z and z' both peak at 0.9, at t = 0, whatever the horizon, so
+        decay's scale factors are those the oracle gave it."""
+        system = resolve_src(DECAY_LUT_SRC.replace("time 5", f"time {horizon}"))
+        assert scaling._box_bounds(system) == {("z", 0): 0.9, ("z", 1): 0.9}
+        with oracle_path():
+            expected = autoscale(resolve_src(DECAY_LUT_SRC))
+        assert autoscale(system) == expected
 
 
 @pytest.fixture(scope="module")

@@ -25,6 +25,7 @@ from apc.machine import (
     summer,
 )
 from apc.simulator import (
+    CSV_BLOCK_LINES,
     LEGAL_TRANSITIONS,
     ConstructionError,
     MachineInstance,
@@ -772,6 +773,23 @@ class TestTraceFiles:
             + [[repr(ev.time), ev.element, repr(ev.magnitude)] for ev in events])
         rows = list(csv.reader(io.StringIO(fh.getvalue(), newline="")))
         assert [row[1] for row in rows[1:]] == [ev.element for ev in events]
+
+    def test_files_longer_than_one_block_are_written_whole(self, tmp_path):
+        """The runaway's 32,322 overloads and 30,001 samples each span many
+        blocks of ``CSV_BLOCK_LINES``, and end in a partial one; both files
+        equal what ``csv.writer`` writes."""
+        _, result = build(UNSTABLE_SRC)
+        trace = new_instance(result.netlist, SimConfig(dt=1e-4)).run(3.0)
+        for lines in (len(trace.overloads), len(trace.tau)):
+            assert lines > 2 * CSV_BLOCK_LINES and lines % CSV_BLOCK_LINES
+        trace.save(tmp_path / "t.csv", tmp_path / "t.overloads.csv")
+        names = list(trace.series)
+        assert (tmp_path / "t.csv").read_text(encoding="utf-8") == csv_writer_text(
+            [["tau", *names]] + [[repr(v) for v in row]
+                                 for row in zip(trace.tau, *trace.series.values())])
+        assert (tmp_path / "t.overloads.csv").read_text(encoding="utf-8") == csv_writer_text(
+            [["time", "element", "magnitude"]]
+            + [[repr(ev.time), ev.element, repr(ev.magnitude)] for ev in trace.overloads])
 
 
 class TestConfigValidation:
