@@ -9,8 +9,9 @@ Scaling proceeds in three steps:
    run (adaptive Dormand–Prince 5(4) at rtol 1e-9); the last three carry
    a 25% safety margin. Modes and boxes give bounds that hold at every
    time and cost nothing that grows with the horizon, computed in plain
-   Python. The integrator is in-house numpy, bit-identical to SciPy's
-   RK45, and numpy loads only when it runs.
+   Python; a box holds for all t >= 0, so it can lie above the peak
+   within the horizon. The integrator is in-house numpy, bit-identical
+   to SciPy's RK45, and numpy loads only when it runs.
 2. ``amplitude_scale``: pick a scale factor m per signal so that the
    machine net carries signal/m; factors come from the human-legible
    grid {1, 2, 2.5, 5} x 10^k, rounded up, which also keeps predicted
@@ -540,22 +541,24 @@ def _modal_bounds(system: OdeSystem) -> dict | None:
 # holding x(0) is positively invariant when on each face x_i = +-B_i the
 # value of f_i over the rest of the box points inward (Nagumo 1942;
 # Blanchini, "Set invariance in control", Automatica 1999): x stays in it for
-# all t >= 0. Then w = x' obeys w' = J(x) w, with J the Jacobian of f over the
-# box (at a table's breakpoint, the slopes on both sides), so |w_i| <= D_i
-# holds for all t >= 0 if D >= |w(0)| and, for each i,
-# J_ii,max D_i + sum_{j != i} max|J_ij| D_j <= 0: |w| then stays below the
-# solution from |w(0)| of the cooperative linear system with that matrix,
-# which D bounds. Signed intervals (Moore, Interval Analysis, 1966) give f and
-# J over the box. Their ends are exact rationals, so that no rounding decides
-# a test: a flat box over a diffusion chain meets its interior faces with
-# exactly 0, which a float rounded outward would fail. No cost grows with the
-# horizon, and numpy never loads.
+# all t >= 0, and the top derivatives and order-0 signals stay in their
+# values over it. Signed intervals (Moore, Interval Analysis, 1966) give those
+# values. Their ends are exact rationals, so that no rounding decides a test:
+# a flat box over a diffusion chain meets its interior faces with exactly 0,
+# which a float rounded outward would fail. No cost grows with the horizon,
+# and numpy never loads; but a box holds for all t >= 0, so it can lie above
+# a peak the horizon ends before, and the top derivatives' intervals above
+# their peaks.
 
 #: Starting sizes are raised to this fraction of the largest starting one,
 #: and a failing size of 0 with no larger one beside it restarts from it.
 BOX_FLOOR = 1e-3
 #: Sweeps after which a box that still fails hands the program to the oracle.
 BOX_ROUNDS = 64
+#: Halvings of the gap between a size's last failing value and its passing
+#: one, which shrink the box once it holds: the doubling search can leave a
+#: size up to twice what its face needs.
+BOX_BISECTIONS = 8
 #: The largest bound a box reports, the oracle's rejection level.
 _BOX_MAX = 1e12
 
@@ -568,13 +571,12 @@ def _sub(a: tuple, b: tuple) -> tuple:
     return a[0] - b[1], a[1] - b[0]
 
 
-def _neg(a: tuple) -> tuple:
-    return -a[1], -a[0]
-
-
 def _mul(a: tuple, b: tuple) -> tuple:
     p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
     return min(p), max(p)
+
+
+_BOX_OPS = {"+": _add, "-": _sub, "*": _mul}
 
 
 def _mag(a: tuple):
@@ -604,24 +606,17 @@ def _lut_range(table, a: tuple) -> tuple:
     return min(ys), max(ys)
 
 
-def _lut_slopes(table, a: tuple) -> tuple:
-    """The range of slopes of the segments a touches, 0 for a clamped end."""
-    s = [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(table, table[1:])
-         if x1 >= a[0] and x0 <= a[1]]
-    if a[0] <= table[0][0] or a[1] >= table[-1][0]:
-        s.append(0)
-    return min(s), max(s)
-
-
-def _grow(sizes: list, holds, reads: list) -> bool:
+def _grow(sizes: list, holds, reads: list) -> list | None:
     """Raise ``sizes`` until ``holds(i)`` for every i: sweeps, alternately
     forward and backward, raise each failing size to the largest of the
     sizes ``reads[i]`` lists, at most doubling it, and double one that is
     already that large; a size of 0 takes that largest, or ``BOX_FLOOR`` if
-    it is 0 too. False after ``BOX_ROUNDS`` sweeps or once a size passes
-    1e12. Raising toward its neighbours carries a front across a diffusion
-    chain in one sweep, where doubling every failing size overshoots and
-    sets its neighbours failing in turn."""
+    it is 0 too. Raising toward its neighbours carries a front across a
+    diffusion chain in one sweep, where doubling every failing size
+    overshoots and sets its neighbours failing in turn. Returns each size's
+    last failing value (its unfloored start if none), or None after
+    ``BOX_ROUNDS`` sweeps or once a size passes 1e12."""
+    below = list(sizes)
     floor = BOX_FLOOR * max(sizes, default=0.0)
     sizes[:] = [max(x, floor) for x in sizes]
     for sweep in range(BOX_ROUNDS):
@@ -630,56 +625,42 @@ def _grow(sizes: list, holds, reads: list) -> bool:
             if holds(i):
                 continue
             failed = True
-            x, top = sizes[i], max((sizes[j] for j in reads[i]), default=0.0)
+            x = below[i] = sizes[i]
+            top = max((sizes[j] for j in reads[i]), default=0.0)
             sizes[i] = (min(2 * x, top) if top > x else 2 * x) if x else top or BOX_FLOOR
             if not sizes[i] <= _BOX_MAX:
-                return False
+                return None
         if not failed:
-            return True
-    return False
+            return below
+    return None
 
 
 def _box_bounds(system: OdeSystem) -> dict | None:
-    """Bound of every signal's magnitude at every t >= 0 from invariant boxes
-    of the states and of their derivatives, or None where the oracle must
-    decide: a variable has order 2 or more, a box still fails after
-    ``BOX_ROUNDS`` sweeps, or a bound exceeds 1e12."""
+    """Bound of every signal's magnitude at every t >= 0 from an invariant
+    box of the states, or None where the oracle must decide: a variable has
+    order 2 or more, the box still fails after ``BOX_ROUNDS`` sweeps, a
+    bound exceeds 1e12, or a signal a lookup table reads exceeds 1, the
+    most its pin to scale 1 allows."""
     if any(n > 1 for n in system.var_order.values()) or not all(
             math.isfinite(x) for x in system.inits.values()):
         return None
     from fractions import Fraction  # deferred: it loads decimal, which builds a namedtuple
 
     def evaluate(expr: Expr, env: dict) -> tuple:
-        """(interval, gradient) of a runtime expression over a box. ``env``
-        maps each (var, 0) the expression reads to its own pair; a gradient
-        maps a state's index to the interval of the partial derivative by
-        that state."""
+        """The interval of a runtime expression over a box; ``env`` maps each
+        (var, 0) the expression reads to its interval."""
         if isinstance(expr, Num):
-            return (Fraction(expr.value),) * 2, {}
+            return (Fraction(expr.value),) * 2
         if isinstance(expr, Ref):
             if (expr.name, 0) in env:
                 return env[(expr.name, 0)]
-            return (Fraction(system.params[expr.name]),) * 2, {}
+            return (Fraction(system.params[expr.name]),) * 2
         if isinstance(expr, Neg):
-            a, g = evaluate(expr.operand, env)
-            return _neg(a), {j: _neg(d) for j, d in g.items()}
+            a = evaluate(expr.operand, env)
+            return -a[1], -a[0]
         if isinstance(expr, Bin):
-            (a, ga), (b, gb) = evaluate(expr.left, env), evaluate(expr.right, env)
-            if expr.op == "*":  # the product rule
-                value, combine = _mul(a, b), _add
-                ga = {j: _mul(d, b) for j, d in ga.items()}
-                gb = {j: _mul(a, d) for j, d in gb.items()}
-            else:
-                combine = _add if expr.op == "+" else _sub
-                value = combine(a, b)
-            g = dict(ga)
-            for j, d in gb.items():
-                g[j] = combine(g[j], d) if j in g else d if combine is _add else _neg(d)
-            return value, g
-        table = tables[expr.args[0].name]
-        a, g = evaluate(expr.args[1], env)
-        slopes = _lut_slopes(table, a) if g else None
-        return _lut_range(table, a), {j: _mul(slopes, d) for j, d in g.items()}
+            return _BOX_OPS[expr.op](evaluate(expr.left, env), evaluate(expr.right, env))
+        return _lut_range(tables[expr.args[0].name], evaluate(expr.args[1], env))
 
     states = [v for v, n in system.var_order.items() if n]
     index = {v: i for i, v in enumerate(states)}
@@ -697,39 +678,46 @@ def _box_bounds(system: OdeSystem) -> dict | None:
         """f_v's interval over ``env``, whose order-0 entries it rewrites."""
         for u in zeros[v]:
             env[(u, 0)] = evaluate(system.equations[u], env)
-        return evaluate(system.equations[v], env)[0]
+        return evaluate(system.equations[v], env)
 
     def inward(i: int) -> bool:
         """Both faces x_i = +-b_i of the box b point inward."""
         v, x = states[i], Fraction(b[i])
-        env = {(states[j], 0): ((-Fraction(b[j]), Fraction(b[j])), {}) for j in reads[v]}
-        env[(v, 0)] = (x, x), {}
+        env = {(states[j], 0): (-Fraction(b[j]), Fraction(b[j])) for j in reads[v]}
+        env[(v, 0)] = x, x
         up = value(v, env)[1]
-        env[(v, 0)] = (-x, -x), {}
+        env[(v, 0)] = -x, -x
         return up <= 0 <= value(v, env)[0]
 
-    def decays(i: int) -> bool:
-        """J_ii,max d_i + sum_{j != i} max|J_ij| d_j <= 0."""
-        row = jacobian[i]
-        return (row[i][1] * Fraction(d[i]) if i in row else 0) + sum(
-            _mag(a) * Fraction(d[j]) for j, a in row.items() if j != i) <= 0
-
     b = [abs(system.inits[(v, 0)]) for v in states]
-    if not _grow(b, inward, [reads[v] for v in states]):
+    below = _grow(b, inward, [reads[v] for v in states])
+    if below is None:
         return None
-    box = {(v, 0): ((-Fraction(x), Fraction(x)), {i: (Fraction(1),) * 2})
-           for i, (v, x) in enumerate(zip(states, b))}
+    # Shrinking b_i narrows the interval every other face reads, so a face
+    # that held still holds, and only face i needs its test again: first at
+    # its last failing value, which may hold now (a start of 0 stays 0), then
+    # bisected between that and its passing one.
+    for i, lo in enumerate(below):
+        hi, b[i] = b[i], lo
+        if inward(i):
+            continue
+        for _ in range(BOX_BISECTIONS):
+            b[i] = (lo + hi) / 2
+            if inward(i):
+                hi = b[i]
+            else:
+                lo = b[i]
+        b[i] = hi
+    box = {(v, 0): (-Fraction(x), Fraction(x)) for v, x in zip(states, b)}
     for u in system.order0:
         box[(u, 0)] = evaluate(system.equations[u], box)
-    jacobian = [evaluate(system.equations[v], box)[1] for v in states]
-    start = {(v, 0): ((Fraction(system.inits[(v, 0)]),) * 2, {}) for v in states}
-    d = [_ceil(_mag(value(v, start))) for v in states]
-    if not _grow(d, decays, [set(row) for row in jacobian]):
+    out = {(u, 0): _ceil(_mag(box[(u, 0)])) for u in system.order0}
+    for v, x in zip(states, b):
+        out[(v, 0)], out[(v, 1)] = x, _ceil(_mag(evaluate(system.equations[v], box)))
+    if not all(x <= _BOX_MAX for x in out.values()) or any(
+            out[key] > 1 for key in _lut_arg_signals(system) if key in out):
         return None
-    out = {(u, 0): _ceil(_mag(box[(u, 0)][0])) for u in system.order0}
-    for v, x, dx in zip(states, b, d):
-        out[(v, 0)], out[(v, 1)] = x, dx
-    return out if all(x <= _BOX_MAX for x in out.values()) else None
+    return out
 
 
 def estimate_bounds(system: OdeSystem) -> BoundsEstimate:

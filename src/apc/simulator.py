@@ -68,9 +68,9 @@ Instances are single-threaded. A parameter sweep builds one instance
 and cycles it IC -> OP -> HALT once per value; with several usable CPUs
 each forked sweep lane cycles its own copy and writes its rows' traces,
 so ``_run`` is generated once per sweep and neither it nor a trace
-crosses a process boundary. Traces are written in blocks of
-``CSV_BLOCK_LINES`` lines, so that no file's whole text is held at once,
-quoted as ``csv.writer`` quotes, without loading ``csv``.
+crosses a process boundary. Traces are written a line at a time through
+the file's buffer, so that no file's whole text is held at once, quoted
+as ``csv.writer`` quotes, without loading ``csv``.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ import math
 import warnings
 from collections import Counter
 from enum import Enum
-from itertools import islice, product
+from itertools import product
 
 from .machine import (
     KINDS,
@@ -169,20 +169,6 @@ def csv_row(fields) -> str:
     return ",".join(map(csv_field, fields)) + "\n"
 
 
-#: Lines per write of a trace file: a block's text, never the whole
-#: file's, is held at once.
-CSV_BLOCK_LINES = 1024
-
-
-def _write_lines(fh, header: str, lines) -> None:
-    """Write ``header``, then the text lines ``lines`` joined in blocks of
-    ``CSV_BLOCK_LINES``."""
-    fh.write(header)
-    lines = iter(lines)
-    while block := list(islice(lines, CSV_BLOCK_LINES)):
-        fh.write("".join(block))
-
-
 class Trace(Record):
     """Sampled machine-unit values of the named nets plus the overload log."""
 
@@ -195,14 +181,14 @@ class Trace(Record):
     def write_csv(self, fh) -> None:
         names = list(self.series)
         row = ",".join(["%r"] * (len(names) + 1)) + "\n"
-        _write_lines(fh, csv_row([self.time_label, *names]),
-                     (row % values for values in zip(self.tau, *self.series.values())))
+        fh.write(csv_row([self.time_label, *names]))
+        fh.writelines(row % values for values in zip(self.tau, *self.series.values()))
 
     def write_overloads_csv(self, fh) -> None:
         quoted = {name: csv_field(name) for name in {ev.element for ev in self.overloads}}
-        _write_lines(fh, csv_row(["time", "element", "magnitude"]),
-                     (f"{ev.time!r},{quoted[ev.element]},{ev.magnitude!r}\n"
-                      for ev in self.overloads))
+        fh.write(csv_row(["time", "element", "magnitude"]))
+        fh.writelines(f"{ev.time!r},{quoted[ev.element]},{ev.magnitude!r}\n"
+                      for ev in self.overloads)
 
     def save(self, path, overload_path=None) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -25,7 +25,6 @@ from apc.machine import (
     summer,
 )
 from apc.simulator import (
-    CSV_BLOCK_LINES,
     LEGAL_TRANSITIONS,
     ConstructionError,
     MachineInstance,
@@ -774,22 +773,33 @@ class TestTraceFiles:
         rows = list(csv.reader(io.StringIO(fh.getvalue(), newline="")))
         assert [row[1] for row in rows[1:]] == [ev.element for ev in events]
 
-    def test_files_longer_than_one_block_are_written_whole(self, tmp_path):
-        """The runaway's 32,322 overloads and 30,001 samples each span many
-        blocks of ``CSV_BLOCK_LINES``, and end in a partial one; both files
-        equal what ``csv.writer`` writes."""
+    def test_long_files_are_written_a_line_at_a_time(self, tmp_path):
+        """The runaway's 32,322 overloads and 30,001 samples each fill the
+        file's write buffer many times over; both files equal what
+        ``csv.writer`` writes, and no write hands over more than one line."""
         _, result = build(UNSTABLE_SRC)
         trace = new_instance(result.netlist, SimConfig(dt=1e-4)).run(3.0)
-        for lines in (len(trace.overloads), len(trace.tau)):
-            assert lines > 2 * CSV_BLOCK_LINES and lines % CSV_BLOCK_LINES
         trace.save(tmp_path / "t.csv", tmp_path / "t.overloads.csv")
         names = list(trace.series)
-        assert (tmp_path / "t.csv").read_text(encoding="utf-8") == csv_writer_text(
-            [["tau", *names]] + [[repr(v) for v in row]
-                                 for row in zip(trace.tau, *trace.series.values())])
-        assert (tmp_path / "t.overloads.csv").read_text(encoding="utf-8") == csv_writer_text(
-            [["time", "element", "magnitude"]]
-            + [[repr(ev.time), ev.element, repr(ev.magnitude)] for ev in trace.overloads])
+        expected = {
+            "t.csv": csv_writer_text([["tau", *names]] + [
+                [repr(v) for v in row] for row in zip(trace.tau, *trace.series.values())]),
+            "t.overloads.csv": csv_writer_text([["time", "element", "magnitude"]] + [
+                [repr(ev.time), ev.element, repr(ev.magnitude)] for ev in trace.overloads]),
+        }
+        for name, text in expected.items():
+            assert len(text) > 50 * io.DEFAULT_BUFFER_SIZE
+            assert (tmp_path / name).read_text(encoding="utf-8") == text, name
+
+        class Writes(io.StringIO):
+            def write(self, s):
+                self.lines = max(getattr(self, "lines", 0), s.count("\n"))
+                return super().write(s)
+
+        for write in (trace.write_csv, trace.write_overloads_csv):
+            fh = Writes()
+            write(fh)
+            assert fh.lines == 1
 
 
 class TestConfigValidation:
