@@ -26,6 +26,9 @@ apostrophes. Each signal takes at most one ``init`` and one ``bound``.
 ``parse`` produces an untyped Program, ``resolve`` checks and folds it
 into an OdeSystem ready for compilation. Both report problems as
 Diagnostic values with source locations instead of raising.
+
+``evaluate`` computes every value of an expression, in the domain its
+hooks choose: folded constants, floats, numpy arrays, intervals.
 """
 
 from __future__ import annotations
@@ -148,6 +151,22 @@ def walk(expr: Expr):
     yield expr
     for child in children(expr):
         yield from walk(child)
+
+
+def evaluate(expr: Expr, leaf, call):
+    """The value of ``expr`` in the domain its hooks define: Python's ``+``,
+    ``-``, ``*`` and unary minus applied, left operand first, to what
+    ``leaf(node)`` returns for each Num and Ref; each Call is
+    ``call(node, ev)``, where ``ev`` evaluates a subexpression with the
+    same hooks, so the domain decides which arguments it evaluates."""
+    if isinstance(expr, Bin):
+        left, right = evaluate(expr.left, leaf, call), evaluate(expr.right, leaf, call)
+        return left + right if expr.op == "+" else left - right if expr.op == "-" else left * right
+    if isinstance(expr, Neg):
+        return -evaluate(expr.operand, leaf, call)
+    if isinstance(expr, Call):
+        return call(expr, lambda e: evaluate(e, leaf, call))
+    return leaf(expr)
 
 
 # --- Lexer ----------------------------------------------------------------
@@ -512,49 +531,40 @@ class _Resolver:
         self.diags.append(Diagnostic(line, column, message))
 
     def fold_const(self, e: Expr, params: dict, what: str) -> float | None:
-        """Evaluate a compile-time constant expression, or diagnose; a
-        value that is not finite (an overflow, inf - inf) is diagnosed once, at ``e``."""
-        v = self._fold(e, params, what)
-        if v is not None and not math.isfinite(v):
-            self.fail(e.line, e.column, f"{what} does not fold to a finite number")
-            return None
-        return v
+        """Evaluate a compile-time constant expression, or diagnose: each
+        name and call that cannot fold is diagnosed and folds to NaN, so
+        the rest is still checked. A value that is not finite (an
+        overflow, inf - inf) is diagnosed once, at ``e``."""
 
-    def _fold(self, e: Expr, params: dict, what: str) -> float | None:
-        if isinstance(e, Num):
-            return e.value
-        if isinstance(e, Ref):
-            if e.order:
-                self.fail(e.line, e.column, f"{what} must be constant; derivatives are not")
-                return None
-            if e.name in params:
-                return params[e.name]
-            self.fail(e.line, e.column, f"unknown name {e.name!r} in {what} (only params may be used)")
-            return None
-        if isinstance(e, Neg):
-            v = self._fold(e.operand, params, what)
-            return None if v is None else -v
-        if isinstance(e, Bin):
-            l = self._fold(e.left, params, what)
-            r = self._fold(e.right, params, what)
-            if l is None or r is None:
-                return None
-            return {"+": l + r, "-": l - r, "*": l * r}[e.op]
-        if isinstance(e, Call):
-            if e.func not in CONST_FUNCS:
-                self.fail(e.line, e.column, f"function {e.func!r} is not a constant function")
-                return None
-            if len(e.args) != 1:
-                self.fail(e.line, e.column, f"{e.func} takes one argument")
-                return None
-            v = self._fold(e.args[0], params, what)
-            if v is None:
-                return None
-            try:
-                return CONST_FUNCS[e.func](v)
-            except (OverflowError, ValueError):  # exp overflows; sin, cos of an infinity
-                return math.nan
-        raise TypeError(e)
+        def leaf(node):
+            if isinstance(node, Num):
+                return node.value
+            if node.order:
+                self.fail(node.line, node.column, f"{what} must be constant; derivatives are not")
+            elif node.name in params:
+                return params[node.name]
+            else:
+                self.fail(node.line, node.column,
+                          f"unknown name {node.name!r} in {what} (only params may be used)")
+            return math.nan
+
+        def call(node, ev):
+            if node.func not in CONST_FUNCS:
+                self.fail(node.line, node.column, f"function {node.func!r} is not a constant function")
+            elif len(node.args) != 1:
+                self.fail(node.line, node.column, f"{node.func} takes one argument")
+            else:
+                try:
+                    return CONST_FUNCS[node.func](ev(node.args[0]))
+                except (OverflowError, ValueError):  # exp overflows; sin, cos of an infinity
+                    pass
+            return math.nan
+
+        diagnosed = len(self.diags)
+        v = evaluate(e, leaf, call)
+        if len(self.diags) == diagnosed and not math.isfinite(v):
+            self.fail(e.line, e.column, f"{what} does not fold to a finite number")
+        return v if len(self.diags) == diagnosed else None
 
     def check_rhs(self, expr: Expr, var_order: dict, params: dict, tables: dict):
         """Validate a runtime expression: name binding and derivative orders."""

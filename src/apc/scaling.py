@@ -3,15 +3,18 @@
 Scaling proceeds in three steps:
 
 1. ``estimate_bounds``: per-signal peak magnitudes over the horizon,
-   from ``bound`` annotations in the source, else from the modes of a
-   homogeneous linear program, else from invariant boxes of a program
-   whose variables are all of order 0 or 1, else from a reference oracle
-   run (adaptive Dormand–Prince 5(4) at rtol 1e-9); the last three carry
-   a 25% safety margin. Modes and boxes give bounds that hold at every
-   time and cost nothing that grows with the horizon, computed in plain
-   Python; a box holds for all t >= 0, so it can lie above the peak
-   within the horizon. The integrator is in-house numpy, bit-identical
-   to SciPy's RK45, and numpy loads only when it runs.
+   from ``bound`` annotations in the source (with every state bounded,
+   the driven signals take their equations' signed intervals over the
+   bounds), else from the modes of a homogeneous linear program, else
+   from invariant boxes of a program whose variables are all of order 0
+   or 1, else from a reference oracle run (adaptive Dormand–Prince 5(4)
+   at rtol 1e-9); the last three carry a 25% safety margin. Modes and
+   boxes give bounds that hold at every time and cost nothing that
+   grows with the horizon, computed in plain Python; a box holds for all
+   t >= 0, so it can lie above the peak within the horizon. The
+   integrator is in-house numpy, bit-identical to SciPy's RK45, and
+   numpy loads only when it runs. All three evaluate expressions with
+   ``dsl.evaluate``: floats or arrays, and ``Interval``s.
 2. ``amplitude_scale``: pick a scale factor m per signal so that the
    machine net carries signal/m; factors come from the human-legible
    grid {1, 2, 2.5, 5} x 10^k, rounded up, which also keeps predicted
@@ -33,11 +36,12 @@ program never loads this module.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 
 from .compiler import RANGE_TOL, FSignal, ScaleMap, demand, normalize, stage_gain
-from .dsl import Bin, Call, Expr, Neg, Num, OdeSystem, Ref, signal_name, walk
+from .dsl import Call, Expr, Num, OdeSystem, Ref, evaluate, signal_name, walk
 from .machine import ScalingError, table_bound
 from .record import Frozen, Record
 
@@ -63,37 +67,71 @@ ORACLE_RTOL = 1e-9
 ORACLE_ATOL = 1e-12
 
 
-# --- expression evaluation (shared by the oracle and bound arithmetic) -----
+# --- expression values: floats and numpy arrays, and signed intervals ----------
 
-def eval_expr(expr: Expr, env: dict, params: dict, tables: dict):
-    """Evaluate a resolved runtime expression.
+def float_hooks(env: dict, params: dict, tables: dict):
+    """``dsl.evaluate``'s hooks for floats and numpy arrays, elementwise: a
+    name reads ``env``, which maps (var, order) to values, else ``params``;
+    a lookup is ``np.interp``, the oracle's own, not machine.lookup_code."""
 
-    ``env`` maps (var, order) to values; works elementwise on numpy
-    arrays as well as on scalars.
-    """
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Ref):
-        if expr.name in params and expr.order == 0 and (expr.name, 0) not in env:
-            return params[expr.name]
-        return env[(expr.name, expr.order)]
-    if isinstance(expr, Neg):
-        return -eval_expr(expr.operand, env, params, tables)
-    if isinstance(expr, Bin):
-        l = eval_expr(expr.left, env, params, tables)
-        r = eval_expr(expr.right, env, params, tables)
-        if expr.op == "+":
-            return l + r
-        if expr.op == "-":
-            return l - r
-        return l * r
-    if isinstance(expr, Call) and expr.func == "lut":
-        table = tables[expr.args[0].name]
-        x = eval_expr(expr.args[1], env, params, tables)
-        import numpy as np  # the oracle's own lookup, independent of machine.lookup_code
+    def leaf(e):
+        if isinstance(e, Num):
+            return e.value
+        key = (e.name, e.order)
+        return env[key] if key in env else params[e.name]
 
-        return np.interp(x, [p[0] for p in table], [p[1] for p in table])
-    raise TypeError(f"cannot evaluate {expr!r}")
+    def lut(e, ev):
+        import numpy as np  # deferred: only the oracle needs it
+
+        xs, ys = zip(*tables[e.args[0].name])
+        return np.interp(ev(e.args[1]), xs, ys)
+
+    return leaf, lut
+
+
+class Interval:
+    """The signed interval [lo, hi] of floats or exact rationals under
+    Python's unary minus, ``+``, ``-`` and ``*`` (Moore, Interval Analysis,
+    1966). A plain class: a ``record.Frozen`` takes four times as long to
+    build, and the box builds one per operation."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = lo, hi
+
+    def __neg__(self):
+        return Interval(-self.hi, -self.lo)
+
+    def __add__(self, other):
+        return Interval(self.lo + other.lo, self.hi + other.hi)
+
+    def __sub__(self, other):
+        return Interval(self.lo - other.hi, self.hi - other.lo)
+
+    def __mul__(self, other):
+        p = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
+        return Interval(min(p), max(p))
+
+    def magnitude(self):
+        return max(-self.lo, self.hi)
+
+
+def _interval(expr: Expr, env: dict, params: dict, number, lut) -> Interval:
+    """``expr``'s Interval where ``env`` maps each signal it reads to one;
+    a param or a number is the point ``number(value)``, and each lookup
+    is ``lut(call, ev)``, as ``dsl.evaluate`` calls it."""
+
+    def leaf(e):
+        if isinstance(e, Num):
+            x = number(e.value)
+        elif (e.name, e.order) in env:
+            return env[(e.name, e.order)]
+        else:
+            x = number(params[e.name])
+        return Interval(x, x)
+
+    return evaluate(expr, leaf, lut)
 
 
 class OracleSolution(Record):
@@ -230,19 +268,23 @@ def reference_solution(system: OdeSystem, t_eval=None) -> OracleSolution:
 
     state_keys = [(v, k) for v, n in system.var_order.items() if n >= 1 for k in range(n)]
 
-    def fill_env(env):
+    point = {}  # the states and order-0 values at one point, which the hooks read
+    hooks = float_hooks(point, system.params, system.tables)
+
+    def fill_env(x):
+        point.clear()
+        point.update(zip(state_keys, x))
         for v in system.order0:
-            env[(v, 0)] = eval_expr(system.equations[v], env, system.params, system.tables)
-        return env
+            point[(v, 0)] = evaluate(system.equations[v], *hooks)
 
     def rhs(_t, x):
-        env = fill_env(dict(zip(state_keys, x)))
+        fill_env(x)
         dx = []
         for v, k in state_keys:
             if k < system.var_order[v] - 1:
-                dx.append(env[(v, k + 1)])
+                dx.append(point[(v, k + 1)])
             else:
-                dx.append(eval_expr(system.equations[v], env, system.params, system.tables))
+                dx.append(evaluate(system.equations[v], *hooks))
         return dx
 
     if t_eval is None:
@@ -251,23 +293,19 @@ def reference_solution(system: OdeSystem, t_eval=None) -> OracleSolution:
         t_eval = np.asarray(t_eval, dtype=float)
     if state_keys:
         x0 = [system.inits[key] for key in state_keys]
-        if any(math.isfinite(x) and abs(x) > 1e12
-               for x in (*fill_env(dict(zip(state_keys, x0))).values(), *rhs(0.0, x0))):
+        if any(math.isfinite(x) and abs(x) > 1e12 for x in (*rhs(0.0, x0), *point.values())):
             raise ScalingError(_UNBOUNDED)
         with np.errstate(over="ignore", invalid="ignore"):  # a diverging run raises below instead
             y = _dopri45(rhs, x0, max(system.horizon, float(t_eval[-1])), t_eval, ORACLE_RTOL, ORACLE_ATOL)
         if not np.all(np.isfinite(y)):
             raise ScalingError(_DIVERGED)
-        env = fill_env({key: y[i] for i, key in enumerate(state_keys)})
-    else:
-        env = fill_env({})
+    fill_env(y if state_keys else ())
     # An order-0 variable with a constant right-hand side folds to a scalar.
-    env = {key: val if np.ndim(val) else np.full_like(t_eval, float(val)) for key, val in env.items()}
+    env = {key: val if np.ndim(val) else np.full_like(t_eval, float(val)) for key, val in point.items()}
     for v, n in system.var_order.items():
         if n >= 1:
-            env[(v, n)] = np.asarray(
-                eval_expr(system.equations[v], env, system.params, system.tables)
-            ) + np.zeros_like(t_eval)
+            top = evaluate(system.equations[v], *float_hooks(env, system.params, system.tables))
+            env[(v, n)] = np.asarray(top) + np.zeros_like(t_eval)
     if any(not np.all(np.isfinite(np.asarray(a, dtype=float))) for a in env.values()):
         raise ScalingError("unbounded system: non-finite reference values; annotate bounds")
     if max((float(np.max(np.abs(a))) for a in env.values()), default=0.0) > 1e12:
@@ -283,25 +321,6 @@ class BoundsEstimate(Frozen):
     # values: (var, order) -> bound > 0;
     # method: (var, order) -> "user" | "interval" | "modal" | "box" | "oracle"
     __slots__ = ("values", "method")
-
-
-def _interval_bound(expr: Expr, env: dict, params: dict, tables: dict) -> float:
-    """Conservative magnitude bound of an expression given signal bounds."""
-    if isinstance(expr, Num):
-        return abs(expr.value)
-    if isinstance(expr, Ref):
-        if (expr.name, expr.order) in env:
-            return env[(expr.name, expr.order)]
-        return abs(params[expr.name])
-    if isinstance(expr, Neg):
-        return _interval_bound(expr.operand, env, params, tables)
-    if isinstance(expr, Bin):
-        l = _interval_bound(expr.left, env, params, tables)
-        r = _interval_bound(expr.right, env, params, tables)
-        return l * r if expr.op == "*" else l + r
-    if isinstance(expr, Call) and expr.func == "lut":
-        return table_bound(tables[expr.args[0].name])
-    raise TypeError(f"cannot bound {expr!r}")
 
 
 # --- modal bounds -------------------------------------------------------------
@@ -563,34 +582,13 @@ BOX_BISECTIONS = 8
 _BOX_MAX = 1e12
 
 
-def _add(a: tuple, b: tuple) -> tuple:
-    return a[0] + b[0], a[1] + b[1]
-
-
-def _sub(a: tuple, b: tuple) -> tuple:
-    return a[0] - b[1], a[1] - b[0]
-
-
-def _mul(a: tuple, b: tuple) -> tuple:
-    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return min(p), max(p)
-
-
-_BOX_OPS = {"+": _add, "-": _sub, "*": _mul}
-
-
-def _mag(a: tuple):
-    """The largest magnitude in a."""
-    return max(-a[0], a[1])
-
-
 def _ceil(x) -> float:
     """The smallest float at least x."""
     f = float(x)
     return f if f >= x else math.nextafter(f, math.inf)
 
 
-def _lut_range(table, a: tuple) -> tuple:
+def _lut_range(table, a: Interval) -> Interval:
     """The end-clamped lookup's interval over a: its values at a's ends and
     at the breakpoints between them."""
 
@@ -602,8 +600,8 @@ def _lut_range(table, a: tuple) -> tuple:
         (x0, y0), (x1, y1) = next(s for s in zip(table, table[1:]) if x < s[1][0])
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
-    ys = [at(a[0]), at(a[1]), *(y for x, y in table if a[0] < x < a[1])]
-    return min(ys), max(ys)
+    ys = [at(a.lo), at(a.hi), *(y for x, y in table if a.lo < x < a.hi)]
+    return Interval(min(ys), max(ys))
 
 
 def _grow(sizes: list, holds, reads: list) -> list | None:
@@ -646,25 +644,17 @@ def _box_bounds(system: OdeSystem) -> dict | None:
         return None
     from fractions import Fraction  # deferred: it loads decimal, which builds a namedtuple
 
-    def evaluate(expr: Expr, env: dict) -> tuple:
+    exact = functools.cache(Fraction)  # each number, param and size converts once
+
+    def interval(expr: Expr, env: dict) -> Interval:
         """The interval of a runtime expression over a box; ``env`` maps each
         (var, 0) the expression reads to its interval."""
-        if isinstance(expr, Num):
-            return (Fraction(expr.value),) * 2
-        if isinstance(expr, Ref):
-            if (expr.name, 0) in env:
-                return env[(expr.name, 0)]
-            return (Fraction(system.params[expr.name]),) * 2
-        if isinstance(expr, Neg):
-            a = evaluate(expr.operand, env)
-            return -a[1], -a[0]
-        if isinstance(expr, Bin):
-            return _BOX_OPS[expr.op](evaluate(expr.left, env), evaluate(expr.right, env))
-        return _lut_range(tables[expr.args[0].name], evaluate(expr.args[1], env))
+        return _interval(expr, env, system.params, exact,
+                         lambda e, ev: _lut_range(tables[e.args[0].name], ev(e.args[1])))
 
     states = [v for v, n in system.var_order.items() if n]
     index = {v: i for i, v in enumerate(states)}
-    tables = {name: [(Fraction(x), Fraction(y)) for x, y in t] for name, t in system.tables.items()}
+    tables = {name: [(exact(x), exact(y)) for x, y in t] for name, t in system.tables.items()}
     zeros = {}  # each variable's order-0 variables, transitively, in system.order0
     reads = {}  # the states each variable's equation reads, through order-0 ones too
     for v in (*system.order0, *states):
@@ -674,20 +664,20 @@ def _box_bounds(system: OdeSystem) -> dict | None:
         zeros[v] = [u for u in system.order0 if u in found]
         reads[v] = {index[u] for u in refs if u in index}.union(*(reads[u] for u in direct))
 
-    def value(v: str, env: dict) -> tuple:
+    def value(v: str, env: dict) -> Interval:
         """f_v's interval over ``env``, whose order-0 entries it rewrites."""
         for u in zeros[v]:
-            env[(u, 0)] = evaluate(system.equations[u], env)
-        return evaluate(system.equations[v], env)
+            env[(u, 0)] = interval(system.equations[u], env)
+        return interval(system.equations[v], env)
 
     def inward(i: int) -> bool:
         """Both faces x_i = +-b_i of the box b point inward."""
-        v, x = states[i], Fraction(b[i])
-        env = {(states[j], 0): (-Fraction(b[j]), Fraction(b[j])) for j in reads[v]}
-        env[(v, 0)] = x, x
-        up = value(v, env)[1]
-        env[(v, 0)] = -x, -x
-        return up <= 0 <= value(v, env)[0]
+        v, x = states[i], exact(b[i])
+        env = {(states[j], 0): Interval(-exact(b[j]), exact(b[j])) for j in reads[v]}
+        env[(v, 0)] = Interval(x, x)
+        up = value(v, env).hi
+        env[(v, 0)] = Interval(-x, -x)
+        return up <= 0 <= value(v, env).lo
 
     b = [abs(system.inits[(v, 0)]) for v in states]
     below = _grow(b, inward, [reads[v] for v in states])
@@ -708,12 +698,12 @@ def _box_bounds(system: OdeSystem) -> dict | None:
             else:
                 lo = b[i]
         b[i] = hi
-    box = {(v, 0): (-Fraction(x), Fraction(x)) for v, x in zip(states, b)}
+    box = {(v, 0): Interval(-exact(x), exact(x)) for v, x in zip(states, b)}
     for u in system.order0:
-        box[(u, 0)] = evaluate(system.equations[u], box)
-    out = {(u, 0): _ceil(_mag(box[(u, 0)])) for u in system.order0}
+        box[(u, 0)] = interval(system.equations[u], box)
+    out = {(u, 0): _ceil(box[(u, 0)].magnitude()) for u in system.order0}
     for v, x in zip(states, b):
-        out[(v, 0)], out[(v, 1)] = x, _ceil(_mag(evaluate(system.equations[v], box)))
+        out[(v, 0)], out[(v, 1)] = x, _ceil(interval(system.equations[v], box).magnitude())
     if not all(x <= _BOX_MAX for x in out.values()) or any(
             out[key] > 1 for key in _lut_arg_signals(system) if key in out):
         return None
@@ -725,7 +715,8 @@ def estimate_bounds(system: OdeSystem) -> BoundsEstimate:
 
     ``bound`` annotations are taken as given. When only the driven
     (highest-derivative or order-0) signals are missing they are filled
-    by interval arithmetic over the annotated bounds (method "interval").
+    by signed interval arithmetic over the annotated bounds, each
+    lookup within its table's bound (method "interval").
     Any other gap is filled, with a 25% margin, from the modal bound when
     the program is homogeneous linear and its modes pass their checks
     (``_modal_bounds``, method "modal"), else from invariant boxes when
@@ -743,12 +734,18 @@ def estimate_bounds(system: OdeSystem) -> BoundsEstimate:
     missing = [key for key in needed if key not in values]
     driven = {(v, n) for v, n in system.var_order.items()}
     if missing and all(key in driven for key in missing):
+        def lut(e, ev):
+            t = table_bound(system.tables[e.args[0].name])
+            return Interval(-t, t)
+
+        signed = {key: Interval(-b, b) for key, b in values.items()}
         for v in (*system.order0, *(v for v, n in missing if n)):
             key = (v, system.var_order[v])
             if key in values:
                 continue
-            b = _interval_bound(system.equations[v], values, system.params, system.tables)
+            b = _interval(system.equations[v], signed, system.params, float, lut).magnitude()
             values[key] = max(b, 1e-9)
+            signed[key] = Interval(-values[key], values[key])
             method[key] = "interval"
     elif missing:
         peaks, how = _modal_bounds(system), "modal"

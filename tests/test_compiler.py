@@ -19,7 +19,7 @@ from apc.compiler import (
 )
 from apc.machine import Kind, ScalingError, is_inverter, netlist_to_dict
 from apc.scaling import reference_solution
-from apc.dsl import signal_name
+from apc.dsl import evaluate, signal_name
 from conftest import SINE_SRC, VCO_SRC, build, compilable_programs, resolve_src
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -455,12 +455,12 @@ def assert_matches_source(system, result, seed: int, points: int = 3):
         for key in chain:
             b, y = net(key)
             env[key] = b.parity * b.scale * y
+        hooks = scaling.float_hooks(env, system.params, system.tables)
         for v in system.order0:
-            env[(v, 0)] = scaling.eval_expr(system.equations[v], env, system.params, system.tables)
+            env[(v, 0)] = evaluate(system.equations[v], *hooks)
         for v, n in system.var_order.items():
             if n:
-                env[(v, n)] = scaling.eval_expr(system.equations[v], env, system.params,
-                                                system.tables)
+                env[(v, n)] = evaluate(system.equations[v], *hooks)
             b, y = net((v, n))
             assert math.isclose(y, b.parity * env[(v, n)] / b.scale,
                                 rel_tol=1e-9, abs_tol=1e-9), signal_name(v, n)

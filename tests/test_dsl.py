@@ -1,3 +1,4 @@
+import ast
 import math
 
 from hypothesis import given, settings
@@ -15,11 +16,12 @@ from apc.dsl import (
     TableDecl,
     TimeDecl,
     VarDecl,
+    evaluate,
     parse,
     pretty,
     resolve,
 )
-from conftest import FIG2_SRC, SINE_SRC
+from conftest import FIG2_SRC, ROOT, SINE_SRC
 
 
 def parse_ok(src):
@@ -235,3 +237,41 @@ def test_pretty_parse_fixpoint(program):
     assert reparsed is not None, (text, diags)
     assert reparsed == program, text
     assert pretty(reparsed) == text
+
+
+def test_evaluate_leaves_each_call_to_its_domain():
+    """The walker applies + - * and unary minus to the leaves' values, left
+    operand first, and the call hook decides whether an argument is walked."""
+    seen = []
+
+    def leaf(e):
+        seen.append(e)
+        return e.value if isinstance(e, Num) else {"x": 3.0, "y": 5.0}[e.name]
+
+    expr = Bin("-", Neg(Ref("x")), Bin("*", Num(2.0), Call("f", (Ref("y"),))))
+    assert evaluate(expr, leaf, lambda e, ev: 10 * ev(e.args[0])) == -3.0 - 2.0 * 50.0
+    assert seen == [Ref("x"), Num(2.0), Ref("y")]
+    seen.clear()
+    assert evaluate(expr, leaf, lambda e, ev: 0.5) == -4.0
+    assert seen == [Ref("x"), Num(2.0)]
+
+
+#: The functions that may dispatch on ``isinstance(..., Bin)``: the one value
+#: walker, the two structural ones and the compiler's symbolic normal form.
+BIN_DISPATCH = {"dsl.evaluate", "dsl.children", "dsl._fmt_expr", "compiler.normalize"}
+
+
+def test_one_value_walker():
+    """Every other value of an expression (constants, floats, arrays,
+    intervals) comes from ``dsl.evaluate`` and its hooks. A method or a
+    nested function counts as its outermost definition."""
+    found = set()
+    for path in sorted((ROOT / "src" / "apc").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "isinstance" and len(node.args) == 2
+                        and "Bin" in {getattr(n, "id", getattr(n, "attr", None))
+                                      for n in ast.walk(node.args[1])}):
+                    found.add(f"{path.stem}.{top.name}")
+    assert sorted(found - BIN_DISPATCH) == []

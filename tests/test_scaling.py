@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from apc import compiler, scaling, simulator
 from apc.cli import main
 from apc.compiler import CompileOptions, ScaleMap, compile_system
-from apc.dsl import signal_name
+from apc.dsl import Bin, Call, Neg, Num, Ref, evaluate, signal_name
 from apc.scaling import (
     amplitude_scale,
     autoscale,
@@ -219,6 +219,75 @@ class TestBounds:
         src = "system t\nvar y order 1\neq y' = -y\ninit y = 0\ntime 1\n"
         bounds = estimate_bounds(resolve_src(src))
         assert bounds.values[("y", 0)] == 1.0
+
+    def test_cancelling_constants_tighten_the_interval_fill(self):
+        """x is 0.25, which magnitude arithmetic bounded by 0.75 + 0.5 = 1.25:
+        x and y' then took the factor 2 and lambda 0.5. A signed interval
+        bounds x exactly."""
+        src = ("system t\nvar x order 0\nvar y order 1\neq x = 0.75 - 0.5\neq y' = -x*y\n"
+               "init y = 0.5\nbound y = 1\ntime 1\n")
+        system = resolve_src(src)
+        bounds = estimate_bounds(system)
+        assert bounds.values == {("x", 0): 0.25, ("y", 0): 1.0, ("y", 1): 0.25}
+        assert bounds.method[("x", 0)] == bounds.method[("y", 1)] == "interval"
+        scale = autoscale(system)
+        assert (scale.amplitude, scale.lam) == ({("x", 0): 0.25, ("y", 0): 1.0, ("y", 1): 0.25}, 1.0)
+        assert_runs_onto_the_oracle(system, scale)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(compilable_programs(), st.integers(0, 2**32 - 1))
+    def test_signed_intervals_are_sound_and_never_looser(self, src, seed):
+        """With a bound of 1 on every state, each driven signal is filled by
+        its equation's signed interval over the bounds. Its float value at
+        the bounds' corners and at random points lies in that interval, and
+        the interval's magnitude is at most magnitude arithmetic's."""
+        system = resolve_src(src)
+        states = [signal_name(v, k) for v, n in system.var_order.items() for k in range(n)]
+        system = resolve_src(src + "".join(f"bound {s} = 1\n" for s in states))
+        bounds = estimate_bounds(system)
+        signed = {key: scaling.Interval(-b, b) for key, b in bounds.values.items()}
+
+        def lut(e, ev):
+            t = table_bound(system.tables[e.args[0].name])
+            return scaling.Interval(-t, t)
+
+        rng = np.random.default_rng(seed)
+        keys = list(bounds.values)
+        corners = [np.array([-1.0, 1.0])[rng.integers(0, 2, len(keys))] for _ in range(8)]
+        points = [*corners, *rng.uniform(-1.0, 1.0, (8, len(keys)))]
+        for key, how in bounds.method.items():
+            if how != "interval":
+                continue
+            expr = system.equations[key[0]]
+            interval = scaling._interval(expr, signed, system.params, float, lut)
+            assert bounds.values[key] == max(interval.magnitude(), 1e-9)
+            assert interval.magnitude() <= magnitude_bound(expr, bounds.values, system.params,
+                                                           system.tables)
+            for point in points:
+                env = {k: x * bounds.values[k] for k, x in zip(keys, point)}
+                x = evaluate(expr, *scaling.float_hooks(env, system.params, system.tables))
+                assert interval.lo <= x <= interval.hi, (signal_name(*key), x, env)
+
+
+def magnitude_bound(expr, env: dict, params: dict, tables: dict) -> float:
+    """The magnitude arithmetic the interval fill used before signed
+    intervals: |a + b|, |a - b| <= |a| + |b| and |a b| = |a| |b| over the
+    bounds, and a lookup at most its table's bound."""
+    if isinstance(expr, Num):
+        return abs(expr.value)
+    if isinstance(expr, Ref):
+        if (expr.name, expr.order) in env:
+            return env[(expr.name, expr.order)]
+        return abs(params[expr.name])
+    if isinstance(expr, Neg):
+        return magnitude_bound(expr.operand, env, params, tables)
+    if isinstance(expr, Bin):
+        l = magnitude_bound(expr.left, env, params, tables)
+        r = magnitude_bound(expr.right, env, params, tables)
+        return l * r if expr.op == "*" else l + r
+    if isinstance(expr, Call) and expr.func == "lut":
+        return table_bound(tables[expr.args[0].name])
+    raise TypeError(f"cannot bound {expr!r}")
 
 
 #: 2,001 evenly spaced samples fall one period apart: every sample of y'
@@ -706,26 +775,31 @@ class TestTimeScale:
         assert autoscale(a).amplitude == autoscale(b).amplitude
 
 
+def assert_runs_onto_the_oracle(system, scale) -> None:
+    """Property 1: the program compiles, runs at dt 1e-3 without overloads
+    and descales to within 1e-3 of each output's peak."""
+    result = compile_system(system, CompileOptions(scale=scale))
+    trace = new_instance(result.netlist, SimConfig(dt=1e-3)).run(result.mapping.horizon_machine)
+    assert trace.overloads == []
+    problem = descale_trace(trace, result.mapping)
+    oracle = reference_solution(system, t_eval=np.asarray(problem.tau))
+    for key in system.outputs:
+        ref = oracle.signals[key]
+        err = np.max(np.abs(np.asarray(problem.series[signal_name(*key)]) - ref))
+        assert err <= 1e-3 * np.max(np.abs(ref)), (signal_name(*key), err)
+
+
 class TestRoundTrip:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(compilable_programs())
     def test_autoscaled_programs_run_onto_the_oracle(self, src):
-        """A program the scaler accepts compiles, runs at dt 1e-3 without
-        overloads and descales to within 1e-3 of each output's peak."""
+        """Every program the scaler accepts passes ``assert_runs_onto_the_oracle``."""
         system = resolve_src(src)
         try:
             scale = autoscale(system)
         except ScalingError:
             return
-        result = compile_system(system, CompileOptions(scale=scale))
-        trace = new_instance(result.netlist, SimConfig(dt=1e-3)).run(result.mapping.horizon_machine)
-        assert trace.overloads == []
-        problem = descale_trace(trace, result.mapping)
-        oracle = reference_solution(system, t_eval=np.asarray(problem.tau))
-        for key in system.outputs:
-            ref = oracle.signals[key]
-            err = np.max(np.abs(np.asarray(problem.series[signal_name(*key)]) - ref))
-            assert err <= 1e-3 * np.max(np.abs(ref)), (signal_name(*key), err)
+        assert_runs_onto_the_oracle(system, scale)
 
     def test_compiling_is_deterministic(self):
         """Property 2: parse, resolve, autoscale and compile give the same
