@@ -10,9 +10,11 @@ net value = parity * signal value. The lowering tracks parity per net
 and inserts single-input summers only where parities genuinely clash;
 with the chain head assumed positive, the k-th integrator output carries
 parity (-1)^k and its initial-condition setting is parity * init.
-Normalization (``normalize``) folds every sign into term coefficients
-and net parities, so no inverter ever reads an inverter or feeds a
-multiplier, and no cleanup pass is needed.
+Normalization (``normalize``, built by ``dsl.evaluate``) folds every
+sign into term coefficients and net parities, so no inverter ever reads
+an inverter or feeds a multiplier, and no cleanup pass is needed; its
+signal factors are the source's own ``Ref``s, and a zero factor folds
+its product away, so no element computes a term that is identically 0.
 
 Amplitude and time scaling enter here: a ScaleMap turns each chain stage
 into a coefficient of alpha = lambda * m_upper / (m_lower * k0) and
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .dsl import Bin, Call, Expr, Neg, Num, OdeSystem, Ref, signal_name
+from .dsl import Expr, Num, OdeSystem, Ref, evaluate, signal_name
 from .machine import (
     Element,
     Mapping,
@@ -68,16 +70,14 @@ class ScalingViolationError(CompileError):
 # --- normal form -------------------------------------------------------------
 # An expression becomes a sum of terms; each term is a numeric coefficient
 # (with symbolic param bookkeeping for the sweep interface) times signal,
-# lookup and parenthesized-sum factors, the last an ``_NSum`` itself.
+# lookup and parenthesized-sum factors: a signal is the source's own ``Ref``,
+# a sum an ``_NSum`` itself. ``normalize`` builds the form with
+# ``dsl.evaluate``, over ``_NSum``'s unary minus, ``+``, ``-`` and ``*``.
 # Products never distribute over sums, so the element structure of the
-# source is preserved. The compiler lowers this form term by term
-# (``_Synth``), and ``demand`` predicts the gains that lowering needs,
-# which the autoscaler sizes signals by.
-# ``FSignal`` is public: the modal bounds in ``scaling`` read linear terms by it.
-
-class FSignal(Record):
-    __slots__ = ("var", "order")
-
+# source is preserved; a product with a zero factor is the empty sum, 0.
+# The compiler lowers this form term by term (``_Synth``), and ``demand``
+# predicts the gains that lowering needs, which the autoscaler sizes
+# signals by; the modal bounds in ``scaling`` read linear terms from it.
 
 class _FLut(Record):
     __slots__ = ("table", "arg")
@@ -89,6 +89,28 @@ class _Term(Record):
 
 class _NSum(Record):
     __slots__ = ("terms",)
+
+    def __neg__(self) -> _NSum:
+        return _NSum([_Term(-t.coeff, t.pexps, t.factors) for t in self.terms])
+
+    def __add__(self, other: _NSum) -> _NSum:
+        return _mk_sum(self.terms + other.terms)
+
+    def __sub__(self, other: _NSum) -> _NSum:
+        return self + -other
+
+    def __mul__(self, other: _NSum) -> _NSum:
+        """A constant operand scales the other's terms; else one term joins both's factors."""
+        if not self.terms or not other.terms:
+            return _NSum([])
+        for const, n in ((self, other), (other, self)):
+            if len(const.terms) == 1 and not const.terms[0].factors:
+                c = const.terms[0]
+                return _mk_sum([_Term(u.coeff * c.coeff, u.pexps + c.pexps, u.factors)
+                                for u in n.terms])
+        a, b = (n.terms[0] if len(n.terms) == 1 else _Term(1.0, Counter(), [n])
+                for n in (self, other))
+        return _mk_sum([_Term(a.coeff * b.coeff, a.pexps + b.pexps, a.factors + b.factors)])
 
 
 def _mk_sum(terms) -> _NSum:
@@ -109,54 +131,20 @@ def _mk_sum(terms) -> _NSum:
     return _NSum([t for t in out if t.coeff != 0.0])
 
 
-def _is_const(n: _NSum) -> bool:
-    return len(n.terms) == 1 and not n.terms[0].factors
-
-
-def _scaled(n: _NSum, c: float, pexps: Counter) -> _NSum:
-    return _mk_sum([_Term(t.coeff * c, t.pexps + pexps, t.factors) for t in n.terms])
-
-
-def _negated(n: _NSum) -> _NSum:
-    return _NSum([_Term(-t.coeff, t.pexps, t.factors) for t in n.terms])
-
-
 def normalize(expr: Expr, system: OdeSystem) -> _NSum:
-    if isinstance(expr, Num):
-        return _mk_sum([_Term(expr.value, Counter(), [])])
-    if isinstance(expr, Ref):
-        if expr.name in system.params:
-            return _mk_sum([_Term(system.params[expr.name], Counter({expr.name: 1}), [])])
-        return _mk_sum([_Term(1.0, Counter(), [FSignal(expr.name, expr.order)])])
-    if isinstance(expr, Neg):
-        return _negated(normalize(expr.operand, system))
-    if isinstance(expr, Bin):
-        left = normalize(expr.left, system)
-        right = normalize(expr.right, system)
-        if expr.op == "+":
-            return _mk_sum(left.terms + right.terms)
-        if expr.op == "-":
-            return _mk_sum(left.terms + _negated(right).terms)
-        if _is_const(left):
-            t = left.terms[0]
-            return _scaled(right, t.coeff, t.pexps)
-        if _is_const(right):
-            t = right.terms[0]
-            return _scaled(left, t.coeff, t.pexps)
+    def leaf(e):
+        if isinstance(e, Num):
+            return _mk_sum([_Term(e.value, Counter(), [])])
+        if e.name in system.params:
+            return _mk_sum([_Term(system.params[e.name], Counter({e.name: 1}), [])])
+        return _NSum([_Term(1.0, Counter(), [e])])
 
-        def as_factors(n: _NSum):
-            if len(n.terms) == 1:
-                t = n.terms[0]
-                return t.coeff, t.pexps, t.factors
-            return 1.0, Counter(), [n]
+    def lut(e, ev):
+        if e.func != "lut":
+            raise TypeError(f"cannot normalize {e!r}")
+        return _NSum([_Term(1.0, Counter(), [_FLut(e.args[0].name, ev(e.args[1]))])])
 
-        lc, lp, lf = as_factors(left)
-        rc, rp, rf = as_factors(right)
-        return _mk_sum([_Term(lc * rc, lp + rp, lf + rf)])
-    if isinstance(expr, Call) and expr.func == "lut":
-        arg = normalize(expr.args[1], system)
-        return _mk_sum([_Term(1.0, Counter(), [_FLut(expr.args[0].name, arg)])])
-    raise TypeError(f"cannot normalize {expr!r}")
+    return evaluate(expr, leaf, lut)
 
 
 class ScaleMap(Frozen):
@@ -243,8 +231,8 @@ def demand(n: _NSum, amplitude: dict, tables: dict) -> tuple[float, float]:
     for t in n.terms:
         gain = size = abs(t.coeff)
         for f in t.factors:
-            if isinstance(f, FSignal):
-                m = amplitude[(f.var, f.order)]
+            if isinstance(f, Ref):
+                m = amplitude[(f.name, f.order)]
                 gain, size = gain * m, size * m
             elif isinstance(f, _NSum):
                 g_in, v_in = demand(f, amplitude, tables)
@@ -302,17 +290,15 @@ class _Synth:
         ref = self.b.add(reference, want * (1.0 if value >= 0 else -1.0))
         return self.weigh(ref, value, pexps, "constants")
 
-    def term(self, t: _Term, m_top: float):
-        """Lower one term; returns ('const', value, pexps) or ('net', id, parity)."""
-        if not t.factors:
-            return ("const", t.coeff / m_top, t.pexps)
+    def term(self, t: _Term, m_top: float) -> tuple[str, int]:
+        """Lower one term with factors; returns (net, parity)."""
         amp = 1.0
         nets = []
         parity = 1
         for f in t.factors:
-            if isinstance(f, FSignal):
-                net, p = self.signals[(f.var, f.order)]
-                amp *= self.scale.m(f.var, f.order)
+            if isinstance(f, Ref):
+                net, p = self.signals[(f.name, f.order)]
+                amp *= self.scale.m(f.name, f.order)
             elif isinstance(f, _NSum):
                 net, p = self.sum(f, m_top=1.0)
             else:
@@ -327,7 +313,7 @@ class _Synth:
         c = t.coeff * amp / m_top
         if c < 0:
             parity = -parity
-        return ("net", self.weigh(out, c, t.pexps, "term gains"), parity)
+        return (self.weigh(out, c, t.pexps, "term gains"), parity)
 
     def sum(self, n: _NSum, m_top: float, want: int | None = None):
         """Lower a sum of terms to one net.
@@ -338,15 +324,12 @@ class _Synth:
         are gathered by a single group summer rather than inverted one by
         one. Returns (net, parity).
         """
-        lowered = [self.term(t, m_top) for t in n.terms]
-        consts = [(x[1], x[2]) for x in lowered if x[0] == "const"]
-        nets = [(x[1], x[2]) for x in lowered if x[0] == "net"]
-
-        if not nets and not consts:
-            return (self.const_net(0.0, Counter(), 1), 1)
-        if not nets and len(consts) == 1:
+        nets = [self.term(t, m_top) for t in n.terms if t.factors]
+        consts = [t for t in n.terms if not t.factors]
+        if not nets and len(consts) <= 1:  # the empty sum is the constant 0
+            (c,) = consts or [_Term(0.0, Counter(), [])]
             parity = want or 1
-            return (self.const_net(consts[0][0], consts[0][1], parity), parity)
+            return (self.const_net(c.coeff / m_top, c.pexps, parity), parity)
         if len(nets) == 1 and not consts:
             net, parity = nets[0]
             if want is not None and parity != want:
@@ -359,7 +342,7 @@ class _Synth:
             target = 1 if sum(p for _, p in nets) > 0 else -1
         direct = [net for net, p in nets if p == target]
         minority = [net for net, p in nets if p != target]
-        direct.extend(self.const_net(v, px, target) for v, px in consts)
+        direct.extend(self.const_net(c.coeff / m_top, c.pexps, target) for c in consts)
         if minority:
             direct.append(self.b.add(summer, minority))
         out = self.b.add(summer, direct)

@@ -28,7 +28,8 @@ into an OdeSystem ready for compilation. Both report problems as
 Diagnostic values with source locations instead of raising.
 
 ``evaluate`` computes every value of an expression, in the domain its
-hooks choose: folded constants, floats, numpy arrays, intervals.
+hooks choose: folded constants, floats, numpy arrays, intervals, and the
+compiler's normal forms.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ import functools
 import math
 import sys
 
-from .compiler import RANGE_TOL, FSignal, ScaleMap, demand, normalize, stage_gain
+from .compiler import RANGE_TOL, ScaleMap, demand, normalize, stage_gain
 from .dsl import Call, Expr, Num, OdeSystem, Ref, evaluate, signal_name, walk
 from .machine import ScalingError, table_bound
 from .record import Frozen, Record
@@ -299,13 +299,11 @@ def reference_solution(system: OdeSystem, t_eval=None) -> OracleSolution:
             y = _dopri45(rhs, x0, max(system.horizon, float(t_eval[-1])), t_eval, ORACLE_RTOL, ORACLE_ATOL)
         if not np.all(np.isfinite(y)):
             raise ScalingError(_DIVERGED)
-    fill_env(y if state_keys else ())
-    # An order-0 variable with a constant right-hand side folds to a scalar.
-    env = {key: val if np.ndim(val) else np.full_like(t_eval, float(val)) for key, val in point.items()}
-    for v, n in system.var_order.items():
-        if n >= 1:
-            top = evaluate(system.equations[v], *float_hooks(env, system.params, system.tables))
-            env[(v, n)] = np.asarray(top) + np.zeros_like(t_eval)
+    # One call of rhs on the samples gives the top derivatives. Each signal gets
+    # its own array: a value may be a scalar or another signal's row itself.
+    dx = rhs(None, y if state_keys else ())
+    tops = {(v, k + 1): d for (v, k), d in zip(state_keys, dx) if k + 1 == system.var_order[v]}
+    env = {key: np.asarray(val) + np.zeros_like(t_eval) for key, val in {**point, **tops}.items()}
     if any(not np.all(np.isfinite(np.asarray(a, dtype=float))) for a in env.values()):
         raise ScalingError("unbounded system: non-finite reference values; annotate bounds")
     if max((float(np.max(np.abs(a))) for a in env.values()), default=0.0) > 1e12:
@@ -381,9 +379,9 @@ def _state_matrix(system: OdeSystem):
             a[i][i + 1] = 1.0
             continue
         for t in normalize(system.equations[v], system).terms:
-            if len(t.factors) != 1 or not isinstance(t.factors[0], FSignal):
+            if len(t.factors) != 1 or not isinstance(t.factors[0], Ref):
                 return None
-            a[i][index[(t.factors[0].var, t.factors[0].order)]] += t.coeff
+            a[i][index[(t.factors[0].name, t.factors[0].order)]] += t.coeff
     return states, a
 
 

@@ -142,6 +142,35 @@ def compilable_programs(draw):
     return "\n".join(lines) + "\n"
 
 
+@st.composite
+def first_order_programs(draw):
+    """Source text of a program of order 1 at most that the modes cannot
+    bound: one to three states, each damped, with constant addends (always
+    one in x0's equation), couplings, products and lookups over a bounded
+    argument, and up to two order-0 variables that read them."""
+    xs = [f"x{i}" for i in range(draw(st.integers(1, 3)))]
+    ws = [f"w{i}" for i in range(draw(st.integers(0, 2)))]
+    lines = ["system box", "table f = (-1, -0.5) (0, 0.25) (1, 1)"]
+    lines += [f"var {x} order 1" for x in xs] + [f"var {w} order 0" for w in ws]
+    for i, w in enumerate(ws):
+        a, b = draw(st.sampled_from(xs + ws[:i])), draw(st.sampled_from(xs))
+        lines.append(f"eq {w} = " + draw(st.sampled_from(
+            [f"0.5*{a}", f"0.5*{a} - 0.25*{b}", f"{a}*{b}", f"lut(f, {b})", f"0.1 + 0.5*{a}"])))
+    for x in xs:
+        terms = [f"-{draw(st.sampled_from(['0.5', '1', '2']))}*{x}"]
+        if x == "x0":
+            terms.append(draw(st.sampled_from(["0.05", "-0.1"])))
+        for _ in range(draw(st.integers(1, 3))):
+            a, b = draw(st.sampled_from(xs + ws)), draw(st.sampled_from(xs))
+            c = draw(st.sampled_from(["0.05", "-0.1", "0.2", "-0.25"]))
+            terms.append(draw(st.sampled_from(
+                [c, f"{c}*{a}", f"{c}*{a}*{b}", f"{c}*lut(f, {b})", f"lut(f, 0.5*{a})"])))
+        lines.append(f"eq {x}' = " + " + ".join(terms))
+        lines.append(f"init {x} = {draw(st.sampled_from(['0', '0.25', '-0.5']))}")
+    lines.append(f"time {draw(st.sampled_from(['1', '10']))}")
+    return "\n".join(lines) + "\n"
+
+
 def resolve_src(src: str) -> dsl.OdeSystem:
     program, diags = dsl.parse(src)
     assert program is not None, diags

@@ -1,5 +1,6 @@
 import math
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +15,19 @@ from apc.compiler import (
     ScaleMap,
     ScalingViolationError,
     UnscaledCoefficientError,
+    _FLut,
+    _mk_sum,
+    _NSum,
+    _Term,
     build_integrator_chain,
     compile_system,
+    normalize,
 )
 from apc.machine import Kind, ScalingError, is_inverter, netlist_to_dict
 from apc.scaling import reference_solution
-from apc.dsl import evaluate, signal_name
-from conftest import SINE_SRC, VCO_SRC, build, compilable_programs, resolve_src
+from apc.dsl import Bin, Call, Neg, Num, Ref, evaluate, signal_name
+from conftest import (SINE_SRC, VCO_SRC, build, compilable_programs, first_order_programs,
+                      resolve_src)
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -191,6 +198,22 @@ class TestSynthesisEdgeCases:
         values = simulator.new_instance(result.netlist, simulator.SimConfig(dt=1e-3)).run(0.5).final()
         first, second = result.netlist.outputs[:2]
         assert values[first] == values[second]
+
+    @pytest.mark.parametrize("src", [
+        VCO_SRC.replace("param k = 0.5", "param k = 0"),
+        "system t\nvar y order 2\neq y'' = 0*y\ninit y = 0.25\ninit y' = 0.5\ntime 1\n"
+        "output y, y'\n",
+        "system t\nvar y order 2\nvar x order 0\neq x = (0.1 - 0.1)*y\neq y'' = x\n"
+        "init y = -0.5\ninit y' = 0.25\ntime 1\noutput y, y'\n",
+    ], ids=["vco-k-0", "zero-times-y", "cancelled-times-y"])
+    def test_a_zero_factor_leaves_no_product(self, src):
+        """A product with a factor 0 is the constant 0: no multiplier, no pot
+        on a term that is identically 0, and the run is y'' = 0's."""
+        system, result = build(src)
+        assert "multiplier" not in result.netlist.counts()
+        y0, dy0 = system.inits[("y", 0)], system.inits[("y", 1)]
+        trace = simulator.new_instance(result.netlist, simulator.SimConfig(dt=1e-3)).run(1.0)
+        assert trace.series["y"] == pytest.approx([y0 + dy0 * t for t in trace.tau], abs=1e-12)
 
     def test_unit_constant_addend_is_bare_reference(self):
         _, result = build("system t\nvar y order 1\neq y' = -y - 1\ninit y = 0\ntime 0.5\n")
@@ -489,3 +512,106 @@ def test_sample_netlists_match_their_source_pointwise(name):
     system = resolve_src((PROGRAMS / f"{name}.apc").read_text())
     assert_matches_source(system, compile_system(system, CompileOptions(
         scale=scaling.autoscale(system))), seed=len(name), points=20)
+
+
+# --- the normal form against the walker it replaced --------------------------
+
+def reference_normalize(expr, system, fold_zero: bool = True) -> _NSum:
+    """The recursive walker ``compiler.normalize`` was before it built the
+    form through ``dsl.evaluate``, with each signal factor a ``Ref``. The
+    one rule it lacked is ``fold_zero``'s: a product with a factor that
+    normalizes to the empty sum (0) is the empty sum, not a product with
+    that sum as a factor."""
+    if isinstance(expr, Num):
+        return _mk_sum([_Term(expr.value, Counter(), [])])
+    if isinstance(expr, Ref):
+        if expr.name in system.params:
+            return _mk_sum([_Term(system.params[expr.name], Counter({expr.name: 1}), [])])
+        return _mk_sum([_Term(1.0, Counter(), [Ref(expr.name, expr.order)])])
+
+    def negated(n):
+        return _NSum([_Term(-t.coeff, t.pexps, t.factors) for t in n.terms])
+
+    def scaled(n, c, pexps):
+        return _mk_sum([_Term(t.coeff * c, t.pexps + pexps, t.factors) for t in n.terms])
+
+    def is_const(n):
+        return len(n.terms) == 1 and not n.terms[0].factors
+
+    if isinstance(expr, Neg):
+        return negated(reference_normalize(expr.operand, system, fold_zero))
+    if isinstance(expr, Bin):
+        left = reference_normalize(expr.left, system, fold_zero)
+        right = reference_normalize(expr.right, system, fold_zero)
+        if expr.op == "+":
+            return _mk_sum(left.terms + right.terms)
+        if expr.op == "-":
+            return _mk_sum(left.terms + negated(right).terms)
+        if fold_zero and not (left.terms and right.terms):
+            return _NSum([])
+        if is_const(left):
+            return scaled(right, left.terms[0].coeff, left.terms[0].pexps)
+        if is_const(right):
+            return scaled(left, right.terms[0].coeff, right.terms[0].pexps)
+
+        def as_factors(n):
+            if len(n.terms) == 1:
+                t = n.terms[0]
+                return t.coeff, t.pexps, t.factors
+            return 1.0, Counter(), [n]
+
+        lc, lp, lf = as_factors(left)
+        rc, rp, rf = as_factors(right)
+        return _mk_sum([_Term(lc * rc, lp + rp, lf + rf)])
+    if isinstance(expr, Call) and expr.func == "lut":
+        arg = reference_normalize(expr.args[1], system, fold_zero)
+        return _mk_sum([_Term(1.0, Counter(), [_FLut(expr.args[0].name, arg)])])
+    raise TypeError(f"cannot normalize {expr!r}")
+
+
+def plain(n: _NSum) -> list:
+    """A normal form as plain values, term by term: the repr of the
+    coefficient, the param exponents in order, and the factors."""
+    def factor(f):
+        if isinstance(f, _NSum):
+            return plain(f)
+        if isinstance(f, _FLut):
+            return (f.table, plain(f.arg))
+        return f
+    return [(repr(t.coeff), list(t.pexps.items()), [factor(f) for f in t.factors])
+            for t in n.terms]
+
+
+def assert_normal_forms_match(src: str) -> None:
+    system = resolve_src(src)
+    for expr in system.equations.values():
+        assert plain(normalize(expr, system)) == plain(reference_normalize(expr, system)), expr
+
+
+@pytest.mark.parametrize("strategy", [compilable_programs, simulable_odes, first_order_programs])
+def test_normal_form_matches_the_recursive_walker(strategy):
+    settings(max_examples=400, deadline=None, derandomize=True)(
+        given(strategy())(assert_normal_forms_match))()
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PROGRAMS.glob("*.apc")))
+def test_sample_normal_forms_match_the_recursive_walker(name):
+    assert_normal_forms_match((PROGRAMS / f"{name}.apc").read_text())
+
+
+@pytest.mark.parametrize("rhs", ["0*y", "y*(0.1 - 0.1)", "-k*y", "(y + 0.5*y')*0", "lut(f, y)*0"])
+def test_a_zero_factor_folds_its_product(rhs):
+    """Without the zero rule the recursive walker builds a product with the
+    empty sum as a factor, which lowered to a multiplier fed by a pot at 0."""
+    system = resolve_src("system t\nparam k = 0\nvar y order 2\ntable f = (-1, -1) (1, 1)\n"
+                         f"eq y'' = {rhs}\ninit y = 0.5\ninit y' = 0\ntime 1\n")
+    expr = system.equations["y"]
+    assert normalize(expr, system).terms == []
+    unfolded = reference_normalize(expr, system, fold_zero=False).terms
+    assert [_NSum([]) in t.factors for t in unfolded] == [True]
+
+
+def test_only_lut_calls_normalize():
+    system = resolve_src("system t\nvar y order 1\neq y' = -y\ninit y = 0.5\ntime 1\n")
+    with pytest.raises(TypeError, match="^cannot normalize Call"):
+        normalize(Call("sin", (Ref("y"),)), system)
