@@ -21,7 +21,7 @@ _EXPORTS = {
     "dsl": ("Diagnostic", "OdeSystem", "parse", "pretty", "resolve"),
     "fabric": ("THAT", "MachineSpec", "PatchAssignment", "ResourceError", "apply_assignment",
                "load_machine_spec", "map_netlist", "patch_instructions"),
-    "machine": ("ConstructionError", "Element", "Kind", "Mapping", "Net", "Netlist",
+    "machine": ("ConstructionError", "Element", "Kind", "Mapping", "Netlist",
                 "ScalingError", "SignalBinding", "StructuralError", "element_output",
                 "evaluation_order", "load_netlist", "netlist_from_dict", "netlist_to_dict",
                 "save_netlist", "validate"),

@@ -119,7 +119,9 @@ def _pot_setting(netlist, mapping, name: str, value: float) -> tuple[str, float]
     elif name in netlist.elements and netlist.elements[name].kind is Kind.COEFFICIENT:
         element, alpha = name, value
     else:
-        raise _UsageError(f"parameter {name!r} does not map to a coefficient")
+        bound = ", ".join(mapping.params) if mapping and mapping.params else "none"
+        raise _UsageError(f"parameter {name!r} does not map to a coefficient; "
+                          f"sweepable parameters: {bound}")
     if not 0.0 <= alpha <= 1.0:
         raise ScalingError(f"{name}={value!r} needs alpha {alpha:.6g} outside [0, 1]")
     return element, alpha

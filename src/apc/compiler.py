@@ -213,7 +213,7 @@ class NetlistBuilder:
         for e in self.elements.values():
             if _PENDING in e.inputs:
                 raise CompileError(f"internal error: unpatched feedback input on {e.id}")
-        return Netlist.from_elements(self.elements.values(), self.outputs)
+        return Netlist(self.elements.values(), self.outputs)
 
 
 # --- synthesis ---------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from .machine import Element, Kind, Net, Netlist, evaluation_order, inventory_kind, json_object
+from .machine import Element, Kind, Netlist, evaluation_order, inventory_kind, json_object
 from .record import Frozen, Record
 
 _INVENTORY_KINDS = ("integrator", "summer", "inverter", "multiplier",
@@ -135,9 +135,8 @@ def map_netlist(netlist: Netlist, spec: MachineSpec) -> PatchAssignment:
 
     patches = []
     for e in netlist.elements.values():
-        for k, net_id in enumerate(e.inputs, start=1):
-            src = slot_of[netlist.nets[net_id].driver]
-            patches.append((src, slot_of[e.id], k))
+        for k, src in enumerate(e.inputs, start=1):
+            patches.append((slot_of[src], slot_of[e.id], k))
     patches.sort(key=lambda p: (_slot_key(p[1]), p[2]))
     settings = sorted(
         ((slot_of[e.id], e.params["alpha"]) for e in netlist.elements.values()
@@ -163,18 +162,14 @@ def patch_instructions(assignment: PatchAssignment) -> str:
 
 
 def apply_assignment(netlist: Netlist, assignment: PatchAssignment) -> Netlist:
-    """Rename elements and nets to their physical slots.
+    """Rename elements, and so their nets, to their physical slots.
 
     The renamed netlist preserves element order, so simulating it yields
     a trace identical to the original; used to check assignment
     soundness.
     """
     slot = assignment.slot_of
-    elements = []
-    for e in netlist.elements.values():
-        elements.append(Element(slot[e.id], e.kind, dict(e.params),
-                                tuple(slot[netlist.nets[n].driver] for n in e.inputs)))
-    nets = {}
-    for nid, net in netlist.nets.items():
-        nets[slot[net.driver]] = Net(slot[net.driver], net.name)
-    return Netlist(elements, nets, netlist.outputs)
+    elements = [Element(slot[e.id], e.kind, dict(e.params), tuple(slot[n] for n in e.inputs))
+                for e in netlist.elements.values()]
+    return Netlist(elements, {name: slot[eid] for name, eid in netlist.names.items()},
+                   netlist.outputs)

@@ -1,10 +1,10 @@
 """Computing-element semantics, netlist graph and structural validation.
 
 An analog program is a directed graph of computing elements connected by
-nets. Every element drives exactly one net; a net may fan out to any
-number of element inputs. All signals live in machine units, the
-interval [-1, 1]; values that leave it are clamped and flagged as
-overloads.
+nets. Every element drives exactly one net, its output, which bears the
+element's id; a net may fan out to any number of element inputs. All
+signals live in machine units, the interval [-1, 1]; values that leave it
+are clamped and flagged as overloads.
 
 Element semantics (machine convention: summers and integrators invert):
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from enum import Enum
 from functools import reduce
 from graphlib import CycleError, TopologicalSorter
@@ -225,40 +226,23 @@ def element_output(kind: Kind, params: dict, inputs, state: float | None = None)
     return eval(expr, {"x": list(inputs), "p": p})
 
 
-class Net(Frozen):
-    """A single-driver net: the driving element id and an optional name."""
-
-    __slots__ = ("driver", "name")
-    _defaults = {"name": None}
-
-
 class Netlist:
     """Immutable element graph.
 
-    ``elements`` maps element id to Element, ``nets`` maps net id to Net,
-    ``outputs`` lists net names exposed to traces. Construction freezes
-    insertion order, which downstream passes rely on for determinism.
+    ``elements`` maps element id to Element, each driving the net of its
+    id; ``names`` maps a net name to its element id, and ``outputs`` lists
+    the names exposed to traces, all of ``names`` by default. Construction
+    freezes insertion order, which downstream passes rely on for determinism.
     """
 
-    def __init__(self, elements, nets, outputs=()):
+    def __init__(self, elements, names: dict[str, str] | None = None, outputs=None):
         self.elements: dict[str, Element] = {}
         for e in elements:
             if e.id in self.elements:
                 raise StructuralError(f"duplicate element id {e.id!r}")
             self.elements[e.id] = e
-        self.nets: dict[str, Net] = dict(nets)
-        self.outputs: tuple[str, ...] = tuple(outputs)
-
-    @classmethod
-    def from_elements(cls, elements, outputs: dict[str, str] | None = None) -> "Netlist":
-        """Build a netlist where each element drives a net of the same id.
-
-        ``outputs`` maps output name -> element id.
-        """
-        outputs = outputs or {}
-        names = {eid: name for name, eid in outputs.items()}
-        nets = {e.id: Net(e.id, names.get(e.id)) for e in elements}
-        return cls(elements, nets, tuple(outputs))
+        self.names: dict[str, str] = dict(names or {})
+        self.outputs: tuple[str, ...] = tuple(self.names if outputs is None else outputs)
 
     def counts(self) -> dict[str, int]:
         """Element counts by ``inventory_kind``, in ``Kind`` order with inverters last."""
@@ -311,41 +295,24 @@ def _check_params(e: Element):
 def validate(netlist: Netlist) -> list[Violation]:
     """Structural validation report; empty means the netlist is well formed.
 
-    Checks the single-driver rule, input arities, parameter ranges, that
-    no two nets share a name and that every declared output name exists.
-    Violations are report entries, never exceptions.
+    Checks input arities, that every input names an element's net,
+    parameter ranges, and that each output names a net and is listed
+    once. Violations are report entries, never exceptions.
     """
     report: list[Violation] = []
-    drivers_seen: dict[str, str] = {}
-    for nid, net in netlist.nets.items():
-        if net.driver not in netlist.elements:
-            report.append(Violation(net.driver, "single-driver", f"net {nid!r} driven by unknown element"))
-        elif net.driver in drivers_seen:
-            report.append(
-                Violation(net.driver, "single-driver", f"element drives both {drivers_seen[net.driver]!r} and {nid!r}")
-            )
-        else:
-            drivers_seen[net.driver] = nid
     for e in netlist.elements.values():
-        if e.id not in drivers_seen:
-            report.append(Violation(e.id, "single-driver", "element drives no net"))
         problem = arity_error(e.kind, len(e.inputs))
         if problem:
             report.append(Violation(e.id, "arity", problem))
         for nid in e.inputs:
-            if nid not in netlist.nets:
+            if nid not in netlist.elements:
                 report.append(Violation(e.id, "dangling-input", f"input references missing net {nid!r}"))
         report.extend(_check_params(e))
-    named: dict[str, str] = {}  # name -> the first net that carries it
-    for nid, net in netlist.nets.items():
-        if net.name in named:
-            report.append(Violation("", "duplicate-name", f"nets {named[net.name]!r} and "
-                                    f"{nid!r} are both named {net.name!r}"))
-        elif net.name:
-            named[net.name] = nid
-    for name in netlist.outputs:
-        if name not in named:
+    for name, count in Counter(netlist.outputs).items():
+        if netlist.names.get(name) not in netlist.elements:
             report.append(Violation("", "missing-output", f"output {name!r} names no net"))
+        if count > 1:
+            report.append(Violation("", "duplicate-output", f"output {name!r} is listed {count} times"))
     return report
 
 
@@ -368,8 +335,7 @@ def evaluation_order(netlist: Netlist) -> list[str]:
     algebraic = {eid: e for eid, e in netlist.elements.items() if e.kind is not Kind.INTEGRATOR}
     sorter = TopologicalSorter(dict.fromkeys(algebraic, ()))
     for eid, e in algebraic.items():
-        drivers = (netlist.nets[nid].driver for nid in e.inputs)
-        sorter.add(eid, *dict.fromkeys(d for d in drivers if d in algebraic))
+        sorter.add(eid, *dict.fromkeys(n for n in e.inputs if n in algebraic))
     try:
         return list(sorter.static_order())
     except CycleError as err:
@@ -379,15 +345,14 @@ def evaluation_order(netlist: Netlist) -> list[str]:
 
 
 def net_bounds(netlist: Netlist, order: list[str]) -> dict[str, float]:
-    """A bound on each net's magnitude, by net id, while the states are
-    finite: one pass of ``KINDS``' bounds over ``evaluation_order``'s
+    """A bound on each net's magnitude, by element id, while the states
+    are finite: one pass of ``KINDS``' bounds over ``evaluation_order``'s
     ``order``, each integrator at 1 (the rails hold its state)."""
     bounds = {eid: 1.0 for eid, e in netlist.elements.items() if e.kind is Kind.INTEGRATOR}
     for eid in order:
         e = netlist.elements[eid]
-        bounds[eid] = KINDS[e.kind].bound([bounds[netlist.nets[n].driver] for n in e.inputs],
-                                          parameter(e.kind, e.params))
-    return {nid: bounds[net.driver] for nid, net in netlist.nets.items()}
+        bounds[eid] = KINDS[e.kind].bound([bounds[n] for n in e.inputs], parameter(e.kind, e.params))
+    return {eid: bounds[eid] for eid in netlist.elements}
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +405,14 @@ def netlist_to_dict(netlist: Netlist) -> dict:
         if "table" in params:
             params["table"] = [list(p) for p in params["table"]]
         elements.append({"id": e.id, "kind": e.kind.value, "params": params, "inputs": list(e.inputs)})
-    nets = [{"id": nid, "driver": net.driver, "name": net.name} for nid, net in netlist.nets.items()]
+    name_of = {eid: name for name, eid in netlist.names.items()}
+    nets = [{"id": eid, "driver": eid, "name": name_of.get(eid)} for eid in netlist.elements]
     return {"elements": elements, "nets": nets, "outputs": list(netlist.outputs)}
 
 
 def netlist_from_dict(doc: dict) -> Netlist:
+    """The netlist of a JSON document: one net per element, with its driver's
+    id, no two of one name (an empty name names nothing); else StructuralError."""
     doc = json_object(doc, "netlist", {"elements": list, "nets": list, "outputs": list})
     elements = []
     for ed in doc["elements"]:
@@ -460,13 +428,28 @@ def netlist_from_dict(doc: dict) -> Netlist:
                              {k: list if k == "table" else float for k in keys}, optional=keys)
         inputs = tuple(json_value(n, str, f"input of {where}") for n in ed.get("inputs", []))
         elements.append(Element(ed["id"], kind, params, inputs))
-    nets = {}
+    ids = {e.id for e in elements}
+    names, netted = {}, set()
     for nd in doc["nets"]:
         where = f"net {nd['id']!r}" if isinstance(nd, dict) and "id" in nd else "net"
         nd = json_object(nd, where, {"id": str, "driver": str, "name": str}, optional=("name",))
-        nets[nd["id"]] = Net(nd["driver"], nd.get("name"))
+        nid, name = nd["id"], nd.get("name")
+        if nd["driver"] != nid:
+            raise StructuralError(f"{where} is driven by {nd['driver']!r}: a net's id must be its driver's")
+        if nid not in ids:
+            raise StructuralError(f"{where} is driven by unknown element {nid!r}")
+        if nid in netted:
+            raise StructuralError(f"element {nid!r} drives two nets")
+        if name in names:
+            raise StructuralError(f"nets {names[name]!r} and {nid!r} are both named {name!r}")
+        netted.add(nid)
+        if name:
+            names[name] = nid
+    for e in elements:
+        if e.id not in netted:
+            raise StructuralError(f"element {e.id!r} drives no net")
     outputs = tuple(json_value(name, str, "netlist output") for name in doc["outputs"])
-    return Netlist(elements, nets, outputs)
+    return Netlist(elements, names, outputs)
 
 
 def save_netlist(netlist: Netlist, path) -> None:
@@ -548,7 +531,7 @@ class Mapping(Record):
             if name not in self.signals:
                 raise StructuralError(f"output {name!r} has no signal binding")
         for name, b in self.signals.items():
-            if b.net not in netlist.nets:
+            if b.net not in netlist.elements:
                 raise StructuralError(f"signal {name!r} binds missing net {b.net!r}")
         for name, b in self.params.items():
             e = netlist.elements.get(b.element)

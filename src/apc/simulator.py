@@ -327,8 +327,6 @@ def _generate(netlist: Netlist, resolution: float):
         param_of[eid] = (f"pot{coef_of[eid]}" if e.kind is Kind.COEFFICIENT
                          else repr(p) if e.kind is Kind.REFERENCE else p)
 
-    driver = {nid: net.driver for nid, net in netlist.nets.items()}
-
     def output(e, ins: list[_Expr]) -> _Expr:
         if e.kind is Kind.SUMMER:  # the negated sum, its sign kept apart
             return _neg(_sum(ins))
@@ -341,10 +339,10 @@ def _generate(netlist: Netlist, resolution: float):
 
     # How many inputs read each element's net in stages b, d and e: the
     # integrators' inputs, then the inputs of every element read in turn.
-    reads = Counter(driver[n] for e in integrators for n in e.inputs)
+    reads = Counter(n for e in integrators for n in e.inputs)
     for eid in reversed(order):
         if reads[eid]:
-            reads.update(driver[n] for n in elements[eid].inputs)
+            reads.update(elements[eid].inputs)
 
     def bound(lines: list[str], name: str, x: _Expr, inline: bool = False) -> _Expr:
         """``x`` itself if it is a local or its negation, or if ``inline``;
@@ -356,7 +354,7 @@ def _generate(netlist: Netlist, resolution: float):
 
     def emit_stage(tag: str, states: list[_Expr]):
         """Stage ``tag`` on the integrators' stage values ``states``: the
-        lines binding its nets, every net's expression by driver, and the
+        lines binding its nets, every net's expression by element, and the
         lines binding its derivatives ``k{tag}{i}`` with their expressions."""
         lines: list[str] = []
         view: dict[str, _Expr] = {}
@@ -375,10 +373,10 @@ def _generate(netlist: Netlist, resolution: float):
             if e.kind is Kind.REFERENCE:
                 view[eid] = output(e, [])  # a constant, folded into uses
             elif tag == "a" or reads[eid]:
-                bind(eid, f"{tag}_{local_of[eid]}", output(e, [view[driver[n]] for n in e.inputs]))
+                bind(eid, f"{tag}_{local_of[eid]}", output(e, [view[n] for n in e.inputs]))
         deriv_lines: list[str] = []
         derivs = [bound(deriv_lines, f"k{tag}{i}",
-                        _scaled(-e.params["k0"], _sum([view[driver[n]] for n in e.inputs])))
+                        _scaled(-e.params["k0"], _sum([view[n] for n in e.inputs])))
                   for i, e in enumerate(integrators)]
         return lines, view, deriv_lines, derivs
 
@@ -408,7 +406,7 @@ def _generate(netlist: Netlist, resolution: float):
 
     values, observe, checked = [], [], []  # values: each net's observed value at a sample
     for j, (nid, b) in enumerate(net_bounds(netlist, order).items()):
-        v = quantized(_code(a_view[driver[nid]]))
+        v = quantized(_code(a_view[nid]))
         if resolution > 0.0:  # b on the loop's grid, if b / resolution is finite
             if not b / resolution < math.inf:
                 raise ConstructionError(f"resolution {resolution!r} cannot quantize net {nid!r}: "
@@ -418,10 +416,11 @@ def _generate(netlist: Netlist, resolution: float):
             values.append(v)
         else:
             observe.append(f"if not -1.0 <= (o{j} := {v}) <= 1.0: "
-                           f"o{j} = clamp(o{j}, {tau}, {driver[nid]!r}, i)")
+                           f"o{j} = clamp(o{j}, {tau}, {nid!r}, i)")
             values.append(f"o{j}")
             checked.append(j)
-    name_pos = {net.name: j for j, net in enumerate(netlist.nets.values()) if net.name}
+    pos = {eid: j for j, eid in enumerate(elements)}
+    name_pos = {name: pos[eid] for name, eid in netlist.names.items()}
     samples = [f"ap{k}({values[name_pos[name]]})" for k, name in enumerate(netlist.outputs)]
     states = ", ".join(f"as{i}" for i in range(len(integrators)))
 

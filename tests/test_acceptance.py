@@ -49,7 +49,7 @@ def report(number: int, description: str):
 
 def ramp(k0):
     elems = [reference("one", 1.0), integrator("i", ["one"], ic=0.0, k0=k0)]
-    return Netlist.from_elements(elems, outputs={"out": "i"})
+    return Netlist(elems, names={"out": "i"})
 
 
 def test_criterion_1_integrator_law():

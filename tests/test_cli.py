@@ -313,7 +313,7 @@ class TestRun:
         assert "overloads: 0" in capsys.readouterr().out
 
     def test_tend_is_required_without_a_sidecar_horizon(self, workdir, capsys):
-        save_netlist(Netlist.from_elements([integrator("i", ["i"], ic=0.5)]), workdir / "bare.json")
+        save_netlist(Netlist([integrator("i", ["i"], ic=0.5)]), workdir / "bare.json")
         assert main(["run", "bare.json"]) == 1
         assert capsys.readouterr().err == (
             "apc: usage: --tend is required (no sidecar mapping with a horizon found)\n")
@@ -379,10 +379,10 @@ class TestRun:
     def test_nan_into_a_function_generator_exits_4(self, workdir, capsys):
         # int1 overflows to -inf within the first step of 10; s reads
         # -inf + inf = NaN in the stage after, and looks it up.
-        n = Netlist.from_elements(
+        n = Netlist(
             [reference("r", 1.0), integrator("int1", ["r"], k0=1e308), summer("inv", ["int1"]),
              summer("s", ["int1", "inv"]), function_generator("fg", "s", [(-1, -1), (1, 1)]),
-             integrator("int2", ["fg"])], outputs={"y": "int2"})
+             integrator("int2", ["fg"])], names={"y": "int2"})
         save_netlist(n, workdir / "nanfg.json")
         assert main(["run", "nanfg.json", "--tend", "20", "--dt", "10"]) == 4
         assert capsys.readouterr().err == "apc: simulation: non-finite value at element 'int1'\n"
@@ -553,8 +553,8 @@ class TestSidecarMismatch:
 
 def looped_netlist(workdir):
     """Two summers feeding each other through a coefficient: an algebraic loop."""
-    n = Netlist.from_elements([summer("s1", ["k"]), summer("s2", ["s1"]),
-                               coefficient("k", "s2", 0.5)], outputs={"y": "s1"})
+    n = Netlist([summer("s1", ["k"]), summer("s2", ["s1"]),
+                 coefficient("k", "s2", 0.5)], names={"y": "s1"})
     path = workdir / "loop.json"
     save_netlist(n, path)
     return str(path)
@@ -562,8 +562,8 @@ def looped_netlist(workdir):
 
 def overload_netlist(workdir):
     """s = -(1 + k) overloads in the initial state and at every step."""
-    n = Netlist.from_elements([reference("r", 1.0), coefficient("k", "r", 0.5),
-                               summer("s", ["r", "k"])], outputs={"y": "s"})
+    n = Netlist([reference("r", 1.0), coefficient("k", "r", 0.5),
+                 summer("s", ["r", "k"])], names={"y": "s"})
     path = workdir / "over.json"
     save_netlist(n, path)
     return path
@@ -572,8 +572,8 @@ def overload_netlist(workdir):
 def huge_gain_netlist(workdir, k0=1e308):
     """A +1 reference through a coefficient into an integrator of gain ``k0``.
     At 1e308 its state overflows on the first step of 10, and 100 * k0 overflows."""
-    n = Netlist.from_elements([reference("r", 1.0), coefficient("k", "r", 0.5),
-                               integrator("i", ["k"], k0=k0)], outputs={"y": "i"})
+    n = Netlist([reference("r", 1.0), coefficient("k", "r", 0.5),
+                 integrator("i", ["k"], k0=k0)], names={"y": "i"})
     path = workdir / "big.json"
     save_netlist(n, path)
     return str(path)
@@ -640,8 +640,8 @@ def dense_loop_netlist(workdir):
     """Twelve summers each reading all twelve nets, and a coefficient k: more
     than 10^8 elementary cycles, of which an error names one."""
     ids = [f"s{i:02d}" for i in range(12)]
-    n = Netlist.from_elements([*[summer(i, ids) for i in ids], coefficient("k", "s00", 0.5)],
-                              outputs={"y": "k"})
+    n = Netlist([*[summer(i, ids) for i in ids], coefficient("k", "s00", 0.5)],
+                names={"y": "k"})
     path = workdir / "dense.json"
     save_netlist(n, path)
     return str(path)
@@ -678,7 +678,8 @@ class TestInvalidNetlist:
         ["sweep", "--param", "k=0.1,0.2", "--tend", "1", "--out", "s"],
     ], ids=["run", "map", "sweep"])
     def test_duplicate_net_name_exits_1(self, workdir, capsys, command):
-        """Two nets named y once validated, and run traced the last one as y."""
+        """Two nets named y once validated, and run traced the last one as y;
+        the loader rejects such a file."""
         out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
         doc = json.loads(out.read_text())
         next(net for net in doc["nets"] if net["name"] is None)["name"] = "y"
@@ -686,8 +687,52 @@ class TestInvalidNetlist:
         first, second = [net["id"] for net in doc["nets"] if net["name"] == "y"]
         capsys.readouterr()
         assert main([command[0], str(out), *command[1:]]) == 1
-        assert capsys.readouterr() == ("", "apc: netlist does not validate: duplicate-name: "
-                                           f"nets {first!r} and {second!r} are both named 'y'\n")
+        assert capsys.readouterr() == ("", f"apc: {out}: nets {first!r} and {second!r} "
+                                           "are both named 'y'\n")
+        assert not (workdir / "t.csv").exists() and not (workdir / "s").exists()
+
+    @pytest.mark.parametrize("case", ["aliased-id", "no-net", "two-nets", "unknown-driver"])
+    @pytest.mark.parametrize("command", [
+        ["run", "--tend", "1", "--trace", "t.csv"], ["map"],
+        ["sweep", "--param", "k=0.1,0.2", "--tend", "1", "--out", "s"],
+    ], ids=["run", "map", "sweep"])
+    def test_a_net_table_the_model_cannot_hold_exits_1(self, workdir, capsys, command, case):
+        """Each element drives one net, which bears its id: the loader
+        rejects every other net table in one line (two nets of one name
+        just above)."""
+        out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
+        doc = json.loads(out.read_text())
+        nets, first, second = doc["nets"], doc["nets"][0]["id"], doc["nets"][1]["id"]
+        edit, message = {
+            "aliased-id": (lambda: nets[0].update(id="n1"),
+                           f"net 'n1' is driven by {first!r}: a net's id must be its driver's"),
+            "no-net": (lambda: nets.pop(1), f"element {second!r} drives no net"),
+            "two-nets": (lambda: nets.append(dict(nets[0])), f"element {first!r} drives two nets"),
+            "unknown-driver": (lambda: nets.append({"id": "ghost", "driver": "ghost"}),
+                               "net 'ghost' is driven by unknown element 'ghost'"),
+        }[case]
+        edit()
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main([command[0], str(out), *command[1:]]) == 1
+        assert capsys.readouterr() == ("", f"apc: {out}: {message}\n")
+        assert not (workdir / "t.csv").exists() and not (workdir / "s").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--tend", "1", "--trace", "t.csv"],
+        ["sweep", "--param", "k=0.1,0.2", "--tend", "1", "--out", "s"],
+    ], ids=["run", "sweep"])
+    def test_repeated_output_name_exits_1(self, workdir, capsys, command):
+        """``"outputs": ["y", "y"]`` once ran: run printed y twice, and
+        sweep's summary had two y columns where each run file had one."""
+        out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
+        doc = json.loads(out.read_text())
+        doc["outputs"] = ["y", "y"]
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main([command[0], str(out), *command[1:]]) == 1
+        assert capsys.readouterr() == ("", "apc: netlist does not validate: duplicate-output: "
+                                           "output 'y' is listed 2 times\n")
         assert not (workdir / "t.csv").exists() and not (workdir / "s").exists()
 
     @pytest.mark.parametrize("command", [
@@ -698,7 +743,7 @@ class TestInvalidNetlist:
     ])
     def test_invalid_netlist_exits_1(self, workdir, capsys, command):
         path = workdir / "dangling.json"
-        save_netlist(Netlist.from_elements([summer("s1", ["ghost"])]), path)
+        save_netlist(Netlist([summer("s1", ["ghost"])]), path)
         assert main([command[0], str(path), *command[1:]]) == 1
         assert capsys.readouterr().err == ("apc: netlist does not validate: "
                                            "s1: dangling-input: input references missing net 'ghost'\n")
@@ -752,6 +797,24 @@ class TestSweep:
         out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
         assert main(["sweep", str(out), "--param", "k=1.0:0.1:0.1",
                      "--out", str(workdir / "s")]) == 1
+
+    @pytest.mark.parametrize("old, new, scale, sweepable", [
+        ("param k = 0.5", "param k = 0", "none", "none"),
+        ("-k*y", "-k*y + 0.5*k", "none", "none"),
+        ("-k*y", "-(k*k)*y - c*y'\nparam c = 0.25", "none", "c"),
+        ("-k*y", "-k*y", "auto", "none"),
+    ], ids=["compiled-at-0", "two-sites", "power", "unity-gain"])
+    def test_an_unsweepable_parameter_names_the_sweepable_ones(self, workdir, capsys, old, new,
+                                                              scale, sweepable):
+        """Four ways a parameter maps to no one coefficient; the message
+        lists the parameters the sidecar does bind."""
+        out = compiled(workdir, VCO_SRC.replace(old, new), "vco", extra=("--scale", scale))
+        capsys.readouterr()
+        assert main(["sweep", str(out), "--param", "k=0.1,0.2", "--tend", "1",
+                     "--out", str(workdir / "s")]) == 1
+        assert capsys.readouterr() == ("", "apc: usage: parameter 'k' does not map to a "
+                                           f"coefficient; sweepable parameters: {sweepable}\n")
+        assert not (workdir / "s").exists()
 
     def test_unknown_param_exits_1(self, workdir):
         out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
@@ -926,9 +989,9 @@ class TestSweep:
         assert_no_child_left()
 
     def test_csv_files_quote_names_as_csv_writer_does(self, workdir, monkeypatch):
-        n = Netlist.from_elements([reference("r", 1.0), coefficient("k", "r", 0.5),
-                                   summer("s", ["k"])],
-                                  outputs={"a,b": "k", 'say "s"': "s", "two\nlines": "r"})
+        n = Netlist([reference("r", 1.0), coefficient("k", "r", 0.5),
+                     summer("s", ["k"])],
+                    names={"a,b": "k", 'say "s"': "s", "two\nlines": "r"})
         save_netlist(n, workdir / "q.json")
         set_cpus(monkeypatch, 2)
         assert main(["sweep", str(workdir / "q.json"), "--param", "k=0.25,0.5", "--tend", "0.1",
@@ -1189,6 +1252,13 @@ def test_readme_custom_machine_holds_the_tour_sine(workdir):
     assert main(["map", "sine.json", "--machine", "mini.json"]) == 0
 
 
+def test_ci_runs_the_roadmap_tier1_command():
+    """The workflow's test step is ROADMAP.md's tier-1 command, verbatim."""
+    command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text())[1]
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    assert f"        run: {command}\n" in workflow
+
+
 def test_readme_library_use():
     """The README's library example, run on the tour's sine.apc."""
     (code,) = readme_blocks("Library use", "python")
@@ -1249,11 +1319,12 @@ def test_autoscaled_compile_leaves_out_scipy(tmp_path):
 
 
 #: Every name ``apc`` exported when its ``__init__`` still imported every
-#: submodule, but ``algebraic_loops``, which enumerated every cycle and is gone.
+#: submodule, but ``algebraic_loops``, which enumerated every cycle, and
+#: ``Net``, a net being its driver's output: both are gone.
 PACKAGE_NAMES = [
     "BoundsEstimate", "CompileError", "CompileOptions", "CompileResult", "ConstructionError",
     "Diagnostic", "Element", "Kind", "MachineInstance", "MachineSpec", "Mapping", "Mode",
-    "ModeError", "Net", "Netlist", "OdeSystem", "OverloadError", "PatchAssignment",
+    "ModeError", "Netlist", "OdeSystem", "OverloadError", "PatchAssignment",
     "ResourceError", "ScaleMap", "ScalingError", "ScalingViolationError", "SignalBinding",
     "SimConfig", "StructuralError", "THAT", "Trace", "UnscaledCoefficientError",
     "amplitude_scale", "apply_assignment", "autoscale", "compile_system",

@@ -193,8 +193,9 @@ class TestSynthesisEdgeCases:
     def test_outputs_on_one_net_each_get_a_name(self, src):
         # x and y (x'' and x) live on one net; the second output gets a unit buffer
         _, result = build(src)
-        names = [net.name for net in result.netlist.nets.values() if net.name]
-        assert sorted(names) == sorted(result.netlist.outputs)
+        names = result.netlist.names
+        assert list(names) == list(result.netlist.outputs)
+        assert len(set(names.values())) == len(names)
         values = simulator.new_instance(result.netlist, simulator.SimConfig(dt=1e-3)).run(0.5).final()
         first, second = result.netlist.outputs[:2]
         assert values[first] == values[second]
@@ -253,7 +254,7 @@ class TestParitySoundness:
             netlist = result.netlist
             g = nx.DiGraph()
             g.add_nodes_from(netlist.elements)
-            g.add_edges_from((netlist.nets[nid].driver, e.id)
+            g.add_edges_from((nid, e.id)
                              for e in netlist.elements.values() for nid in e.inputs)
             for cycle in nx.simple_cycles(g):
                 kinds = {result.netlist.elements[eid].kind for eid in cycle}
@@ -396,7 +397,7 @@ def assert_no_redundant_inverters(result):
     inverter, a multiplier reading an inverter, an element that reaches
     neither an integrator nor a signal's net."""
     netlist = result.netlist
-    source = {nid: netlist.elements[net.driver] for nid, net in netlist.nets.items()}
+    source = netlist.elements
     for e in netlist.elements.values():
         if is_inverter(e):
             assert not is_inverter(source[e.inputs[0]]), f"{e.id} reads an inverter"
@@ -435,10 +436,10 @@ def _integrator_of(netlist, net: str):
     """(integrator, sign): ``net`` carries sign times the integrator's
     output, through the inverters and unit coefficients (buffers) that the
     compiler adds for outputs."""
-    e, sign = netlist.elements[netlist.nets[net].driver], 1
+    e, sign = netlist.elements[net], 1
     while is_inverter(e) or e.kind is Kind.COEFFICIENT and e.params["alpha"] == 1.0:
         sign *= -1 if is_inverter(e) else 1
-        e = netlist.elements[netlist.nets[e.inputs[0]].driver]
+        e = netlist.elements[e.inputs[0]]
     assert e.kind is Kind.INTEGRATOR, f"{net} is not an integrator's output"
     return e, sign
 
@@ -459,11 +460,11 @@ def assert_matches_source(system, result, seed: int, points: int = 3):
     value = {}
 
     def inputs(e):
-        return [value[netlist.nets[n].driver] for n in e.inputs]
+        return [value[n] for n in e.inputs]
 
     def net(key):
         b = mapping.signals[signal_name(*key)]
-        return b, value[netlist.nets[b.net].driver]
+        return b, value[b.net]
 
     for _ in range(points):
         value.update((e.id, rng.uniform(-1.0, 1.0)) for e, _ in integrators.values())

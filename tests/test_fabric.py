@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +17,12 @@ from apc.fabric import (
     map_netlist,
     patch_instructions,
 )
-from apc.machine import AlgebraicLoopError, Netlist, coefficient, reference, summer
+from apc.compiler import CompileOptions, ScaleMap, compile_system
+from apc.machine import (AlgebraicLoopError, Netlist, ScalingError, coefficient, load_netlist,
+                         reference, save_netlist, summer)
+from apc.scaling import autoscale
 from apc.simulator import OverloadEvent, SimConfig, new_instance
-from conftest import build, compilable_programs
+from conftest import build, compilable_programs, resolve_src
 
 #: Room for any program ``compilable_programs`` draws.
 ROOMY = MachineSpec("roomy", dict.fromkeys(THAT.inventory, 64))
@@ -61,7 +66,7 @@ class TestMapping:
 
     def test_inverter_overflow_spills_to_summer_slots(self):
         elems = [reference("r", 1.0)] + [summer(f"s{i}", ["r"]) for i in range(3)]
-        n = Netlist.from_elements(elems)
+        n = Netlist(elems)
         spec = MachineSpec("tiny", {"summer": 2, "inverter": 1})
         assignment = map_netlist(n, spec)
         prefixes = sorted(s.rstrip("0123456789") for e, s in assignment.slot_of.items()
@@ -70,15 +75,15 @@ class TestMapping:
 
     def test_summer_deficit_after_substitution(self):
         elems = [reference("r", 1.0)] + [summer(f"s{i}", ["r"]) for i in range(4)]
-        n = Netlist.from_elements(elems)
+        n = Netlist(elems)
         spec = MachineSpec("tiny", {"summer": 1, "inverter": 1})
         with pytest.raises(ResourceError) as err:
             map_netlist(n, spec)
         assert err.value.deficits == {"summer": 2}
 
     def test_algebraic_loop_rejected(self):
-        n = Netlist.from_elements([summer("s1", ["k"]), summer("s2", ["s1"]),
-                                   coefficient("k", "s2", 0.5)])
+        n = Netlist([summer("s1", ["k"]), summer("s2", ["s1"]),
+                     coefficient("k", "s2", 0.5)])
         with pytest.raises(AlgebraicLoopError) as err:
             map_netlist(n, THAT)
         assert err.value.cycles == [["k", "s1", "s2"]]
@@ -98,8 +103,8 @@ class TestPatchInstructions:
         assert patch_instructions(a1) == patch_instructions(a2)
 
     def test_reference_into_coefficient(self):
-        n = Netlist.from_elements([reference("r", 1.0), coefficient("k", "r", 0.25)],
-                                  outputs={"out": "k"})
+        n = Netlist([reference("r", 1.0), coefficient("k", "r", 0.25)],
+                    names={"out": "k"})
         text = patch_instructions(map_netlist(n, THAT))
         lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
         assert lines == ["connect REFP1.out -> POT1.in1", "set POT1 = 0.25"]
@@ -150,6 +155,34 @@ class TestSoundness:
         slot = assignment.slot_of
         assert repr(after.overloads) == repr(
             [OverloadEvent(ev.time, slot[ev.element], ev.magnitude) for ev in before.overloads])
+
+
+def assert_nets_are_their_drivers(netlist, path: Path):
+    """The file of ``netlist`` lists one net per element, in element order,
+    each with its driver's id, and reads back to the same bytes."""
+    save_netlist(netlist, path)
+    written = path.read_bytes()
+    doc = json.loads(written)
+    assert [(n["id"], n["driver"]) for n in doc["nets"]] == [(e, e) for e in netlist.elements]
+    save_netlist(load_netlist(path), path)
+    assert path.read_bytes() == written
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(compilable_programs())
+def test_written_nets_are_their_drivers(src):
+    """Under both scalings, and after placement renames each element."""
+    system = resolve_src(src)
+    scales = [ScaleMap.identity()]
+    try:
+        scales.append(autoscale(system))
+    except ScalingError:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        for scale in scales:
+            netlist = compile_system(system, CompileOptions(scale=scale)).netlist
+            for n in (netlist, apply_assignment(netlist, map_netlist(netlist, ROOMY))):
+                assert_nets_are_their_drivers(n, Path(tmp) / "n.json")
 
 
 class TestSpecLoading:

@@ -14,7 +14,6 @@ from apc.machine import (
     AlgebraicLoopError,
     Element,
     Kind,
-    Net,
     Netlist,
     StructuralError,
     coefficient,
@@ -45,7 +44,7 @@ def fig2_netlist():
         summer("inv1", ["sum1"]),
         multiplier("mul1", "a", "inv1"),
     ]
-    return Netlist.from_elements(elems, outputs={"x": "mul1"})
+    return Netlist(elems, names={"x": "mul1"})
 
 
 class TestElementOutput:
@@ -98,38 +97,45 @@ class TestValidate:
         assert validate(fig2_netlist()) == []
 
     def test_coefficient_range(self):
-        n = Netlist.from_elements([reference("r", 1.0), coefficient("k", "r", 1.5)])
+        n = Netlist([reference("r", 1.0), coefficient("k", "r", 1.5)])
         rules = {v.rule for v in validate(n)}
         assert "param-range" in rules
 
     def test_dangling_input(self):
-        n = Netlist.from_elements([reference("r", 1.0), multiplier("m", "r", "ghost")])
+        n = Netlist([reference("r", 1.0), multiplier("m", "r", "ghost")])
         report = validate(n)
         assert any(v.rule == "dangling-input" and v.element == "m" for v in report)
 
     def test_missing_output_name(self):
-        n = Netlist([reference("r", 1.0)], {"r": Net("r")}, outputs=("y",))
+        n = Netlist([reference("r", 1.0)], outputs=("y",))
         assert any(v.rule == "missing-output" for v in validate(n))
 
     def test_unknown_driver(self):
-        n = Netlist([reference("r", 1.0)], {"r": Net("r"), "n2": Net("ghost")})
-        assert any(v.rule == "single-driver" for v in validate(n))
+        """A net's id is its driver's, so a net of an unknown driver is one
+        no element drives: the loader rejects it."""
+        doc = netlist_to_dict(Netlist([reference("r", 1.0)]))
+        doc["nets"].append({"id": "ghost", "driver": "ghost"})
+        with pytest.raises(StructuralError, match="^net 'ghost' is driven by unknown element 'ghost'$"):
+            netlist_from_dict(doc)
 
     def test_element_driving_two_nets(self):
-        n = Netlist([reference("r", 1.0)], {"n1": Net("r"), "n2": Net("r")})
-        assert any(v.rule == "single-driver" for v in validate(n))
+        """An element's one net is its output: the loader rejects a second."""
+        doc = netlist_to_dict(Netlist([reference("r", 1.0)]))
+        doc["nets"].append({"id": "r", "driver": "r", "name": "y"})
+        with pytest.raises(StructuralError, match="^element 'r' drives two nets$"):
+            netlist_from_dict(doc)
 
     def test_arity_violation(self):
-        n = Netlist.from_elements([reference("r", 1.0), Element("s", Kind.SUMMER, {}, ())])
+        n = Netlist([reference("r", 1.0), Element("s", Kind.SUMMER, {}, ())])
         assert any(v.rule == "arity" and v.element == "s" for v in validate(n))
 
     def test_integrator_param_ranges(self):
-        n = Netlist.from_elements([reference("r", 1.0), integrator("i", ["r"], ic=1.5, k0=-1.0)])
+        n = Netlist([reference("r", 1.0), integrator("i", ["r"], ic=1.5, k0=-1.0)])
         msgs = [v for v in validate(n) if v.rule == "param-range"]
         assert len(msgs) == 2
 
     def test_bad_table(self):
-        n = Netlist.from_elements(
+        n = Netlist(
             [reference("r", 1.0), function_generator("f", "r", [(0.5, 0.0), (-0.5, 0.1)])]
         )
         assert any(v.rule == "param-range" for v in validate(n))
@@ -143,7 +149,7 @@ class TestGraphAnalysis:
         assert set(evaluation_order(result.netlist)) == algebraic
 
     def test_two_summers_feeding_each_other(self):
-        n = Netlist.from_elements([summer("s1", ["s2"]), summer("s2", ["s1"])])
+        n = Netlist([summer("s1", ["s2"]), summer("s2", ["s1"])])
         with pytest.raises(AlgebraicLoopError) as err:
             evaluation_order(n)
         assert err.value.cycles == [["s1", "s2"]]
@@ -158,12 +164,12 @@ class TestGraphAnalysis:
             prev = j
         start = time.perf_counter()
         with pytest.raises(AlgebraicLoopError) as err:
-            evaluation_order(Netlist.from_elements(elems))
+            evaluation_order(Netlist(elems))
         assert err.value.cycles == [["a1", "a2"]]
         assert time.perf_counter() - start < 2.0
 
     def test_empty_netlist(self):
-        n = Netlist([], {})
+        n = Netlist([])
         assert evaluation_order(n) == []
 
     def test_fig2_order(self):
@@ -171,11 +177,11 @@ class TestGraphAnalysis:
         assert order.index("sum1") < order.index("inv1") < order.index("mul1")
 
     def test_single_reference(self):
-        n = Netlist.from_elements([reference("r", 1.0)])
+        n = Netlist([reference("r", 1.0)])
         assert evaluation_order(n) == ["r"]
 
     def test_order_rejects_cycles(self):
-        n = Netlist.from_elements([summer("s1", ["s2"]), summer("s2", ["s1"])])
+        n = Netlist([summer("s1", ["s2"]), summer("s2", ["s1"])])
         with pytest.raises(AlgebraicLoopError):
             evaluation_order(n)
 
@@ -219,7 +225,7 @@ def dag_netlists(draw):
             elems.append(reference(eid, draw(signs)))
         nets.append(eid)
     out = draw(st.sampled_from(nets))
-    return Netlist.from_elements(elems, outputs={"out": out})
+    return Netlist(elems, names={"out": out})
 
 
 def fold_outputs(netlist):
@@ -228,7 +234,7 @@ def fold_outputs(netlist):
     for eid in evaluation_order(netlist):
         e = netlist.elements[eid]
         assert eid not in values or e.kind is Kind.INTEGRATOR
-        ins = [values[netlist.nets[n].driver] for n in e.inputs]  # inputs all ready
+        ins = [values[n] for n in e.inputs]  # inputs all ready
         values[eid] = element_output(e.kind, e.params, ins, state=values.get(eid))
     return values
 
@@ -246,7 +252,7 @@ def test_generated_nets_equal_element_output_fold(netlist):
     # Name every net so the machine exposes it; the ideal machine at IC
     # must reproduce the reference fold exactly wherever nothing clamps.
     elements = list(netlist.elements.values())
-    named = Netlist.from_elements(elements, outputs={e.id: e.id for e in elements})
+    named = Netlist(elements, names={e.id: e.id for e in elements})
     inst = new_instance(named)
     assume(not inst.overloads)
     expected = fold_outputs(named)
@@ -264,7 +270,7 @@ def bounds_netlist():
              function_generator("f", "i", half), function_generator("g", "c", [(-1.0, 0.5), (1.0, -0.5)]),
              summer("s", ["f", "g"]), multiplier("m", "f", "r"),
              function_generator("u", "i", ONE_ULP_TABLE)]
-    return Netlist.from_elements(elems)
+    return Netlist(elems)
 
 
 @pytest.mark.parametrize("net, bound", [
@@ -287,10 +293,11 @@ def test_net_bounds_hold_every_output(netlist):
     # At the initial conditions as built, and with every pot at 1, as an
     # update may set it: each element's output lies within its net's bound.
     bounds = net_bounds(netlist, evaluation_order(netlist))
-    full = Netlist.from_elements([coefficient(e.id, e.inputs[0], 1.0) if e.kind is Kind.COEFFICIENT
-                                  else e for e in netlist.elements.values()])
+    full = Netlist([coefficient(e.id, e.inputs[0], 1.0) if e.kind is Kind.COEFFICIENT
+                    else e for e in netlist.elements.values()])
     for values in (fold_outputs(netlist), fold_outputs(full)):
-        assert all(abs(values[net.driver]) <= bounds[nid] for nid, net in netlist.nets.items())
+        assert list(bounds) == list(netlist.elements)
+        assert all(abs(values[eid]) <= bound for eid, bound in bounds.items())
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -302,7 +309,7 @@ def test_json_round_trip(netlist):
     for eid, e in netlist.elements.items():
         b = back.elements[eid]
         assert (b.kind, b.params, b.inputs) == (e.kind, e.params, e.inputs)
-    assert back.nets == netlist.nets
+    assert back.names == netlist.names
     assert back.outputs == netlist.outputs
 
 
@@ -313,7 +320,7 @@ def nx_algebraic_graph(netlist):
     g.add_nodes_from(netlist.elements)
     for e in netlist.elements.values():
         for nid in e.inputs:
-            g.add_edge(netlist.nets[nid].driver, e.id)
+            g.add_edge(nid, e.id)
     g.remove_nodes_from([eid for eid, e in netlist.elements.items() if e.kind is Kind.INTEGRATOR])
     return g
 
@@ -332,7 +339,7 @@ def looped_netlists(draw):
             elems[i] = summer(e.id, e.inputs + tuple(draw(st.lists(algebraic, max_size=2))))
         elif e.kind is Kind.MULTIPLIER and draw(st.booleans()):
             elems[i] = multiplier(e.id, e.inputs[0], draw(algebraic))
-    return Netlist.from_elements(elems)
+    return Netlist(elems)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -449,9 +456,37 @@ def test_json_malformed_document_names_the_field(edit, message):
         netlist_from_dict(doc)
 
 
+#: name -> (an edit of fig2's document, the loader's message): net tables
+#: that a netlist of one net per element, with its driver's id, cannot hold
+#: (``TestValidate`` has an unknown driver and a second net).
+NET_TABLE_CASES = {
+    "aliased-id": (lambda d: d["nets"][0].update(id="n1"),
+                   "net 'n1' is driven by 'ref1': a net's id must be its driver's"),
+    "no-net": (lambda d: d["nets"].pop(1), "element 'a' drives no net"),
+    "shared-name": (lambda d: d["nets"][0].update(name="x"),
+                    "nets 'ref1' and 'mul1' are both named 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", NET_TABLE_CASES)
+def test_loader_rejects_a_net_table(case):
+    edit, message = NET_TABLE_CASES[case]
+    doc = netlist_to_dict(fig2_netlist())
+    edit(doc)
+    with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+        netlist_from_dict(doc)
+
+
+def test_an_empty_net_name_names_nothing():
+    """As validation once skipped it: two nets may both carry the name ''."""
+    doc = netlist_to_dict(fig2_netlist())
+    doc["nets"][0]["name"] = doc["nets"][1]["name"] = ""
+    assert netlist_from_dict(doc).names == {"x": "mul1"}
+
+
 @pytest.mark.parametrize("table", [5, [[0.0]], [[0.0, None], [1.0, 1.0]]])
 def test_json_malformed_table_names_the_element(table):
-    doc = netlist_to_dict(Netlist.from_elements(
+    doc = netlist_to_dict(Netlist(
         [reference("r", 1.0), function_generator("f", "r", [(-1.0, 0.0), (1.0, 1.0)])]))
     doc["elements"][1]["params"]["table"] = table
     with pytest.raises(StructuralError, match="'table' of params of element 'f' must "):
@@ -475,13 +510,12 @@ def test_table_lookup_of_nan_is_nan():
     assert math.isnan(element_output(Kind.FUNCTION_GENERATOR, {"table": table}, [math.nan]))
 
 
-def _netlist(*extra, nets=None):
-    elems = [reference("r", 1.0), *extra]
-    return Netlist(elems, {e.id: Net(e.id) for e in elems} if nets is None else nets)
+def _netlist(*extra, **names_and_outputs):
+    return Netlist([reference("r", 1.0), *extra], **names_and_outputs)
 
 
-#: name -> (netlist, its one violation): the parameter and driver rules the
-#: simulator's range proofs rest on.
+#: name -> (netlist, its one violation): the parameter rules the
+#: simulator's range proofs rest on, and the output rule.
 VALIDATION_CASES = {
     "params-missing": (_netlist(Element("k", Kind.COEFFICIENT, {}, ("r",))),
                        Violation("k", "param-range", "expected params ['alpha'], got []")),
@@ -497,10 +531,8 @@ VALIDATION_CASES = {
                      Violation("f", "param-range", "breakpoint (1.5, 0.0) outside [-1, 1]")),
     "breakpoint-y": (_netlist(function_generator("f", "r", [(-1.0, 0.0), (1.0, -2.0)])),
                      Violation("f", "param-range", "breakpoint (1.0, -2.0) outside [-1, 1]")),
-    "drives-no-net": (_netlist(summer("s", ["r"]), nets={"r": Net("r")}),
-                      Violation("s", "single-driver", "element drives no net")),
-    "duplicate-name": (_netlist(summer("s", ["r"]), nets={"r": Net("r", "y"), "s": Net("s", "y")}),
-                       Violation("", "duplicate-name", "nets 'r' and 's' are both named 'y'")),
+    "duplicate-output": (_netlist(names={"y": "r"}, outputs=("y", "y")),
+                         Violation("", "duplicate-output", "output 'y' is listed 2 times")),
 }
 
 
@@ -521,7 +553,7 @@ def test_interpolation_midpoints():
 def test_json_table_breakpoint_must_be_a_number(point, kind):
     """Each coordinate is a JSON number, as an "ic" must be: float() once
     took "-1.0" for -1 and False for 0."""
-    doc = netlist_to_dict(Netlist.from_elements(
+    doc = netlist_to_dict(Netlist(
         [reference("r", 1.0), function_generator("f", "r", [(-1.0, 0.0), (1.0, 1.0)])]))
     doc["elements"][1]["params"]["table"][0] = point
     with pytest.raises(StructuralError, match=re.escape(
@@ -531,7 +563,7 @@ def test_json_table_breakpoint_must_be_a_number(point, kind):
 
 def test_duplicate_element_ids_rejected():
     with pytest.raises(StructuralError):
-        Netlist([reference("r", 1.0), reference("r", -1.0)], {})
+        Netlist([reference("r", 1.0), reference("r", -1.0)])
 
 
 def test_malformed_table_is_structural():
@@ -545,5 +577,5 @@ def test_counts_split_inverters():
 
 
 def test_nan_param_flagged():
-    n = Netlist.from_elements([reference("r", 1.0), coefficient("k", "r", math.nan)])
+    n = Netlist([reference("r", 1.0), coefficient("k", "r", math.nan)])
     assert any(v.rule == "param-range" for v in validate(n))

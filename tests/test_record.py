@@ -14,7 +14,7 @@ import pytest
 
 from apc import compiler, dsl, fabric, machine, scaling, simulator
 from apc.dsl import Bin, Call, Decl, Neg, Num, OutputDecl, Ref, TableDecl, TimeDecl, VarDecl
-from apc.machine import Element, Kind, Net, Netlist, ParamBinding, SignalBinding, Violation, summer
+from apc.machine import Element, Kind, Netlist, ParamBinding, SignalBinding, Violation, summer
 from apc.record import Frozen, Record
 from apc.simulator import ConstructionError, OverloadEvent, SimConfig, Trace, new_instance
 from conftest import ROOT, resolve_src, src_env
@@ -30,7 +30,7 @@ FROZEN = [
     Call("sin", (Num(1.0),)), Decl("eq", "y", 1, Num(1.0)), VarDecl("y", 1),
     TableDecl("f", ((0.0, 0.0), (1.0, 1.0))), TimeDecl(Num(1.0)), OutputDecl((("y", 0),)),
     dsl.Program("s", ()), dsl.Token("num", "1", 1, 1), machine.KINDS[Kind.SUMMER],
-    Element("e", Kind.SUMMER, {}, ("n",)), Net("e"), Violation("e", "arity", "m"),
+    Element("e", Kind.SUMMER, {}, ("n",)), Violation("e", "arity", "m"),
     SignalBinding("n", 1), ParamBinding("e", 1.0, 0.5), SimConfig(), OverloadEvent(0.5, "e", 1.2),
     scaling.BoundsEstimate({}, {}), compiler.ScaleMap(), compiler.CompileOptions(), fabric.THAT,
 ]
@@ -115,7 +115,8 @@ def test_a_wrong_call_is_named(cls):
 def test_construction_and_repr_load_no_inspect():
     """``inspect`` builds a record's signature only when asked for one."""
     code = ("import sys\nfrom apc import machine, simulator\n"
-            "repr([machine.Net('a'), machine.Net(driver='a', name='y'), machine.Mapping({}, {}),\n"
+            "repr([machine.SignalBinding('a', 1), machine.SignalBinding(net='a', parity=1),\n"
+            "      machine.Mapping({}, {}),\n"
             "      simulator.Trace([], {}, []), simulator.SimConfig()])\n"
             "print('inspect' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True,
@@ -146,12 +147,13 @@ def test_ast_equality_compares_every_other_field(a, b):
 
 
 def test_records_never_equal_a_tuple_or_another_class():
-    assert Net("a", "y") != ("a", "y")
+    assert Violation("e", "arity", "m") != ("e", "arity", "m")
     assert OverloadEvent(0.5, "e", 1.2) != (0.5, "e", 1.2)
     assert dsl.Diagnostic(1, 1, "m") != (1, 1, "m")
     assert SignalBinding("n", 1, 0.5) != ParamBinding("n", 1, 0.5)
     assert Num(1.0) != Ref(1.0)
-    assert Net("a", "y") == Net("a", "y") and OverloadEvent(0.5, "e", 1.2) == OverloadEvent(0.5, "e", 1.2)
+    assert Violation("e", "arity", "m") == Violation("e", "arity", "m")
+    assert OverloadEvent(0.5, "e", 1.2) == OverloadEvent(0.5, "e", 1.2)
 
 
 @pytest.mark.parametrize("record", FROZEN, ids=lambda r: type(r).__name__)
@@ -206,7 +208,7 @@ def test_construction_error_shows_each_violation():
     """Each violation reaches stderr through ConstructionError as
     ``element: rule: message``, without an empty element."""
     with pytest.raises(ConstructionError) as info:
-        new_instance(Netlist.from_elements([summer("s", [])], outputs={"y": "gone"}))
+        new_instance(Netlist([summer("s", [])], names={"y": "gone"}))
     assert str(info.value) == ("netlist does not validate: s: arity: summer takes 1..N inputs, "
                                "got 0; missing-output: output 'y' names no net")
 

@@ -48,7 +48,7 @@ STALL_SRC = "system stall\nvar z order 1\neq z' = -0.25\ninit z = 0\ntime 1\nout
 def ramp_netlist(k0=1.0, ic=0.0):
     """Reference +1 into a single integrator: output reaches -1 at tau=1/k0."""
     elems = [reference("one", 1.0), integrator("i", ["one"], ic=ic, k0=k0)]
-    return Netlist.from_elements(elems, outputs={"out": "i"})
+    return Netlist(elems, names={"out": "i"})
 
 
 class TestIntegratorLaw:
@@ -72,18 +72,18 @@ class TestConstruction:
         assert inst.value("y") == pytest.approx(0.5)
 
     def test_empty_output_schema(self):
-        n = Netlist.from_elements([reference("r", 1.0)])
+        n = Netlist([reference("r", 1.0)])
         inst = new_instance(n)
         trace = inst.run(0.0)
         assert trace.series == {} and trace.tau == [0.0]
 
     def test_algebraic_cycle_rejected(self):
-        n = Netlist.from_elements([summer("s1", ["s2"]), summer("s2", ["s1"])])
+        n = Netlist([summer("s1", ["s2"]), summer("s2", ["s1"])])
         with pytest.raises(ConstructionError):
             new_instance(n)
 
     def test_invalid_netlist_rejected(self):
-        n = Netlist.from_elements([summer("s1", ["ghost"])])
+        n = Netlist([summer("s1", ["ghost"])])
         with pytest.raises(ConstructionError):
             new_instance(n)
 
@@ -91,7 +91,7 @@ class TestConstruction:
     def test_grid_that_cannot_quantize_a_net_rejected(self, resolution, net, bound):
         # bound / resolution overflows, so rnd(v / resolution) could too.
         elems = [integrator("i", ["s"], ic=0.5), integrator("j", ["i"]), summer("s", ["i", "j"])]
-        n = Netlist.from_elements(elems, outputs={"s": "s"})
+        n = Netlist(elems, names={"s": "s"})
         message = (f"resolution {resolution!r} cannot quantize net {net!r}: "
                    f"its bound {bound!r} over the resolution overflows")
         with pytest.raises(ConstructionError, match=re.escape(message)):
@@ -139,8 +139,8 @@ class TestModeMachine:
 
     def test_pot_updates_in_ic_log_the_initial_overload_once(self):
         # s = -(1 + 0.9) leaves [-1, 1] already in the initial state.
-        n = Netlist.from_elements([reference("r", 1.0), coefficient("k", "r", 0.9),
-                                   summer("s", ["r", "k"])], outputs={"s": "s"})
+        n = Netlist([reference("r", 1.0), coefficient("k", "r", 0.9),
+                     summer("s", ["r", "k"])], names={"s": "s"})
         cfg = SimConfig(dt=1e-3)
         inst = new_instance(n, cfg)
         assert len(inst.overloads) == 1
@@ -199,7 +199,7 @@ class TestModeMachine:
 
 class TestStepping:
     def test_zero_netlist_step_advances_time(self):
-        n = Netlist.from_elements([reference("r", 1.0)])
+        n = Netlist([reference("r", 1.0)])
         inst = new_instance(n)
         inst.set_mode(Mode.OP)
         inst.step(0.25)
@@ -243,7 +243,7 @@ class TestStepping:
         this test instead of stalling the suite."""
         script = ("from apc.machine import Netlist, integrator, reference\n"
                   "from apc.simulator import new_instance\n"
-                  "n = Netlist.from_elements([reference('one', 1.0), integrator('i', ['one'])])\n"
+                  "n = Netlist([reference('one', 1.0), integrator('i', ['one'])])\n"
                   "try:\n"
                   "    new_instance(n).run(1e300)\n"
                   "except ValueError as exc:\n"
@@ -312,7 +312,7 @@ class TestOverloads:
         elems = [reference("r", 1.0), coefficient("zero", "r", 0.0),
                  integrator("x", ["zero"], ic=0.9), integrator("y", ["zero"], ic=0.9),
                  summer("s", ["x", "y"])]
-        netlist = Netlist.from_elements(elems, outputs={"s": "s"})
+        netlist = Netlist(elems, names={"s": "s"})
         inst = new_instance(netlist, SimConfig(dt=0.1, strict_overload=True))
         with pytest.raises(OverloadError) as err:
             inst.run(1.0)
@@ -338,7 +338,7 @@ class TestOverloads:
         elems = [reference("one", 1.0), reference("minus", -1.0), summer("neg", ["one"]),
                  summer("pos", ["minus"]), coefficient("zero", "one", 0.0),
                  integrator("hold", ["zero"], ic=1.0), integrator("holdn", ["zero"], ic=-1.0)]
-        n = Netlist.from_elements(elems, outputs={e.id: e.id for e in elems})
+        n = Netlist(elems, names={e.id: e.id for e in elems})
         trace = new_instance(n, SimConfig(dt=1e-3)).run(0.01)
         assert trace.overloads == []
         assert trace.final() == {"one": 1.0, "minus": -1.0, "neg": -1.0, "pos": 1.0,
@@ -379,7 +379,7 @@ class TestQuantization:
     def test_saturated_integrator_state_stays_on_the_rail(self, resolution):
         elems = [reference("one", 1.0), reference("minus", -1.0),
                  integrator("down", ["one"]), integrator("up", ["minus"])]
-        n = Netlist.from_elements(elems, outputs={"down": "down", "up": "up"})
+        n = Netlist(elems, names={"down": "down", "up": "up"})
         inst = new_instance(n, SimConfig(dt=1e-3, resolution=resolution))
         trace = inst.run(1.5)
         assert inst.states == {"down": -1.0, "up": 1.0}
@@ -422,13 +422,13 @@ def reference_run(netlist: Netlist, config: SimConfig, tau_end: float):
         for eid in order:
             e = elements[eid]
             values[eid] = element_output(e.kind, e.params,
-                                         [values[netlist.nets[n].driver] for n in e.inputs])
+                                         [values[n] for n in e.inputs])
         return values
 
     def derivs(states):
         values = outputs(states)
         return [(-e.params["k0"]) * functools.reduce(
-                    operator.add, [values[netlist.nets[n].driver] for n in e.inputs])
+                    operator.add, [values[n] for n in e.inputs])
                 for e in integrators]
 
     def clamp(v, tau, element):
@@ -441,13 +441,11 @@ def reference_run(netlist: Netlist, config: SimConfig, tau_end: float):
 
     def observe(states, tau):
         values = outputs(states)
-        named = {}
-        for net in netlist.nets.values():
-            v = values[net.driver]
-            if eps > 0.0 or elements[net.driver].kind is not Kind.INTEGRATOR:
-                v = clamp(eps * round(v / eps) if eps > 0.0 else v, tau, net.driver)
-            named[net.name] = v
-        return [named[name] for name in netlist.outputs]
+        for eid, e in elements.items():
+            if eps > 0.0 or e.kind is not Kind.INTEGRATOR:
+                v = values[eid]
+                values[eid] = clamp(eps * round(v / eps) if eps > 0.0 else v, tau, eid)
+        return [values[netlist.names[name]] for name in netlist.outputs]
 
     states = [e.params["ic"] for e in integrators]
     taus, rows = [0.0], [observe(states, 0.0)]
@@ -483,7 +481,7 @@ RESOLUTIONS = st.sampled_from([0.0, 1e-3, 0.6])
 @given(dag_netlists(), RESOLUTIONS, st.sampled_from([1, 3]))
 def test_run_equals_reference_stepper_on_netlists(netlist, resolution, every):
     elements = list(netlist.elements.values())
-    named = Netlist.from_elements(elements, outputs={e.id: e.id for e in elements})
+    named = Netlist(elements, names={e.id: e.id for e in elements})
     config = SimConfig(dt=0.05, resolution=resolution, sample_every=every)
     assert_run_equals_reference(named, config, 1.0)
 
@@ -527,13 +525,13 @@ class TestGeneratedLoopEdges:
         elems = [reference("one", 1.0), coefficient("zero", "one", 0.0),
                  integrator("x", ["zero"], ic=ic, k0=k0), summer("n1", ["x"]),
                  summer("n2", ["n1"]), integrator("y", ["n2"], ic=-0.0, k0=k0)]
-        netlist = Netlist.from_elements(elems, outputs={e.id: e.id for e in elems})
+        netlist = Netlist(elems, names={e.id: e.id for e in elems})
         assert_run_equals_reference(netlist, SimConfig(dt=0.1), 0.3)
 
     def test_reference_quantized_out_of_range_overloads_every_step(self):
         # At resolution 0.6 the +1 reference reads 0.6 * round(1 / 0.6) = 1.2.
         elems = [reference("r", 1.0), integrator("i", ["r"], ic=0.0)]
-        netlist = Netlist.from_elements(elems, outputs={"r": "r", "i": "i"})
+        netlist = Netlist(elems, names={"r": "r", "i": "i"})
         config = SimConfig(dt=0.1, resolution=0.6)
         assert_run_equals_reference(netlist, config, 0.5)
         trace = new_instance(netlist, config).run(0.5)
@@ -552,7 +550,7 @@ class TestGeneratedLoopEdges:
                  summer("ny", ["y"]), summer("s", ["nx", "ny"]),
                  integrator("z", ["nx", "ny"], ic=-0.0, k0=k0),
                  integrator("w", ["x"], ic=-0.0, k0=k0)]
-        netlist = Netlist.from_elements(elems, outputs={e.id: e.id for e in elems})
+        netlist = Netlist(elems, names={e.id: e.id for e in elems})
         assert_run_equals_reference(netlist, SimConfig(dt=0.1), 0.3)
 
     def test_coefficient_quantized_out_of_range_overloads_every_step(self):
@@ -561,7 +559,7 @@ class TestGeneratedLoopEdges:
         # no net is taken as staying in range and each is checked per step.
         elems = [reference("r", 1.0), coefficient("k", "r", 0.9),
                  integrator("i", ["k"], ic=0.0, k0=0.1)]
-        netlist = Netlist.from_elements(elems, outputs={"k": "k", "i": "i"})
+        netlist = Netlist(elems, names={"k": "k", "i": "i"})
         config = SimConfig(dt=0.1, resolution=0.6)
         assert_run_equals_reference(netlist, config, 0.5)
         trace = new_instance(netlist, config).run(0.5)
@@ -576,7 +574,7 @@ class TestGeneratedLoopEdges:
         elems = [reference("one", 1.0), coefficient("zero", "one", 0.0),
                  integrator("i", ["zero"], ic=math.nextafter(x1, 0.0)),
                  function_generator("f", "i", [(x0, y0), (x1, 1.0)])]
-        netlist = Netlist.from_elements(elems, outputs={"f": "f"})
+        netlist = Netlist(elems, names={"f": "f"})
         assert_run_equals_reference(netlist, SimConfig(dt=0.1), 0.5)
         trace = new_instance(netlist, SimConfig(dt=0.1)).run(0.5)
         assert [ev.time for ev in trace.overloads] == trace.tau
@@ -593,7 +591,7 @@ class TestGeneratedLoopEdges:
         elems = [reference("one", 1.0), coefficient("zero", "one", 0.0),
                  integrator("i", ["zero"], ic=x), function_generator("f", "i", TABLE),
                  integrator("j", ["f"], ic=0.0)]
-        netlist = Netlist.from_elements(elems, outputs={"f": "f", "j": "j"})
+        netlist = Netlist(elems, names={"f": "f", "j": "j"})
         assert repr(new_instance(netlist, SimConfig(dt=0.1)).value("f")) == repr(expected)
         assert_run_equals_reference(netlist, SimConfig(dt=0.1), 0.3)
 
@@ -610,7 +608,7 @@ class TestGeneratedLoopEdges:
         for k in range(300):
             elems.append(coefficient(f"c{k}", elems[-1].id, 0.999))
         elems.append(integrator("i", ["c299"], ic=0.0))
-        netlist = Netlist.from_elements(elems, outputs={"i": "i"})
+        netlist = Netlist(elems, names={"i": "i"})
         assert_run_equals_reference(netlist, SimConfig(dt=0.1), 0.3)
 
     def test_span_off_the_step_grid_shrinks_the_step(self):
@@ -723,7 +721,7 @@ class TestMultiInputIntegrator:
 
         elems = [reference("one", 1.0), coefficient("half", "one", 0.5),
                  integrator("i", ["one", "half"], ic=0.0, k0=1.0)]
-        n = Netlist.from_elements(elems, outputs={"out": "i"})
+        n = Netlist(elems, names={"out": "i"})
         trace = new_instance(n, SimConfig(dt=1e-3)).run(0.5)
         assert trace.series["out"][-1] == pytest.approx(-0.75, abs=1e-9)
 
@@ -824,7 +822,7 @@ class TestConfigValidation:
         # k0 * dt overflows: the first step's state update is -inf.
         elems = [reference("one", 1.0), integrator("i", ["one"], ic=0.0, k0=1e308),
                  summer("s", ["i"])]
-        n = Netlist.from_elements(elems, outputs={"out": "s"})
+        n = Netlist(elems, names={"out": "s"})
         inst = new_instance(n, SimConfig(dt=10.0))
         with pytest.raises(StructuralError):
             inst.run(10.0)
