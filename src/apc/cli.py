@@ -6,7 +6,8 @@ runs it, and reads traces back out.
 
 Exit codes are stable: 0 ok, 1 usage, 2 parse error, 3 resolve/compile
 error, 4 scaling, resource or simulation error (a lost sweep lane among
-them), 5 strict-overload abort.
+them), 5 strict-overload abort. ``_outcome`` maps an error to its code
+and one stderr line where it is raised: in ``main``, or in a sweep lane.
 
 Each command imports only the modules it runs: ``check`` the DSL,
 ``compile`` the DSL, the compiler and, under ``--scale auto`` only, the
@@ -264,49 +265,44 @@ def _sweep_run(instance: MachineInstance, tau_end: float, out_dir: Path,
     return trace.final(), len(trace.overloads)
 
 
-class _LaneError(Exception):
-    """A forked sweep lane ended without sending its rows' results."""
-
-
-def _lane(run, rows) -> tuple[list, tuple[int, Exception] | None]:
-    """``run`` over ``rows`` in order: the results, and ``(i, exception)``
-    of the row that raised, which ends the lane, or None."""
+def _lane(run, rows) -> tuple[list, tuple[int, int, str] | None]:
+    """``run`` over ``rows`` in order: the results, and ``(i, code, line)``
+    of the row that raised, which ends the lane, or None. An exception
+    without an ``_outcome`` propagates."""
     results = []
     for row in rows:
         try:
             results.append(run(row))
         except Exception as exc:
-            return results, (row[0], exc)
+            outcome = _outcome(exc)
+            if outcome is None:
+                raise
+            return results, (row[0], *outcome)
     return results, None
 
 
 def _child_lane(run, rows, fd: int):
-    """Body of a forked lane: run ``rows`` and write to pipe ``fd`` either
-    ``b"m"`` and the marshalled results or ``b"p"`` and the pickled
-    ``(i, exception)`` of the row that failed. Never returns: it leaves
-    with ``os._exit``, status 0 once the pipe holds the whole message, so
-    no code of the caller runs and nothing the parent buffered is flushed.
-    An exception that does not survive pickling leaves with status 1."""
+    """Body of a forked lane: run ``rows`` and write ``_lane``'s results and
+    failure, marshalled, to pipe ``fd``. Never returns: it leaves with
+    ``os._exit``, status 0 once the pipe holds the whole message, so no
+    code of the caller runs and nothing the parent buffered is flushed.
+    An exception no ``_ERRORS`` row maps prints its traceback and leaves
+    with status 1; an interrupt leaves with status 1 silently."""
     status = 1
     try:
-        results, failure = _lane(run, rows)
-        if failure is None:
-            message = b"m" + marshal.dumps(results)
-        else:
-            import pickle
-
-            message = b"p" + pickle.dumps(failure)
-            pickle.loads(message[1:])
+        message = marshal.dumps(_lane(run, rows))
         with open(fd, "wb") as fh:
             fh.write(message)
         status = 0
+    except Exception:
+        sys.excepthook(*sys.exc_info())  # the traceback; stderr is line-buffered
     finally:
         os._exit(status)
 
 
-def _lost_lane(rows, status: int) -> _LaneError:
-    """The error of a lane over ``rows`` whose child ended with wait
-    ``status`` before it sent a result."""
+def _lost_lane(rows, status: int) -> tuple[int, int, str]:
+    """The failure of a lane over ``rows`` whose child ended with wait
+    ``status`` before it sent a result: its first row, exit 4 and a line."""
     names = [str(i) for i, *_ in rows]
     if len(names) > 4:
         names[2:-1] = ["..."]
@@ -318,19 +314,21 @@ def _lost_lane(rows, status: int) -> _LaneError:
     else:
         how = f"exited with status {code}"
     noun = "rows" if len(rows) > 1 else "row"
-    return _LaneError(f"the lane running {noun} {', '.join(names)} {how} without a result")
+    return (rows[0][0], EXIT_SCALE,
+            f"apc: sweep: the lane running {noun} {', '.join(names)} {how} without a result")
 
 
-def _forked_lanes(run, rows, workers: int) -> list:
-    """``run`` over ``rows`` in ``workers`` lanes, each row's result in order.
+def _forked_lanes(run, rows, workers: int) -> tuple[list, tuple[int, int, str] | None]:
+    """``run`` over ``rows`` in ``workers`` lanes: each row's result in
+    order and None, or no results and the failure of the row that failed
+    first in row order, as ``(i, code, line)``.
 
     Lane j takes rows j, j + workers, ...; this process runs lane 0 and
     forks one child per other lane, which inherits everything ``run``
-    needs and sends its results back through its own pipe. Every child is
-    reaped before this returns or raises; on an error outside the rows
-    (an interrupt, say) the children still running are killed first. The
-    row that fails first in row order raises its own exception; a lane
-    that ends without a result raises a ``_LaneError`` as its first row.
+    needs and sends its results and failure back through its own pipe.
+    Every child is reaped before this returns or raises; on an error
+    outside the rows (an interrupt, say) the children still running are
+    killed first. A lane that ends without a result fails as its first row.
     """
     lanes = [rows[j::workers] for j in range(workers)]
     children = []  # (pid, read end of its pipe, its rows)
@@ -343,7 +341,7 @@ def _forked_lanes(run, rows, workers: int) -> list:
             os.close(w)
             children.append((pid, open(r, "rb"), lane))
         results, failure = _lane(run, lanes[0])
-        failures = [failure] if failure else []
+        failures = [failure]
         done = dict(zip((i for i, *_ in lanes[0]), results))
         while children:
             pid, fh, lane = children[0]
@@ -351,17 +349,12 @@ def _forked_lanes(run, rows, workers: int) -> list:
                 message = fh.read()
             _, status = os.waitpid(pid, 0)
             children.pop(0)
-            if status != 0:
-                failures.append((lane[0][0], _lost_lane(lane, status)))
-            elif message[:1] == b"p":
-                import pickle
-
-                failures.append(pickle.loads(message[1:]))
-            else:
-                done.update(zip((i for i, *_ in lane), marshal.loads(message[1:])))
-        if failures:
-            raise min(failures, key=lambda f: f[0])[1]
-        return [done[i] for i, *_ in rows]
+            results, failure = (marshal.loads(message) if status == 0 else
+                                ([], _lost_lane(lane, status)))
+            failures.append(failure)
+            done.update(zip((i for i, *_ in lane), results))
+        failure = min(filter(None, failures), default=None)
+        return ([] if failure else [done[i] for i, *_ in rows]), failure
     finally:
         if children:
             import signal
@@ -374,9 +367,10 @@ def _forked_lanes(run, rows, workers: int) -> list:
             os.waitpid(pid, 0)
 
 
-def _sweep_rows(instance, tau_end, out_dir, settings) -> list[tuple[dict, int]]:
+def _sweep_rows(instance, tau_end, out_dir, settings):
     """Run and write each pot setting's row, over one lane per usable CPU;
-    returns each row's final values and overload count, in order.
+    returns ``_forked_lanes``' results, each row's final values and
+    overload count, and its failure.
 
     Rows are independent, so any lane may run any of them and write its
     trace file: the lane count never changes a result. This process runs
@@ -406,7 +400,10 @@ def cmd_sweep(args) -> int:
     settings = [_pot_setting(netlist, mapping, name, v) for v in values]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = _sweep_rows(instance, tau_end, out_dir, settings)
+    rows, failure = _sweep_rows(instance, tau_end, out_dir, settings)
+    if failure:
+        print(failure[2], file=sys.stderr)
+        return failure[1]
     from .simulator import csv_row
 
     lines = [csv_row(["value", *netlist.outputs, "overloads"])]
@@ -490,29 +487,29 @@ def _build_parser() -> _Parser:
 #: and looked up only when an error arrives, so that no command loads a
 #: module just for its errors. OSError is an output path that cannot be
 #: written; a StructuralError that gets this far is a simulated value gone
-#: non-finite; a _LaneError is a sweep lane that ended without its results.
+#: non-finite.
 _ERRORS = (
     (_UsageError, "usage: ", EXIT_USAGE),
-    (_LaneError, "sweep: ", EXIT_SCALE),
     ("machine.ConstructionError", "", EXIT_USAGE),
     (OSError, "", EXIT_USAGE),
     ("machine.ScalingError", "scaling: ", EXIT_SCALE),
-    ("compiler.UnscaledCoefficientError", "scaling: ", EXIT_SCALE),
-    ("compiler.ScalingViolationError", "scaling: ", EXIT_SCALE),
     ("compiler.CompileError", "compile: ", EXIT_COMPILE),
     ("simulator.OverloadError", "overload: ", EXIT_OVERLOAD),
     ("machine.StructuralError", "simulation: ", EXIT_SCALE),
 )
 
 
-def _error_kind(kind):
-    """The exception type of an ``_ERRORS`` row, or None while its module is
-    not loaded: no exception of that type can have been raised then."""
-    if isinstance(kind, type):
-        return kind
-    module, _, name = kind.partition(".")
-    loaded = sys.modules.get(f"{__package__}.{module}")
-    return getattr(loaded, name) if loaded else None
+def _outcome(exc: Exception) -> tuple[int, str] | None:
+    """The exit code and stderr line of the first ``_ERRORS`` row that maps
+    ``exc``, or None. A row whose module is not loaded maps nothing: no
+    exception of its type can have been raised."""
+    for kind, prefix, code in _ERRORS:
+        if isinstance(kind, str):
+            module, _, name = kind.partition(".")
+            kind = getattr(sys.modules.get(f"{__package__}.{module}"), name, None)
+        if kind is not None and isinstance(exc, kind):
+            return code, f"apc: {prefix}{exc}"
+    return None
 
 
 def main(argv=None) -> int:
@@ -524,12 +521,11 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
     except Exception as exc:
-        for kind, prefix, code in _ERRORS:
-            kind = _error_kind(kind)
-            if kind is not None and isinstance(exc, kind):
-                print(f"apc: {prefix}{exc}", file=sys.stderr)
-                return code
-        raise
+        outcome = _outcome(exc)
+        if outcome is None:
+            raise
+        print(outcome[1], file=sys.stderr)
+        return outcome[0]
 
 
 if __name__ == "__main__":

@@ -56,15 +56,8 @@ RANGE_TOL = 1e-9
 
 
 class CompileError(ValueError):
-    pass
-
-
-class UnscaledCoefficientError(CompileError):
-    """A constant landed outside [-1, 1]; amplitude scaling must run first."""
-
-
-class ScalingViolationError(CompileError):
-    """An initial condition or stage gain escaped machine range."""
+    """An internal error of the compiler: a program it cannot scale raises
+    ``ScalingError``."""
 
 
 # --- normal form -------------------------------------------------------------
@@ -274,11 +267,11 @@ class _Synth:
 
     def weigh(self, net: str, c: float, pexps: Counter, noun: str) -> str:
         """``net`` times |c|: the net itself when |c| is 1, else a coefficient
-        element; UnscaledCoefficientError naming ``noun`` when |c| exceeds 1.
+        element; ScalingError naming ``noun`` when |c| exceeds 1.
         Records the parameter sites of ``pexps`` either way."""
         mag = abs(c)
         if mag > 1.0 + RANGE_TOL:
-            raise UnscaledCoefficientError(
+            raise ScalingError(
                 f"unscaled coefficient {c:.6g}: {noun} must lie in [-1, 1]; "
                 "run the autoscaler or rescale the program")
         element = self.b.add(coefficient, net, mag) if mag < 1.0 else None
@@ -367,18 +360,18 @@ def build_integrator_chain(builder: NetlistBuilder, var: str, order: int,
         init = machine_inits[d]
         ic = parity * init
         if abs(ic) > 1.0 + RANGE_TOL:
-            raise ScalingViolationError(
+            raise ScalingError(
                 f"initial condition of {signal_name(var, d)} is {init:.6g} machine units; "
                 "the autoscaler must run first")
         ic = max(-1.0, min(1.0, ic))
         alpha = gain / k0
         if alpha <= 0:
-            raise ScalingViolationError(
+            raise ScalingError(
                 f"the stage from {signal_name(var, d + 1)} to {signal_name(var, d)} has gain 0: "
                 f"the bound of {signal_name(var, d + 1)} over the bound of {signal_name(var, d)} "
                 "underflows, which no time scale can mend")
         if alpha > 1.0 + RANGE_TOL:
-            raise ScalingViolationError(
+            raise ScalingError(
                 f"stage gain {gain:.6g} needs alpha {alpha:.6g} at k0={k0:.6g}; "
                 "rerun time scaling")
         alpha = min(alpha, 1.0)

@@ -45,23 +45,18 @@ class ResourceError(ValueError):
         short = ", ".join(f"{k}: {v}" for k, v in self.deficits.items())
         super().__init__(f"netlist does not fit machine {machine!r}; missing {short}")
 
-    def __reduce__(self):  # pickle rebuilds through __init__
-        return type(self), (self.machine, self.deficits)
-
 
 class MachineSpec(Frozen):
-    __slots__ = ("name", "inventory", "crossbar")
+    __slots__ = ("name", "inventory")
 
-    def __init__(self, name: str, inventory: dict, crossbar: str = "full"):
+    def __init__(self, name: str, inventory: dict):
         unknown = set(inventory) - set(_INVENTORY_KINDS)
         if unknown:
             raise ValueError(f"unknown inventory kind(s) {sorted(unknown)}")
         for kind, v in inventory.items():
             if not (math.isfinite(v) and v >= 0 and v == int(v)):
                 raise ValueError(f"inventory count of {kind} must be a non-negative integer, got {v!r}")
-        if crossbar != "full":
-            raise ValueError("only full crossbars are modeled")
-        super().__init__(name, inventory, crossbar)
+        super().__init__(name, inventory)
 
     def count(self, kind: str) -> int:
         return int(self.inventory.get(kind, 0))
@@ -80,7 +75,8 @@ BUILTIN_SPECS = {"that": THAT}
 
 
 def load_machine_spec(source: str) -> MachineSpec:
-    """A built-in spec name or a JSON file {name, inventory, crossbar}."""
+    """A built-in spec name or a JSON file {name, inventory, crossbar}; the
+    crossbar, if given, must be "full", the only one modeled."""
     if source in BUILTIN_SPECS:
         return BUILTIN_SPECS[source]
     with open(source, encoding="utf-8") as fh:
@@ -89,7 +85,9 @@ def load_machine_spec(source: str) -> MachineSpec:
                           optional=("inventory", "crossbar"))
     inventory = json_object(doc.get("inventory", {}), "inventory",
                             dict.fromkeys(_INVENTORY_KINDS, float), optional=_INVENTORY_KINDS)
-    return MachineSpec(doc["name"], inventory, doc.get("crossbar", "full"))
+    if doc.get("crossbar", "full") != "full":
+        raise ValueError("only full crossbars are modeled")
+    return MachineSpec(doc["name"], inventory)
 
 
 class PatchAssignment(Record):

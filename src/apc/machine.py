@@ -55,9 +55,6 @@ class AlgebraicLoopError(ConstructionError):
         self.cycles = cycles
         super().__init__(f"algebraic loop(s): {cycles}")
 
-    def __reduce__(self):  # pickle rebuilds through __init__
-        return type(self), (self.cycles,)
-
 
 class Kind(str, Enum):
     SUMMER = "summer"
@@ -296,10 +293,14 @@ def validate(netlist: Netlist) -> list[Violation]:
     """Structural validation report; empty means the netlist is well formed.
 
     Checks input arities, that every input names an element's net,
-    parameter ranges, and that each output names a net and is listed
-    once. Violations are report entries, never exceptions.
+    parameter ranges, that no element carries two names, and that each
+    output names a net and is listed once. Violations are report
+    entries, never exceptions.
     """
     report: list[Violation] = []
+    carried: dict[str, list[str]] = {}
+    for name, eid in netlist.names.items():
+        carried.setdefault(eid, []).append(name)
     for e in netlist.elements.values():
         problem = arity_error(e.kind, len(e.inputs))
         if problem:
@@ -308,6 +309,9 @@ def validate(netlist: Netlist) -> list[Violation]:
             if nid not in netlist.elements:
                 report.append(Violation(e.id, "dangling-input", f"input references missing net {nid!r}"))
         report.extend(_check_params(e))
+        if len(carried.get(e.id, ())) > 1:
+            report.append(Violation(e.id, "duplicate-name",
+                                    f"named {', '.join(map(repr, carried[e.id]))}"))
     for name, count in Counter(netlist.outputs).items():
         if netlist.names.get(name) not in netlist.elements:
             report.append(Violation("", "missing-output", f"output {name!r} names no net"))

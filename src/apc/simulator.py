@@ -109,9 +109,6 @@ class OverloadError(RuntimeError):
         self.magnitude = magnitude
         super().__init__(f"overload at tau={time}: element {element!r} reached {magnitude}")
 
-    def __reduce__(self):  # pickle rebuilds through __init__
-        return type(self), (self.element, self.time, self.magnitude)
-
 
 class SimulationWarning(UserWarning):
     pass

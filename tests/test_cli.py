@@ -5,7 +5,6 @@ import io
 import json
 import math
 import os
-import pickle
 import random
 import re
 import shlex
@@ -29,8 +28,6 @@ from apc.machine import (
     save_netlist,
     summer,
 )
-from apc.fabric import ResourceError
-from apc.machine import AlgebraicLoopError
 from apc.simulator import OverloadError
 from conftest import (
     DECAY_LUT_SRC,
@@ -617,25 +614,6 @@ def raise_(exc):
     return fault
 
 
-class Unpicklable(Exception):
-    """An exception pickle cannot rebuild: its ``__init__`` takes two arguments."""
-
-    def __init__(self, a, b):
-        super().__init__(f"{a} {b}")
-
-
-@pytest.mark.parametrize("exc, fields", [
-    (OverloadError("x", 0.5, 2.0), {"element": "x", "time": 0.5, "magnitude": 2.0}),
-    (ResourceError("that", {"summer": 2}), {"machine": "that", "deficits": {"summer": 2}}),
-    (AlgebraicLoopError([["a", "b"]]), {"cycles": [["a", "b"]]}),
-], ids=["OverloadError", "ResourceError", "AlgebraicLoopError"])
-def test_errors_survive_pickle(exc, fields):
-    """Only pickle carries a failed row's exception out of a sweep lane."""
-    back = pickle.loads(pickle.dumps(exc))
-    assert (type(back), str(back)) == (type(exc), str(exc))
-    assert {name: getattr(back, name) for name in fields} == fields
-
-
 def dense_loop_netlist(workdir):
     """Twelve summers each reading all twelve nets, and a coefficient k: more
     than 10^8 elementary cycles, of which an error names one."""
@@ -948,20 +926,20 @@ class TestSweep:
         # lane 0, this process, fails while lane 1 is still running
         ({0: raise_(StructuralError("non-finite value at element 'x'")),
           1: lambda: time.sleep(0.5)}, 4, "apc: simulation: non-finite value at element 'x'\n"),
-        # lane 1 fails first in row order; its exception crosses the pipe
+        # lane 1 fails first in row order; its code and line cross the pipe
         ({1: raise_(OSError(28, "No space left on device")),
           2: raise_(StructuralError("non-finite value at element 'x'"))}, 1,
          "apc: [Errno 28] No space left on device\n"),
         # a lost lane counts as its first row, after a failure in row 0
         ({0: raise_(StructuralError("row 0")), 3: kill_self}, 4, "apc: simulation: row 0\n"),
-        # an exception that cannot cross the pipe ends its lane with status 1
-        ({1: raise_(Unpicklable("x", 0.5))}, 4,
+        # an exception no _ERRORS row maps ends its lane with status 1
+        ({1: raise_(RuntimeError("unmapped"))}, 4,
          "apc: sweep: the lane running rows 1, 3 exited with status 1 without a result\n"),
-        # an error with its own fields crosses the pipe and exits as in run
+        # an error with its own fields exits as in run
         ({1: raise_(OverloadError("x", 0.5, 2.0))}, 5,
          "apc: overload: overload at tau=0.5: element 'x' reached 2.0\n"),
     ], ids=["child-killed", "parent-fails", "child-fails-first", "lost-lane-later",
-            "child-unpicklable", "child-overload"])
+            "child-unmapped", "child-overload"])
     def test_failed_lane_exits_with_one_line(self, workdir, capsys, monkeypatch, faults, code,
                                              err):
         out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
@@ -973,6 +951,22 @@ class TestSweep:
         captured = capsys.readouterr()
         assert (captured.err, captured.out) == (err, "")
         assert not (workdir / "s" / "summary.csv").exists()
+        assert_no_child_left()
+
+    def test_unmapped_error_in_a_lane_prints_its_traceback(self, workdir, capfd, monkeypatch):
+        """A child's error that no ``_ERRORS`` row maps reaches file
+        descriptor 2 as its traceback, before the lost lane's line."""
+        out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
+        set_cpus(monkeypatch, 2)
+        patch_rows(monkeypatch, {1: raise_(RuntimeError("unmapped in row 1"))})
+        capfd.readouterr()
+        assert main(["sweep", str(out), "--param", "k=0.1,0.2,0.3,0.4", "--tend", "1",
+                     "--dt", "1e-2", "--out", str(workdir / "s")]) == 4
+        err = capfd.readouterr().err
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("\nRuntimeError: unmapped in row 1\n"
+                            "apc: sweep: the lane running rows 1, 3 exited with status 1 "
+                            "without a result\n")
         assert_no_child_left()
 
     def test_interrupt_kills_and_reaps_the_lanes(self, workdir, monkeypatch):
@@ -1289,15 +1283,25 @@ def test_cli_import_leaves_out_multiprocessing():
 
 def test_forked_sweep_loads_no_process_pool(tmp_path):
     """A sweep over three lanes forks them itself: neither ``multiprocessing``
-    nor ``concurrent.futures`` is loaded, nor ``csv`` or ``pickle``."""
+    nor ``concurrent.futures`` is loaded, nor ``csv`` or ``pickle``, also
+    when a row of a child lane fails and sends back its code and line."""
     vco = compiled(tmp_path, VCO_SRC, "vco", ("--scale", "none"))
     argv = ["sweep", str(vco), "--param", "k=0.2,0.4,0.6", "--tend", "1",
             "--out", str(tmp_path / "sweep")]
-    code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1, 2}; "
-            "from apc.cli import main; code = main(%r); "
-            "print(code, [m for m in ('multiprocessing', 'concurrent.futures', 'csv', 'pickle') "
-            "if m in sys.modules])" % argv)
-    assert fresh_python(code).splitlines()[-1] == "0 []"
+    code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+            "from apc import cli\n"
+            "ok = cli.main(%r)\n"
+            "from apc.machine import StructuralError\n"
+            "run = cli._sweep_run\n"
+            "def fail_row_1(instance, tau_end, out_dir, row):\n"
+            "    if row[0] == 1:\n"
+            "        raise StructuralError('row 1')\n"
+            "    return run(instance, tau_end, out_dir, row)\n"
+            "cli._sweep_run = fail_row_1\n"
+            "failed = cli.main(%r)\n"
+            "print(ok, failed, [m for m in ('multiprocessing', 'concurrent.futures', 'csv', "
+            "'pickle') if m in sys.modules])" % (argv, [*argv[:-1], str(tmp_path / "failed")]))
+    assert fresh_python(code).splitlines()[-1] == "0 4 []"
     assert sorted(f.name for f in (tmp_path / "sweep").iterdir()) == [
         "run_000.csv", "run_001.csv", "run_002.csv", "summary.csv"]
 
@@ -1319,14 +1323,15 @@ def test_autoscaled_compile_leaves_out_scipy(tmp_path):
 
 
 #: Every name ``apc`` exported when its ``__init__`` still imported every
-#: submodule, but ``algebraic_loops``, which enumerated every cycle, and
-#: ``Net``, a net being its driver's output: both are gone.
+#: submodule, but ``algebraic_loops``, which enumerated every cycle,
+#: ``Net``, a net being its driver's output, and the compiler's two range
+#: errors, which are ``ScalingError`` now: all are gone.
 PACKAGE_NAMES = [
     "BoundsEstimate", "CompileError", "CompileOptions", "CompileResult", "ConstructionError",
     "Diagnostic", "Element", "Kind", "MachineInstance", "MachineSpec", "Mapping", "Mode",
     "ModeError", "Netlist", "OdeSystem", "OverloadError", "PatchAssignment",
-    "ResourceError", "ScaleMap", "ScalingError", "ScalingViolationError", "SignalBinding",
-    "SimConfig", "StructuralError", "THAT", "Trace", "UnscaledCoefficientError",
+    "ResourceError", "ScaleMap", "ScalingError", "SignalBinding",
+    "SimConfig", "StructuralError", "THAT", "Trace",
     "amplitude_scale", "apply_assignment", "autoscale", "compile_system",
     "compiler", "descale_trace", "dsl", "element_output", "estimate_bounds", "evaluation_order",
     "fabric", "load_machine_spec", "load_netlist", "machine", "map_netlist", "netlist_from_dict",

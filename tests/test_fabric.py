@@ -227,6 +227,8 @@ class TestSpecLoading:
         with pytest.raises(ValueError):
             load_machine_spec(str(path))
 
-    def test_partitioned_crossbar_rejected(self):
-        with pytest.raises(ValueError):
-            MachineSpec("x", {}, crossbar="banyan")
+    def test_partitioned_crossbar_rejected(self, tmp_path):
+        path = tmp_path / "banyan.json"
+        path.write_text(json.dumps({"name": "x", "inventory": {}, "crossbar": "banyan"}))
+        with pytest.raises(ValueError, match="^only full crossbars are modeled$"):
+            load_machine_spec(str(path))

@@ -12,6 +12,7 @@ from apc.dsl import (Bin, Call, Decl, Num, Program, Ref, TableDecl, TimeDecl, Va
                      resolve)
 from apc.machine import (
     AlgebraicLoopError,
+    ConstructionError,
     Element,
     Kind,
     Netlist,
@@ -515,7 +516,7 @@ def _netlist(*extra, **names_and_outputs):
 
 
 #: name -> (netlist, its one violation): the parameter rules the
-#: simulator's range proofs rest on, and the output rule.
+#: simulator's range proofs rest on, and the naming and output rules.
 VALIDATION_CASES = {
     "params-missing": (_netlist(Element("k", Kind.COEFFICIENT, {}, ("r",))),
                        Violation("k", "param-range", "expected params ['alpha'], got []")),
@@ -533,6 +534,8 @@ VALIDATION_CASES = {
                      Violation("f", "param-range", "breakpoint (1.0, -2.0) outside [-1, 1]")),
     "duplicate-output": (_netlist(names={"y": "r"}, outputs=("y", "y")),
                          Violation("", "duplicate-output", "output 'y' is listed 2 times")),
+    "duplicate-name": (_netlist(names={"a": "r", "b": "r"}),
+                       Violation("r", "duplicate-name", "named 'a', 'b'")),
 }
 
 
@@ -540,6 +543,15 @@ VALIDATION_CASES = {
 def test_validate_reports_the_rule(case):
     netlist, violation = VALIDATION_CASES[case]
     assert validate(netlist) == [violation]
+
+
+def test_an_element_with_two_names_builds_no_machine():
+    """Two names on one element once validated, and saved as a file that
+    named only the second, which reloaded with a missing output."""
+    n = Netlist([reference("r", 1.0)], {"a": "r", "b": "r"})
+    with pytest.raises(ConstructionError, match=re.escape(
+            "netlist does not validate: r: duplicate-name: named 'a', 'b'")):
+        new_instance(n)
 
 
 def test_interpolation_midpoints():
