@@ -15,6 +15,8 @@ sign into term coefficients and net parities, so no inverter ever reads
 an inverter or feeds a multiplier, and no cleanup pass is needed; its
 signal factors are the source's own ``Ref``s, and a zero factor folds
 its product away, so no element computes a term that is identically 0.
+One sign rule: every signal, outputs included, binds its net at the net's
+native parity, and only the host (``descale_trace``) applies the parity.
 
 Amplitude and time scaling enter here: a ScaleMap turns each chain stage
 into a coefficient of alpha = lambda * m_upper / (m_lower * k0) and
@@ -262,9 +264,6 @@ class _Synth:
                 site = (element, coeff / self.system.params[name])
             self.param_sites.setdefault(name, []).append(site)
 
-    def invert(self, net: str) -> str:
-        return self.b.add(summer, [net])
-
     def weigh(self, net: str, c: float, pexps: Counter, noun: str) -> str:
         """``net`` times |c|: the net itself when |c| is 1, else a coefficient
         element; ScalingError naming ``noun`` when |c| exceeds 1.
@@ -315,7 +314,7 @@ class _Synth:
         parity is chosen to honor it for free where possible, and a final
         inverter is inserted only when unavoidable. Mixed-parity addends
         are gathered by a single group summer rather than inverted one by
-        one. Returns (net, parity).
+        one. Returns (net, parity), at parity ``want`` when one is given.
         """
         nets = [self.term(t, m_top) for t in n.terms if t.factors]
         consts = [t for t in n.terms if not t.factors]
@@ -326,7 +325,7 @@ class _Synth:
         if len(nets) == 1 and not consts:
             net, parity = nets[0]
             if want is not None and parity != want:
-                return (self.invert(net), -parity)
+                return (self.b.add(summer, [net]), -parity)
             return (net, parity)
 
         if want is not None:
@@ -429,19 +428,14 @@ def compile_system(system: OdeSystem, options: CompileOptions | None = None) -> 
     for var, order in system.var_order.items():
         if order == 0:
             continue
-        net, parity = synth.sum(normalize(system.equations[var], system),
-                                m_top=scale.m(var, order), want=1)
-        if parity != 1:
-            raise CompileError(f"internal parity bookkeeping error on {var!r}")
+        net, _ = synth.sum(normalize(system.equations[var], system),  # at the wanted parity
+                           m_top=scale.m(var, order), want=1)
         close_feedback(builder, chains[var], net)
         signals[(var, order)] = (net, 1)
 
     for name, order in system.outputs:
         net, parity = signals[(name, order)]
-        if order == 0 and parity == -1:
-            net = synth.invert(net)
-            signals[(name, 0)] = (net, 1)
-        elif net in builder.outputs.values():  # another output's net (eq x = y): buffer it
+        if net in builder.outputs.values():  # another output's net (eq x = y): buffer it
             net = builder.add(coefficient, net, 1.0)
             signals[(name, order)] = (net, parity)
         builder.outputs[signal_name(name, order)] = net

@@ -529,11 +529,15 @@ class Mapping(Record):
                    _finite(doc, "k0", "mapping file", positive=True), doc.get("horizon_machine"))
 
     def check(self, netlist) -> "Mapping":
-        """This mapping, if its bindings cover ``netlist``'s outputs and name
-        its nets and coefficient elements; else StructuralError."""
+        """This mapping, if its bindings cover ``netlist``'s outputs at their
+        nets and name its nets and coefficient elements; else StructuralError."""
         for name in netlist.outputs:
-            if name not in self.signals:
+            b, net = self.signals.get(name), netlist.names.get(name)
+            if b is None:
                 raise StructuralError(f"output {name!r} has no signal binding")
+            if b.net != net and net in netlist.elements:  # else validation names the output
+                raise StructuralError(f"signal {name!r} binds net {b.net!r}, "
+                                      f"but the netlist's output {name!r} is net {net!r}")
         for name, b in self.signals.items():
             if b.net not in netlist.elements:
                 raise StructuralError(f"signal {name!r} binds missing net {b.net!r}")

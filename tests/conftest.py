@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from pathlib import Path
 
@@ -169,6 +170,18 @@ def first_order_programs(draw):
         lines.append(f"init {x} = {draw(st.sampled_from(['0', '0.25', '-0.5']))}")
     lines.append(f"time {draw(st.sampled_from(['1', '10']))}")
     return "\n".join(lines) + "\n"
+
+
+def heat_src(n: int, end: float = 0.5) -> str:
+    """The heat chain u_i' = 100 (u_(i-1) - 2 u_i + u_(i+1)) from half a sine
+    wave of height 0.5, with u_(-1) held at ``end`` and u_n at 0: affine, so
+    no program the modes take."""
+    lines = ["system heat", f"param c = {end!r}"] + [f"var u{i} order 1" for i in range(n)]
+    for i in range(n):
+        right = f" + u{i + 1}" if i < n - 1 else ""
+        lines.append(f"eq u{i}' = 100*({f'u{i - 1}' if i else 'c'} - 2*u{i}{right})")
+        lines.append(f"init u{i} = {0.5 * math.sin(math.pi * (i + 1) / (n + 1))!r}")
+    return "\n".join(lines + ["time 1"]) + "\n"
 
 
 def resolve_src(src: str) -> dsl.OdeSystem:

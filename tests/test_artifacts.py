@@ -78,34 +78,34 @@ PINNED = {
         "compile --k0 1000": "6850b4c342191dba2ab8c6ace74b05e6e35232be78cb0c9dbf8bfd67ec24b79a",
     },
     ("decay", "auto"): {
-        "compile": "d39c6036850b75c2ff172a38029733d4b2394e4f163a44ba435770c04ec83b30",
-        ".json": "cdc3da8ea1f21d0d09ccf8f12a4f814bcb901dcf785e117ce17254d7e4db5cd5",
-        ".map.json": "9d73ec2833c263d9ffb7a190d86f27d7d6575386b8abe0f0062f2bc2ec0a958a",
+        "compile": "9f6a9c12ad34232295dbf1972b2b0b8fb67bad8b00617460a4687d6f3ef6cc4a",
+        ".json": "52c072e43f884dc6a52942aafb1dfd885cab28205ab59e03eaa02d28f438fdef",
+        ".map.json": "311ed6a7edf8018497e8f844cf870775f410f97629e50a1043a8a8d98d54efa7",
         "map": "3b95381794df4121d9cc66ff83c370fe8b053e2c5e5f7ebebdce9bae1630abfd",
-        "run": "a91ba1b28edef5bc645a86cc74d35a1cdbc0ba3d763f5ce2f87daafac4a53e6d",
-        ".csv": "f627357a089d362bd71ae1dea2c800265890d2f6db9d20508ac1cf0a7852381b",
-        "run --resolution 1e-3": "a91ba1b28edef5bc645a86cc74d35a1cdbc0ba3d763f5ce2f87daafac4a53e6d",
-        "--resolution 1e-3 .csv": "af54bb4122022acac3af9192af843c6982d28723f97b407b7d00a1cdcad711ac",
-        "run --problem-units": "a91ba1b28edef5bc645a86cc74d35a1cdbc0ba3d763f5ce2f87daafac4a53e6d",
+        "run": "bdf54c0b3506bc7026d16523f9d993b583c236b36dbbe932336e5da2f88c8060",
+        ".csv": "e28dd98e134a4847805d1a01015d041543888f368bfc3bf8e080e774ad560fcf",
+        "run --resolution 1e-3": "bdf54c0b3506bc7026d16523f9d993b583c236b36dbbe932336e5da2f88c8060",
+        "--resolution 1e-3 .csv": "a5804bf33154c4e02d0c18d306fe7fe132f6586a0d7cddca784ffb4b09df1288",
+        "run --problem-units": "bdf54c0b3506bc7026d16523f9d993b583c236b36dbbe932336e5da2f88c8060",
         "--problem-units .csv": "4861bf6738de0bb06a456d7a3626da90d18fa617f6e76968348cac371f177014",
-        "compile --k0 1000": "ee27413cda4fd59c65403fe94c2e349fcf42d6757591b431e53136632c573d0c",
-        "--k0 1000 .json": "3df5a8358976fb63352cee524093aca15f9e67eff71478c2d0c4902bf6646ad3",
-        "--k0 1000 .map.json": "4ea1c8e905c28404d8eb4334cf137c233e659cc3a10afdbfe34d5b3b5ddd80d6",
+        "compile --k0 1000": "be4b610ab8b28bcbb3385467a50da618fe06c1db85c9594d99160bbd89287b10",
+        "--k0 1000 .json": "28ffdf1f458b02d687ee9ebbfa94fb77c76f75ab17e186952a9c94412a647573",
+        "--k0 1000 .map.json": "a8357638bcccb1fdbd8f753a86df2c91918e7abade31fdbca12b9fd930beeaa8",
     },
     ("decay", "none"): {
-        "compile": "b6af6c191ce0f8a5c5ba17f337600c841b7f254ded456d9fab6cb3138051e181",
-        ".json": "c7cbc3c1b83f9ec711a815b43708365c4af86ce49c0ade7ccc967f207922eea7",
-        ".map.json": "09078479d0d3827ddc5a590851e440668e6945b4723b0734c625cc1fdf26553f",
+        "compile": "f3714e68c7f8a98fd1ce683557ff5177b3d02d1e639deb7e9a32b50707d15041",
+        ".json": "fc0271837298586b3821e77f755cf8d80a89aabd566f1856d3adf78a1e1b3b8f",
+        ".map.json": "42e25947e905ed5bd1ddf26a0c1a3627faf0ad666a95a631e4b0bf5339251c40",
         "map": "3b95381794df4121d9cc66ff83c370fe8b053e2c5e5f7ebebdce9bae1630abfd",
-        "run": "a91ba1b28edef5bc645a86cc74d35a1cdbc0ba3d763f5ce2f87daafac4a53e6d",
-        ".csv": "1503d98f10661512acac94863cd80342b7f7b67bea6ea17d9ab300264f6257a9",
-        "run --resolution 1e-3": "a91ba1b28edef5bc645a86cc74d35a1cdbc0ba3d763f5ce2f87daafac4a53e6d",
-        "--resolution 1e-3 .csv": "b246b32b57caa1db4e8330cefe816f74f7fbba6b51c41d10491688ee7a5d9f7d",
-        "run --problem-units": "a91ba1b28edef5bc645a86cc74d35a1cdbc0ba3d763f5ce2f87daafac4a53e6d",
+        "run": "bdf54c0b3506bc7026d16523f9d993b583c236b36dbbe932336e5da2f88c8060",
+        ".csv": "07b52a753e900eeee1357fedcb4b5f0f7af6728fa5682dce0405e60fd7f9a416",
+        "run --resolution 1e-3": "bdf54c0b3506bc7026d16523f9d993b583c236b36dbbe932336e5da2f88c8060",
+        "--resolution 1e-3 .csv": "380371225a12a893d1de6ca3677f52ae35b5f0056705dc37c70e290c7b456ade",
+        "run --problem-units": "bdf54c0b3506bc7026d16523f9d993b583c236b36dbbe932336e5da2f88c8060",
         "--problem-units .csv": "9dd756637609f7fcf6f5d395acd4fdb64df319cfca3721973054ff63a85b937e",
-        "compile --k0 1000": "cfaee3815bc55a130d8cf106e778789e4f7d2cd8ed1d58e1eb52db0921ea8256",
-        "--k0 1000 .json": "1a53bd186f57d548dac8bc81efa8da1579d21495c8ef031c90c0337be5913239",
-        "--k0 1000 .map.json": "1b83759662d785b31e3b3163f0dae46e5a8bf82e59ea2eab1ea421ee2144dddd",
+        "compile --k0 1000": "26d3874d563242251dcf8a2f8e37c69cd323b94bbd04f8b958764cb4885ebeef",
+        "--k0 1000 .json": "f03c4c9aeed594af4edc921963247f69aa6efbb28499eb5e7c5907d469e2e87a",
+        "--k0 1000 .map.json": "936c943bf9fb799adb8747764b448952de2ddbc110c03c5df2db5188e2588b8c",
     },
     ("sine", "auto"): {
         "compile": "9dfa6afaff01e811f3976c5edeb5c1ef38c6fbb4fef7551a563a67a1aa878201",
@@ -168,34 +168,34 @@ PINNED = {
         "--k0 1000 .map.json": "ff853ecd8f8115df2b8a026d51fd7880eb2dc27a0d350c3c2d92a210f7f16700",
     },
     ("xabc", "auto"): {
-        "compile": "df3a4e9f8ea4c0540565091fde2d86dd5458f34fd1fb9fb6ef3b663b2dbc7d35",
-        ".json": "486d6d7531942a5585abec9523c38588ea36765e04fc18d6060555e80b8674b3",
-        ".map.json": "3683302482f4daf77efb814e519b206bb1076e0d9f200ff399c9fc533f5ca25a",
-        "map": "bee7d87b1f6e921879a405e6f469534d6a51cefc38ca78af22d95f312f0076b5",
-        "run": "eb19d2da48b6c05e29e11034cf63b5dbda2770ad647219aa9030b34a9b8f3f0a",
-        ".csv": "5663f0ed1ee7cb98e87e37fc48a5ad45f8110eb37d17c47552c8559362e53b64",
-        "run --resolution 1e-3": "eb19d2da48b6c05e29e11034cf63b5dbda2770ad647219aa9030b34a9b8f3f0a",
-        "--resolution 1e-3 .csv": "5663f0ed1ee7cb98e87e37fc48a5ad45f8110eb37d17c47552c8559362e53b64",
-        "run --problem-units": "eb19d2da48b6c05e29e11034cf63b5dbda2770ad647219aa9030b34a9b8f3f0a",
+        "compile": "8b53529e07f879aacc6307ffdc996c0d7873566b49976a556e0ea92741690370",
+        ".json": "fc2d25e2fceb4c2a5e865a04a3d4dfb7411e6025c0f25eef6a33249b28087068",
+        ".map.json": "cb82bf0021c28c36d2559dba58dba5527b142088c0d86f8525ebe7af2f2bbe93",
+        "map": "aa1f2d2ecd27d54ca0c7b0ad7a02eb6212095e61015c0c4e0b7da171ce454e26",
+        "run": "4446a43623b9b6e28cc83540c163351ba567b0a816156c2fb5c1d95b69e88e2a",
+        ".csv": "dfa5c32a92975932a319ec89063dbb67c9ca7d39c9cca080f4ce4d7f968088f7",
+        "run --resolution 1e-3": "4446a43623b9b6e28cc83540c163351ba567b0a816156c2fb5c1d95b69e88e2a",
+        "--resolution 1e-3 .csv": "dfa5c32a92975932a319ec89063dbb67c9ca7d39c9cca080f4ce4d7f968088f7",
+        "run --problem-units": "4446a43623b9b6e28cc83540c163351ba567b0a816156c2fb5c1d95b69e88e2a",
         "--problem-units .csv": "442e97523c7a3cbec84831f9e4c3e6e734b68c92af1049dd2c9c19023cceaa62",
-        "compile --k0 1000": "cc0ba414372c586cb53243f882398559bbe37d512a97a3bf247a252987b4f240",
-        "--k0 1000 .json": "486d6d7531942a5585abec9523c38588ea36765e04fc18d6060555e80b8674b3",
-        "--k0 1000 .map.json": "742f85f8dcdf33be6c596ff089ba977d3b572a56e8774ad2bc8bb985087c79c4",
+        "compile --k0 1000": "a73732c031d257532654ee16ff9b24ac66b66c85eda2807bf08ef2814ee2503c",
+        "--k0 1000 .json": "fc2d25e2fceb4c2a5e865a04a3d4dfb7411e6025c0f25eef6a33249b28087068",
+        "--k0 1000 .map.json": "59199957771fef42bd301f7338a0d633dec4a45b4d9736485abd1647c96f9ee2",
     },
     ("xabc", "none"): {
-        "compile": "3c4f56388f9a792c188c314411e2c6718520a5c8deba582f5b69fece38d09f4f",
-        ".json": "a701d057766198b33c13d3088a6e9ed88c6a5256aacace892911ffd3299f16c5",
-        ".map.json": "041cd0e71f813e36699b7010236ed5cde2865718b74a420db8204bfced6492b5",
-        "map": "62e273f95792d68e5ba1c2856c31d9a916885e4d598342ce8c6b1ca3f6c8a2f4",
-        "run": "99e5b19832d601be1fb214713e9664ba5a1f995a65e26e1dcb49e69a8c9ab78a",
-        ".csv": "a7e1eb1455f2a0fcbaeda348cb178dd8cb443756669f753dd6f254d32e55c615",
-        "run --resolution 1e-3": "99e5b19832d601be1fb214713e9664ba5a1f995a65e26e1dcb49e69a8c9ab78a",
-        "--resolution 1e-3 .csv": "a7e1eb1455f2a0fcbaeda348cb178dd8cb443756669f753dd6f254d32e55c615",
-        "run --problem-units": "99e5b19832d601be1fb214713e9664ba5a1f995a65e26e1dcb49e69a8c9ab78a",
+        "compile": "66575508ca21737d0eeacb795e28eef081006ffbcd919ce539484a732926a117",
+        ".json": "ded04d32a40ed4c53b5b45d3518ed19705504a53036452e4447311860cb34888",
+        ".map.json": "53a93f4bcc16ad5bdfdcc31e73237fd1ecd653aa1110e39a443a619be492aa42",
+        "map": "235bc33f5c761a20c22d735ec1bd5bf9be968051005e40df6272c5de4550617c",
+        "run": "02858aa501e463399620bbc19527233b970e9f3fd4e2354d84c2d565ae554250",
+        ".csv": "5c8df1687cc172ad2e5fd3bf00f10e389aff9a0ff1bcaf33ca072a5ca74a0000",
+        "run --resolution 1e-3": "02858aa501e463399620bbc19527233b970e9f3fd4e2354d84c2d565ae554250",
+        "--resolution 1e-3 .csv": "5c8df1687cc172ad2e5fd3bf00f10e389aff9a0ff1bcaf33ca072a5ca74a0000",
+        "run --problem-units": "02858aa501e463399620bbc19527233b970e9f3fd4e2354d84c2d565ae554250",
         "--problem-units .csv": "442e97523c7a3cbec84831f9e4c3e6e734b68c92af1049dd2c9c19023cceaa62",
-        "compile --k0 1000": "885feacf7e4e20adbff269701bcb402831c842b8b5a10701c1430b5d05d077e3",
-        "--k0 1000 .json": "a701d057766198b33c13d3088a6e9ed88c6a5256aacace892911ffd3299f16c5",
-        "--k0 1000 .map.json": "78c1677f2a41a9100b1f7e7ba51bd70dcc1db067c4c0c9b75402ae9c748704fa",
+        "compile --k0 1000": "2c213794644b3b06119b70c1e23b37624ba61cd69c67b463231a6ba75734c1f5",
+        "--k0 1000 .json": "ded04d32a40ed4c53b5b45d3518ed19705504a53036452e4447311860cb34888",
+        "--k0 1000 .map.json": "a6f8dd42f215edb8af44ee88b15c1c096a37cdcc8533026bc764c5b2976b229a",
     },
 }
 

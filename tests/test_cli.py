@@ -530,7 +530,10 @@ class TestSidecarMismatch:
          "param 'k' binds 'nope', not a coefficient element"),
         (lambda d: d["params"]["k"].update(element="int1"),
          "param 'k' binds 'int1', not a coefficient element"),
-    ], ids=["unbound-output", "missing-net", "unknown-element", "integrator-element"])
+        (lambda d: d["signals"]["y"].update(net="int1"),
+         "signal 'y' binds net 'int1', but the netlist's output 'y' is net 'int2'"),
+    ], ids=["unbound-output", "missing-net", "unknown-element", "integrator-element",
+            "other-output-net"])
     @pytest.mark.parametrize("command", [
         ["run", "--tend", "1"],
         ["run", "--tend", "1", "--set", "k=0.5"],

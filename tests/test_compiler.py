@@ -21,11 +21,12 @@ from apc.compiler import (
     compile_system,
     normalize,
 )
+from apc.fabric import THAT, ResourceError, map_netlist
 from apc.machine import Kind, ScalingError, is_inverter, netlist_to_dict
 from apc.scaling import reference_solution
 from apc.dsl import Bin, Call, Neg, Num, Ref, evaluate, signal_name
 from conftest import (SINE_SRC, VCO_SRC, build, compilable_programs, first_order_programs,
-                      resolve_src)
+                      heat_src, resolve_src)
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -105,7 +106,7 @@ class TestFig2Compile:
     def test_steady_value(self, fig2):
         _, result = fig2
         inst = simulator.new_instance(result.netlist, simulator.SimConfig(dt=1e-3))
-        trace = inst.run(0.01)
+        trace = simulator.descale_trace(inst.run(0.01), result.mapping)
         assert trace.series["x"][-1] == pytest.approx(0.25, abs=1e-12)
 
     def test_no_feedback_edges(self, fig2):
@@ -153,9 +154,10 @@ class TestSynthesis:
         _, result = build("system t\nvar y order 1\neq y' = 0\ninit y = 0.5\ntime 1\n")
         inst = simulator.new_instance(result.netlist, simulator.SimConfig(dt=1e-2))
         trace = inst.run(1.0)
-        # the odd-order chain carries -y; the output tap restores +y
-        assert trace.series["y"][-1] == pytest.approx(0.5)
-        assert result.mapping.signals["y"].parity == 1
+        # the odd-order chain carries -y, and the output reads it there
+        assert trace.series["y"][-1] == pytest.approx(-0.5)
+        assert result.mapping.signals["y"].parity == -1
+        assert simulator.descale_trace(trace, result.mapping).series["y"][-1] == pytest.approx(0.5)
         # the empty sum is a zero coefficient on a +1 reference
         elements = result.netlist.elements
         assert elements["int1"].inputs == ("coef1",)
@@ -174,6 +176,7 @@ class TestSynthesisEdgeCases:
     def test_cancelling_terms_keep_zero_dynamics(self):
         _, result = build("system t\nvar y order 1\neq y' = y - y\ninit y = 0.4\ntime 1\n")
         trace = simulator.new_instance(result.netlist, simulator.SimConfig(dt=1e-2)).run(1.0)
+        trace = simulator.descale_trace(trace, result.mapping)
         assert trace.series["y"][-1] == pytest.approx(0.4)
 
     def test_lut_of_constant_argument(self):
@@ -219,6 +222,7 @@ class TestSynthesisEdgeCases:
         counts = result.netlist.counts()
         assert counts.get("reference") == 1 and "coefficient" not in counts
         trace = simulator.new_instance(result.netlist, simulator.SimConfig(dt=1e-4)).run(0.5)
+        trace = simulator.descale_trace(trace, result.mapping)
         assert trace.series["y"][-1] == pytest.approx(math.exp(-0.5) - 1, abs=1e-9)
 
 
@@ -351,6 +355,19 @@ def test_element_count_bound(case):
     assert work <= nterms + 2
 
 
+def test_heat_census():
+    """heat-32, autoscaled: per node an integrator, a summer of the
+    neighbour terms, an inverter of the self term and the pots. Its 32
+    outputs ride at their integrators' parity -1, so no inverter serves
+    an output, and machine `that` is short 56 summers."""
+    system = resolve_src(heat_src(32))
+    result = compile_system(system, CompileOptions(scale=scaling.autoscale(system)))
+    assert len(result.netlist.elements) == 224 and result.report["inverter"] == 32
+    with pytest.raises(ResourceError) as exc:
+        map_netlist(result.netlist, THAT)
+    assert exc.value.deficits["summer"] == 56
+
+
 @st.composite
 def simulable_odes(draw):
     """Random linear systems with small ICs, kept inside machine range."""
@@ -392,13 +409,16 @@ def test_parity_soundness_on_random_linear_systems(src):
 
 def assert_no_redundant_inverters(result):
     """What an inverter cleanup pass would find: an inverter reading an
-    inverter, a multiplier reading an inverter, an element that reaches
-    neither an integrator nor a signal's net."""
+    inverter, a multiplier reading an inverter, an inverter that no
+    element reads (an output rides at its net's parity instead), an
+    element that reaches neither an integrator nor a signal's net."""
     netlist = result.netlist
     source = netlist.elements
+    read = {n for e in netlist.elements.values() for n in e.inputs}
     for e in netlist.elements.values():
         if is_inverter(e):
             assert not is_inverter(source[e.inputs[0]]), f"{e.id} reads an inverter"
+            assert e.id in read, f"{e.id} is an inverter that no element reads"
         if e.kind is Kind.MULTIPLIER:
             assert not any(is_inverter(source[n]) for n in e.inputs), f"{e.id} reads an inverter"
     live = set()
@@ -431,15 +451,13 @@ def test_lowering_places_no_redundant_inverter(src):
 # carries. No step size and no oracle enters.
 
 def _integrator_of(netlist, net: str):
-    """(integrator, sign): ``net`` carries sign times the integrator's
-    output, through the inverters and unit coefficients (buffers) that the
-    compiler adds for outputs."""
-    e, sign = netlist.elements[net], 1
-    while is_inverter(e) or e.kind is Kind.COEFFICIENT and e.params["alpha"] == 1.0:
-        sign *= -1 if is_inverter(e) else 1
+    """The integrator whose output ``net`` carries, through the unit
+    coefficients (buffers) that the compiler adds for outputs on one net."""
+    e = netlist.elements[net]
+    while e.kind is Kind.COEFFICIENT and e.params["alpha"] == 1.0:
         e = netlist.elements[e.inputs[0]]
     assert e.kind is Kind.INTEGRATOR, f"{net} is not an integrator's output"
-    return e, sign
+    return e
 
 
 def assert_matches_source(system, result, seed: int, points: int = 3):
@@ -453,7 +471,7 @@ def assert_matches_source(system, result, seed: int, points: int = 3):
     chain = [(v, k) for v, n in system.var_order.items() for k in range(n)]
     integrators = {key: _integrator_of(netlist, mapping.signals[signal_name(*key)].net)
                    for key in chain}
-    assert sorted(e.id for e, _ in integrators.values()) == sorted(
+    assert sorted(e.id for e in integrators.values()) == sorted(
         e.id for e in netlist.elements.values() if e.kind is Kind.INTEGRATOR)
     value = {}
 
@@ -465,7 +483,7 @@ def assert_matches_source(system, result, seed: int, points: int = 3):
         return b, value[b.net]
 
     for _ in range(points):
-        value.update((e.id, rng.uniform(-1.0, 1.0)) for e, _ in integrators.values())
+        value.update((e.id, rng.uniform(-1.0, 1.0)) for e in integrators.values())
         for eid in order:
             e = netlist.elements[eid]
             value[eid] = machine.element_output(e.kind, e.params, inputs(e))
@@ -486,10 +504,10 @@ def assert_matches_source(system, result, seed: int, points: int = 3):
             b, y = net((v, n))
             assert math.isclose(y, b.parity * env[(v, n)] / b.scale,
                                 rel_tol=1e-9, abs_tol=1e-9), signal_name(v, n)
-        for (v, k), (e, sign) in integrators.items():
+        for (v, k), e in integrators.items():
             b, _ = net((v, k))
             rate = -e.params["k0"] * sum(inputs(e))
-            assert math.isclose(rate, sign * b.parity * mapping.lam * env[(v, k + 1)] / b.scale,
+            assert math.isclose(rate, b.parity * mapping.lam * env[(v, k + 1)] / b.scale,
                                 rel_tol=1e-9, abs_tol=1e-9), signal_name(v, k)
 
 

@@ -31,7 +31,8 @@ from apc.scaling import (
 from apc.machine import Mapping, ParamBinding, ScalingError, SignalBinding, table_bound
 from apc.simulator import OverloadEvent, SimConfig, Trace, descale_trace, new_instance
 from conftest import (DECAY_LUT_SRC, ROOT, SINE5_SRC, SINE_SRC, autoscaled_json,
-                      compilable_programs, first_order_programs, resolve_src, src_env)
+                      compilable_programs, first_order_programs, heat_src, resolve_src,
+                      src_env)
 from test_compiler import simulable_odes
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -479,18 +480,6 @@ class TestModalBounds:
         capsys.readouterr()
         assert main(["run", str(out), "--tend", "1e4", "--dt", "1"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "overloads: 0"
-
-
-def heat_src(n: int, end: float = 0.5) -> str:
-    """The heat chain u_i' = 100 (u_(i-1) - 2 u_i + u_(i+1)) from half a sine
-    wave of height 0.5, with u_(-1) held at ``end`` and u_n at 0: affine, so
-    no program the modes take."""
-    lines = ["system heat", f"param c = {end!r}"] + [f"var u{i} order 1" for i in range(n)]
-    for i in range(n):
-        right = f" + u{i + 1}" if i < n - 1 else ""
-        lines.append(f"eq u{i}' = 100*({f'u{i - 1}' if i else 'c'} - 2*u{i}{right})")
-        lines.append(f"init u{i} = {0.5 * math.sin(math.pi * (i + 1) / (n + 1))!r}")
-    return "\n".join(lines + ["time 1"]) + "\n"
 
 
 def assert_box_covers_the_dense_peak(system, box: dict) -> None:

@@ -35,6 +35,7 @@ from apc.simulator import (
     SimConfig,
     SimulationWarning,
     Trace,
+    descale_trace,
     new_instance,
 )
 from conftest import SINE_SRC, UNSTABLE_SRC, build, src_env
@@ -367,7 +368,7 @@ class TestQuantization:
     def test_sub_grid_increments_accumulate(self, dt):
         _, result = build(STALL_SRC)
         trace = new_instance(result.netlist, SimConfig(dt=dt, resolution=1e-4)).run(1.0)
-        assert trace.final()["z"] == pytest.approx(-0.25, abs=1e-12)
+        assert descale_trace(trace, result.mapping).final()["z"] == pytest.approx(-0.25, abs=1e-12)
 
     def test_quantized_runaway_reaches_the_rail(self):
         _, result = build(UNSTABLE_SRC)
@@ -710,7 +711,7 @@ class TestFunctionGeneratorDynamics:
 
         _, result = build(DECAY_LUT_SRC)
         inst = new_instance(result.netlist, SimConfig(dt=1e-3))
-        trace = inst.run(5.0)
+        trace = descale_trace(inst.run(5.0), result.mapping)
         err = max(abs(z - 0.9 * math.exp(-t)) for t, z in zip(trace.tau, trace.series["z"]))
         assert err < 1e-6
 
