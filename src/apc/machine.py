@@ -16,9 +16,13 @@ Element semantics (machine convention: summers and integrators invert):
     Reference           out = +1 or -1
 
 Netlists are immutable after construction and safe to share between
-concurrent simulations. The compiler's sidecar mapping, which ties
-source-level signals and parameters to nets and pots, lives here too:
-everything that reads a compiled program back needs only this module.
+concurrent simulations. On file a netlist is its elements, each carrying
+its net's name if it has one, and its outputs; two elements of one name
+are rejected, and so is a file with the ``nets`` table of earlier
+versions, whose source must be compiled again. The compiler's sidecar
+mapping, which ties source-level signals and parameters to nets and
+pots, lives here too: everything that reads a compiled program back
+needs only this module.
 """
 
 from __future__ import annotations
@@ -72,15 +76,20 @@ def lookup_code(table, x: str) -> str:
     ``x`` is bound once, to the temp ``t``. The two end clamps come first,
     then a balanced chain of comparisons picks the segment ``bisect_right``
     would pick, whose value is ``y0 + dy * (t - x0) / dx`` with ``dy`` and
-    ``dx`` folded here: the same floats as computing them at run time. A
-    NaN fails every comparison and comes out of the last segment as NaN.
+    ``dx`` folded here: the same floats as computing them at run time. The
+    exact no-ops ``1.0 *``, ``/ 1.0`` and ``t - 0.0`` are left out; ``t -
+    -0.0`` stays, since it turns a -0.0 into +0.0. A NaN fails every
+    comparison and comes out of the last segment as NaN.
     """
     xs = [p[0] for p in table]
     ys = [p[1] for p in table]
 
     def segments(lo: int, hi: int) -> str:  # segments lo .. hi - 1
         if hi - lo == 1:
-            return f"{ys[lo]!r} + {ys[hi] - ys[lo]!r} * (t - {xs[lo]!r}) / {xs[hi] - xs[lo]!r}"
+            x0, dy, dx = xs[lo], ys[hi] - ys[lo], xs[hi] - xs[lo]
+            u = "t" if x0 == 0.0 and math.copysign(1.0, x0) > 0 else f"(t - {x0!r})"
+            u = u if dy == 1.0 else f"{dy!r} * {u}"
+            return f"{ys[lo]!r} + {u}" + ("" if dx == 1.0 else f" / {dx!r}")
         mid = (lo + hi) // 2
         return f"({segments(lo, mid)}) if t < {xs[mid]!r} else ({segments(mid, hi)})"
 
@@ -403,26 +412,30 @@ def _finite(doc: dict, key: str, where: str, positive: bool = False) -> float:
 
 
 def netlist_to_dict(netlist: Netlist) -> dict:
+    name_of = {eid: name for name, eid in netlist.names.items()}
     elements = []
     for e in netlist.elements.values():
         params = dict(e.params)
         if "table" in params:
             params["table"] = [list(p) for p in params["table"]]
-        elements.append({"id": e.id, "kind": e.kind.value, "params": params, "inputs": list(e.inputs)})
-    name_of = {eid: name for name, eid in netlist.names.items()}
-    nets = [{"id": eid, "driver": eid, "name": name_of.get(eid)} for eid in netlist.elements]
-    return {"elements": elements, "nets": nets, "outputs": list(netlist.outputs)}
+        ed = {"id": e.id, "kind": e.kind.value, "params": params, "inputs": list(e.inputs)}
+        if e.id in name_of:
+            ed["name"] = name_of[e.id]
+        elements.append(ed)
+    return {"elements": elements, "outputs": list(netlist.outputs)}
 
 
 def netlist_from_dict(doc: dict) -> Netlist:
-    """The netlist of a JSON document: one net per element, with its driver's
-    id, no two of one name (an empty name names nothing); else StructuralError."""
-    doc = json_object(doc, "netlist", {"elements": list, "nets": list, "outputs": list})
-    elements = []
+    """The netlist of a JSON document, each element's optional ``name``
+    naming its net, no two of one name (an empty name names nothing); else
+    StructuralError, which names the unknown key of a file with the
+    ``nets`` table of earlier versions: its source must be compiled again."""
+    doc = json_object(doc, "netlist", {"elements": list, "outputs": list})
+    elements, names = [], {}
     for ed in doc["elements"]:
         where = f"element {ed['id']!r}" if isinstance(ed, dict) and "id" in ed else "element"
-        ed = json_object(ed, where, {"id": str, "kind": str, "params": dict, "inputs": list},
-                         optional=("params", "inputs"))
+        ed = json_object(ed, where, {"id": str, "kind": str, "params": dict, "inputs": list,
+                                     "name": str}, optional=("params", "inputs", "name"))
         try:
             kind = Kind(ed["kind"])
         except ValueError:
@@ -432,26 +445,11 @@ def netlist_from_dict(doc: dict) -> Netlist:
                              {k: list if k == "table" else float for k in keys}, optional=keys)
         inputs = tuple(json_value(n, str, f"input of {where}") for n in ed.get("inputs", []))
         elements.append(Element(ed["id"], kind, params, inputs))
-    ids = {e.id for e in elements}
-    names, netted = {}, set()
-    for nd in doc["nets"]:
-        where = f"net {nd['id']!r}" if isinstance(nd, dict) and "id" in nd else "net"
-        nd = json_object(nd, where, {"id": str, "driver": str, "name": str}, optional=("name",))
-        nid, name = nd["id"], nd.get("name")
-        if nd["driver"] != nid:
-            raise StructuralError(f"{where} is driven by {nd['driver']!r}: a net's id must be its driver's")
-        if nid not in ids:
-            raise StructuralError(f"{where} is driven by unknown element {nid!r}")
-        if nid in netted:
-            raise StructuralError(f"element {nid!r} drives two nets")
+        name = ed.get("name")
         if name in names:
-            raise StructuralError(f"nets {names[name]!r} and {nid!r} are both named {name!r}")
-        netted.add(nid)
+            raise StructuralError(f"elements {names[name]!r} and {ed['id']!r} are both named {name!r}")
         if name:
-            names[name] = nid
-    for e in elements:
-        if e.id not in netted:
-            raise StructuralError(f"element {e.id!r} drives no net")
+            names[name] = ed["id"]
     outputs = tuple(json_value(name, str, "netlist output") for name in doc["outputs"])
     return Netlist(elements, names, outputs)
 

@@ -204,6 +204,21 @@ def autoscaled_json(src: str) -> str:
     return json.dumps([machine.netlist_to_dict(result.netlist), result.mapping.to_dict()])
 
 
+#: The loader's one line for a netlist file with the ``nets`` table of
+#: earlier versions.
+NETS_KEY = "unknown key(s) ['nets'] in netlist"
+
+
+def with_old_net_table(doc: dict, edit=lambda nets: None) -> dict:
+    """The netlist document ``doc`` with the ``nets`` table earlier versions
+    wrote beside its elements, one ``{id, driver, name}`` per element, as
+    ``edit`` leaves that list."""
+    nets = [{"id": e["id"], "driver": e["id"], "name": e.get("name")} for e in doc["elements"]]
+    edit(nets)
+    doc["nets"] = nets
+    return doc
+
+
 @pytest.fixture
 def sine():
     return build(SINE_SRC)

@@ -32,12 +32,14 @@ from apc.simulator import OverloadError
 from conftest import (
     DECAY_LUT_SRC,
     FIG2_SRC,
+    NETS_KEY,
     ROOT,
     SINE5_SRC,
     SINE_SRC,
     UNSTABLE_SRC,
     VCO_SRC,
     src_env,
+    with_old_net_table,
 )
 
 
@@ -224,7 +226,8 @@ class TestCompile:
         assert out.exists()
         assert (workdir / "sine.map.json").exists()
         doc = json.loads(out.read_text())
-        assert set(doc) == {"elements", "nets", "outputs"}
+        assert set(doc) == {"elements", "outputs"}
+        assert [e.get("name") for e in doc["elements"]].count("y") == 1
 
     def test_fig2_report(self, workdir, capsys):
         compiled(workdir, FIG2_SRC, "fig2")
@@ -663,40 +666,36 @@ class TestInvalidNetlist:
         the loader rejects such a file."""
         out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
         doc = json.loads(out.read_text())
-        next(net for net in doc["nets"] if net["name"] is None)["name"] = "y"
+        next(e for e in doc["elements"] if "name" not in e)["name"] = "y"
         out.write_text(json.dumps(doc))
-        first, second = [net["id"] for net in doc["nets"] if net["name"] == "y"]
+        first, second = [e["id"] for e in doc["elements"] if e.get("name") == "y"]
         capsys.readouterr()
         assert main([command[0], str(out), *command[1:]]) == 1
-        assert capsys.readouterr() == ("", f"apc: {out}: nets {first!r} and {second!r} "
+        assert capsys.readouterr() == ("", f"apc: {out}: elements {first!r} and {second!r} "
                                            "are both named 'y'\n")
         assert not (workdir / "t.csv").exists() and not (workdir / "s").exists()
 
-    @pytest.mark.parametrize("case", ["aliased-id", "no-net", "two-nets", "unknown-driver"])
+    @pytest.mark.parametrize("case", ["aliased-id", "no-net", "two-nets", "unknown-driver",
+                                      "as-written"])
     @pytest.mark.parametrize("command", [
         ["run", "--tend", "1", "--trace", "t.csv"], ["map"],
         ["sweep", "--param", "k=0.1,0.2", "--tend", "1", "--out", "s"],
     ], ids=["run", "map", "sweep"])
     def test_a_net_table_the_model_cannot_hold_exits_1(self, workdir, capsys, command, case):
-        """Each element drives one net, which bears its id: the loader
-        rejects every other net table in one line (two nets of one name
-        just above)."""
+        """A file with the ``nets`` table of earlier versions, as they wrote
+        it or as they rejected it, exits 1 in one line naming the key."""
         out = compiled(workdir, VCO_SRC, "vco", extra=("--scale", "none"))
-        doc = json.loads(out.read_text())
-        nets, first, second = doc["nets"], doc["nets"][0]["id"], doc["nets"][1]["id"]
-        edit, message = {
-            "aliased-id": (lambda: nets[0].update(id="n1"),
-                           f"net 'n1' is driven by {first!r}: a net's id must be its driver's"),
-            "no-net": (lambda: nets.pop(1), f"element {second!r} drives no net"),
-            "two-nets": (lambda: nets.append(dict(nets[0])), f"element {first!r} drives two nets"),
-            "unknown-driver": (lambda: nets.append({"id": "ghost", "driver": "ghost"}),
-                               "net 'ghost' is driven by unknown element 'ghost'"),
+        edit = {
+            "aliased-id": lambda nets: nets[0].update(id="n1"),
+            "no-net": lambda nets: nets.pop(1),
+            "two-nets": lambda nets: nets.append(dict(nets[0])),
+            "unknown-driver": lambda nets: nets.append({"id": "ghost", "driver": "ghost"}),
+            "as-written": lambda nets: None,
         }[case]
-        edit()
-        out.write_text(json.dumps(doc))
+        out.write_text(json.dumps(with_old_net_table(json.loads(out.read_text()), edit)))
         capsys.readouterr()
         assert main([command[0], str(out), *command[1:]]) == 1
-        assert capsys.readouterr() == ("", f"apc: {out}: {message}\n")
+        assert capsys.readouterr() == ("", f"apc: {out}: {NETS_KEY}\n")
         assert not (workdir / "t.csv").exists() and not (workdir / "s").exists()
 
     @pytest.mark.parametrize("command", [

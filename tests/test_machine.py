@@ -1,3 +1,4 @@
+import bisect
 import math
 import re
 import time
@@ -32,6 +33,7 @@ from apc.machine import (
     validate,
 )
 from apc.simulator import new_instance
+from conftest import NETS_KEY, with_old_net_table
 
 
 def fig2_netlist():
@@ -110,21 +112,6 @@ class TestValidate:
     def test_missing_output_name(self):
         n = Netlist([reference("r", 1.0)], outputs=("y",))
         assert any(v.rule == "missing-output" for v in validate(n))
-
-    def test_unknown_driver(self):
-        """A net's id is its driver's, so a net of an unknown driver is one
-        no element drives: the loader rejects it."""
-        doc = netlist_to_dict(Netlist([reference("r", 1.0)]))
-        doc["nets"].append({"id": "ghost", "driver": "ghost"})
-        with pytest.raises(StructuralError, match="^net 'ghost' is driven by unknown element 'ghost'$"):
-            netlist_from_dict(doc)
-
-    def test_element_driving_two_nets(self):
-        """An element's one net is its output: the loader rejects a second."""
-        doc = netlist_to_dict(Netlist([reference("r", 1.0)]))
-        doc["nets"].append({"id": "r", "driver": "r", "name": "y"})
-        with pytest.raises(StructuralError, match="^element 'r' drives two nets$"):
-            netlist_from_dict(doc)
 
     def test_arity_violation(self):
         n = Netlist([reference("r", 1.0), Element("s", Kind.SUMMER, {}, ())])
@@ -439,7 +426,6 @@ def test_json_rejects_unknown_kind():
 @pytest.mark.parametrize("edit, message", [
     (lambda d: d["elements"][0].pop("id"), "missing key 'id' in element"),
     (lambda d: d["elements"][0].pop("kind"), "missing key 'kind' in element 'ref1'"),
-    (lambda d: d["nets"][0].pop("driver"), "missing key 'driver' in net 'ref1'"),
     (lambda d: d.pop("outputs"), "missing key 'outputs' in netlist"),
     (lambda d: d.update(elements={}), "'elements' of netlist must be a list"),
     (lambda d: d["elements"].append(7), "element must be an object"),
@@ -447,7 +433,7 @@ def test_json_rejects_unknown_kind():
     (lambda d: d["elements"][1]["params"].update(alpha="x"), "'alpha' of params of element 'a' must be a number"),
     (lambda d: d["elements"][1].update(inputs="ref1"), "'inputs' of element 'a' must be a list"),
     (lambda d: d["elements"][1].update(id=["a"]), "'id' of element ['a'] must be a string"),
-    (lambda d: d["nets"][0].update(name=1), "'name' of net 'ref1' must be a string"),
+    (lambda d: d["elements"][0].update(name=1), "'name' of element 'ref1' must be a string"),
     (lambda d: d.update(outputs=[None]), "netlist output must be a string"),
 ])
 def test_json_malformed_document_names_the_field(edit, message):
@@ -457,15 +443,15 @@ def test_json_malformed_document_names_the_field(edit, message):
         netlist_from_dict(doc)
 
 
-#: name -> (an edit of fig2's document, the loader's message): net tables
-#: that a netlist of one net per element, with its driver's id, cannot hold
-#: (``TestValidate`` has an unknown driver and a second net).
+#: name -> (an edit of fig2's document, the loader's message): a ``nets``
+#: table as earlier versions wrote it, or one they rejected, is rejected by
+#: its key, and two elements of one name by the name.
 NET_TABLE_CASES = {
-    "aliased-id": (lambda d: d["nets"][0].update(id="n1"),
-                   "net 'n1' is driven by 'ref1': a net's id must be its driver's"),
-    "no-net": (lambda d: d["nets"].pop(1), "element 'a' drives no net"),
-    "shared-name": (lambda d: d["nets"][0].update(name="x"),
-                    "nets 'ref1' and 'mul1' are both named 'x'"),
+    "aliased-id": (lambda d: with_old_net_table(d, lambda nets: nets[0].update(id="n1")), NETS_KEY),
+    "no-net": (lambda d: with_old_net_table(d, lambda nets: nets.pop(1)), NETS_KEY),
+    "as-written": (with_old_net_table, NETS_KEY),
+    "shared-name": (lambda d: d["elements"][0].update(name="x"),
+                    "elements 'ref1' and 'mul1' are both named 'x'"),
 }
 
 
@@ -479,9 +465,9 @@ def test_loader_rejects_a_net_table(case):
 
 
 def test_an_empty_net_name_names_nothing():
-    """As validation once skipped it: two nets may both carry the name ''."""
+    """As validation once skipped it: two elements may both carry the name ''."""
     doc = netlist_to_dict(fig2_netlist())
-    doc["nets"][0]["name"] = doc["nets"][1]["name"] = ""
+    doc["elements"][0]["name"] = doc["elements"][1]["name"] = ""
     assert netlist_from_dict(doc).names == {"x": "mul1"}
 
 
@@ -509,6 +495,35 @@ def test_table_lookup_of_nan_is_nan():
     # past the table's end.
     table = ((-1.0, -1.0), (0.0, 0.5), (1.0, 1.0))
     assert math.isnan(element_output(Kind.FUNCTION_GENERATOR, {"table": table}, [math.nan]))
+
+
+def test_table_lookup_keeps_a_negative_zero_breakpoint():
+    """t - -0.0 turns a -0.0 into +0.0, so the lookup keeps that subtraction."""
+    table = ((-1.0, -1.0), (-0.0, -0.0), (1.0, 1.0))
+    y = element_output(Kind.FUNCTION_GENERATOR, {"table": table}, [-0.0])
+    assert math.copysign(1.0, y) == 1.0
+
+
+#: Breakpoint coordinates that make the no-ops the lookup leaves out.
+_UNIT_GRID = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_UNIT_GRID | st.floats(-1, 1), _UNIT_GRID | st.floats(-1, 1)),
+                min_size=2, max_size=5),
+       _UNIT_GRID | st.floats(-2, 2))
+def test_table_lookup_is_its_segment_formula_bit_for_bit(points, x):
+    """Leaving out ``1.0 *``, ``/ 1.0`` and ``t - 0.0`` changes no bit of
+    y0 + (y1 - y0) * (t - x0) / (x1 - x0), the sign of a zero included."""
+    table = sorted(dict(points).items())
+    assume(len(table) > 1)  # dict keeps one of -0.0 and 0.0
+    xs = [p[0] for p in table]
+    if x <= xs[0] or x >= xs[-1]:
+        want = table[0][1] if x <= xs[0] else table[-1][1]
+    else:
+        (x0, y0), (x1, y1) = table[bisect.bisect_right(xs, x) - 1:][:2]
+        want = y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    assert repr(element_output(Kind.FUNCTION_GENERATOR, {"table": table}, [x])) == repr(want)
 
 
 def _netlist(*extra, **names_and_outputs):

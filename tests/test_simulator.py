@@ -715,6 +715,19 @@ class TestFunctionGeneratorDynamics:
         err = max(abs(z - 0.9 * math.exp(-t)) for t, z in zip(trace.tau, trace.series["z"]))
         assert err < 1e-6
 
+    def test_decay_loop_has_no_unit_factors(self, monkeypatch):
+        """The identity table's segments have dy = dx = 1 and a breakpoint
+        at +0.0: its lookup leaves out ``1.0 *``, ``/ 1.0`` and ``t - 0.0``."""
+        from apc import simulator
+        from conftest import DECAY_LUT_SRC
+
+        sources = []
+        monkeypatch.setattr(simulator, "compile", lambda source, *args: (
+            sources.append(source), compile(source, *args))[1], raising=False)
+        new_instance(build(DECAY_LUT_SRC)[1].netlist)
+        [source] = sources
+        assert "1.0 *" not in source and "/ 1.0" not in source and "t - 0.0" not in source
+
 
 class TestMultiInputIntegrator:
     def test_inputs_are_summed_before_integration(self):
