@@ -16,11 +16,24 @@ machine and the fabric. Every ``apc`` call is a new process that pays its
 imports again, so a sweep forks its lanes with ``os.fork`` and sends
 results back with ``marshal``, both built in, rather than load a process
 pool.
+
+``entry`` is the process: ``python -m apc`` and the ``apc`` script run it.
+It runs ``main``, then freezes the heap (``gc.freeze``) and exits with the
+command's code, so that the collection at interpreter exit skips a heap
+that is about to be freed anyway. That is safe: the heap is frozen only
+once the command is done, reference counting still frees every acyclic
+object at once, every file apc writes is closed by a ``with`` block, a
+sweep reaps its lanes before ``main`` returns, and exit still flushes
+stdout and stderr and runs ``atexit``. The collector stays on while the
+command runs: turned off, it would let cyclic garbage pile up and raise a
+long compile's peak memory. ``main`` itself, the in-process call of tests
+and library users, leaves the collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import marshal
 import math
 import os
@@ -528,5 +541,13 @@ def main(argv=None) -> int:
         return outcome[0]
 
 
+def entry() -> None:
+    """The ``apc`` process: ``main`` over ``sys.argv``, then the heap frozen
+    and exit with its code (see the module docstring)."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -17,12 +17,12 @@ Element semantics (machine convention: summers and integrators invert):
 
 Netlists are immutable after construction and safe to share between
 concurrent simulations. On file a netlist is its elements, each carrying
-its net's name if it has one, and its outputs; two elements of one name
-are rejected, and so is a file with the ``nets`` table of earlier
-versions, whose source must be compiled again. The compiler's sidecar
-mapping, which ties source-level signals and parameters to nets and
-pots, lives here too: everything that reads a compiled program back
-needs only this module.
+its net's name if it has one, and its outputs; an element of two names
+is not saved, two elements of one name are not loaded, and nor is a file
+with the ``nets`` table of earlier versions, whose source must be
+compiled again. The compiler's sidecar mapping, which ties source-level
+signals and parameters to nets and pots, lives here too: everything that
+reads a compiled program back needs only this module.
 """
 
 from __future__ import annotations
@@ -412,7 +412,13 @@ def _finite(doc: dict, key: str, where: str, positive: bool = False) -> float:
 
 
 def netlist_to_dict(netlist: Netlist) -> dict:
-    name_of = {eid: name for name, eid in netlist.names.items()}
+    """The JSON document of a netlist; StructuralError for an element with
+    two names, which a file, one name per element, cannot hold."""
+    name_of = {}
+    for name, eid in netlist.names.items():
+        if eid in name_of:
+            raise StructuralError(f"element {eid!r} named {name_of[eid]!r}, {name!r}")
+        name_of[eid] = name
     elements = []
     for e in netlist.elements.values():
         params = dict(e.params)
@@ -455,8 +461,9 @@ def netlist_from_dict(doc: dict) -> Netlist:
 
 
 def save_netlist(netlist: Netlist, path) -> None:
+    doc = netlist_to_dict(netlist)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(netlist_to_dict(netlist), fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 

@@ -1,6 +1,7 @@
 import ast
 import copy
 import csv
+import gc
 import io
 import json
 import math
@@ -1523,3 +1524,99 @@ class TestUsage:
 
     def test_no_args(self):
         assert main([]) == 1
+
+
+# ---------------------------------------------------------------------------
+# The process edge: ``python -m apc`` and the ``apc`` script run
+# ``cli.entry``, which sets the collector policy; ``cli.main`` never does.
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "sine.apc"], 0),
+    (["compile", "sine.apc", "-o", "sine.json"], 0),
+    (["run", "sine.json", "--dt", "1e-2"], 0),
+    (["run", "runaway.json", "--strict-overload"], 5),
+    (["sweep", "vco.json", "--param", "k=0.2,0.4", "--tend", "1", "--out", "sweep"], 0),
+    (["map", "sine.json"], 0),
+    (["frobnicate"], 1),
+], ids=["check", "compile", "run", "strict", "sweep", "map", "usage"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_main_leaves_the_collector_as_it_found_it(workdir, capsys, argv, code, enabled):
+    write(workdir / "sine.apc", SINE_SRC)
+    compiled(workdir, SINE_SRC, "sine")
+    compiled(workdir, UNSTABLE_SRC, "runaway", ("--scale", "none"))
+    compiled(workdir, VCO_SRC, "vco", ("--scale", "none"))
+    frozen = gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(argv) == code
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        gc.enable()
+
+
+def test_entry_freezes_the_heap_and_exits_with_the_code(workdir):
+    """``entry`` runs ``main`` with the collector on, freezes the heap
+    before exit, and exits with the command's code."""
+    write(workdir / "sine.apc", SINE_SRC)
+    code = ("import atexit, gc, sys\n"
+            "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0))\n"
+            "sys.argv[1:] = ['check', 'sine.apc']\n"
+            "from apc.cli import entry\n"
+            "entry()\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=workdir, env=src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True True\n", "")
+
+
+#: (argv, exit code) of the commands run both ways, in order, each on the
+#: files of the ones before: the runaway unscaled, traced and strict, and
+#: the autoscaled decay, whose output rides at parity -1.
+ENTRY_COMMANDS = [
+    (["compile", "runaway.apc", "--scale", "none", "-o", "runaway-none.json"], 0),
+    (["run", "runaway-none.json", "--trace", "runaway-none.csv"], 0),
+    (["run", "runaway-none.json", "--strict-overload"], 5),
+    (["compile", "decay.apc", "-o", "decay.json"], 0),
+    (["run", "decay.json", "--trace", "decay.csv"], 0),
+    (["run", "decay.json", "--trace", "decay.pu.csv", "--problem-units"], 0),
+    (["run", "decay.json", "--dt", "0"], 1),
+    (["run"], 1),
+]
+
+
+def test_outputs_do_not_depend_on_the_entry_point(tmp_path, capsys, monkeypatch):
+    """``python -m apc`` writes the same files, byte for byte, prints the same
+    lines and exits with the same codes as ``cli.main`` in this process."""
+    results = {}
+    for way in ("process", "main"):
+        work = tmp_path / way
+        work.mkdir()
+        write(work / "runaway.apc", UNSTABLE_SRC)
+        shutil.copy(ROOT / "programs" / "decay.apc", work)
+        monkeypatch.chdir(work)
+        seen = []
+        for argv, code in ENTRY_COMMANDS:
+            if way == "process":
+                proc = subprocess.run([sys.executable, "-m", "apc", *argv], cwd=work,
+                                      env=src_env(), capture_output=True, text=True, timeout=60)
+                seen.append((proc.returncode, proc.stdout, proc.stderr))
+            else:
+                returned = main(argv)
+                seen.append((returned, *capsys.readouterr()))
+            assert seen[-1][0] == code, (way, argv)
+        files = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
+        results[way] = seen, files
+    assert sorted(results["main"][1]) == sorted(
+        ["runaway.apc", "decay.apc", "decay.json", "decay.map.json", "runaway-none.json",
+         "runaway-none.map.json"] + [f"{stem}{ext}" for stem in ("runaway-none", "decay", "decay.pu")
+                                     for ext in (".csv", ".overloads.csv")])
+    assert results["process"] == results["main"]
+
+
+def test_the_console_script_runs_what_python_m_apc_runs():
+    """pyproject.toml's ``apc`` script names the callable ``__main__`` calls."""
+    tomllib = pytest.importorskip("tomllib")
+    script = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]["apc"]
+    module, _, name = script.partition(":")
+    assert (ROOT / "src" / "apc" / "__main__.py").read_text() == (
+        f"from .{module.removeprefix('apc.')} import {name}\n\n{name}()\n")
+    assert script == "apc.cli:entry"

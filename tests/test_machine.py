@@ -28,6 +28,7 @@ from apc.machine import (
     netlist_from_dict,
     netlist_to_dict,
     reference,
+    save_netlist,
     summer,
     Violation,
     validate,
@@ -567,6 +568,18 @@ def test_an_element_with_two_names_builds_no_machine():
     with pytest.raises(ConstructionError, match=re.escape(
             "netlist does not validate: r: duplicate-name: named 'a', 'b'")):
         new_instance(n)
+
+
+def test_an_element_with_two_names_is_not_saved(tmp_path):
+    """A file names a net on its element, once: such a netlist was saved as
+    a file that kept only the name 'b' and so failed validation on reload
+    with ``missing-output: output 'a' names no net``."""
+    path = tmp_path / "two.json"
+    n = Netlist([reference("r", 1.0)], {"a": "r", "b": "r"}, ("a",))
+    message = "element 'r' named 'a', 'b'"
+    with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+        save_netlist(n, path)
+    assert not path.exists()
 
 
 def test_interpolation_midpoints():
