@@ -16,7 +16,7 @@ from importlib import import_module as _import_module
 
 #: Submodule -> the names the package exports from it.
 _EXPORTS = {
-    "compiler": ("CompileError", "CompileOptions", "CompileResult", "ScaleMap", "compile_system"),
+    "compiler": ("CompileOptions", "CompileResult", "ScaleMap", "compile_system"),
     "dsl": ("Diagnostic", "OdeSystem", "parse", "pretty", "resolve"),
     "fabric": ("THAT", "MachineSpec", "PatchAssignment", "ResourceError", "apply_assignment",
                "load_machine_spec", "map_netlist", "patch_instructions"),

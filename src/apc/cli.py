@@ -506,7 +506,6 @@ _ERRORS = (
     ("machine.ConstructionError", "", EXIT_USAGE),
     (OSError, "", EXIT_USAGE),
     ("machine.ScalingError", "scaling: ", EXIT_SCALE),
-    ("compiler.CompileError", "compile: ", EXIT_COMPILE),
     ("simulator.OverloadError", "overload: ", EXIT_OVERLOAD),
     ("machine.StructuralError", "simulation: ", EXIT_SCALE),
 )

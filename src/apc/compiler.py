@@ -57,11 +57,6 @@ _PENDING = "__pending__"
 RANGE_TOL = 1e-9
 
 
-class CompileError(ValueError):
-    """An internal error of the compiler: a program it cannot scale raises
-    ``ScalingError``."""
-
-
 # --- normal form -------------------------------------------------------------
 # An expression becomes a sum of terms; each term is a numeric coefficient
 # (with symbolic param bookkeeping for the sweep interface) times signal,
@@ -192,7 +187,6 @@ class NetlistBuilder:
 
     def __init__(self):
         self.elements: dict[str, Element] = {}
-        self.outputs: dict[str, str] = {}  # output name -> element id
         self._counters: Counter = Counter()
 
     def add(self, make, *args) -> str:
@@ -203,12 +197,6 @@ class NetlistBuilder:
         eid = f"{prefix}{self._counters[prefix]}"
         self.elements[eid] = make(eid, *args)
         return eid
-
-    def build(self) -> Netlist:
-        for e in self.elements.values():
-            if _PENDING in e.inputs:
-                raise CompileError(f"internal error: unpatched feedback input on {e.id}")
-        return Netlist(self.elements.values(), self.outputs)
 
 
 # --- synthesis ---------------------------------------------------------------
@@ -435,14 +423,17 @@ def compile_system(system: OdeSystem, options: CompileOptions | None = None) -> 
 
     for name, order in system.outputs:
         net, parity = signals[(name, order)]
-        if net in builder.outputs.values():  # another output's net (eq x = y): buffer it
+        if builder.elements[net].name is not None:  # another output's net (eq x = y): buffer it
             net = builder.add(coefficient, net, 1.0)
             signals[(name, order)] = (net, parity)
-        builder.outputs[signal_name(name, order)] = net
+        e = builder.elements[net]
+        builder.elements[net] = Element(e.id, e.kind, e.params, e.inputs, signal_name(name, order))
 
-    netlist = builder.build()
+    netlist = Netlist(builder.elements.values(), [signal_name(*s) for s in system.outputs])
 
-    evaluation_order(netlist)  # no resolved program fails this check
+    # No resolved program fails this check; an unpatched feedback input
+    # would fail it as a dangling input.
+    evaluation_order(netlist)
 
     bindings = {
         signal_name(var, order): SignalBinding(net, parity, scale.m(var, order))

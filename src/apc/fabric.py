@@ -167,7 +167,7 @@ def apply_assignment(netlist: Netlist, assignment: PatchAssignment) -> Netlist:
     soundness.
     """
     slot = assignment.slot_of
-    elements = [Element(slot[e.id], e.kind, dict(e.params), tuple(slot[n] for n in e.inputs))
+    elements = [Element(slot[e.id], e.kind, dict(e.params), tuple(slot[n] for n in e.inputs),
+                        e.name)
                 for e in netlist.elements.values()]
-    return Netlist(elements, {name: slot[eid] for name, eid in netlist.names.items()},
-                   netlist.outputs)
+    return Netlist(elements, netlist.outputs)

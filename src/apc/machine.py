@@ -16,13 +16,13 @@ Element semantics (machine convention: summers and integrators invert):
     Reference           out = +1 or -1
 
 Netlists are immutable after construction and safe to share between
-concurrent simulations. On file a netlist is its elements, each carrying
-its net's name if it has one, and its outputs; an element of two names
-is not saved, two elements of one name are not loaded, and nor is a file
-with the ``nets`` table of earlier versions, whose source must be
-compiled again. The compiler's sidecar mapping, which ties source-level
-signals and parameters to nets and pots, lives here too: everything that
-reads a compiled program back needs only this module.
+concurrent simulations. A net's name, if it has one, is a field of the
+element that drives it, in memory as on file; no netlist holds two
+elements of one name, and no file with the ``nets`` table of earlier
+versions is loaded: its source must be compiled again. The compiler's
+sidecar mapping, which ties source-level signals and parameters to nets
+and pots, lives here too: everything that reads a compiled program back
+needs only this module.
 """
 
 from __future__ import annotations
@@ -169,11 +169,13 @@ def _as_float(x) -> float:
 
 
 class Element(Frozen):
-    """One computing element: identity, kind, parameters and input nets."""
+    """One computing element: identity, kind, parameters, input nets and
+    the name of the net it drives, None for an unnamed net."""
 
-    __slots__ = ("id", "kind", "params", "inputs")
+    __slots__ = ("id", "kind", "params", "inputs", "name")
 
-    def __init__(self, id: str, kind: Kind, params: dict | None = None, inputs: tuple = ()):
+    def __init__(self, id: str, kind: Kind, params: dict | None = None, inputs: tuple = (),
+                 name: str | None = None):
         params = {} if params is None else params
         if kind is Kind.FUNCTION_GENERATOR and "table" in params:
             try:
@@ -185,7 +187,7 @@ class Element(Frozen):
             table = tuple((json_value(x, float, where), json_value(y, float, where))
                           for x, y in pairs)
             params = {**params, "table": table}
-        super().__init__(id, kind, params, tuple(inputs))
+        super().__init__(id, kind, params, tuple(inputs), name)
 
 
 def summer(eid: str, inputs) -> Element:
@@ -236,18 +238,24 @@ class Netlist:
     """Immutable element graph.
 
     ``elements`` maps element id to Element, each driving the net of its
-    id; ``names`` maps a net name to its element id, and ``outputs`` lists
-    the names exposed to traces, all of ``names`` by default. Construction
-    freezes insertion order, which downstream passes rely on for determinism.
+    id; ``names`` maps each element's name to its id, and ``outputs`` lists
+    the names exposed to traces, all of ``names`` by default. Two elements
+    of one id or of one name are a StructuralError. Construction freezes
+    insertion order, which downstream passes rely on for determinism.
     """
 
-    def __init__(self, elements, names: dict[str, str] | None = None, outputs=None):
+    def __init__(self, elements, outputs=None):
         self.elements: dict[str, Element] = {}
+        self.names: dict[str, str] = {}
         for e in elements:
             if e.id in self.elements:
                 raise StructuralError(f"duplicate element id {e.id!r}")
+            if e.name in self.names:
+                raise StructuralError(
+                    f"elements {self.names[e.name]!r} and {e.id!r} are both named {e.name!r}")
             self.elements[e.id] = e
-        self.names: dict[str, str] = dict(names or {})
+            if e.name is not None:
+                self.names[e.name] = e.id
         self.outputs: tuple[str, ...] = tuple(self.names if outputs is None else outputs)
 
     def counts(self) -> dict[str, int]:
@@ -302,14 +310,10 @@ def validate(netlist: Netlist) -> list[Violation]:
     """Structural validation report; empty means the netlist is well formed.
 
     Checks input arities, that every input names an element's net,
-    parameter ranges, that no element carries two names, and that each
-    output names a net and is listed once. Violations are report
-    entries, never exceptions.
+    parameter ranges, and that each output names a net and is listed
+    once. Violations are report entries, never exceptions.
     """
     report: list[Violation] = []
-    carried: dict[str, list[str]] = {}
-    for name, eid in netlist.names.items():
-        carried.setdefault(eid, []).append(name)
     for e in netlist.elements.values():
         problem = arity_error(e.kind, len(e.inputs))
         if problem:
@@ -318,11 +322,8 @@ def validate(netlist: Netlist) -> list[Violation]:
             if nid not in netlist.elements:
                 report.append(Violation(e.id, "dangling-input", f"input references missing net {nid!r}"))
         report.extend(_check_params(e))
-        if len(carried.get(e.id, ())) > 1:
-            report.append(Violation(e.id, "duplicate-name",
-                                    f"named {', '.join(map(repr, carried[e.id]))}"))
     for name, count in Counter(netlist.outputs).items():
-        if netlist.names.get(name) not in netlist.elements:
+        if name not in netlist.names:
             report.append(Violation("", "missing-output", f"output {name!r} names no net"))
         if count > 1:
             report.append(Violation("", "duplicate-output", f"output {name!r} is listed {count} times"))
@@ -412,32 +413,28 @@ def _finite(doc: dict, key: str, where: str, positive: bool = False) -> float:
 
 
 def netlist_to_dict(netlist: Netlist) -> dict:
-    """The JSON document of a netlist; StructuralError for an element with
-    two names, which a file, one name per element, cannot hold."""
-    name_of = {}
-    for name, eid in netlist.names.items():
-        if eid in name_of:
-            raise StructuralError(f"element {eid!r} named {name_of[eid]!r}, {name!r}")
-        name_of[eid] = name
+    """The JSON document of a netlist: its elements, each with its
+    ``name`` if it has one, and its outputs."""
     elements = []
     for e in netlist.elements.values():
         params = dict(e.params)
         if "table" in params:
             params["table"] = [list(p) for p in params["table"]]
         ed = {"id": e.id, "kind": e.kind.value, "params": params, "inputs": list(e.inputs)}
-        if e.id in name_of:
-            ed["name"] = name_of[e.id]
+        if e.name is not None:
+            ed["name"] = e.name
         elements.append(ed)
     return {"elements": elements, "outputs": list(netlist.outputs)}
 
 
 def netlist_from_dict(doc: dict) -> Netlist:
     """The netlist of a JSON document, each element's optional ``name``
-    naming its net, no two of one name (an empty name names nothing); else
-    StructuralError, which names the unknown key of a file with the
-    ``nets`` table of earlier versions: its source must be compiled again."""
+    naming its net (an empty name names nothing); else StructuralError,
+    which ``Netlist`` raises for two elements of one name, and which names
+    the unknown key of a file with the ``nets`` table of earlier versions:
+    its source must be compiled again."""
     doc = json_object(doc, "netlist", {"elements": list, "outputs": list})
-    elements, names = [], {}
+    elements = []
     for ed in doc["elements"]:
         where = f"element {ed['id']!r}" if isinstance(ed, dict) and "id" in ed else "element"
         ed = json_object(ed, where, {"id": str, "kind": str, "params": dict, "inputs": list,
@@ -450,14 +447,9 @@ def netlist_from_dict(doc: dict) -> Netlist:
         params = json_object(ed.get("params", {}), f"params of {where}",
                              {k: list if k == "table" else float for k in keys}, optional=keys)
         inputs = tuple(json_value(n, str, f"input of {where}") for n in ed.get("inputs", []))
-        elements.append(Element(ed["id"], kind, params, inputs))
-        name = ed.get("name")
-        if name in names:
-            raise StructuralError(f"elements {names[name]!r} and {ed['id']!r} are both named {name!r}")
-        if name:
-            names[name] = ed["id"]
+        elements.append(Element(ed["id"], kind, params, inputs, ed.get("name") or None))
     outputs = tuple(json_value(name, str, "netlist output") for name in doc["outputs"])
-    return Netlist(elements, names, outputs)
+    return Netlist(elements, outputs)
 
 
 def save_netlist(netlist: Netlist, path) -> None:
@@ -540,7 +532,7 @@ class Mapping(Record):
             b, net = self.signals.get(name), netlist.names.get(name)
             if b is None:
                 raise StructuralError(f"output {name!r} has no signal binding")
-            if b.net != net and net in netlist.elements:  # else validation names the output
+            if net is not None and b.net != net:  # else validation names the output
                 raise StructuralError(f"signal {name!r} binds net {b.net!r}, "
                                       f"but the netlist's output {name!r} is net {net!r}")
         for name, b in self.signals.items():

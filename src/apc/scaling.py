@@ -65,6 +65,8 @@ SAFETY_MARGIN = 1.25
 MARGINED = frozenset({"modal", "box", "oracle"})
 ORACLE_RTOL = 1e-9
 ORACLE_ATOL = 1e-12
+#: The rejection level: a reference magnitude or a modal or box bound past it is unbounded.
+MAGNITUDE_MAX = 1e12
 
 
 # --- expression values: floats and numpy arrays, and signed intervals ----------
@@ -166,7 +168,8 @@ _DP_P = [
 _DP_SAFETY, _DP_MIN_FACTOR, _DP_MAX_FACTOR = 0.9, 0.2, 10
 _DIVERGED = ("unbounded system: the reference run diverged; "
              "annotate bounds with 'bound NAME = VALUE'")
-_UNBOUNDED = "unbounded system: reference magnitudes exceed 1e12; annotate bounds"
+_UNBOUNDED = (f"unbounded system: reference magnitudes exceed {MAGNITUDE_MAX:.0e}; "
+              "annotate bounds").replace("e+", "e")
 
 
 def _dopri45(fun, y0, t_end: float, t_eval, rtol: float, atol: float):
@@ -261,7 +264,7 @@ def reference_solution(system: OdeSystem, t_eval=None) -> OracleSolution:
 
     Returns trajectories for every signal, including the highest
     derivative of each variable. Independent of the netlist path: it
-    evaluates the resolved equations directly. A magnitude above 1e12 is
+    evaluates the resolved equations directly. A magnitude above ``MAGNITUDE_MAX`` is
     a ScalingError, raised before integrating if t = 0 already shows it.
     """
     import numpy as np  # deferred: only the oracle needs it
@@ -293,7 +296,7 @@ def reference_solution(system: OdeSystem, t_eval=None) -> OracleSolution:
         t_eval = np.asarray(t_eval, dtype=float)
     if state_keys:
         x0 = [system.inits[key] for key in state_keys]
-        if any(math.isfinite(x) and abs(x) > 1e12 for x in (*rhs(0.0, x0), *point.values())):
+        if any(math.isfinite(x) and abs(x) > MAGNITUDE_MAX for x in (*rhs(0.0, x0), *point.values())):
             raise ScalingError(_UNBOUNDED)
         with np.errstate(over="ignore", invalid="ignore"):  # a diverging run raises below instead
             y = _dopri45(rhs, x0, max(system.horizon, float(t_eval[-1])), t_eval, ORACLE_RTOL, ORACLE_ATOL)
@@ -306,7 +309,7 @@ def reference_solution(system: OdeSystem, t_eval=None) -> OracleSolution:
     env = {key: np.asarray(val) + np.zeros_like(t_eval) for key, val in {**point, **tops}.items()}
     if any(not np.all(np.isfinite(np.asarray(a, dtype=float))) for a in env.values()):
         raise ScalingError("unbounded system: non-finite reference values; annotate bounds")
-    if max((float(np.max(np.abs(a))) for a in env.values()), default=0.0) > 1e12:
+    if max((float(np.max(np.abs(a))) for a in env.values()), default=0.0) > MAGNITUDE_MAX:
         raise ScalingError(_UNBOUNDED)
     return OracleSolution(t_eval, env)
 
@@ -502,7 +505,7 @@ def _modal_bounds(system: OdeSystem) -> dict | None:
     x' = A x, or None where the oracle must decide: the program is not
     homogeneous linear (``_state_matrix``), the decomposition that gives V
     and V^-1 fails (``_eig``), cond_1(V) exceeds ``MODAL_MAX_COND``, a
-    bound is not finite or exceeds 1e12, a bound above 1e-12 is more than
+    bound is not finite or exceeds ``MAGNITUDE_MAX``, a bound above 1e-12 is more than
     ``MODAL_MAX_SLACK`` times the largest magnitude its signal takes at the
     ``_SAMPLES`` times (modes that cancel), or a magnitude overflows. Each bound carries a
     relative slack of 8 n cond_1(V) eps for the decomposition's rounding.
@@ -539,7 +542,7 @@ def _modal_bounds(system: OdeSystem) -> dict | None:
             terms = [abs(wk * ck) for wk, ck in zip(w, c)]
             at_end = sum(t * g for t, g in zip(terms, growth) if t)
             bound = max(sum(terms), at_end) * slack
-            if not bound <= 1e12:
+            if not bound <= MAGNITUDE_MAX:
                 return None
             modes = [(wk * ck, wave) for wk, ck, wave in zip(w, c, waves) if ck]
             sampled = max(abs(sum(wc * wave[i] for wc, wave in modes).real)
@@ -576,8 +579,6 @@ BOX_ROUNDS = 64
 #: one, which shrink the box once it holds: the doubling search can leave a
 #: size up to twice what its face needs.
 BOX_BISECTIONS = 8
-#: The largest bound a box reports, the oracle's rejection level.
-_BOX_MAX = 1e12
 
 
 def _ceil(x) -> float:
@@ -611,7 +612,7 @@ def _grow(sizes: list, holds, reads: list) -> list | None:
     diffusion chain in one sweep, where doubling every failing size
     overshoots and sets its neighbours failing in turn. Returns each size's
     last failing value (its unfloored start if none), or None after
-    ``BOX_ROUNDS`` sweeps or once a size passes 1e12."""
+    ``BOX_ROUNDS`` sweeps or once a size passes ``MAGNITUDE_MAX``."""
     below = list(sizes)
     floor = BOX_FLOOR * max(sizes, default=0.0)
     sizes[:] = [max(x, floor) for x in sizes]
@@ -624,7 +625,7 @@ def _grow(sizes: list, holds, reads: list) -> list | None:
             x = below[i] = sizes[i]
             top = max((sizes[j] for j in reads[i]), default=0.0)
             sizes[i] = (min(2 * x, top) if top > x else 2 * x) if x else top or BOX_FLOOR
-            if not sizes[i] <= _BOX_MAX:
+            if not sizes[i] <= MAGNITUDE_MAX:
                 return None
         if not failed:
             return below
@@ -635,7 +636,7 @@ def _box_bounds(system: OdeSystem) -> dict | None:
     """Bound of every signal's magnitude at every t >= 0 from an invariant
     box of the states, or None where the oracle must decide: a variable has
     order 2 or more, the box still fails after ``BOX_ROUNDS`` sweeps, a
-    bound exceeds 1e12, or a signal a lookup table reads exceeds 1, the
+    bound exceeds ``MAGNITUDE_MAX``, or a signal a lookup table reads exceeds 1, the
     most its pin to scale 1 allows."""
     if any(n > 1 for n in system.var_order.values()) or not all(
             math.isfinite(x) for x in system.inits.values()):
@@ -702,7 +703,7 @@ def _box_bounds(system: OdeSystem) -> dict | None:
     out = {(u, 0): _ceil(box[(u, 0)].magnitude()) for u in system.order0}
     for v, x in zip(states, b):
         out[(v, 0)], out[(v, 1)] = x, _ceil(interval(system.equations[v], box).magnitude())
-    if not all(x <= _BOX_MAX for x in out.values()) or any(
+    if not all(x <= MAGNITUDE_MAX for x in out.values()) or any(
             out[key] > 1 for key in _lut_arg_signals(system) if key in out):
         return None
     return out

@@ -416,8 +416,7 @@ def _generate(netlist: Netlist, resolution: float):
                            f"o{j} = clamp(o{j}, {tau}, {nid!r}, i)")
             values.append(f"o{j}")
             checked.append(j)
-    pos = {eid: j for j, eid in enumerate(elements)}
-    name_pos = {name: pos[eid] for name, eid in netlist.names.items()}
+    name_pos = {e.name: j for j, e in enumerate(elements.values()) if e.name is not None}
     samples = [f"ap{k}({values[name_pos[name]]})" for k, name in enumerate(netlist.outputs)]
     states = ", ".join(f"as{i}" for i in range(len(integrators)))
 

@@ -204,6 +204,14 @@ def autoscaled_json(src: str) -> str:
     return json.dumps([machine.netlist_to_dict(result.netlist), result.mapping.to_dict()])
 
 
+def named(elements, **names) -> list:
+    """``elements``, each whose id is a keyword of ``names`` named by that
+    keyword's value; with no keywords, each named by its own id."""
+    names = names or {e.id: e.id for e in elements}
+    return [machine.Element(e.id, e.kind, e.params, e.inputs, names.get(e.id, e.name))
+            for e in elements]
+
+
 #: The loader's one line for a netlist file with the ``nets`` table of
 #: earlier versions.
 NETS_KEY = "unknown key(s) ['nets'] in netlist"

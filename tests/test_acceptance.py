@@ -30,7 +30,7 @@ from apc.compiler import ScaleMap
 from apc.machine import Netlist, integrator, reference
 from apc.scaling import autoscale
 from apc.simulator import LEGAL_TRANSITIONS, Mode, ModeError
-from conftest import SINE5_SRC, SINE_SRC, UNSTABLE_SRC, FIG2_SRC, build, resolve_src, src_env
+from conftest import SINE5_SRC, SINE_SRC, UNSTABLE_SRC, FIG2_SRC, build, named, resolve_src, src_env
 
 PHI = math.pi / 6
 
@@ -49,7 +49,7 @@ def report(number: int, description: str):
 
 def ramp(k0):
     elems = [reference("one", 1.0), integrator("i", ["one"], ic=0.0, k0=k0)]
-    return Netlist(elems, names={"out": "i"})
+    return Netlist(named(elems, i="out"))
 
 
 def test_criterion_1_integrator_law():

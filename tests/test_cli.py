@@ -39,6 +39,7 @@ from conftest import (
     SINE_SRC,
     UNSTABLE_SRC,
     VCO_SRC,
+    named,
     src_env,
     with_old_net_table,
 )
@@ -380,10 +381,10 @@ class TestRun:
     def test_nan_into_a_function_generator_exits_4(self, workdir, capsys):
         # int1 overflows to -inf within the first step of 10; s reads
         # -inf + inf = NaN in the stage after, and looks it up.
-        n = Netlist(
+        n = Netlist(named(
             [reference("r", 1.0), integrator("int1", ["r"], k0=1e308), summer("inv", ["int1"]),
              summer("s", ["int1", "inv"]), function_generator("fg", "s", [(-1, -1), (1, 1)]),
-             integrator("int2", ["fg"])], names={"y": "int2"})
+             integrator("int2", ["fg"])], int2="y"))
         save_netlist(n, workdir / "nanfg.json")
         assert main(["run", "nanfg.json", "--tend", "20", "--dt", "10"]) == 4
         assert capsys.readouterr().err == "apc: simulation: non-finite value at element 'int1'\n"
@@ -557,8 +558,8 @@ class TestSidecarMismatch:
 
 def looped_netlist(workdir):
     """Two summers feeding each other through a coefficient: an algebraic loop."""
-    n = Netlist([summer("s1", ["k"]), summer("s2", ["s1"]),
-                 coefficient("k", "s2", 0.5)], names={"y": "s1"})
+    n = Netlist(named([summer("s1", ["k"]), summer("s2", ["s1"]),
+                       coefficient("k", "s2", 0.5)], s1="y"))
     path = workdir / "loop.json"
     save_netlist(n, path)
     return str(path)
@@ -566,8 +567,8 @@ def looped_netlist(workdir):
 
 def overload_netlist(workdir):
     """s = -(1 + k) overloads in the initial state and at every step."""
-    n = Netlist([reference("r", 1.0), coefficient("k", "r", 0.5),
-                 summer("s", ["r", "k"])], names={"y": "s"})
+    n = Netlist(named([reference("r", 1.0), coefficient("k", "r", 0.5),
+                       summer("s", ["r", "k"])], s="y"))
     path = workdir / "over.json"
     save_netlist(n, path)
     return path
@@ -576,8 +577,8 @@ def overload_netlist(workdir):
 def huge_gain_netlist(workdir, k0=1e308):
     """A +1 reference through a coefficient into an integrator of gain ``k0``.
     At 1e308 its state overflows on the first step of 10, and 100 * k0 overflows."""
-    n = Netlist([reference("r", 1.0), coefficient("k", "r", 0.5),
-                 integrator("i", ["k"], k0=k0)], names={"y": "i"})
+    n = Netlist(named([reference("r", 1.0), coefficient("k", "r", 0.5),
+                       integrator("i", ["k"], k0=k0)], i="y"))
     path = workdir / "big.json"
     save_netlist(n, path)
     return str(path)
@@ -625,8 +626,7 @@ def dense_loop_netlist(workdir):
     """Twelve summers each reading all twelve nets, and a coefficient k: more
     than 10^8 elementary cycles, of which an error names one."""
     ids = [f"s{i:02d}" for i in range(12)]
-    n = Netlist([*[summer(i, ids) for i in ids], coefficient("k", "s00", 0.5)],
-                names={"y": "k"})
+    n = Netlist(named([*[summer(i, ids) for i in ids], coefficient("k", "s00", 0.5)], k="y"))
     path = workdir / "dense.json"
     save_netlist(n, path)
     return str(path)
@@ -986,9 +986,9 @@ class TestSweep:
         assert_no_child_left()
 
     def test_csv_files_quote_names_as_csv_writer_does(self, workdir, monkeypatch):
-        n = Netlist([reference("r", 1.0), coefficient("k", "r", 0.5),
-                     summer("s", ["k"])],
-                    names={"a,b": "k", 'say "s"': "s", "two\nlines": "r"})
+        n = Netlist(named([reference("r", 1.0), coefficient("k", "r", 0.5), summer("s", ["k"])],
+                          k="a,b", s='say "s"', r="two\nlines"),
+                    outputs=("a,b", 'say "s"', "two\nlines"))
         save_netlist(n, workdir / "q.json")
         set_cpus(monkeypatch, 2)
         assert main(["sweep", str(workdir / "q.json"), "--param", "k=0.25,0.5", "--tend", "0.1",
@@ -1327,10 +1327,11 @@ def test_autoscaled_compile_leaves_out_scipy(tmp_path):
 
 #: Every name ``apc`` exported when its ``__init__`` still imported every
 #: submodule, but ``algebraic_loops``, which enumerated every cycle,
-#: ``Net``, a net being its driver's output, and the compiler's two range
-#: errors, which are ``ScalingError`` now: all are gone.
+#: ``Net``, a net being its driver's output, the compiler's two range
+#: errors, which are ``ScalingError`` now, and ``CompileError``, whose one
+#: check ``evaluation_order`` makes: all are gone.
 PACKAGE_NAMES = [
-    "BoundsEstimate", "CompileError", "CompileOptions", "CompileResult", "ConstructionError",
+    "BoundsEstimate", "CompileOptions", "CompileResult", "ConstructionError",
     "Diagnostic", "Element", "Kind", "MachineInstance", "MachineSpec", "Mapping", "Mode",
     "ModeError", "Netlist", "OdeSystem", "OverloadError", "PatchAssignment",
     "ResourceError", "ScaleMap", "ScalingError", "SignalBinding",

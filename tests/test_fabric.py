@@ -22,7 +22,7 @@ from apc.machine import (AlgebraicLoopError, Netlist, ScalingError, coefficient,
                          reference, save_netlist, summer)
 from apc.scaling import autoscale
 from apc.simulator import OverloadEvent, SimConfig, new_instance
-from conftest import build, compilable_programs, resolve_src
+from conftest import build, compilable_programs, named, resolve_src
 
 #: Room for any program ``compilable_programs`` draws.
 ROOMY = MachineSpec("roomy", dict.fromkeys(THAT.inventory, 64))
@@ -55,7 +55,7 @@ class TestMapping:
         assert err.value.deficits == {"integrator": 1}
 
     def test_empty_netlist(self):
-        assignment = map_netlist(Netlist([], {}), THAT)
+        assignment = map_netlist(Netlist([]), THAT)
         assert assignment.slot_of == {} and assignment.patches == []
 
     def test_single_input_summers_prefer_inverter_slots(self, sine):
@@ -103,8 +103,7 @@ class TestPatchInstructions:
         assert patch_instructions(a1) == patch_instructions(a2)
 
     def test_reference_into_coefficient(self):
-        n = Netlist([reference("r", 1.0), coefficient("k", "r", 0.25)],
-                    names={"out": "k"})
+        n = Netlist(named([reference("r", 1.0), coefficient("k", "r", 0.25)], k="out"))
         text = patch_instructions(map_netlist(n, THAT))
         lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
         assert lines == ["connect REFP1.out -> POT1.in1", "set POT1 = 0.25"]

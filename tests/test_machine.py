@@ -13,7 +13,6 @@ from apc.dsl import (Bin, Call, Decl, Num, Program, Ref, TableDecl, TimeDecl, Va
                      resolve)
 from apc.machine import (
     AlgebraicLoopError,
-    ConstructionError,
     Element,
     Kind,
     Netlist,
@@ -28,13 +27,12 @@ from apc.machine import (
     netlist_from_dict,
     netlist_to_dict,
     reference,
-    save_netlist,
     summer,
     Violation,
     validate,
 )
 from apc.simulator import new_instance
-from conftest import NETS_KEY, with_old_net_table
+from conftest import NETS_KEY, named, with_old_net_table
 
 
 def fig2_netlist():
@@ -48,7 +46,7 @@ def fig2_netlist():
         summer("inv1", ["sum1"]),
         multiplier("mul1", "a", "inv1"),
     ]
-    return Netlist(elems, names={"x": "mul1"})
+    return Netlist(named(elems, mul1="x"))
 
 
 class TestElementOutput:
@@ -214,7 +212,7 @@ def dag_netlists(draw):
             elems.append(reference(eid, draw(signs)))
         nets.append(eid)
     out = draw(st.sampled_from(nets))
-    return Netlist(elems, names={"out": out})
+    return Netlist(named(elems, **{out: "out"}))
 
 
 def fold_outputs(netlist):
@@ -240,12 +238,11 @@ def test_evaluation_order_assigns_every_net_once(netlist):
 def test_generated_nets_equal_element_output_fold(netlist):
     # Name every net so the machine exposes it; the ideal machine at IC
     # must reproduce the reference fold exactly wherever nothing clamps.
-    elements = list(netlist.elements.values())
-    named = Netlist(elements, names={e.id: e.id for e in elements})
-    inst = new_instance(named)
+    netlist = Netlist(named(list(netlist.elements.values())))
+    inst = new_instance(netlist)
     assume(not inst.overloads)
-    expected = fold_outputs(named)
-    assert {eid: inst.value(eid) for eid in named.elements} == expected
+    expected = fold_outputs(netlist)
+    assert {eid: inst.value(eid) for eid in netlist.elements} == expected
 
 
 #: A table whose segment formula, evaluated at its last breakpoint,
@@ -294,11 +291,7 @@ def test_net_bounds_hold_every_output(netlist):
 def test_json_round_trip(netlist):
     doc = netlist_to_dict(netlist)
     back = netlist_from_dict(doc)
-    assert set(back.elements) == set(netlist.elements)
-    for eid, e in netlist.elements.items():
-        b = back.elements[eid]
-        assert (b.kind, b.params, b.inputs) == (e.kind, e.params, e.inputs)
-    assert back.names == netlist.names
+    assert back.elements == netlist.elements
     assert back.outputs == netlist.outputs
 
 
@@ -527,12 +520,12 @@ def test_table_lookup_is_its_segment_formula_bit_for_bit(points, x):
     assert repr(element_output(Kind.FUNCTION_GENERATOR, {"table": table}, [x])) == repr(want)
 
 
-def _netlist(*extra, **names_and_outputs):
-    return Netlist([reference("r", 1.0), *extra], **names_and_outputs)
+def _netlist(*extra):
+    return Netlist([reference("r", 1.0), *extra])
 
 
 #: name -> (netlist, its one violation): the parameter rules the
-#: simulator's range proofs rest on, and the naming and output rules.
+#: simulator's range proofs rest on, and the output rules.
 VALIDATION_CASES = {
     "params-missing": (_netlist(Element("k", Kind.COEFFICIENT, {}, ("r",))),
                        Violation("k", "param-range", "expected params ['alpha'], got []")),
@@ -548,10 +541,8 @@ VALIDATION_CASES = {
                      Violation("f", "param-range", "breakpoint (1.5, 0.0) outside [-1, 1]")),
     "breakpoint-y": (_netlist(function_generator("f", "r", [(-1.0, 0.0), (1.0, -2.0)])),
                      Violation("f", "param-range", "breakpoint (1.0, -2.0) outside [-1, 1]")),
-    "duplicate-output": (_netlist(names={"y": "r"}, outputs=("y", "y")),
+    "duplicate-output": (Netlist(named([reference("r", 1.0)], r="y"), ("y", "y")),
                          Violation("", "duplicate-output", "output 'y' is listed 2 times")),
-    "duplicate-name": (_netlist(names={"a": "r", "b": "r"}),
-                       Violation("r", "duplicate-name", "named 'a', 'b'")),
 }
 
 
@@ -559,27 +550,6 @@ VALIDATION_CASES = {
 def test_validate_reports_the_rule(case):
     netlist, violation = VALIDATION_CASES[case]
     assert validate(netlist) == [violation]
-
-
-def test_an_element_with_two_names_builds_no_machine():
-    """Two names on one element once validated, and saved as a file that
-    named only the second, which reloaded with a missing output."""
-    n = Netlist([reference("r", 1.0)], {"a": "r", "b": "r"})
-    with pytest.raises(ConstructionError, match=re.escape(
-            "netlist does not validate: r: duplicate-name: named 'a', 'b'")):
-        new_instance(n)
-
-
-def test_an_element_with_two_names_is_not_saved(tmp_path):
-    """A file names a net on its element, once: such a netlist was saved as
-    a file that kept only the name 'b' and so failed validation on reload
-    with ``missing-output: output 'a' names no net``."""
-    path = tmp_path / "two.json"
-    n = Netlist([reference("r", 1.0)], {"a": "r", "b": "r"}, ("a",))
-    message = "element 'r' named 'a', 'b'"
-    with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
-        save_netlist(n, path)
-    assert not path.exists()
 
 
 def test_interpolation_midpoints():
@@ -604,6 +574,12 @@ def test_json_table_breakpoint_must_be_a_number(point, kind):
 def test_duplicate_element_ids_rejected():
     with pytest.raises(StructuralError):
         Netlist([reference("r", 1.0), reference("r", -1.0)])
+
+
+def test_two_elements_of_one_name_rejected_as_the_loader_rejects_them():
+    message = NET_TABLE_CASES["shared-name"][1]
+    with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+        Netlist(named(list(fig2_netlist().elements.values()), ref1="x"))
 
 
 def test_malformed_table_is_structural():

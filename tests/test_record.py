@@ -208,7 +208,7 @@ def test_construction_error_shows_each_violation():
     """Each violation reaches stderr through ConstructionError as
     ``element: rule: message``, without an empty element."""
     with pytest.raises(ConstructionError) as info:
-        new_instance(Netlist([summer("s", [])], names={"y": "gone"}))
+        new_instance(Netlist([summer("s", [])], outputs=("y",)))
     assert str(info.value) == ("netlist does not validate: s: arity: summer takes 1..N inputs, "
                                "got 0; missing-output: output 'y' names no net")
 

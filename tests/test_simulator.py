@@ -38,7 +38,7 @@ from apc.simulator import (
     descale_trace,
     new_instance,
 )
-from conftest import SINE_SRC, UNSTABLE_SRC, build, src_env
+from conftest import SINE_SRC, UNSTABLE_SRC, build, named, src_env
 from test_compiler import simulable_odes
 from test_machine import dag_netlists
 
@@ -49,7 +49,7 @@ STALL_SRC = "system stall\nvar z order 1\neq z' = -0.25\ninit z = 0\ntime 1\nout
 def ramp_netlist(k0=1.0, ic=0.0):
     """Reference +1 into a single integrator: output reaches -1 at tau=1/k0."""
     elems = [reference("one", 1.0), integrator("i", ["one"], ic=ic, k0=k0)]
-    return Netlist(elems, names={"out": "i"})
+    return Netlist(named(elems, i="out"))
 
 
 class TestIntegratorLaw:
@@ -92,7 +92,7 @@ class TestConstruction:
     def test_grid_that_cannot_quantize_a_net_rejected(self, resolution, net, bound):
         # bound / resolution overflows, so rnd(v / resolution) could too.
         elems = [integrator("i", ["s"], ic=0.5), integrator("j", ["i"]), summer("s", ["i", "j"])]
-        n = Netlist(elems, names={"s": "s"})
+        n = Netlist(named(elems, s="s"))
         message = (f"resolution {resolution!r} cannot quantize net {net!r}: "
                    f"its bound {bound!r} over the resolution overflows")
         with pytest.raises(ConstructionError, match=re.escape(message)):
@@ -140,8 +140,8 @@ class TestModeMachine:
 
     def test_pot_updates_in_ic_log_the_initial_overload_once(self):
         # s = -(1 + 0.9) leaves [-1, 1] already in the initial state.
-        n = Netlist([reference("r", 1.0), coefficient("k", "r", 0.9),
-                     summer("s", ["r", "k"])], names={"s": "s"})
+        n = Netlist(named([reference("r", 1.0), coefficient("k", "r", 0.9),
+                           summer("s", ["r", "k"])], s="s"))
         cfg = SimConfig(dt=1e-3)
         inst = new_instance(n, cfg)
         assert len(inst.overloads) == 1
@@ -313,7 +313,7 @@ class TestOverloads:
         elems = [reference("r", 1.0), coefficient("zero", "r", 0.0),
                  integrator("x", ["zero"], ic=0.9), integrator("y", ["zero"], ic=0.9),
                  summer("s", ["x", "y"])]
-        netlist = Netlist(elems, names={"s": "s"})
+        netlist = Netlist(named(elems, s="s"))
         inst = new_instance(netlist, SimConfig(dt=0.1, strict_overload=True))
         with pytest.raises(OverloadError) as err:
             inst.run(1.0)
@@ -339,7 +339,7 @@ class TestOverloads:
         elems = [reference("one", 1.0), reference("minus", -1.0), summer("neg", ["one"]),
                  summer("pos", ["minus"]), coefficient("zero", "one", 0.0),
                  integrator("hold", ["zero"], ic=1.0), integrator("holdn", ["zero"], ic=-1.0)]
-        n = Netlist(elems, names={e.id: e.id for e in elems})
+        n = Netlist(named(elems))
         trace = new_instance(n, SimConfig(dt=1e-3)).run(0.01)
         assert trace.overloads == []
         assert trace.final() == {"one": 1.0, "minus": -1.0, "neg": -1.0, "pos": 1.0,
@@ -380,7 +380,7 @@ class TestQuantization:
     def test_saturated_integrator_state_stays_on_the_rail(self, resolution):
         elems = [reference("one", 1.0), reference("minus", -1.0),
                  integrator("down", ["one"]), integrator("up", ["minus"])]
-        n = Netlist(elems, names={"down": "down", "up": "up"})
+        n = Netlist(named(elems, down="down", up="up"))
         inst = new_instance(n, SimConfig(dt=1e-3, resolution=resolution))
         trace = inst.run(1.5)
         assert inst.states == {"down": -1.0, "up": 1.0}
@@ -481,10 +481,9 @@ RESOLUTIONS = st.sampled_from([0.0, 1e-3, 0.6])
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(dag_netlists(), RESOLUTIONS, st.sampled_from([1, 3]))
 def test_run_equals_reference_stepper_on_netlists(netlist, resolution, every):
-    elements = list(netlist.elements.values())
-    named = Netlist(elements, names={e.id: e.id for e in elements})
+    netlist = Netlist(named(list(netlist.elements.values())))
     config = SimConfig(dt=0.05, resolution=resolution, sample_every=every)
-    assert_run_equals_reference(named, config, 1.0)
+    assert_run_equals_reference(netlist, config, 1.0)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -526,13 +525,13 @@ class TestGeneratedLoopEdges:
         elems = [reference("one", 1.0), coefficient("zero", "one", 0.0),
                  integrator("x", ["zero"], ic=ic, k0=k0), summer("n1", ["x"]),
                  summer("n2", ["n1"]), integrator("y", ["n2"], ic=-0.0, k0=k0)]
-        netlist = Netlist(elems, names={e.id: e.id for e in elems})
+        netlist = Netlist(named(elems))
         assert_run_equals_reference(netlist, SimConfig(dt=0.1), 0.3)
 
     def test_reference_quantized_out_of_range_overloads_every_step(self):
         # At resolution 0.6 the +1 reference reads 0.6 * round(1 / 0.6) = 1.2.
         elems = [reference("r", 1.0), integrator("i", ["r"], ic=0.0)]
-        netlist = Netlist(elems, names={"r": "r", "i": "i"})
+        netlist = Netlist(named(elems, r="r", i="i"))
         config = SimConfig(dt=0.1, resolution=0.6)
         assert_run_equals_reference(netlist, config, 0.5)
         trace = new_instance(netlist, config).run(0.5)
@@ -551,7 +550,7 @@ class TestGeneratedLoopEdges:
                  summer("ny", ["y"]), summer("s", ["nx", "ny"]),
                  integrator("z", ["nx", "ny"], ic=-0.0, k0=k0),
                  integrator("w", ["x"], ic=-0.0, k0=k0)]
-        netlist = Netlist(elems, names={e.id: e.id for e in elems})
+        netlist = Netlist(named(elems))
         assert_run_equals_reference(netlist, SimConfig(dt=0.1), 0.3)
 
     def test_coefficient_quantized_out_of_range_overloads_every_step(self):
@@ -560,7 +559,7 @@ class TestGeneratedLoopEdges:
         # no net is taken as staying in range and each is checked per step.
         elems = [reference("r", 1.0), coefficient("k", "r", 0.9),
                  integrator("i", ["k"], ic=0.0, k0=0.1)]
-        netlist = Netlist(elems, names={"k": "k", "i": "i"})
+        netlist = Netlist(named(elems, k="k", i="i"))
         config = SimConfig(dt=0.1, resolution=0.6)
         assert_run_equals_reference(netlist, config, 0.5)
         trace = new_instance(netlist, config).run(0.5)
@@ -575,7 +574,7 @@ class TestGeneratedLoopEdges:
         elems = [reference("one", 1.0), coefficient("zero", "one", 0.0),
                  integrator("i", ["zero"], ic=math.nextafter(x1, 0.0)),
                  function_generator("f", "i", [(x0, y0), (x1, 1.0)])]
-        netlist = Netlist(elems, names={"f": "f"})
+        netlist = Netlist(named(elems, f="f"))
         assert_run_equals_reference(netlist, SimConfig(dt=0.1), 0.5)
         trace = new_instance(netlist, SimConfig(dt=0.1)).run(0.5)
         assert [ev.time for ev in trace.overloads] == trace.tau
@@ -592,7 +591,7 @@ class TestGeneratedLoopEdges:
         elems = [reference("one", 1.0), coefficient("zero", "one", 0.0),
                  integrator("i", ["zero"], ic=x), function_generator("f", "i", TABLE),
                  integrator("j", ["f"], ic=0.0)]
-        netlist = Netlist(elems, names={"f": "f", "j": "j"})
+        netlist = Netlist(named(elems, f="f", j="j"))
         assert repr(new_instance(netlist, SimConfig(dt=0.1)).value("f")) == repr(expected)
         assert_run_equals_reference(netlist, SimConfig(dt=0.1), 0.3)
 
@@ -609,7 +608,7 @@ class TestGeneratedLoopEdges:
         for k in range(300):
             elems.append(coefficient(f"c{k}", elems[-1].id, 0.999))
         elems.append(integrator("i", ["c299"], ic=0.0))
-        netlist = Netlist(elems, names={"i": "i"})
+        netlist = Netlist(named(elems, i="i"))
         assert_run_equals_reference(netlist, SimConfig(dt=0.1), 0.3)
 
     def test_span_off_the_step_grid_shrinks_the_step(self):
@@ -735,7 +734,7 @@ class TestMultiInputIntegrator:
 
         elems = [reference("one", 1.0), coefficient("half", "one", 0.5),
                  integrator("i", ["one", "half"], ic=0.0, k0=1.0)]
-        n = Netlist(elems, names={"out": "i"})
+        n = Netlist(named(elems, i="out"))
         trace = new_instance(n, SimConfig(dt=1e-3)).run(0.5)
         assert trace.series["out"][-1] == pytest.approx(-0.75, abs=1e-9)
 
@@ -836,7 +835,7 @@ class TestConfigValidation:
         # k0 * dt overflows: the first step's state update is -inf.
         elems = [reference("one", 1.0), integrator("i", ["one"], ic=0.0, k0=1e308),
                  summer("s", ["i"])]
-        n = Netlist(elems, names={"out": "s"})
+        n = Netlist(named(elems, s="out"))
         inst = new_instance(n, SimConfig(dt=10.0))
         with pytest.raises(StructuralError):
             inst.run(10.0)
