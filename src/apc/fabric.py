@@ -15,9 +15,10 @@ multipliers and eight coefficient potentiometers.
 
 from __future__ import annotations
 
-import json
 import math
-from .machine import Element, Kind, Netlist, evaluation_order, inventory_kind, json_object
+
+from .machine import (Element, Kind, Netlist, evaluation_order, inventory_kind, json_object,
+                      read_json)
 from .record import Frozen, Record
 
 _INVENTORY_KINDS = ("integrator", "summer", "inverter", "multiplier",
@@ -79,10 +80,9 @@ def load_machine_spec(source: str) -> MachineSpec:
     crossbar, if given, must be "full", the only one modeled."""
     if source in BUILTIN_SPECS:
         return BUILTIN_SPECS[source]
-    with open(source, encoding="utf-8") as fh:
-        doc = json_object(json.load(fh), "machine spec",
-                          {"name": str, "inventory": dict, "crossbar": str},
-                          optional=("inventory", "crossbar"))
+    doc = json_object(read_json(source), "machine spec",
+                      {"name": str, "inventory": dict, "crossbar": str},
+                      optional=("inventory", "crossbar"))
     inventory = json_object(doc.get("inventory", {}), "inventory",
                             dict.fromkeys(_INVENTORY_KINDS, float), optional=_INVENTORY_KINDS)
     if doc.get("crossbar", "full") != "full":

@@ -170,7 +170,8 @@ def _as_float(x) -> float:
 
 class Element(Frozen):
     """One computing element: identity, kind, parameters, input nets and
-    the name of the net it drives, None for an unnamed net."""
+    the name of the net it drives, None for an unnamed net (a name of ''
+    is stored as None, as the loader reads it)."""
 
     __slots__ = ("id", "kind", "params", "inputs", "name")
 
@@ -187,7 +188,7 @@ class Element(Frozen):
             table = tuple((json_value(x, float, where), json_value(y, float, where))
                           for x, y in pairs)
             params = {**params, "table": table}
-        super().__init__(id, kind, params, tuple(inputs), name)
+        super().__init__(id, kind, params, tuple(inputs), name or None)
 
 
 def summer(eid: str, inputs) -> Element:
@@ -447,7 +448,7 @@ def netlist_from_dict(doc: dict) -> Netlist:
         params = json_object(ed.get("params", {}), f"params of {where}",
                              {k: list if k == "table" else float for k in keys}, optional=keys)
         inputs = tuple(json_value(n, str, f"input of {where}") for n in ed.get("inputs", []))
-        elements.append(Element(ed["id"], kind, params, inputs, ed.get("name") or None))
+        elements.append(Element(ed["id"], kind, params, inputs, ed.get("name")))
     outputs = tuple(json_value(name, str, "netlist output") for name in doc["outputs"])
     return Netlist(elements, outputs)
 
@@ -459,9 +460,18 @@ def save_netlist(netlist: Netlist, path) -> None:
         fh.write("\n")
 
 
-def load_netlist(path) -> Netlist:
+def read_json(path):
+    """The JSON document in the file at ``path``; StructuralError where it
+    nests too deeply for ``json`` to decode."""
     with open(path, encoding="utf-8") as fh:
-        return netlist_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise StructuralError("nested too deeply") from None
+
+
+def load_netlist(path) -> Netlist:
+    return netlist_from_dict(read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -551,5 +561,4 @@ class Mapping(Record):
 
     @classmethod
     def load(cls, path) -> "Mapping":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))

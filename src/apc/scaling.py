@@ -10,10 +10,12 @@ Scaling proceeds in three steps:
    or 1, else from a reference oracle run (adaptive Dormand–Prince 5(4)
    at rtol 1e-9); the last three carry a 25% safety margin. Modes and
    boxes give bounds that hold at every time and cost nothing that
-   grows with the horizon, computed in plain Python; a box holds for all
-   t >= 0, so it can lie above the peak within the horizon. The
-   integrator is in-house numpy, bit-identical to SciPy's RK45, and
-   numpy loads only when it runs. All three evaluate expressions with
+   grows with the horizon, computed in plain Python; the modes come from
+   ``linear.eig``, the eigen-decomposition of the module that owns
+   apc's linear analysis. A box holds for all t >= 0, so it can lie
+   above the peak within the horizon. The oracle's integrator is
+   in-house numpy, bit-identical to SciPy's RK45, and numpy loads only
+   when it runs. All three evaluate expressions with
    ``dsl.evaluate``: floats or arrays, and ``Interval``s.
 2. ``amplitude_scale``: pick a scale factor m per signal so that the
    machine net carries signal/m; factors come from the human-legible
@@ -42,6 +44,7 @@ import sys
 
 from .compiler import RANGE_TOL, ScaleMap, demand, normalize, stage_gain
 from .dsl import Call, Expr, Num, OdeSystem, Ref, evaluate, signal_name, walk
+from .linear import eig, norm1
 from .machine import ScalingError, table_bound
 from .record import Frozen, Record
 
@@ -331,11 +334,8 @@ class BoundsEstimate(Frozen):
 # row of A) equals sum_j (rV)_j c_j e^(lambda_j t). Its magnitude is at most
 # f(t) = sum_j |(rV)_j c_j| e^(Re lambda_j t), which is convex, so on
 # [0, T] it is at most max(f(0), f(T)), at most the per-mode bound
-# sum_j |(rV)_j c_j| max(1, e^(Re lambda_j T)); no cost grows with T. The
-# eigen-decomposition is plain Python (Golub & Van Loan, Matrix
-# Computations, sec. 7.4-7.6), so that a compile which needs no oracle
-# never imports numpy. One complex Schur factorization A = Q T Q^H gives
-# both V and V^-1: T's eigenvectors are triangular, and so is their inverse.
+# sum_j |(rV)_j c_j| max(1, e^(Re lambda_j T)); no cost grows with T. V and
+# V^-1 come from ``linear.eig``, in plain Python.
 
 #: The most states the modal bound decomposes; a larger program runs the
 #: oracle. The decomposition takes 0.2, 9, 50 and 390 ms at 4, 16, 32 and
@@ -360,12 +360,6 @@ MODAL_MAX_SLACK = 2.0
 #: of a uniform grid whose intervals divide the periods at one phase, as
 #: the oracle's 2,001 samples are on alias; these points are irregular.
 _SAMPLES = (0.0, 1.0, *(k * 0.6180339887498949 % 1 for k in range(1, 63)))
-#: QR sweeps allowed per eigenvalue before the decomposition gives up.
-_QR_SWEEPS = 30
-#: A decomposition is accepted when ||AV - V diag(lambda)||_1 is at most
-#: this many times n eps ||A||_1 ||V||_1.
-_RESIDUAL_ULPS = 16
-_EPS = sys.float_info.epsilon
 
 
 def _state_matrix(system: OdeSystem):
@@ -388,123 +382,11 @@ def _state_matrix(system: OdeSystem):
     return states, a
 
 
-def _givens(x: complex, y: complex) -> tuple[float, complex]:
-    """(c, s), c real, such that [[c, s], [-conj(s), c]] maps (x, y) to (r, 0)."""
-    if y == 0:
-        return 1.0, 0j
-    if x == 0:
-        return 0.0, y.conjugate() / abs(y)
-    r = math.hypot(abs(x), abs(y))
-    return abs(x) / r, x / abs(x) * y.conjugate() / r
-
-
-def _rotate(h: list, q: list, k: int, c: float, s: complex, first: int, last: int) -> None:
-    """H <- G H G^H and Q <- Q G^H for the ``_givens`` rotation G of planes k
-    and k + 1. G mixes columns ``first`` onwards of rows k and k + 1, and G^H
-    mixes rows up to ``last`` of columns k and k + 1: the rest are zero."""
-    sc = s.conjugate()
-    top, bottom = h[k], h[k + 1]
-    for j in range(first, len(h)):
-        x, y = top[j], bottom[j]
-        top[j], bottom[j] = c * x + s * y, c * y - sc * x
-    for row in (*h[:last], *q):
-        x, y = row[k], row[k + 1]
-        row[k], row[k + 1] = c * x + sc * y, c * y - s * x
-
-
-def _schur(h: list, q: list, scale: float) -> bool:
-    """Reduce H to upper triangular T = Q^H A Q in place, accumulating Q:
-    Hessenberg reduction, then single-shift QR sweeps with Wilkinson shifts
-    and deflation. False if an eigenvalue takes more than ``_QR_SWEEPS``
-    sweeps. ``scale`` stands in for a zero diagonal in the deflation test."""
-    n = len(h)
-    for k in range(n - 2):
-        for i in range(n - 1, k + 1, -1):
-            c, s = _givens(h[i - 1][k], h[i][k])
-            _rotate(h, q, i - 1, c, s, k, n)
-            h[i][k] = 0j
-    hi, sweeps = n - 1, 0
-    while hi > 0:
-        lo = hi
-        while lo > 0 and abs(h[lo][lo - 1]) > _EPS * (abs(h[lo - 1][lo - 1]) + abs(h[lo][lo])
-                                                      or scale):
-            lo -= 1
-        if lo > 0:
-            h[lo][lo - 1] = 0j
-        if lo == hi:
-            hi, sweeps = hi - 1, 0
-            continue
-        sweeps += 1
-        if sweeps > _QR_SWEEPS:
-            return False
-        a, b, c, d = h[hi - 1][hi - 1], h[hi - 1][hi], h[hi][hi - 1], h[hi][hi]
-        if sweeps % 10 == 0:  # an exceptional shift breaks a cycle
-            mu = d + abs(c)
-        else:  # the eigenvalue of the trailing 2x2 block nearer d
-            half = (a - d) / 2
-            root = cmath.sqrt(half * half + b * c)
-            den = max(half + root, half - root, key=abs)
-            mu = d - b * c / den if den else d
-        x, y = h[lo][lo] - mu, h[lo + 1][lo]
-        for k in range(lo, hi):
-            if k > lo:
-                x, y = h[k][k - 1], h[k + 1][k - 1]
-            c, s = _givens(x, y)
-            _rotate(h, q, k, c, s, max(lo, k - 1), min(k + 3, hi + 1))
-            if k > lo:
-                h[k + 1][k - 1] = 0j
-    return True
-
-
-def _eig(a: list):
-    """(lambda, V, V^-1, residual) with A V = V diag(lambda) to within the
-    residual ||AV - V diag(lambda)||_1 and unit columns in V, or None if QR
-    does not converge or the residual exceeds ``_RESIDUAL_ULPS`` n eps
-    ||A||_1 ||V||_1. T = Q^H A Q has unit upper triangular eigenvectors Y,
-    found by back-substitution, so V = Q Y diag(norms)^-1 and
-    V^-1 = diag(norms) Y^-1 Q^H, where inverting Y divides by nothing."""
-    n = len(a)
-    scale = max(abs(x) for row in a for x in row)
-    t = [[complex(x) for x in row] for row in a]
-    q = [[complex(i == j) for j in range(n)] for i in range(n)]
-    if not _schur(t, q, scale):
-        return None
-    lam = [t[i][i] for i in range(n)]
-    small = max(_EPS * scale, sys.float_info.min)
-    y = [[0j] * n for _ in range(n)]  # column k: T's eigenvector for lam[k]
-    for k in range(n):
-        y[k][k] = 1 + 0j
-        for i in range(k - 1, -1, -1):
-            den = t[i][i] - lam[k]
-            y[i][k] = -sum(t[i][j] * y[j][k] for j in range(i + 1, k + 1)) / (
-                den if abs(den) >= small else small)
-    v = [[sum(q[i][j] * y[j][k] for j in range(k + 1)) for k in range(n)] for i in range(n)]
-    norms = [math.sqrt(sum(abs(v[i][k]) ** 2 for i in range(n))) for k in range(n)]
-    v = [[x / norm for x, norm in zip(row, norms)] for row in v]
-    residual = max(sum(abs(sum(a[i][m] * v[m][k] for m in range(n)) - v[i][k] * lam[k])
-                       for i in range(n)) for k in range(n))
-    if not residual <= _RESIDUAL_ULPS * n * _EPS * _norm1(a) * _norm1(v):
-        return None
-    z = [[0j] * n for _ in range(n)]  # Y^-1
-    for k in range(n):
-        z[k][k] = 1 + 0j
-        for i in range(k - 1, -1, -1):
-            z[i][k] = -sum(y[i][j] * z[j][k] for j in range(i + 1, k + 1))
-    inverse = [[norms[i] * sum(z[i][j] * q[m][j].conjugate() for j in range(i, n))
-                for m in range(n)] for i in range(n)]
-    return lam, v, inverse, residual
-
-
-def _norm1(m: list) -> float:
-    """The largest column sum of magnitudes."""
-    return max(sum(abs(row[k]) for row in m) for k in range(len(m[0])))
-
-
 def _modal_bounds(system: OdeSystem) -> dict | None:
     """Bound of every signal's magnitude over [0, horizon] from the modes of
     x' = A x, or None where the oracle must decide: the program is not
     homogeneous linear (``_state_matrix``), the decomposition that gives V
-    and V^-1 fails (``_eig``), cond_1(V) exceeds ``MODAL_MAX_COND``, a
+    and V^-1 fails (``linear.eig``), cond_1(V) exceeds ``MODAL_MAX_COND``, a
     bound is not finite or exceeds ``MAGNITUDE_MAX``, a bound above 1e-12 is more than
     ``MODAL_MAX_SLACK`` times the largest magnitude its signal takes at the
     ``_SAMPLES`` times (modes that cancel), or a magnitude overflows. Each bound carries a
@@ -515,22 +397,22 @@ def _modal_bounds(system: OdeSystem) -> dict | None:
     an error as large as eps ||A||, and T multiplies it."""
     found = _state_matrix(system)
     try:
-        decomposed = found and _eig(found[1])
+        decomposed = found and eig(found[1])
         if not decomposed:
             return None
         (states, a), (lam, v, inverse, residual) = found, decomposed
         n = len(states)
-        cond = _norm1(v) * _norm1(inverse)
+        cond = norm1(v) * norm1(inverse)
         if not cond <= MODAL_MAX_COND:
             return None
         x0 = [system.inits[key] for key in states]
         c = [sum(row[m] * x0[m] for m in range(n)) for row in inverse]
-        shift = cond * residual * _norm1(inverse)
+        shift = cond * residual * norm1(inverse)
         growth = [math.exp(r) if r < 709 else math.inf
                   for r in ((z.real + shift) * system.horizon for z in lam)]
         waves = [[cmath.exp(z * s * system.horizon) for s in _SAMPLES] if ck else None
                  for z, ck in zip(lam, c)]
-        slack = 1 + 8 * n * cond * _EPS
+        slack = 1 + 8 * n * cond * sys.float_info.epsilon
         index = {key: i for i, key in enumerate(states)}
         out = {}
         for v_name, order in system.signals():

@@ -633,6 +633,18 @@ def dense_loop_netlist(workdir):
 
 
 class TestInvalidNetlist:
+    @pytest.mark.parametrize("file", ["netlist", "machine", "sidecar"])
+    def test_deeply_nested_file_exits_1(self, workdir, capsys, file):
+        """A file nested past what ``json`` decodes ends in one line."""
+        out = compiled(workdir, SINE_SRC, "sine")
+        deep = {"netlist": out, "machine": workdir / "spec.json",
+                "sidecar": workdir / "sine.map.json"}[file]
+        deep.write_text("[" * 100_000 + "]" * 100_000 if file != "sidecar"
+                        else '{"a": ' * 50_000 + "1" + "}" * 50_000)
+        argv = ["map", str(out), "--machine", str(deep)] if file == "machine" else ["run", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"apc: {deep}: nested too deeply\n"
+
     def test_run_names_the_loop(self, workdir, capsys):
         assert main(["run", looped_netlist(workdir), "--tend", "1"]) == 1
         assert "apc: algebraic loop(s): [['k', 's1', 's2']]" in capsys.readouterr().err
@@ -1390,7 +1402,8 @@ def test_modules_import_no_private_name_from_each_other():
 #: that fails on a loop reports it without loading the simulator.
 COMMAND_MODULES = {
     "check": ["apc.dsl", "apc.record"],
-    "compile": ["apc.compiler", "apc.dsl", "apc.machine", "apc.record", "apc.scaling"],
+    "compile": ["apc.compiler", "apc.dsl", "apc.linear", "apc.machine", "apc.record",
+                "apc.scaling"],
     "compile-none": ["apc.compiler", "apc.dsl", "apc.machine", "apc.record"],
     "run": ["apc.machine", "apc.record", "apc.simulator"],
     "run-problem-units": ["apc.machine", "apc.record", "apc.simulator"],

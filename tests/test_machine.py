@@ -22,11 +22,13 @@ from apc.machine import (
     evaluation_order,
     function_generator,
     integrator,
+    load_netlist,
     multiplier,
     net_bounds,
     netlist_from_dict,
     netlist_to_dict,
     reference,
+    save_netlist,
     summer,
     Violation,
     validate,
@@ -463,6 +465,19 @@ def test_an_empty_net_name_names_nothing():
     doc = netlist_to_dict(fig2_netlist())
     doc["elements"][0]["name"] = doc["elements"][1]["name"] = ""
     assert netlist_from_dict(doc).names == {"x": "mul1"}
+
+
+def test_an_empty_name_is_no_name_in_memory_as_on_file(tmp_path):
+    """A netlist built with a name of '' validates as its file does, and a
+    second save writes the bytes of the first."""
+    netlist = Netlist([Element("r", Kind.REFERENCE, {"constant": 1.0}, (), "")], outputs=("",))
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_netlist(netlist, first)
+    back = load_netlist(first)
+    save_netlist(back, second)
+    assert validate(back) == validate(netlist) == [
+        Violation("", "missing-output", "output '' names no net")]
+    assert second.read_bytes() == first.read_bytes()
 
 
 @pytest.mark.parametrize("table", [5, [[0.0]], [[0.0, None], [1.0, 1.0]]])

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from apc import compiler, scaling, simulator
+from apc import compiler, linear, scaling, simulator
 from apc.cli import main
 from apc.compiler import CompileOptions, ScaleMap, compile_system
 from apc.dsl import Bin, Call, Neg, Num, Ref, evaluate, signal_name
@@ -326,7 +326,7 @@ class TestModalBounds:
             d[i:i + 2, i:i + 2] = [[re, im], [-im, re]]
         s = rng.normal(size=(n, n))
         a = s @ d @ np.linalg.inv(s)
-        lam, v, inverse, _ = scaling._eig(a.tolist())
+        lam, v, inverse, _ = linear.eig(a.tolist())
         expect = list(np.linalg.eigvals(a))
         for z in lam:  # match each root to its nearest, once
             nearest = min(expect, key=lambda e: abs(e - z))
@@ -344,19 +344,19 @@ class TestModalBounds:
         """The cyclic permutation's Wilkinson shifts repeat; the exceptional
         shift at the tenth sweep breaks the cycle."""
         cyclic = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
-        lam = scaling._eig(cyclic)[0]
+        lam = linear.eig(cyclic)[0]
         roots = [complex(-0.5, math.sqrt(3) / 2), complex(-0.5, -math.sqrt(3) / 2), 1]
         assert all(min(abs(z - r) for z in lam) < 1e-14 for r in roots)
-        with mock.patch.object(scaling, "_QR_SWEEPS", 9):
-            assert scaling._eig(cyclic) is None
+        with mock.patch.object(linear, "_QR_SWEEPS", 9):
+            assert linear.eig(cyclic) is None
 
     def test_decomposition_failures_return_none(self):
-        with mock.patch.object(scaling, "_RESIDUAL_ULPS", 0):
-            assert scaling._eig([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]) is None
+        with mock.patch.object(linear, "_RESIDUAL_ULPS", 0):
+            assert linear.eig([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]) is None
 
     def test_qr_that_does_not_converge_hands_over_to_the_oracle(self):
         system = resolve_src(SINE5_SRC)
-        with mock.patch.object(scaling, "_QR_SWEEPS", 0):
+        with mock.patch.object(linear, "_QR_SWEEPS", 0):
             bounds = estimate_bounds(system)
         with oracle_path():
             expected = estimate_bounds(system)
